@@ -5,8 +5,9 @@
 # every feature set (see DESIGN.md "Dependencies"), so a vendored/offline
 # toolchain is all CI needs.
 #
-#   ci.sh                        core gate (fmt, clippy, xtask lint + audit,
-#                                  fuzz corpus replay, build, docs, tests)
+#   ci.sh                        core gate (fmt, clippy with the workspace
+#                                  lints, xtask analyze, fuzz corpus replay,
+#                                  build, docs, tests, benchmark tests)
 #   ci.sh --perf-smoke           + run the smoke benches and fail on >25%
 #                                  GFLOP/s regressions vs the checked-in
 #                                  bench_results/smoke/baseline.json
@@ -66,12 +67,6 @@ cargo clippy --workspace -- -D warnings
 step "cargo clippy --workspace --features trace -- -D warnings"
 cargo clippy --workspace --features trace -- -D warnings
 
-step "cscv-xtask lint (SAFETY comments, unsafe whitelist, hot-path panics, trace fallbacks)"
-cargo run -q -p cscv-xtask -- lint
-
-step "cscv-xtask audit (index casts, unchecked indexing, cfg flags, crate layering)"
-cargo run -q -p cscv-xtask -- audit
-
 step "cscv-xtask analyze (inter-procedural rules + findings ratchet)"
 cargo run -q -p cscv-xtask -- analyze
 
@@ -92,6 +87,11 @@ cargo test -q --workspace
 
 step "cargo test -q --features trace"
 cargo test -q --workspace --features trace
+
+# The benchmark package is its own workspace, so no step above compiles
+# it; it calls the library crates' public APIs.
+step "cargo test (cscv-benchmark)"
+cargo test -q --offline --locked --manifest-path cscv-benchmark/Cargo.toml
 
 if [ "$MIRI" = 1 ]; then
     # Lib tests of the unsafe-heavy crates only: integration suites mix in

@@ -47,7 +47,6 @@ pub struct Block<T> {
     pub tile: u32,
     /// ỹ scatter map: slot → global row, or `-1` if the slot has no
     /// physical row (off-detector offset or padded lane).
-    // DOMAIN(PermutedPos -> RowId)
     pub map: Vec<i32>,
     /// Per VxG: start slot in ỹ.
     pub vxg_q: Vec<u32>,
@@ -55,10 +54,8 @@ pub struct Block<T> {
     pub vxg_count: Vec<u16>,
     /// Per VxG: `S_VxG` member column ids (padded members point at column
     /// 0 with all-zero values — contributing nothing).
-    // DOMAIN(_ -> ColId)
     pub cols: Vec<u32>,
     /// Per VxG: start element in `vals` (`n_vxg + 1` prefix).
-    // DOMAIN(_ -> NnzIdx)
     pub val_ptr: Vec<u32>,
     /// Value stream (layout per variant — see module docs).
     pub vals: Vec<T>,
@@ -136,7 +133,6 @@ pub struct CscvMatrix<T> {
     pub blocks: Vec<Block<T>>,
     /// Per view group: range of `blocks`, the group's global row range,
     /// and its nnz (for load balancing).
-    // DOMAIN(GroupId)
     pub groups: Vec<GroupInfo>,
     pub stats: CscvStats,
     /// Largest `ytil_len` over all blocks (scratch sizing).

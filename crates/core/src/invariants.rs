@@ -15,7 +15,7 @@
 //!   byte-identical — same discipline as the `trace` feature);
 //! * SAFETY comments in `kernels.rs`/`exec.rs` cite IDs from this table
 //!   instead of restating the argument;
-//! * docs (DESIGN.md "Correctness tooling, part 2") render the table.
+//! * docs (DESIGN.md "Correctness tooling") render the table.
 //!
 //! | ID                | layer  | invariant                                              |
 //! |-------------------|--------|--------------------------------------------------------|

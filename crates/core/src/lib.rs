@@ -27,10 +27,12 @@
 
 pub mod analysis;
 pub mod builder;
+#[allow(unsafe_code)]
 pub mod exec;
 pub mod format;
 pub mod invariants;
 pub mod ioblr;
+#[allow(unsafe_code)]
 pub mod kernels;
 pub mod layout;
 pub mod layout_eff;

@@ -35,8 +35,8 @@
 //! the last snapshot it streamed rather than dropped. Untraced builds
 //! send zero probe/trace frames and all of this is inert.
 
-use crate::plan::{slice_rows, ShardPlan};
-use crate::protocol::{hello_flags, Msg};
+use crate::plan::{slice_rows, ColWindow, ShardPlan};
+use crate::protocol::{hello_flags, Msg, Role};
 use crate::wire::Conn;
 use crate::worker;
 use cscv_core::layout::ImageShape;
@@ -282,7 +282,7 @@ pub struct Cluster {
     states: Vec<WorkerState>,
     ranges: Vec<Range<usize>>,
     shard_nnz: Vec<usize>,
-    windows: Vec<(usize, usize)>,
+    windows: Vec<ColWindow>,
     execs: Vec<String>,
     n_rows: usize,
     n_cols: usize,
@@ -339,6 +339,9 @@ impl Cluster {
         };
 
         let (mut conns, endpoints, socket_path) = connect_all(n, launch)?;
+        for conn in conns.iter_mut() {
+            conn.enforce(Role::Coordinator);
+        }
         let mut states: Vec<WorkerState> = (0..n).map(|_| WorkerState::default()).collect();
         let mut shard_nnz = Vec::with_capacity(n);
         for (i, conn) in conns.iter_mut().enumerate() {
@@ -391,7 +394,7 @@ impl Cluster {
                 ));
             };
             states[i].pid = pid;
-            windows.push((col_lo as usize, col_hi as usize));
+            windows.push(ColWindow::new(col_lo, col_hi, csr.n_cols())?);
             execs.push(exec);
         }
         Ok(Cluster {
@@ -485,26 +488,17 @@ impl Cluster {
                 ));
             };
             self.states[i].requests += 1;
-            let (lo, hi) = self.windows[i];
-            if col_lo as usize != lo || partial.len() != hi - lo {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "SpmvTOut window mismatch",
-                ));
-            }
+            let w = self.windows[i];
+            partials.push(w.place(col_lo, &partial, self.n_cols)?);
             span::event(
                 "shard.halo_exchange",
                 &[
                     ("worker", i as f64),
-                    ("col_lo", lo as f64),
-                    ("width", (hi - lo) as f64),
+                    ("col_lo", w.lo as f64),
+                    ("width", w.width() as f64),
                     ("bytes", (partial.len() * 8) as f64),
                 ],
             );
-            // DOMAIN(ColId)
-            let mut full = vec![0.0; self.n_cols];
-            full[lo..hi].copy_from_slice(&partial);
-            partials.push(full);
         }
         let t0 = Instant::now();
         let merged = tree_reduce(partials);
@@ -533,23 +527,14 @@ impl Cluster {
             };
             self.states[i].requests += 1;
             let range = self.ranges[i].clone();
-            if row.len() != range.len() || col_lo as usize != self.windows[i].0 {
+            if row.len() != range.len() {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    "AbsSumsOut shape mismatch",
+                    "AbsSumsOut row count mismatch",
                 ));
             }
             rows[range].copy_from_slice(&row);
-            let (lo, hi) = self.windows[i];
-            if col.len() != hi - lo {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "AbsSumsOut window mismatch",
-                ));
-            }
-            let mut full = vec![0.0; self.n_cols];
-            full[lo..hi].copy_from_slice(&col);
-            partials.push(full);
+            partials.push(self.windows[i].place(col_lo, &col, self.n_cols)?);
         }
         let t0 = Instant::now();
         let cols = tree_reduce(partials);
@@ -642,8 +627,8 @@ impl Cluster {
                 rows: self.ranges[i].clone(),
                 nnz: self.shard_nnz[i],
                 exec: self.execs[i].clone(),
-                col_lo: self.windows[i].0,
-                col_hi: self.windows[i].1,
+                col_lo: self.windows[i].lo,
+                col_hi: self.windows[i].hi,
                 busy_ns: snap.busy_ns,
                 spmv_calls: snap.spmv_calls,
                 spmv_t_calls: snap.spmv_t_calls,
@@ -1038,6 +1023,81 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "one shard must be bitwise equal");
         }
         cluster.shutdown().unwrap();
+    }
+
+    /// A coordinator connection that has sent Hello and Matrix and now
+    /// waits for MatrixAck, plus an unchecked peer scripting the worker.
+    fn coordinator_awaiting_ack() -> (Conn<UnixStream>, Conn<UnixStream>, WorkerState) {
+        let (a, b) = UnixStream::pair().unwrap();
+        let mut coord = Conn::new(a);
+        coord.enforce(Role::Coordinator);
+        Msg::Hello {
+            shard: 0,
+            n_shards: 1,
+            threads: 1,
+            trace_id: 0,
+            flags: 0,
+        }
+        .send(&mut coord)
+        .unwrap();
+        Msg::Matrix {
+            n_cols: 1,
+            row0: 0,
+            n_views: 0,
+            n_bins: 0,
+            nx: 1,
+            ny: 1,
+            row_ptr: vec![0],
+            col_idx: vec![],
+            vals: vec![],
+        }
+        .send(&mut coord)
+        .unwrap();
+        (coord, Conn::new(b), WorkerState::default())
+    }
+
+    fn trace_frame() -> Msg {
+        Msg::Trace {
+            seq: 1,
+            busy_ns: 5,
+            bytes_rx: 0,
+            bytes_tx: 0,
+            spmv_calls: 0,
+            spmv_t_calls: 0,
+            ndjson: String::new(),
+        }
+    }
+
+    #[test]
+    fn reply_out_of_order_is_invalid_data() {
+        let (mut coord, mut peer, mut st) = coordinator_awaiting_ack();
+        Msg::SpmvOut { y: vec![1.0] }.send(&mut peer).unwrap();
+        let e = recv_folding(&mut coord, &mut st, &Instant::now()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("MatrixWait"), "{e}");
+        assert!(e.to_string().contains("tag 5"), "{e}");
+    }
+
+    #[test]
+    fn trace_before_matrix_ack_is_absorbed_but_rejected_in_ready() {
+        let (mut coord, mut peer, mut st) = coordinator_awaiting_ack();
+        trace_frame().send(&mut peer).unwrap();
+        Msg::MatrixAck {
+            col_lo: 0,
+            col_hi: 0,
+            exec: "CSR".into(),
+            pid: 1,
+        }
+        .send(&mut peer)
+        .unwrap();
+        let ack = recv_folding(&mut coord, &mut st, &Instant::now()).unwrap();
+        assert!(matches!(ack, Msg::MatrixAck { .. }));
+        assert_eq!(st.trace_frames, 1);
+        // Nothing is due in Ready, so a Trace there is a protocol error.
+        trace_frame().send(&mut peer).unwrap();
+        let e = Msg::recv(&mut coord).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("Ready"), "{e}");
     }
 
     /// Satellite: abnormal worker death must not lose telemetry — the

@@ -41,5 +41,5 @@ pub use cluster::{
     Cluster, ClusterStats, ClusterTelemetry, Launch, ShutdownReport, WorkerHealth, WorkerReport,
 };
 pub use operator::{LocalOperator, ShardedOperator};
-pub use plan::{slice_rows, PartitionMethod, ShardPlan};
+pub use plan::{slice_rows, ColWindow, PartitionMethod, ShardPlan};
 pub use worker::WorkerStats;

@@ -22,7 +22,68 @@
 use cscv_simd::Scalar;
 use cscv_sparse::partition::split_by_prefix;
 use cscv_sparse::Csr;
+use std::io;
 use std::ops::Range;
+
+/// A shard's column-support window `[lo, hi)`: the smallest column
+/// range holding every nonzero of the shard (`0..0` when it has none).
+/// Adjoint and column-sum replies carry only this slice of a full-width
+/// vector — the halo window — so both ends translate through this type:
+/// the worker [`trim`](ColWindow::trim)s, the coordinator
+/// [`place`](ColWindow::place)s back to full width.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColWindow {
+    pub lo: usize,
+    pub hi: usize,
+}
+
+impl ColWindow {
+    /// The window of a shard's column indices.
+    pub fn of(csr: &Csr<f64>) -> ColWindow {
+        let lo = csr.col_idx().iter().min().map_or(0, |&c| c as usize);
+        let hi = csr.col_idx().iter().max().map_or(0, |&c| c as usize + 1);
+        ColWindow { lo, hi }
+    }
+
+    /// A window announced by a worker, checked against the matrix width.
+    pub fn new(lo: u64, hi: u64, n_cols: usize) -> io::Result<ColWindow> {
+        match (usize::try_from(lo), usize::try_from(hi)) {
+            (Ok(lo), Ok(hi)) if lo <= hi && hi <= n_cols => Ok(ColWindow { lo, hi }),
+            _ => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("column window [{lo}, {hi}) outside 0..{n_cols}"),
+            )),
+        }
+    }
+
+    pub fn width(&self) -> usize {
+        self.hi - self.lo
+    }
+
+    /// This window's slice of a full-width vector.
+    pub fn trim<'a>(&self, full: &'a [f64]) -> &'a [f64] {
+        &full[self.lo..self.hi]
+    }
+
+    /// Expand a reply trimmed to this window back to `n_cols` wide,
+    /// rejecting one whose `col_lo` or length disagrees with the window.
+    pub fn place(&self, col_lo: u64, part: &[f64], n_cols: usize) -> io::Result<Vec<f64>> {
+        if col_lo != self.lo as u64 || part.len() != self.width() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "reply window at {col_lo} of width {} does not match [{}, {})",
+                    part.len(),
+                    self.lo,
+                    self.hi
+                ),
+            ));
+        }
+        let mut full = vec![0.0; n_cols];
+        full[self.lo..self.hi].copy_from_slice(part);
+        Ok(full)
+    }
+}
 
 /// How shard boundaries are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

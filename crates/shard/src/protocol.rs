@@ -39,6 +39,12 @@
 //!
 //! Layouts are fixed little-endian ([`crate::wire`]); `Msg::encode` /
 //! [`Msg::decode`] are exact inverses (round-trip tested below).
+//!
+//! **Session check.** [`TRANSITIONS`] is the diagram as data. Both
+//! endpoints hold their connection to it ([`crate::wire::Conn::enforce`]):
+//! every frame sent or received steps a per-connection [`Session`], and
+//! a frame the table rejects fails with `InvalidData` instead of
+//! desyncing the exchange. One table lookup per frame, always on.
 
 use crate::wire::{Dec, Enc};
 use std::io;
@@ -77,42 +83,119 @@ pub mod hello_flags {
     pub const STREAM_FULL_REGISTRY: u64 = 1;
 }
 
-/// The machine-checked session spec: the diagram above as data.
-///
-/// `cscv-xtask analyze` (rule family `protocol-conformance`) parses
-/// this constant and statically holds both endpoints to it — every
-/// send must have a receive state, every direct drain must absorb the
-/// legal `Trace`-before-reply interleaving, and every wire tag in
-/// [`tag`] must appear here (and vice versa). The spec also renders to
-/// the GraphViz artifact via `cscv-xtask analyze --protocol-dot`.
-///
-/// Line DSL: `endpoint <role> <file>` · `msg <frame> <dir> <from-state>
-/// <to-state>` · `side <frame> <dir> <states…>` (unsolicited,
-/// state-preserving) · `escape <frame> <dir>` (legal from any state,
-/// ends the session) · `absorber <fn>` (a drain that folds side frames
-/// out of the stream).
-pub const SESSION_SPEC: &[&str] = &[
-    "endpoint coordinator crates/shard/src/cluster.rs",
-    "endpoint worker crates/shard/src/worker.rs",
-    "msg Hello c2w Init Greeted",
-    "msg ClockProbe c2w Greeted ClockWait",
-    "msg ClockAck w2c ClockWait Greeted",
-    "msg Matrix c2w Greeted MatrixWait",
-    "msg MatrixAck w2c MatrixWait Ready",
-    "msg Spmv c2w Ready SpmvWait",
-    "msg SpmvOut w2c SpmvWait Ready",
-    "msg SpmvT c2w Ready SpmvTWait",
-    "msg SpmvTOut w2c SpmvTWait Ready",
-    "msg AbsSums c2w Ready AbsSumsWait",
-    "msg AbsSumsOut w2c AbsSumsWait Ready",
-    "msg Stats c2w Ready StatsWait",
-    "msg StatsOut w2c StatsWait Ready",
-    "msg Shutdown c2w Ready ShutdownWait",
-    "msg ShutdownAck w2c ShutdownWait Closed",
-    "side Trace w2c MatrixWait SpmvWait SpmvTWait AbsSumsWait StatsWait ShutdownWait",
-    "escape Err w2c",
-    "absorber recv_folding",
+/// Which end of a connection a [`Session`] speaks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    Coordinator,
+    Worker,
+}
+
+/// Session states of one coordinator↔worker connection: the diagram in
+/// the module docs as a state machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum State {
+    Init,
+    Greeted,
+    ClockWait,
+    MatrixWait,
+    Ready,
+    SpmvWait,
+    SpmvTWait,
+    AbsSumsWait,
+    StatsWait,
+    ShutdownWait,
+    Closed,
+}
+
+/// The request/reply transitions, `(tag, sender, from, to)`. Two frames
+/// stand outside the table: [`Msg::Trace`], which the worker may send in
+/// any of [`TRACE_STATES`] without changing state, and [`Msg::Err`],
+/// which either side may send in any state and which closes the session.
+pub const TRANSITIONS: &[(u8, Role, State, State)] = {
+    use Role::{Coordinator as C, Worker as W};
+    use State::*;
+    &[
+        (tag::HELLO, C, Init, Greeted),
+        (tag::CLOCK_PROBE, C, Greeted, ClockWait),
+        (tag::CLOCK_ACK, W, ClockWait, Greeted),
+        (tag::MATRIX, C, Greeted, MatrixWait),
+        (tag::MATRIX_ACK, W, MatrixWait, Ready),
+        (tag::SPMV, C, Ready, SpmvWait),
+        (tag::SPMV_OUT, W, SpmvWait, Ready),
+        (tag::SPMV_T, C, Ready, SpmvTWait),
+        (tag::SPMV_T_OUT, W, SpmvTWait, Ready),
+        (tag::ABS_SUMS, C, Ready, AbsSumsWait),
+        (tag::ABS_SUMS_OUT, W, AbsSumsWait, Ready),
+        (tag::STATS, C, Ready, StatsWait),
+        (tag::STATS_OUT, W, StatsWait, Ready),
+        (tag::SHUTDOWN, C, Ready, ShutdownWait),
+        (tag::SHUTDOWN_ACK, W, ShutdownWait, Closed),
+    ]
+};
+
+/// The wait states in which an unsolicited [`Msg::Trace`] may precede
+/// the reply.
+pub const TRACE_STATES: &[State] = &[
+    State::MatrixWait,
+    State::SpmvWait,
+    State::SpmvTWait,
+    State::AbsSumsWait,
+    State::StatsWait,
+    State::ShutdownWait,
 ];
+
+/// One endpoint's view of the session, stepped by every frame it sends
+/// or receives (see [`crate::wire::Conn::enforce`]). A frame the table
+/// does not admit is an [`io::ErrorKind::InvalidData`] error naming the
+/// state and the tag, and leaves the state unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Session {
+    role: Role,
+    state: State,
+}
+
+impl Session {
+    pub fn new(role: Role) -> Session {
+        Session {
+            role,
+            state: State::Init,
+        }
+    }
+
+    /// Admit frame `t`, which this endpoint sends (`sent`) or receives.
+    pub fn step(&mut self, t: u8, sent: bool) -> io::Result<()> {
+        let sender = match (self.role, sent) {
+            (role, true) => role,
+            (Role::Coordinator, false) => Role::Worker,
+            (Role::Worker, false) => Role::Coordinator,
+        };
+        let next = if t == tag::ERR {
+            Some(State::Closed)
+        } else if t == tag::TRACE && sender == Role::Worker && TRACE_STATES.contains(&self.state) {
+            Some(self.state)
+        } else {
+            TRANSITIONS
+                .iter()
+                .find(|&&(tt, s, from, _)| tt == t && s == sender && from == self.state)
+                .map(|&(.., to)| to)
+        };
+        match next {
+            Some(to) => {
+                self.state = to;
+                Ok(())
+            }
+            None => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "session ({:?}): frame tag {t} {} in state {:?} is not in the protocol",
+                    self.role,
+                    if sent { "sent" } else { "received" },
+                    self.state
+                ),
+            )),
+        }
+    }
+}
 
 /// One protocol message. See the module docs for the exchange order.
 #[derive(Debug, Clone, PartialEq)]
@@ -520,6 +603,113 @@ mod tests {
         let (t, mut payload) = Msg::AbsSums { span: 0 }.encode();
         payload.push(0);
         assert!(Msg::decode(t, &payload).is_err());
+    }
+
+    const ALL_STATES: [State; 11] = [
+        State::Init,
+        State::Greeted,
+        State::ClockWait,
+        State::MatrixWait,
+        State::Ready,
+        State::SpmvWait,
+        State::SpmvTWait,
+        State::AbsSumsWait,
+        State::StatsWait,
+        State::ShutdownWait,
+        State::Closed,
+    ];
+    const ROLES: [Role; 2] = [Role::Coordinator, Role::Worker];
+
+    #[test]
+    fn every_wire_tag_is_in_the_session_table() {
+        // Both ways: a tag the decoder knows must be admitted somewhere,
+        // and the session admits no tag the decoder does not know.
+        for t in 0..=u8::MAX {
+            let decodable = match Msg::decode(t, &[]) {
+                Ok(_) => true,
+                Err(e) => !e.to_string().contains("unknown frame tag"),
+            };
+            let admitted = ALL_STATES.iter().any(|&state| {
+                ROLES
+                    .iter()
+                    .any(|&role| Session { role, state }.step(t, true).is_ok())
+            });
+            assert_eq!(decodable, admitted, "tag {t}");
+        }
+    }
+
+    #[test]
+    fn a_full_session_walks_the_table_on_both_ends() {
+        use Role::{Coordinator as C, Worker as W};
+        let script = [
+            (tag::HELLO, C),
+            (tag::CLOCK_PROBE, C),
+            (tag::CLOCK_ACK, W),
+            (tag::MATRIX, C),
+            (tag::TRACE, W),
+            (tag::MATRIX_ACK, W),
+            (tag::SPMV, C),
+            (tag::TRACE, W),
+            (tag::SPMV_OUT, W),
+            (tag::SPMV_T, C),
+            (tag::SPMV_T_OUT, W),
+            (tag::ABS_SUMS, C),
+            (tag::ABS_SUMS_OUT, W),
+            (tag::STATS, C),
+            (tag::STATS_OUT, W),
+            (tag::SHUTDOWN, C),
+            (tag::TRACE, W),
+            (tag::SHUTDOWN_ACK, W),
+        ];
+        let (mut coord, mut worker) = (Session::new(C), Session::new(W));
+        for (t, sender) in script {
+            coord.step(t, sender == C).unwrap();
+            worker.step(t, sender == W).unwrap();
+        }
+        assert_eq!(coord.state, State::Closed);
+        assert_eq!(worker.state, State::Closed);
+    }
+
+    #[test]
+    fn rejection_names_state_and_tag_and_keeps_the_state() {
+        let mut s = Session::new(Role::Coordinator);
+        let e = s.step(tag::SPMV, true).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("tag 4"), "{e}");
+        assert!(e.to_string().contains("Init"), "{e}");
+        assert_eq!(s.state, State::Init);
+        // Direction matters: a worker never sends Hello.
+        assert!(Session::new(Role::Worker).step(tag::HELLO, true).is_err());
+    }
+
+    #[test]
+    fn trace_only_from_the_worker_and_only_while_a_reply_is_due() {
+        for state in ALL_STATES {
+            let mut coord = Session {
+                role: Role::Coordinator,
+                state,
+            };
+            assert_eq!(
+                coord.step(tag::TRACE, false).is_ok(),
+                TRACE_STATES.contains(&state),
+                "{state:?}"
+            );
+            assert_eq!(coord.state, state, "Trace never moves the session");
+            assert!(coord.step(tag::TRACE, true).is_err(), "{state:?}");
+        }
+    }
+
+    #[test]
+    fn err_is_legal_from_every_state_and_closes_the_session() {
+        for state in ALL_STATES {
+            for role in ROLES {
+                for sent in [true, false] {
+                    let mut s = Session { role, state };
+                    s.step(tag::ERR, sent).unwrap();
+                    assert_eq!(s.state, State::Closed);
+                }
+            }
+        }
     }
 
     #[test]

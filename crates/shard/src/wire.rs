@@ -12,13 +12,14 @@
 //! fixed-layout little-endian scalars and arrays (no self-describing
 //! encoding — both ends are the same binary, and the fixed layout keeps
 //! the hot vectors a single `memcpy` each way). `len` is bounded by
-//! [`MAX_FRAME`] so a corrupt header fails fast instead of allocating
-//! terabytes.
+//! [`MAX_FRAME`], and the payload buffer grows only as bytes arrive, so
+//! a corrupt or lying header costs at most what the peer really sends.
 //!
 //! Byte counts flow through [`Conn`], which both sides use to report
 //! traffic (the `shard_bytes_tx` / `shard_bytes_rx` trace counters and
 //! the `-- shard` report columns).
 
+use crate::protocol::{Role, Session};
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame payload (16 GiB): large enough for any shard
@@ -27,6 +28,10 @@ pub const MAX_FRAME: u64 = 1 << 34;
 
 /// Bytes added to every payload by the frame header.
 pub const FRAME_OVERHEAD: u64 = 1 + 8;
+
+/// Payload bytes reserved before any arrive; larger frames grow the
+/// buffer as they are read.
+const RESERVE_UP_FRONT: u64 = 1 << 20;
 
 /// Write one frame; returns the total bytes put on the wire.
 pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<u64> {
@@ -51,12 +56,20 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(RESERVE_UP_FRONT) as usize);
+    r.take(len).read_to_end(&mut payload)?;
+    if payload.len() as u64 != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame truncated: {} of {len} payload bytes", payload.len()),
+        ));
+    }
     Ok((tag, payload, FRAME_OVERHEAD + len))
 }
 
-/// A framed connection that tallies traffic in both directions.
+/// A framed connection that tallies traffic in both directions and,
+/// once an endpoint [`enforce`](Conn::enforce)s it, holds every frame to
+/// the session table.
 #[derive(Debug)]
 pub struct Conn<S> {
     stream: S,
@@ -64,6 +77,8 @@ pub struct Conn<S> {
     pub bytes_tx: u64,
     /// Bytes read from the stream (headers included).
     pub bytes_rx: u64,
+    /// `None` on a raw transport (wire-level tests and tools).
+    session: Option<Session>,
 }
 
 impl<S: Read + Write> Conn<S> {
@@ -72,11 +87,22 @@ impl<S: Read + Write> Conn<S> {
             stream,
             bytes_tx: 0,
             bytes_rx: 0,
+            session: None,
         }
     }
 
-    /// Send one frame, tallying the bytes.
+    /// Start a fresh session as `role`: from here on every frame must be
+    /// one [`crate::protocol::TRANSITIONS`] admits.
+    pub fn enforce(&mut self, role: Role) {
+        self.session = Some(Session::new(role));
+    }
+
+    /// Send one frame, tallying the bytes. A frame the session rejects
+    /// is not written.
     pub fn send(&mut self, tag: u8, payload: &[u8]) -> io::Result<()> {
+        if let Some(s) = &mut self.session {
+            s.step(tag, true)?;
+        }
         self.bytes_tx += write_frame(&mut self.stream, tag, payload)?;
         Ok(())
     }
@@ -85,6 +111,9 @@ impl<S: Read + Write> Conn<S> {
     pub fn recv(&mut self) -> io::Result<(u8, Vec<u8>)> {
         let (tag, payload, n) = read_frame(&mut self.stream)?;
         self.bytes_rx += n;
+        if let Some(s) = &mut self.session {
+            s.step(tag, false)?;
+        }
         Ok((tag, payload))
     }
 }
@@ -242,6 +271,17 @@ mod tests {
         let mut buf = vec![1u8];
         buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
         assert!(read_frame(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn lying_header_is_a_typed_eof_not_an_allocation() {
+        // Claims the largest legal payload (16 GiB), carries 10 bytes.
+        let mut buf = vec![1u8];
+        buf.extend_from_slice(&MAX_FRAME.to_le_bytes());
+        buf.extend_from_slice(&[7u8; 10]);
+        let e = read_frame(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "{e}");
+        assert!(e.to_string().contains("10 of"), "{e}");
     }
 
     #[test]

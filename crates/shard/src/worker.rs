@@ -20,7 +20,8 @@
 //! thread scheduling. That is what lets the coordinator's fixed-order
 //! reduction make whole sharded solves reproducible.
 
-use crate::protocol::{hello_flags, Msg};
+use crate::plan::ColWindow;
+use crate::protocol::{hello_flags, Msg, Role};
 use crate::wire::Conn;
 use cscv_core::layout::ImageShape;
 use cscv_core::{CscvExec, ExecConfig, SinoLayout, Variant};
@@ -54,11 +55,8 @@ enum Exec {
 pub struct ShardBackend {
     csr: Csr<f64>,
     exec: Exec,
-    /// Column-support window `[col_lo, col_hi)`: the smallest range
-    /// containing every column index in the shard. Adjoint replies and
-    /// column-sum replies are trimmed to it (the halo window).
-    pub col_lo: usize,
-    pub col_hi: usize,
+    /// Adjoint and column-sum replies are trimmed to this window.
+    pub window: ColWindow,
     pool: ThreadPool,
 }
 
@@ -74,7 +72,7 @@ impl ShardBackend {
         cache: &mut TuneCache,
     ) -> ShardBackend {
         let pool = ThreadPool::new(threads.max(1));
-        let (col_lo, col_hi) = col_window(&csr);
+        let window = ColWindow::of(&csr);
         let exec = match layout {
             Some(l)
                 if l.n_views > 0
@@ -96,8 +94,7 @@ impl ShardBackend {
         ShardBackend {
             csr,
             exec,
-            col_lo,
-            col_hi,
+            window,
             pool,
         }
     }
@@ -120,7 +117,6 @@ impl ShardBackend {
 
     /// Forward product for this shard's rows: `y_s = A_s x`.
     pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
-        // DOMAIN(ShardLocalRow)
         let mut y = vec![0.0; self.csr.n_rows()];
         match &self.exec {
             Exec::Cscv(e) => e.spmv(x, &mut y, &self.pool),
@@ -132,7 +128,6 @@ impl ShardBackend {
     /// Full-width adjoint partial: `x̃ = A_sᵀ y_s` (zeros outside the
     /// column window). Deterministic — see the module docs.
     pub fn spmv_t(&self, y: &[f64]) -> Vec<f64> {
-        // DOMAIN(ColId)
         let mut x = vec![0.0; self.csr.n_cols()];
         match &self.exec {
             Exec::Cscv(e) => e.spmv_transpose(y, &mut x, &self.pool),
@@ -150,9 +145,7 @@ impl ShardBackend {
 
     /// `|A_s|` row sums (one per shard row) and full-width column sums.
     pub fn abs_sums(&self) -> (Vec<f64>, Vec<f64>) {
-        // DOMAIN(ShardLocalRow)
         let mut row = vec![0.0; self.csr.n_rows()];
-        // DOMAIN(ColId)
         let mut col = vec![0.0; self.csr.n_cols()];
         for (r, row_r) in row.iter_mut().enumerate() {
             let (cols, vals) = self.csr.row(r);
@@ -164,21 +157,6 @@ impl ShardBackend {
             *row_r = acc;
         }
         (row, col)
-    }
-}
-
-/// Smallest `[lo, hi)` containing every column index (0..0 when empty).
-fn col_window(csr: &Csr<f64>) -> (usize, usize) {
-    let mut lo = usize::MAX;
-    let mut hi = 0usize;
-    for &c in csr.col_idx() {
-        lo = lo.min(c as usize);
-        hi = hi.max(c as usize + 1);
-    }
-    if lo > hi {
-        (0, 0)
-    } else {
-        (lo, hi)
     }
 }
 
@@ -309,8 +287,25 @@ fn decode_matrix(m: Msg) -> io::Result<(Csr<f64>, Option<SinoLayout>, ImageShape
 
 /// Serve one coordinator connection to completion: handshake, build,
 /// then answer collectives until [`Msg::Shutdown`]. Returns the final
-/// stats on clean shutdown.
+/// stats on clean shutdown. Every frame is held to the session table
+/// ([`crate::protocol::TRANSITIONS`]); a malformed or out-of-order frame
+/// ends the session with an [`Msg::Err`] naming the violation.
 pub fn serve<S: Read + Write>(
+    conn: &mut Conn<S>,
+    cache: &mut TuneCache,
+) -> io::Result<WorkerStats> {
+    conn.enforce(Role::Worker);
+    let result = serve_session(conn, cache);
+    if let Err(e) = &result {
+        if e.kind() == io::ErrorKind::InvalidData {
+            // Best effort: the coordinator may already be gone.
+            let _ = Msg::Err { msg: e.to_string() }.send(conn);
+        }
+    }
+    result
+}
+
+fn serve_session<S: Read + Write>(
     conn: &mut Conn<S>,
     cache: &mut TuneCache,
 ) -> io::Result<WorkerStats> {
@@ -349,8 +344,8 @@ pub fn serve<S: Read + Write>(
     };
     stats.busy_ns += t0.elapsed().as_nanos() as u64;
     Msg::MatrixAck {
-        col_lo: backend.col_lo as u64,
-        col_hi: backend.col_hi as u64,
+        col_lo: backend.window.lo as u64,
+        col_hi: backend.window.hi as u64,
         exec: backend.exec_name(),
         pid: std::process::id() as u64,
     }
@@ -360,10 +355,6 @@ pub fn serve<S: Read + Write>(
         match Msg::recv(conn)? {
             Msg::Spmv { span, x } => {
                 if x.len() != backend.n_cols() {
-                    Msg::Err {
-                        msg: "spmv input width mismatch".into(),
-                    }
-                    .send(conn)?;
                     return Err(proto_err("spmv input width mismatch"));
                 }
                 let t0 = Instant::now();
@@ -380,10 +371,6 @@ pub fn serve<S: Read + Write>(
             }
             Msg::SpmvT { span, y } => {
                 if y.len() != backend.n_rows() {
-                    Msg::Err {
-                        msg: "spmv_t input height mismatch".into(),
-                    }
-                    .send(conn)?;
                     return Err(proto_err("spmv_t input height mismatch"));
                 }
                 let t0 = Instant::now();
@@ -397,8 +384,8 @@ pub fn serve<S: Read + Write>(
                     trace.flush(conn, &stats)?;
                 }
                 Msg::SpmvTOut {
-                    col_lo: backend.col_lo as u64,
-                    partial: x[backend.col_lo..backend.col_hi].to_vec(),
+                    col_lo: backend.window.lo as u64,
+                    partial: backend.window.trim(&x).to_vec(),
                 }
                 .send(conn)?;
             }
@@ -414,8 +401,8 @@ pub fn serve<S: Read + Write>(
                 }
                 Msg::AbsSumsOut {
                     row,
-                    col_lo: backend.col_lo as u64,
-                    col: col[backend.col_lo..backend.col_hi].to_vec(),
+                    col_lo: backend.window.lo as u64,
+                    col: backend.window.trim(&col).to_vec(),
                 }
                 .send(conn)?;
             }
@@ -436,11 +423,9 @@ pub fn serve<S: Read + Write>(
                 Msg::ShutdownAck.send(conn)?;
                 return Ok(stats);
             }
-            other => {
-                let msg = format!("unexpected message {other:?}");
-                Msg::Err { msg: msg.clone() }.send(conn)?;
-                return Err(proto_err(&msg));
-            }
+            // Unreachable past the session check, which admits only
+            // the requests above in the Ready state.
+            other => return Err(proto_err(&format!("unexpected message {other:?}"))),
         }
     }
 }
@@ -483,9 +468,9 @@ mod tests {
 
     #[test]
     fn col_window_trims_to_support() {
-        assert_eq!(col_window(&toy_csr()), (1, 5));
+        assert_eq!(ColWindow::of(&toy_csr()), ColWindow { lo: 1, hi: 5 });
         let empty: Csr<f64> = Coo::new(3, 9).to_csr();
-        assert_eq!(col_window(&empty), (0, 0));
+        assert_eq!(ColWindow::of(&empty), ColWindow { lo: 0, hi: 0 });
     }
 
     #[test]
@@ -606,6 +591,37 @@ mod tests {
         assert!(matches!(recv_reply(&mut conn), Msg::ShutdownAck));
         let stats = worker.join().unwrap();
         assert_eq!(stats.spmv_calls, 1);
+    }
+
+    #[test]
+    fn out_of_order_request_ends_the_session_with_an_err_frame() {
+        use std::os::unix::net::UnixStream;
+        let (a, b) = UnixStream::pair().unwrap();
+        let worker = std::thread::spawn(move || {
+            let mut conn = Conn::new(b);
+            serve(&mut conn, &mut TuneCache::in_memory())
+        });
+        let mut conn = Conn::new(a);
+        Msg::Hello {
+            shard: 0,
+            n_shards: 1,
+            threads: 1,
+            trace_id: 0,
+            flags: 0,
+        }
+        .send(&mut conn)
+        .unwrap();
+        // A product before any Matrix: the session has no such edge.
+        Msg::Spmv {
+            span: 0,
+            x: vec![1.0],
+        }
+        .send(&mut conn)
+        .unwrap();
+        let e = worker.join().unwrap().unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        let reply = Msg::recv(&mut conn).unwrap_err();
+        assert!(reply.to_string().contains("Greeted"), "{reply}");
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //!   benchmark input generation (keeps the workspace dependency-free).
 
 pub mod detect;
+#[allow(unsafe_code)]
 pub mod expand;
 pub mod lanes;
 pub mod rng;

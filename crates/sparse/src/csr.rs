@@ -13,9 +13,7 @@ use cscv_simd::Scalar;
 pub struct Csr<T> {
     n_rows: usize,
     n_cols: usize,
-    // DOMAIN(RowId -> NnzIdx)
     row_ptr: Vec<usize>,
-    // DOMAIN(NnzIdx -> ColId)
     col_idx: Vec<u32>,
     vals: Vec<T>,
 }

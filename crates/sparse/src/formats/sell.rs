@@ -26,7 +26,6 @@ pub struct SellCSigmaExec<T> {
     n_cols: usize,
     nnz: usize,
     /// Chunk start offsets into `vals`/`cols` (`n_chunks + 1`).
-    // DOMAIN(GroupId -> NnzIdx)
     chunk_ptr: Vec<usize>,
     /// Per-chunk width (longest row in chunk).
     widths: Vec<u32>,
@@ -34,7 +33,6 @@ pub struct SellCSigmaExec<T> {
     cols: Vec<u32>,
     vals: Vec<T>,
     /// Original row of slot `l` in chunk `c` (u32::MAX = padding slot).
-    // DOMAIN(PermutedPos -> RowId)
     perm: Vec<u32>,
 }
 

@@ -19,12 +19,15 @@ pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod executor;
+#[allow(unsafe_code)]
 pub mod formats;
 pub mod invariants;
 pub mod io;
 pub mod numa;
 pub mod partition;
+#[allow(unsafe_code)]
 pub mod pool;
+#[allow(unsafe_code)]
 pub mod shared;
 pub mod stats;
 

@@ -22,7 +22,7 @@
 
 use super::symbols::Workspace;
 use crate::lexer;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Method names resolved to std/core vocabulary rather than workspace
 /// functions. Method-call edges on these names are dropped; plain and
@@ -635,44 +635,6 @@ pub fn build(ws: &Workspace) -> CallGraph {
 }
 
 impl CallGraph {
-    /// Shortest call chain (BFS over out-edges) from `from` to any
-    /// function for which `target` holds; returns the fn-id path
-    /// including both endpoints, or `None`.
-    pub fn shortest_chain(
-        &self,
-        from: usize,
-        target: &dyn Fn(usize) -> bool,
-    ) -> Option<Vec<usize>> {
-        if target(from) {
-            return Some(vec![from]);
-        }
-        let mut prev: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
-        prev.insert(from, from);
-        while let Some(cur) = queue.pop_front() {
-            for e in &self.out[cur] {
-                if prev.contains_key(&e.callee) {
-                    continue;
-                }
-                prev.insert(e.callee, cur);
-                if target(e.callee) {
-                    let mut path = vec![e.callee];
-                    let mut node = cur;
-                    while node != from {
-                        path.push(node);
-                        node = prev[&node];
-                    }
-                    path.push(from);
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(e.callee);
-            }
-        }
-        None
-    }
-
     /// Deterministic `caller -> callee` listing for snapshot tests.
     pub fn render(&self, ws: &Workspace) -> String {
         let mut rows: Vec<String> = Vec::new();
@@ -795,19 +757,6 @@ mod tests {
         ]);
         let cg = build(&ws);
         assert_eq!(cg.render(&ws), "cscv_a::go -> cscv_b::launch");
-    }
-
-    #[test]
-    fn shortest_chain_prefers_direct_edge() {
-        let ws = Workspace::from_sources(&[(
-            "cscv-a",
-            "crates/a/src/lib.rs",
-            "fn a() {\n    b();\n    c();\n}\nfn b() {\n    c();\n}\nfn c() {}\n",
-        )]);
-        let cg = build(&ws);
-        let c_id = ws.fns.iter().position(|f| f.name == "c").unwrap();
-        let chain = cg.shortest_chain(0, &|id| id == c_id).unwrap();
-        assert_eq!(chain.len(), 2); // a -> c directly, not via b
     }
 
     #[test]

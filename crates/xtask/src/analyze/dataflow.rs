@@ -8,8 +8,8 @@
 //!   anywhere; checked `container[index]` subscripts in the kernel
 //!   hot-path files, at function granularity), with `panic-ok` audit
 //!   suppression resolved per source line and per function header;
-//! * **index taint** — extends the PR 5 intra-procedural index-typed
-//!   binding set across call edges: a parameter fed an index-typed
+//! * **index taint** — extends the intra-procedural index-typed
+//!   binding set ([`index_vars`]) across call edges: a parameter fed an index-typed
 //!   argument by *any* caller becomes index-typed in the callee, and a
 //!   `let` bound to a call returning `usize` becomes index-typed in the
 //!   caller;
@@ -20,8 +20,7 @@
 
 use super::callgraph::CallGraph;
 use super::symbols::{split_top_level, Workspace};
-use crate::audit;
-use crate::lexer;
+use crate::lexer::{self, binders, idents, strip_subscripts, subscript_positions};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Panicking construct classes.
@@ -92,12 +91,41 @@ fn basename(rel: &std::path::Path) -> &str {
     rel.file_name().and_then(|n| n.to_str()).unwrap_or("")
 }
 
+/// Parse all `AUDIT(<key>): <why>` occurrences in one comment string.
+/// Returns `(key, why)` pairs; a `None` why means the annotation is
+/// malformed (missing `):` or empty reason).
+pub fn annotations_in(comment: &str) -> Vec<(String, Option<String>)> {
+    let mut out = Vec::new();
+    let mut from = 0usize;
+    while let Some(p) = comment[from..].find("AUDIT(") {
+        let at = from + p;
+        let rest = &comment[at + "AUDIT(".len()..];
+        from = at + "AUDIT(".len();
+        let Some(close) = rest.find(')') else {
+            out.push((String::new(), None));
+            continue;
+        };
+        let key = rest[..close].trim().to_string();
+        // `AUDIT(<key>)`-style placeholders in prose are documentation,
+        // not annotations: a real key is ident chars and dashes only.
+        if !key.chars().all(|c| lexer::is_ident_char(c) || c == '-') {
+            continue;
+        }
+        let why = rest[close + 1..]
+            .strip_prefix(':')
+            .map(|tail| tail.split("AUDIT(").next().unwrap_or("").trim().to_string())
+            .filter(|why| !why.is_empty());
+        out.push((key, why));
+    }
+    out
+}
+
 /// The `AUDIT(<key>)` annotation covering line `idx`, as the 0-based
-/// line it sits on (same-line or the contiguous comment/attribute block
-/// above — the audit-rule walk, but reporting *where*).
+/// line it sits on: same-line or the contiguous comment/attribute block
+/// above.
 pub fn covering_annotation_line(lines: &[lexer::LineView], idx: usize, key: &str) -> Option<usize> {
     let has = |j: usize| {
-        audit::annotations_in(&lines[j].comment)
+        annotations_in(&lines[j].comment)
             .iter()
             .any(|(k, why)| k == key && why.is_some())
     };
@@ -155,7 +183,7 @@ pub fn panic_sources(ws: &Workspace) -> PanicSources {
             if indexing_file
                 && !indexing_done
                 && li > f.line
-                && !audit::subscript_positions(code).is_empty()
+                && !subscript_positions(code).is_empty()
             {
                 indexing_done = true;
                 let suppressed_at =
@@ -236,13 +264,75 @@ pub fn let_binders_before(code: &str, at: usize) -> Vec<String> {
         return Vec::new(); // the position is inside the pattern
     }
     let pat = &rest[..eq];
-    audit::binders(pat.split(':').next().unwrap_or(pat))
+    binders(pat.split(':').next().unwrap_or(pat))
+}
+
+/// Collect the index-typed bindings of one `fn` span: `usize`
+/// parameters, `for` binders over ranges / `.enumerate()`, and `let`s
+/// whose initializer involves `.len()`, `as usize`, a `usize`
+/// annotation, or an already-known index binding. Two rounds reach the
+/// fixpoint for the chained-`let` depth seen in practice.
+pub fn index_vars(lines: &[lexer::LineView], span: (usize, usize)) -> BTreeSet<String> {
+    let mut vars: BTreeSet<String> = BTreeSet::new();
+    for round in 0..2 {
+        for l in &lines[span.0..=span.1] {
+            let code = &l.code;
+            if round == 0 {
+                // `name: usize` / `name: &usize` parameter or binding types.
+                let mut from = 0usize;
+                while let Some(p) = code[from..].find("usize") {
+                    let at = from + p;
+                    from = at + "usize".len();
+                    let before = code[..at].trim_end().trim_end_matches(['&', ' ']);
+                    let Some(before) = before.strip_suffix(':') else {
+                        continue;
+                    };
+                    if let Some(name) = idents(before).last() {
+                        vars.insert(name.clone());
+                    }
+                }
+                // `for <pat> in <iter>` over ranges / enumerate().
+                for pos in lexer::word_positions(code, "for") {
+                    let rest = &code[pos + 3..];
+                    let Some(in_at) = lexer::word_positions(rest, "in").first().copied() else {
+                        continue;
+                    };
+                    let iter = &rest[in_at + 2..];
+                    let first = binders(&rest[..in_at]).into_iter().next();
+                    if iter.contains(".enumerate()") || iter.contains("..") {
+                        vars.extend(first);
+                    }
+                }
+            }
+            // `let <pat> = <rhs>` fed by index-ish expressions.
+            for pos in lexer::word_positions(code, "let") {
+                let rest = &code[pos + 3..];
+                let Some(eq) = rest.find('=') else { continue };
+                if rest.as_bytes().get(eq + 1) == Some(&b'=') {
+                    continue;
+                }
+                let (pat, rhs) = (&rest[..eq], &rest[eq + 1..]);
+                let indexy = rhs.contains(".len(")
+                    || lexer::word_positions(rhs, "usize")
+                        .iter()
+                        .any(|&p| rhs[..p].trim_end().ends_with("as"))
+                    || pat.contains("usize")
+                    || idents(&strip_subscripts(rhs))
+                        .iter()
+                        .any(|w| vars.contains(w));
+                if indexy {
+                    vars.extend(binders(pat.split(':').next().unwrap_or(pat)));
+                }
+            }
+        }
+    }
+    vars
 }
 
 /// Inter-procedural index-typed binding sets.
 #[derive(Debug, Default)]
 pub struct IndexTaint {
-    /// The PR 5 intra-procedural set, per fn.
+    /// The intra-procedural set, per fn.
     pub base: Vec<BTreeSet<String>>,
     /// Names that became index-typed through call edges, per fn.
     pub extra: Vec<BTreeSet<String>>,
@@ -264,7 +354,7 @@ pub fn index_taint(ws: &Workspace, cg: &CallGraph) -> IndexTaint {
     for f in &ws.fns {
         let sf = &ws.files[f.file];
         let end = f.end.min(sf.lines.len().saturating_sub(1));
-        t.base.push(audit::index_vars(&sf.lines, (f.line, end)));
+        t.base.push(index_vars(&sf.lines, (f.line, end)));
     }
     for _round in 0..8 {
         let mut changed = false;
@@ -278,7 +368,7 @@ pub fn index_taint(ws: &Workspace, cg: &CallGraph) -> IndexTaint {
                         let Some(param) = callee.params.get(j) else {
                             break;
                         };
-                        let arg_idents = audit::idents(&audit::strip_subscripts(arg));
+                        let arg_idents = idents(&strip_subscripts(arg));
                         let indexy = arg.contains(".len(")
                             || arg_idents.iter().any(|w| caller_vars.contains(w));
                         if indexy
@@ -366,11 +456,11 @@ pub fn raw_taint(ws: &Workspace, cg: &CallGraph) -> RawTaint {
                         continue;
                     }
                     let (pat, rhs) = (&rest[..eq], &rest[eq + 1..]);
-                    let hit = audit::idents(&audit::strip_subscripts(rhs))
+                    let hit = idents(&strip_subscripts(rhs))
                         .iter()
                         .any(|w| t.vars[id].contains_key(w));
                     if hit {
-                        for b in audit::binders(pat.split(':').next().unwrap_or(pat)) {
+                        for b in binders(pat.split(':').next().unwrap_or(pat)) {
                             if let std::collections::btree_map::Entry::Vacant(slot) =
                                 t.vars[id].entry(b)
                             {
@@ -402,7 +492,7 @@ pub fn raw_taint(ws: &Workspace, cg: &CallGraph) -> RawTaint {
                         let Some(param) = callee.params.get(j) else {
                             break;
                         };
-                        let hit = audit::idents(&audit::strip_subscripts(arg))
+                        let hit = idents(&strip_subscripts(arg))
                             .iter()
                             .any(|w| caller_vars.contains(w));
                         if hit && !t.vars[e.callee].contains_key(&param.name) {

@@ -4,29 +4,24 @@
 //! shared [`crate::lexer`] into an item/signature model; [`callgraph`]
 //! builds a cross-crate call graph (use/path tracking plus a
 //! trait-method approximation); [`dataflow`] runs fixpoint taint passes
-//! over it; [`rules`] turns the facts into findings, joined by the
-//! declaration-driven [`domains`] (index-domain typestate over the
-//! committed catalog and `DOMAIN(<d>)` annotations) and [`protocol`]
-//! (session conformance against the shard `SESSION_SPEC`) families. A
-//! checked-in ratchet baseline (`crates/xtask/analyze_baseline.json`)
-//! gates the result: a finding absent from the baseline exits 1, a
-//! baseline entry the analyzer no longer produces exits 2 (prune it),
-//! clean exits 0. [`cache`] memoizes the whole report keyed by input
-//! content hashes, replaying warm runs byte-identically.
+//! over it; [`rules`] turns the facts into findings. A checked-in
+//! ratchet baseline (`crates/xtask/analyze_baseline.json`) gates the
+//! result: a finding absent from the baseline exits 1, a baseline entry
+//! the analyzer no longer produces exits 2 (prune it), clean exits 0.
+//!
+//! Vetted sites carry one of two annotation forms: `// AUDIT(<key>):
+//! <why>` with a key from [`rules::ANNOTATION_KEYS`], and
+//! `// ATOMIC(<role>): <why>` on atomic declarations.
 //!
 //! Fingerprints deliberately exclude line numbers, so moving code
 //! around does not churn the baseline; they hash
 //! `rule|file|symbol|salient` with FNV-1a 64.
 
-pub mod cache;
 pub mod callgraph;
 pub mod dataflow;
-pub mod domains;
-pub mod protocol;
 pub mod rules;
 pub mod symbols;
 
-use crate::ndjson;
 use cscv_trace::json::Json;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -37,13 +32,12 @@ pub const RULE_ATOMIC_ROLE: &str = "atomic-role";
 pub const RULE_ATOMIC_ORDERING: &str = "atomic-ordering";
 pub const RULE_FENCE: &str = "fence-unpaired";
 pub const RULE_IPC_CAST: &str = "ipc-cast-truncation";
-pub const RULE_INDEX_DOMAIN: &str = "index-domain";
-pub const RULE_PROTOCOL: &str = "protocol-conformance";
+pub const RULE_UNSAFE_INDEXING: &str = "unsafe-indexing";
+pub const RULE_LAYERING: &str = "crate-layering";
 pub const RULE_STALE: &str = "audit-stale-annotation";
 
 /// Every rule the analyzer can produce, in the stable order the
-/// per-rule NDJSON counts are emitted in (and the cache validates
-/// against).
+/// per-rule NDJSON counts are emitted in.
 pub const ALL_RULES: &[&str] = &[
     RULE_PROVENANCE,
     RULE_PANIC_REACH,
@@ -51,8 +45,8 @@ pub const ALL_RULES: &[&str] = &[
     RULE_ATOMIC_ORDERING,
     RULE_FENCE,
     RULE_IPC_CAST,
-    RULE_INDEX_DOMAIN,
-    RULE_PROTOCOL,
+    RULE_UNSAFE_INDEXING,
+    RULE_LAYERING,
     RULE_STALE,
 ];
 
@@ -110,17 +104,8 @@ impl AnalyzeReport {
     }
 }
 
-/// Run the full pipeline over an in-memory workspace with the builtin
-/// domain catalog (fixture entry point).
-pub fn analyze_workspace(ws: &symbols::Workspace) -> AnalyzeReport {
-    analyze_workspace_with(ws, &domains::Catalog::builtin())
-}
-
 /// Run the full pipeline over an in-memory workspace.
-pub fn analyze_workspace_with(
-    ws: &symbols::Workspace,
-    catalog: &domains::Catalog,
-) -> AnalyzeReport {
+pub fn analyze_workspace(ws: &symbols::Workspace) -> AnalyzeReport {
     let cg = callgraph::build(ws);
     let ps = dataflow::panic_sources(ws);
     let it = dataflow::index_taint(ws, &cg);
@@ -132,10 +117,10 @@ pub fn analyze_workspace_with(
     rules::provenance(ws, &rt, &mut findings);
     rules::atomics(ws, &mut findings);
     rules::ipc_casts(ws, &cg, &it, &mut findings);
-    domains::index_domains(ws, &cg, catalog, &mut findings);
-    protocol::protocol_conformance(ws, &mut findings);
-    let so_far = findings.clone();
-    rules::stale_annotations(ws, &ps, &reaches_raw, &so_far, &mut findings);
+    rules::unsafe_indexing(ws, &mut findings);
+    rules::layering(ws, &mut findings);
+    let stale = rules::stale_annotations(ws, &ps, &reaches_raw, &findings);
+    findings.extend(stale);
 
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.salient).cmp(&(&b.file, b.line, b.rule, &b.salient))
@@ -152,12 +137,9 @@ pub fn analyze_workspace_with(
     }
 }
 
-/// Load the workspace from disk and analyze it with the workspace's
-/// domain catalog (`crates/xtask/domain_catalog.json` when present).
+/// Load the workspace under `root` from disk and analyze it.
 pub fn analyze_root(root: &Path) -> Result<AnalyzeReport, String> {
-    let ws = symbols::Workspace::load(root)?;
-    let catalog = domains::Catalog::load(root)?;
-    Ok(analyze_workspace_with(&ws, &catalog))
+    Ok(analyze_workspace(&symbols::Workspace::load(root)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -218,12 +200,12 @@ impl Baseline {
             .filter(|f| seen.insert(f.fingerprint()))
             .map(|f| {
                 format!(
-                    "    {{\"rule\": \"{}\", \"file\": \"{}\", \"symbol\": \"{}\", \
-                     \"salient\": \"{}\", \"fingerprint\": \"{}\"}}",
-                    ndjson::escape(f.rule),
-                    ndjson::escape(&f.file.display().to_string()),
-                    ndjson::escape(&f.symbol),
-                    ndjson::escape(&f.salient),
+                    "    {{\"rule\": {}, \"file\": {}, \"symbol\": {}, \
+                     \"salient\": {}, \"fingerprint\": \"{}\"}}",
+                    q(f.rule),
+                    q(&f.file.display().to_string()),
+                    q(&f.symbol),
+                    q(&f.salient),
                     f.fingerprint(),
                 )
             })
@@ -292,6 +274,11 @@ impl Ratchet {
 // Rendering.
 // ---------------------------------------------------------------------------
 
+/// `s` as a quoted, escaped JSON string literal.
+fn q(s: &str) -> String {
+    Json::from(s).to_string()
+}
+
 fn status_of(f: &Finding, ratchet: &Ratchet) -> &'static str {
     if f.suppressed_at.is_some() {
         "vetted"
@@ -356,33 +343,28 @@ pub fn render_table(report: &AnalyzeReport, ratchet: &Ratchet) -> String {
 pub fn render_ndjson(report: &AnalyzeReport, ratchet: &Ratchet) -> String {
     let mut out = String::new();
     for f in &report.findings {
-        let chain = f
-            .chain
-            .iter()
-            .map(|c| format!("\"{}\"", ndjson::escape(c)))
-            .collect::<Vec<_>>()
-            .join(",");
+        let chain = f.chain.iter().map(|c| q(c)).collect::<Vec<_>>().join(",");
         out.push_str(&format!(
-            "{{\"kind\":\"finding\",\"tool\":\"analyze\",\"rule\":\"{}\",\"file\":\"{}\",\
-             \"line\":{},\"symbol\":\"{}\",\"status\":\"{}\",\"fingerprint\":\"{}\",\
-             \"chain\":[{}],\"message\":\"{}\"}}\n",
-            ndjson::escape(f.rule),
-            ndjson::escape(&f.file.display().to_string()),
+            "{{\"kind\":\"finding\",\"tool\":\"analyze\",\"rule\":{},\"file\":{},\
+             \"line\":{},\"symbol\":{},\"status\":\"{}\",\"fingerprint\":\"{}\",\
+             \"chain\":[{}],\"message\":{}}}\n",
+            q(f.rule),
+            q(&f.file.display().to_string()),
             f.line,
-            ndjson::escape(&f.symbol),
+            q(&f.symbol),
             status_of(f, ratchet),
             f.fingerprint(),
             chain,
-            ndjson::escape(&f.message),
+            q(&f.message),
         ));
     }
     for e in &ratchet.stale {
         out.push_str(&format!(
-            "{{\"kind\":\"stale-baseline\",\"tool\":\"analyze\",\"rule\":\"{}\",\
-             \"file\":\"{}\",\"salient\":\"{}\",\"fingerprint\":\"{}\"}}\n",
-            ndjson::escape(&e.rule),
-            ndjson::escape(&e.file),
-            ndjson::escape(&e.salient),
+            "{{\"kind\":\"stale-baseline\",\"tool\":\"analyze\",\"rule\":{},\
+             \"file\":{},\"salient\":{},\"fingerprint\":\"{}\"}}\n",
+            q(&e.rule),
+            q(&e.file),
+            q(&e.salient),
             e.fingerprint,
         ));
     }
@@ -400,9 +382,9 @@ pub fn render_ndjson(report: &AnalyzeReport, ratchet: &Ratchet) -> String {
             .filter(|f| f.rule == *rule && f.suppressed_at.is_some())
             .count();
         out.push_str(&format!(
-            "{{\"kind\":\"rule-count\",\"tool\":\"analyze\",\"rule\":\"{}\",\
+            "{{\"kind\":\"rule-count\",\"tool\":\"analyze\",\"rule\":{},\
              \"active\":{},\"vetted\":{}}}\n",
-            ndjson::escape(rule),
+            q(rule),
             active,
             vetted,
         ));

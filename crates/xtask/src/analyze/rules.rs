@@ -16,32 +16,57 @@
 //!   handoff/flag atomics must use acquire/release-or-stronger
 //!   orderings; a release fence needs an acquire counterpart somewhere.
 //!   Suppression for ordering: `// AUDIT(order-ok): <why>`.
-//! * `ipc-cast-truncation` — the PR 5 narrowing-cast rule with the
-//!   *inter-procedural* index set: flags casts the intra-procedural
-//!   audit cannot see (index values that crossed a call edge, and
-//!   helpers outside the hot-path files reached from them).
-//!   Suppression: `// AUDIT(cast-ok): <why>` (shared with the audit).
+//! * `ipc-cast-truncation` — narrowing casts (`as u8/u16/u32/i8/i16/i32`)
+//!   of index values in the hot-path files and in every helper reached
+//!   from them, with the index set carried across call edges.
+//!   Suppression: `// AUDIT(cast-ok): <why>`.
+//! * `unsafe-indexing` — checked `container[index]` subscripts inside an
+//!   `unsafe` block, or in a `let` whose binding a later `unsafe` block
+//!   of the same fn consumes. Suppression: `// AUDIT(index-ok): <why>`.
+//! * `crate-layering` — a workspace-internal `[dependencies]` edge the
+//!   layering DAG ([`LAYERING_DAG`]) does not allow, or a crate missing
+//!   from it. No suppression: fix the edge or the table.
 //! * `audit-stale-annotation` — any `AUDIT(<key>)`/`ATOMIC(<role>)`
-//!   annotation that no longer suppresses or classifies anything is
-//!   itself a finding, so argued-away suppressions cannot rot silently.
+//!   annotation that no longer suppresses or classifies anything, or
+//!   that is malformed (unknown key, empty reason), is itself a
+//!   finding, so argued-away suppressions cannot rot silently.
 
 use super::callgraph::CallGraph;
+use super::dataflow::annotations_in;
 use super::dataflow::{covering_annotation_line, IndexTaint, PanicSources, RawTaint};
 use super::symbols::{Role, Workspace};
 use super::{
-    Finding, RULE_ATOMIC_ORDERING, RULE_ATOMIC_ROLE, RULE_FENCE, RULE_IPC_CAST, RULE_PANIC_REACH,
-    RULE_PROVENANCE, RULE_STALE,
+    Finding, RULE_ATOMIC_ORDERING, RULE_ATOMIC_ROLE, RULE_FENCE, RULE_IPC_CAST, RULE_LAYERING,
+    RULE_PANIC_REACH, RULE_PROVENANCE, RULE_STALE, RULE_UNSAFE_INDEXING,
 };
-use crate::{audit, lexer};
-use std::collections::{BTreeMap, VecDeque};
+use crate::lexer::{self, balance_back, binders, idents, strip_subscripts, subscript_positions};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::path::Path;
 
-fn basename(rel: &std::path::Path) -> &str {
+/// Keys accepted by `// AUDIT(<key>): <why>`.
+pub const ANNOTATION_KEYS: &[&str] = &["cast-ok", "index-ok", "panic-ok", "escape-ok", "order-ok"];
+
+/// Narrowing integer cast targets on a 64-bit host.
+const NARROW_TYPES: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
+
+/// The SpMV kernel hot-path files: roots of the panic-reachability and
+/// cast-truncation walks.
+const HOT_PATH_FILES: &[&str] = &["kernels.rs", "lanes.rs", "expand.rs", "exec.rs"];
+
+fn basename(rel: &Path) -> &str {
     rel.file_name().and_then(|n| n.to_str()).unwrap_or("")
 }
 
-/// Roots of the panic-reachability walk: the audit hot-path file set.
-fn is_panic_root_file(rel: &std::path::Path) -> bool {
-    audit::HOT_PATH_AUDIT_FILES.contains(&basename(rel))
+fn is_panic_root_file(rel: &Path) -> bool {
+    HOT_PATH_FILES.contains(&basename(rel))
+}
+
+/// Hot-path files plus the competing-format executors under `formats/`.
+fn hot_path_reachable(rel: &Path) -> bool {
+    is_panic_root_file(rel)
+        || rel
+            .components()
+            .any(|c| c.as_os_str().to_str() == Some("formats"))
 }
 
 // ---------------------------------------------------------------------------
@@ -334,14 +359,12 @@ fn assignment_pos(code: &str) -> Option<usize> {
 }
 
 fn first_tainted(expr: &str, vars: &BTreeMap<String, usize>) -> Option<String> {
-    audit::idents(&audit::strip_subscripts(expr))
-        .into_iter()
-        .find(|w| {
-            w.chars()
-                .next()
-                .is_some_and(|c| c.is_lowercase() || c == '_')
-                && vars.contains_key(w)
-        })
+    idents(&strip_subscripts(expr)).into_iter().find(|w| {
+        w.chars()
+            .next()
+            .is_some_and(|c| c.is_lowercase() || c == '_')
+            && vars.contains_key(w)
+    })
 }
 
 /// Text of a balanced paren region starting at `open` on line `li`.
@@ -402,7 +425,7 @@ fn receiver_segment(code: &str, dot: usize) -> Option<String> {
         }
         let c = bytes[j - 1] as char;
         if c == ')' || c == ']' {
-            match audit::balance_back(bytes, j - 1) {
+            match balance_back(bytes, j - 1) {
                 Some(open) => j = open,
                 None => break,
             }
@@ -412,7 +435,7 @@ fn receiver_segment(code: &str, dot: usize) -> Option<String> {
             break;
         }
     }
-    let chain = audit::strip_subscripts(code[j..dot].trim());
+    let chain = strip_subscripts(code[j..dot].trim());
     chain
         .replace("::", ".")
         .split('.')
@@ -626,7 +649,7 @@ pub fn ipc_casts(ws: &Workspace, cg: &CallGraph, taint: &IndexTaint, out: &mut V
     let mut prev: BTreeMap<usize, usize> = BTreeMap::new();
     let mut queue = VecDeque::new();
     for (id, f) in ws.fns.iter().enumerate() {
-        if !f.is_test && audit::hot_path_reachable(&ws.files[f.file].rel) {
+        if !f.is_test && hot_path_reachable(&ws.files[f.file].rel) {
             prev.insert(id, id);
             queue.push_back(id);
         }
@@ -645,12 +668,7 @@ pub fn ipc_casts(ws: &Workspace, cg: &CallGraph, taint: &IndexTaint, out: &mut V
             continue;
         }
         let sf = &ws.files[f.file];
-        let hot = audit::hot_path_reachable(&sf.rel);
-        let base = &taint.base[id];
         let full = taint.full(id);
-        if full.is_empty() {
-            continue;
-        }
         let end = f.end.min(sf.lines.len().saturating_sub(1));
         for li in f.line..=end {
             if sf.in_test[li] || ws.enclosing_fn(f.file, li) != Some(id) {
@@ -663,29 +681,21 @@ pub fn ipc_casts(ws: &Workspace, cg: &CallGraph, taint: &IndexTaint, out: &mut V
                     .chars()
                     .take_while(|&c| lexer::is_ident_char(c))
                     .collect();
-                if !audit::NARROW_TYPES.contains(&ty.as_str()) {
+                if !NARROW_TYPES.contains(&ty.as_str()) {
                     continue;
                 }
-                let operand = audit::operand_before(code, pos);
+                let operand = operand_before(code, pos);
                 if ["==", "!=", "<=", ">=", "&&", "||"]
                     .iter()
                     .any(|op| operand.contains(op))
                 {
                     continue;
                 }
-                let rooted = audit::idents(&audit::strip_subscripts(&operand));
-                let flow_full =
-                    operand.contains(".len(") || rooted.iter().any(|w| full.contains(w));
-                let flow_base =
-                    operand.contains(".len(") || rooted.iter().any(|w| base.contains(w));
-                // The intra-procedural audit owns hot-file findings that
-                // need no call-edge facts.
-                let fires = if hot {
-                    flow_full && !flow_base
-                } else {
-                    flow_full
-                };
-                if !fires {
+                let index_flow = operand.contains(".len(")
+                    || idents(&strip_subscripts(&operand))
+                        .iter()
+                        .any(|w| full.contains(w));
+                if !index_flow {
                     continue;
                 }
                 // Witness chain back to a hot-path root.
@@ -706,9 +716,9 @@ pub fn ipc_casts(ws: &Workspace, cg: &CallGraph, taint: &IndexTaint, out: &mut V
                     line: li + 1,
                     symbol: f.qual.clone(),
                     message: format!(
-                        "truncating cast `{operand} as {ty}` on an index that reached \
-                         `{}` through a call edge ({}); use try_from at the boundary or \
-                         vet with `// AUDIT(cast-ok): <why>`",
+                        "truncating cast `{operand} as {ty}` on an index in `{}`, reached \
+                         from the hot path ({}); use try_from at the boundary or vet \
+                         with `// AUDIT(cast-ok): <why>`",
                         f.name,
                         chain_quals.join(" → "),
                     ),
@@ -722,82 +732,335 @@ pub fn ipc_casts(ws: &Workspace, cg: &CallGraph, taint: &IndexTaint, out: &mut V
     }
 }
 
+/// The expression text directly preceding an `as` keyword at byte
+/// `as_pos` — walks back over one postfix chain, balancing `()`/`[]`.
+fn operand_before(code: &str, as_pos: usize) -> String {
+    let bytes = code.as_bytes();
+    let mut end = as_pos;
+    while end > 0 && bytes[end - 1].is_ascii_whitespace() {
+        end -= 1;
+    }
+    let mut j = end;
+    while j > 0 {
+        let c = bytes[j - 1] as char;
+        if c == ')' || c == ']' {
+            match balance_back(bytes, j - 1) {
+                Some(open) => j = open,
+                None => break,
+            }
+        } else if lexer::is_ident_char(c) || c == '.' || c == ':' {
+            j -= 1;
+        } else {
+            break;
+        }
+    }
+    code[j..end].trim().to_string()
+}
+
+// ---------------------------------------------------------------------------
+// unsafe-indexing
+// ---------------------------------------------------------------------------
+
+/// Per-line, per-byte mask of code inside `unsafe { … }` blocks
+/// (`unsafe fn`/`unsafe impl`/`unsafe trait` headers do not count).
+fn unsafe_masks(lines: &[lexer::LineView]) -> Vec<Vec<bool>> {
+    let mut mask: Vec<Vec<bool>> = lines.iter().map(|l| vec![false; l.code.len()]).collect();
+    for i in 0..lines.len() {
+        for pos in lexer::word_positions(&lines[i].code, "unsafe") {
+            // The next non-whitespace byte must open the block.
+            let (mut li, mut ci) = (i, pos + "unsafe".len());
+            let mut opener: Option<(usize, usize)> = None;
+            'find: while li < lines.len() {
+                let bytes = lines[li].code.as_bytes();
+                while ci < bytes.len() {
+                    if bytes[ci] == b'{' {
+                        opener = Some((li, ci));
+                        break 'find;
+                    }
+                    if !bytes[ci].is_ascii_whitespace() {
+                        break 'find; // `unsafe fn` / `unsafe impl` / …
+                    }
+                    ci += 1;
+                }
+                li += 1;
+                ci = 0;
+            }
+            let Some((mut li, mut ci)) = opener else {
+                continue;
+            };
+            let mut depth = 0i64;
+            'mark: while li < lines.len() {
+                let bytes = lines[li].code.as_bytes();
+                while ci < bytes.len() {
+                    match bytes[ci] {
+                        b'{' => depth += 1,
+                        b'}' => {
+                            depth -= 1;
+                            if depth == 0 {
+                                break 'mark;
+                            }
+                        }
+                        _ if depth > 0 => mask[li][ci] = true,
+                        _ => {}
+                    }
+                    ci += 1;
+                }
+                li += 1;
+                ci = 0;
+            }
+        }
+    }
+    mask
+}
+
+pub fn unsafe_indexing(ws: &Workspace, out: &mut Vec<Finding>) {
+    for (fi, sf) in ws.files.iter().enumerate() {
+        let lines = &sf.lines;
+        if lines
+            .iter()
+            .all(|l| lexer::word_positions(&l.code, "unsafe").is_empty())
+        {
+            continue;
+        }
+        let mask = unsafe_masks(lines);
+        let in_unsafe = |j: usize, p: usize| -> bool { mask[j].get(p).copied().unwrap_or(false) };
+        // (line, kind, message) per flagged line.
+        let mut hits: BTreeMap<usize, (&str, String)> = BTreeMap::new();
+        for (li, l) in lines.iter().enumerate() {
+            if !sf.in_test[li]
+                && subscript_positions(&l.code)
+                    .iter()
+                    .any(|&p| in_unsafe(li, p))
+            {
+                hits.insert(
+                    li,
+                    (
+                        "inside",
+                        "checked slice indexing inside an unsafe block; hoist the bound \
+                         outside, use get_unchecked under the block's SAFETY argument, or \
+                         vet with `// AUDIT(index-ok): <why>`"
+                            .to_string(),
+                    ),
+                );
+            }
+        }
+        // Feeding unsafe blocks: `let x = a[i]; … unsafe { … x … }`.
+        for f in ws.fns.iter().filter(|f| f.file == fi && !f.is_test) {
+            let end = f.end.min(lines.len().saturating_sub(1));
+            for li in f.line..=end {
+                if sf.in_test[li] || hits.contains_key(&li) {
+                    continue;
+                }
+                let code = &lines[li].code;
+                let Some(&let_pos) = lexer::word_positions(code, "let").first() else {
+                    continue;
+                };
+                let rest = &code[let_pos + 3..];
+                let Some(eq) = rest.find('=') else { continue };
+                let (pat, rhs) = (&rest[..eq], &rest[eq + 1..]);
+                if subscript_positions(rhs).is_empty() {
+                    continue;
+                }
+                let names = binders(pat.split(':').next().unwrap_or(pat));
+                let feeds = names.iter().any(|n| {
+                    (li..=end).any(|j| {
+                        lexer::word_positions(&lines[j].code, n)
+                            .into_iter()
+                            .any(|p| in_unsafe(j, p))
+                    })
+                });
+                if feeds {
+                    let message = format!(
+                        "slice indexing feeds the unsafe block below (binding `{}`); \
+                         validate the bound where it is computed or vet with \
+                         `// AUDIT(index-ok): <why>`",
+                        names.join(", ")
+                    );
+                    hits.insert(li, ("feeds", message));
+                }
+            }
+        }
+        for (li, (kind, message)) in hits {
+            let symbol = ws
+                .enclosing_fn(fi, li)
+                .map_or_else(|| sf.module_path.clone(), |id| ws.fns[id].qual.clone());
+            out.push(Finding {
+                rule: RULE_UNSAFE_INDEXING,
+                file: sf.rel.clone(),
+                line: li + 1,
+                salient: format!("{kind}|{symbol}|{}", lines[li].code.trim()),
+                symbol,
+                message,
+                chain: Vec::new(),
+                suppressed_at: covering_annotation_line(lines, li, "index-ok").map(|a| a + 1),
+            });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// crate-layering
+// ---------------------------------------------------------------------------
+
+/// The workspace layering DAG: trace/simd at the bottom, sparse → core
+/// → ct/recon → harness → bench on top; tune and shard above harness
+/// and recon; xtask and the umbrella crate are leaves. An internal
+/// `[dependencies]` edge absent from this table is a violation even if
+/// cargo accepts it. `[dev-dependencies]` are exempt: dev edges cannot
+/// create build cycles and the workspace uses the self-dev-dep trick
+/// for feature unification.
+pub const LAYERING_DAG: &[(&str, &[&str])] = &[
+    ("cscv-trace", &[]),
+    ("cscv-simd", &["cscv-trace"]),
+    ("cscv-sparse", &["cscv-trace", "cscv-simd"]),
+    ("cscv-core", &["cscv-trace", "cscv-simd", "cscv-sparse"]),
+    (
+        "cscv-ct",
+        &["cscv-trace", "cscv-simd", "cscv-sparse", "cscv-core"],
+    ),
+    (
+        "cscv-recon",
+        &[
+            "cscv-trace",
+            "cscv-simd",
+            "cscv-sparse",
+            "cscv-core",
+            "cscv-ct",
+        ],
+    ),
+    (
+        "cscv-harness",
+        &[
+            "cscv-trace",
+            "cscv-simd",
+            "cscv-sparse",
+            "cscv-core",
+            "cscv-ct",
+            "cscv-recon",
+        ],
+    ),
+    (
+        "cscv-bench",
+        &[
+            "cscv-trace",
+            "cscv-simd",
+            "cscv-sparse",
+            "cscv-core",
+            "cscv-ct",
+            "cscv-recon",
+            "cscv-harness",
+        ],
+    ),
+    (
+        "cscv-tune",
+        &[
+            "cscv-trace",
+            "cscv-simd",
+            "cscv-sparse",
+            "cscv-core",
+            "cscv-harness",
+        ],
+    ),
+    (
+        "cscv-shard",
+        &[
+            "cscv-trace",
+            "cscv-simd",
+            "cscv-sparse",
+            "cscv-core",
+            "cscv-ct",
+            "cscv-recon",
+            "cscv-harness",
+            "cscv-tune",
+        ],
+    ),
+    ("cscv-xtask", ALL_LIBS),
+    ("cscv-repro", ALL_LIBS),
+];
+
+const ALL_LIBS: &[&str] = &[
+    "cscv-trace",
+    "cscv-simd",
+    "cscv-sparse",
+    "cscv-core",
+    "cscv-ct",
+    "cscv-recon",
+    "cscv-harness",
+    "cscv-tune",
+    "cscv-shard",
+];
+
+pub fn layering(ws: &Workspace, out: &mut Vec<Finding>) {
+    // In-memory fixture workspaces have no manifests to check.
+    for c in ws
+        .crates
+        .iter()
+        .filter(|c| !c.manifest.as_os_str().is_empty())
+    {
+        let mut push = |line: usize, salient: String, message: String| {
+            out.push(Finding {
+                rule: RULE_LAYERING,
+                file: c.manifest.clone(),
+                line,
+                symbol: c.name.clone(),
+                message,
+                chain: Vec::new(),
+                salient,
+                suppressed_at: None,
+            });
+        };
+        let Some((_, allowed)) = LAYERING_DAG.iter().find(|(n, _)| *n == c.name) else {
+            push(
+                1,
+                format!("unregistered|{}", c.name),
+                format!(
+                    "crate `{}` is not part of the declared layering DAG; add it to \
+                     LAYERING_DAG in crates/xtask/src/analyze/rules.rs with its allowed \
+                     dependencies",
+                    c.name
+                ),
+            );
+            continue;
+        };
+        for (line, dep) in &c.deps {
+            if !allowed.contains(&dep.as_str()) {
+                push(
+                    *line,
+                    format!("{}->{dep}", c.name),
+                    format!(
+                        "dependency edge `{}` → `{dep}` violates the workspace layering DAG \
+                         (allowed: {})",
+                        c.name,
+                        if allowed.is_empty() {
+                            "none".to_string()
+                        } else {
+                            allowed.join(", ")
+                        }
+                    ),
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // audit-stale-annotation
 // ---------------------------------------------------------------------------
 
-/// Map an audit rule to the key that suppresses it.
-const AUDIT_KEY_RULES: &[(&str, &str)] = &[
-    ("cast-ok", audit::RULE_CAST_TRUNCATION),
-    ("index-ok", audit::RULE_UNSAFE_INDEXING),
-    ("cfg-ok", audit::RULE_CFG_UNDECLARED),
-];
-
-/// Rewrite every audit tag to `XUDIT(` inside comments only, so the
-/// audit rules run with every suppression disabled (same byte layout,
-/// same line numbers).
-fn mute_annotations(sf: &super::symbols::SourceFile) -> String {
-    let mut out_lines: Vec<String> = Vec::new();
-    for (i, raw) in sf.source.lines().enumerate() {
-        let Some(view) = sf.lines.get(i) else {
-            out_lines.push(raw.to_string());
-            continue;
-        };
-        if !view.comment.contains("AUDIT(") {
-            out_lines.push(raw.to_string());
-            continue;
-        }
-        // The views are char-synchronized with the raw line.
-        let mut chars: Vec<char> = raw.chars().collect();
-        let comment: Vec<char> = view.comment.chars().collect();
-        let needle: Vec<char> = "AUDIT(".chars().collect();
-        let mut k = 0usize;
-        while k + needle.len() <= comment.len() {
-            if comment[k..k + needle.len()] == needle[..] {
-                if k < chars.len() {
-                    chars[k] = 'X';
-                }
-                k += needle.len();
-            } else {
-                k += 1;
-            }
-        }
-        out_lines.push(chars.into_iter().collect());
-    }
-    out_lines.join("\n")
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Stale and malformed annotations, judged against the findings the
+/// other rules produced (`findings`) and the panic-source table.
 pub fn stale_annotations(
     ws: &Workspace,
     ps: &PanicSources,
     reaches_raw: &[bool],
     findings: &[Finding],
-    out: &mut Vec<Finding>,
-) {
-    let analyze_keys = [
-        "panic-ok",
-        "escape-ok",
-        "order-ok",
-        "domain-ok",
-        "protocol-ok",
-    ];
-    let mut new: Vec<Finding> = Vec::new();
+) -> Vec<Finding> {
+    let suppressing: BTreeSet<(&Path, usize)> = findings
+        .iter()
+        .filter_map(|f| f.suppressed_at.map(|at| (f.file.as_path(), at)))
+        .collect();
+    let mut out = Vec::new();
     for (fi, sf) in ws.files.iter().enumerate() {
-        // Raw audit re-run for the intra-procedural keys (lazy: only
-        // when the file carries one of them).
-        let has_audit_key = sf.lines.iter().enumerate().any(|(li, l)| {
-            !sf.in_test[li]
-                && audit::annotations_in(&l.comment)
-                    .iter()
-                    .any(|(k, _)| AUDIT_KEY_RULES.iter().any(|(key, _)| key == k))
-        });
-        let raw_audit = if has_audit_key {
-            let muted = mute_annotations(sf);
-            audit::audit_source(&sf.rel, &muted, &ws.crates[sf.crate_idx].features)
-        } else {
-            Vec::new()
-        };
         for (li, l) in sf.lines.iter().enumerate() {
             if sf.in_test[li] {
                 continue;
@@ -808,59 +1071,47 @@ pub fn stale_annotations(
             if c.starts_with("///") || c.starts_with("//!") {
                 continue;
             }
-            for (key, why) in audit::annotations_in(&l.comment) {
-                if why.is_none() || !audit::ANNOTATION_KEYS.contains(&key.as_str()) {
-                    continue; // malformed — the audit syntax check owns it
-                }
-                let used = if let Some((_, rule)) = AUDIT_KEY_RULES.iter().find(|(k, _)| *k == key)
-                {
-                    let by_audit = raw_audit.iter().any(|d| {
-                        d.rule == *rule
-                            && covering_annotation_line(&sf.lines, d.line - 1, &key) == Some(li)
+            for (key, why) in annotations_in(&l.comment) {
+                let problem = if !ANNOTATION_KEYS.contains(&key.as_str()) {
+                    format!(
+                        "unknown AUDIT key `{key}` (expected one of: {})",
+                        ANNOTATION_KEYS.join(", ")
+                    )
+                } else if why.is_none() {
+                    format!("`AUDIT({key})` needs a non-empty reason: `// AUDIT({key}): <why>`")
+                } else if key == "panic-ok" {
+                    let covers_source = ws.fns.iter().enumerate().any(|(id, f)| {
+                        f.file == fi && ps.per_fn[id].iter().any(|s| s.suppressed_at == Some(li))
                     });
-                    // cast-ok also serves the inter-procedural rule.
-                    by_audit
-                        || (key == "cast-ok"
-                            && findings.iter().any(|f| {
-                                f.rule == RULE_IPC_CAST
-                                    && f.file == sf.rel
-                                    && f.suppressed_at == Some(li + 1)
-                            }))
-                } else if analyze_keys.contains(&key.as_str()) {
-                    match key.as_str() {
-                        "panic-ok" => {
-                            let covers_source = ws.fns.iter().enumerate().any(|(id, f)| {
-                                f.file == fi
-                                    && ps.per_fn[id].iter().any(|s| s.suppressed_at == Some(li))
-                            });
-                            let blocks_subtree = ps.blocked.iter().any(|(&id, &at)| {
-                                ws.fns[id].file == fi && at == li && reaches_raw[id]
-                            });
-                            covers_source || blocks_subtree
-                        }
-                        _ => findings
-                            .iter()
-                            .any(|f| f.file == sf.rel && f.suppressed_at == Some(li + 1)),
+                    let blocks_subtree = ps
+                        .blocked
+                        .iter()
+                        .any(|(&id, &at)| ws.fns[id].file == fi && at == li && reaches_raw[id]);
+                    if covers_source || blocks_subtree {
+                        continue;
                     }
+                    "no longer suppresses anything — the vetted pattern is gone; remove it"
+                        .to_string()
+                } else if suppressing.contains(&(sf.rel.as_path(), li + 1)) {
+                    continue;
                 } else {
-                    true
+                    "no longer suppresses anything — the vetted pattern is gone; remove it"
+                        .to_string()
                 };
-                if !used {
-                    new.push(Finding {
-                        rule: RULE_STALE,
-                        file: sf.rel.clone(),
-                        line: li + 1,
-                        symbol: key.clone(),
-                        message: format!(
-                            "`AUDIT({key})` (line {}) no longer suppresses anything — the \
-                             vetted pattern is gone; remove the annotation",
-                            li + 1
-                        ),
-                        chain: Vec::new(),
-                        salient: format!("{key}|{}", sf.rel.display()),
-                        suppressed_at: None,
-                    });
-                }
+                out.push(Finding {
+                    rule: RULE_STALE,
+                    file: sf.rel.clone(),
+                    line: li + 1,
+                    symbol: key.clone(),
+                    message: format!("`AUDIT({key})` (line {}): {problem}", li + 1),
+                    chain: Vec::new(),
+                    salient: if why.is_some() && ANNOTATION_KEYS.contains(&key.as_str()) {
+                        format!("{key}|{}", sf.rel.display())
+                    } else {
+                        format!("bad|{key}|{}", sf.rel.display())
+                    },
+                    suppressed_at: None,
+                });
             }
             for (role, _) in super::symbols::atomic_annotations_in(&l.comment) {
                 let used = ws
@@ -868,7 +1119,7 @@ pub fn stale_annotations(
                     .iter()
                     .any(|d| d.file == fi && d.role_line == Some(li));
                 if !used {
-                    new.push(Finding {
+                    out.push(Finding {
                         rule: RULE_STALE,
                         file: sf.rel.clone(),
                         line: li + 1,
@@ -887,5 +1138,5 @@ pub fn stale_annotations(
             }
         }
     }
-    out.extend(new);
+    out
 }

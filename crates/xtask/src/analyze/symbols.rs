@@ -6,12 +6,10 @@
 //! per-file `use` import tables, and atomic declarations with their
 //! `// ATOMIC(<role>)` classification. No type checking — just enough
 //! structure for the call graph and the dataflow rules to resolve names
-//! across crate boundaries.
+//! across crate boundaries. Crate manifests contribute the package name
+//! and the workspace-internal dependency edges (the layering rule).
 
-use crate::audit::{self, CrateMeta};
-use crate::lexer::{self, LineView};
-use crate::lint::{collect_rs_files, test_regions};
-use std::collections::BTreeSet;
+use crate::lexer::{self, binders, idents, LineView};
 use std::path::{Path, PathBuf};
 
 /// One `use` entry: `alias` is the name visible in the file, `path` the
@@ -34,8 +32,6 @@ pub struct SourceFile {
     pub lines: Vec<LineView>,
     pub in_test: Vec<bool>,
     pub imports: Vec<Import>,
-    /// Raw source (needed by the stale-annotation raw audit re-run).
-    pub source: String,
 }
 
 /// One function parameter: binder name and the (textual) type.
@@ -127,8 +123,11 @@ pub struct CrateInfo {
     pub name: String,
     /// Rust identifier form, e.g. `cscv_core`.
     pub ident: String,
-    /// Declared `[features]` keys (for the stale-annotation raw audit).
-    pub features: BTreeSet<String>,
+    /// Manifest path relative to the analysis root.
+    pub manifest: PathBuf,
+    /// Workspace-internal `[dependencies]` edges as `(1-based line,
+    /// crate)`; dev-dependencies are exempt from layering.
+    pub deps: Vec<(usize, String)>,
 }
 
 /// The whole-workspace symbol model.
@@ -162,7 +161,6 @@ impl Workspace {
     /// Load the workspace under `root`: the root manifest plus every
     /// `crates/*/Cargo.toml`, and all `.rs` files under their `src/`.
     pub fn load(root: &Path) -> Result<Workspace, String> {
-        let mut inputs: Vec<(PathBuf, String, BTreeSet<String>, Vec<PathBuf>)> = Vec::new();
         let mut manifest_dirs = vec![root.to_path_buf()];
         let crates_dir = root.join("crates");
         if crates_dir.is_dir() {
@@ -174,6 +172,7 @@ impl Workspace {
             subdirs.sort();
             manifest_dirs.extend(subdirs);
         }
+        let mut ws = Workspace::default();
         for dir in manifest_dirs {
             let manifest = dir.join("Cargo.toml");
             if !manifest.is_file() {
@@ -181,42 +180,31 @@ impl Workspace {
             }
             let src = std::fs::read_to_string(&manifest)
                 .map_err(|e| format!("read {}: {e}", manifest.display()))?;
-            let rel = manifest
-                .strip_prefix(root)
-                .unwrap_or(&manifest)
-                .to_path_buf();
-            let meta: CrateMeta = audit::parse_manifest(&rel, &src);
-            if meta.name.is_empty() {
+            let rel = manifest.strip_prefix(root).unwrap_or(&manifest);
+            let info = parse_manifest(rel, &src);
+            if info.name.is_empty() {
                 continue; // virtual workspace root manifest
             }
-            let src_dir = dir.join("src");
+            let crate_idx = ws.crates.len();
+            ws.crates.push(info);
             let mut files = Vec::new();
+            let src_dir = dir.join("src");
             if src_dir.is_dir() {
                 collect_rs_files(&src_dir, &mut files)?;
                 files.sort();
             }
-            inputs.push((dir, meta.name, meta.features, files));
-        }
-        if inputs.is_empty() {
-            return Err(format!(
-                "no crate manifests under {} (expected crates/*/ or the workspace root)",
-                root.display()
-            ));
-        }
-        let mut ws = Workspace::default();
-        for (_dir, name, features, files) in inputs {
-            let crate_idx = ws.crates.len();
-            ws.crates.push(CrateInfo {
-                ident: name.replace('-', "_"),
-                name,
-                features,
-            });
             for path in files {
                 let source = std::fs::read_to_string(&path)
                     .map_err(|e| format!("read {}: {e}", path.display()))?;
                 let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-                ws.add_file(rel, crate_idx, source);
+                ws.add_file(rel, crate_idx, &source);
             }
+        }
+        if ws.crates.is_empty() {
+            return Err(format!(
+                "no crate manifests under {} (expected crates/*/ or the workspace root)",
+                root.display()
+            ));
         }
         ws.index_items();
         Ok(ws)
@@ -233,19 +221,19 @@ impl Workspace {
                     ws.crates.push(CrateInfo {
                         name: crate_name.to_string(),
                         ident: crate_name.replace('-', "_"),
-                        features: BTreeSet::new(),
+                        ..CrateInfo::default()
                     });
                     ws.crates.len() - 1
                 }
             };
-            ws.add_file(PathBuf::from(rel), crate_idx, source.to_string());
+            ws.add_file(PathBuf::from(rel), crate_idx, source);
         }
         ws.index_items();
         ws
     }
 
-    fn add_file(&mut self, rel: PathBuf, crate_idx: usize, source: String) {
-        let lines = lexer::analyze(&source);
+    fn add_file(&mut self, rel: PathBuf, crate_idx: usize, source: &str) {
+        let lines = lexer::analyze(source);
         let in_test = test_regions(&lines);
         let module_path = module_path_of(&self.crates[crate_idx].ident, &rel);
         let imports = parse_imports(&lines);
@@ -258,7 +246,6 @@ impl Workspace {
             lines,
             in_test,
             imports,
-            source,
         });
     }
 
@@ -299,6 +286,106 @@ impl Workspace {
             .min_by_key(|(_, f)| f.end - f.line)
             .map(|(i, _)| i)
     }
+}
+
+/// Parse the subset of a `Cargo.toml` the analyzer needs: `[package]
+/// name` and the workspace-internal `[dependencies]` keys.
+pub fn parse_manifest(rel: &Path, src: &str) -> CrateInfo {
+    let mut info = CrateInfo {
+        manifest: rel.to_path_buf(),
+        ..CrateInfo::default()
+    };
+    let mut section = "";
+    for (idx, raw) in src.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            section = line.trim_matches(['[', ']']);
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.trim();
+        match section {
+            "package" if key == "name" => {
+                info.name = value.trim().trim_matches('"').to_string();
+                info.ident = info.name.replace('-', "_");
+            }
+            "dependencies" => {
+                // `cscv-trace.workspace = true` and
+                // `cscv-core = { path = "…" }` both start with the key.
+                let dep = key.split('.').next().unwrap_or(key).trim();
+                if dep.starts_with("cscv-") {
+                    info.deps.push((idx + 1, dep.to_string()));
+                }
+            }
+            _ => {}
+        }
+    }
+    info
+}
+
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
+    for entry in entries {
+        let path = entry
+            .map_err(|e| format!("read {}: {e}", dir.display()))?
+            .path();
+        if path.is_dir() {
+            collect_rs_files(&path, out)?;
+        } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
+
+/// Mark lines inside `#[cfg(test)] mod … { … }` regions (brace-counted
+/// on the blanked code view, so strings and comments cannot derail it).
+fn test_regions(lines: &[LineView]) -> Vec<bool> {
+    let mut in_test = vec![false; lines.len()];
+    let mut i = 0usize;
+    while i < lines.len() {
+        if !lines[i].code.contains("#[cfg(test)]") {
+            i += 1;
+            continue;
+        }
+        // Skip attributes/comments until the `mod` item opens.
+        let mut j = i + 1;
+        while j < lines.len()
+            && lexer::word_positions(&lines[j].code, "mod").is_empty()
+            && (lines[j].is_code_blank() || lines[j].is_attribute())
+        {
+            j += 1;
+        }
+        if j >= lines.len() || lexer::word_positions(&lines[j].code, "mod").is_empty() {
+            i += 1;
+            continue;
+        }
+        // Brace-count from the mod header to its closing brace.
+        let mut depth = 0i64;
+        let mut opened = false;
+        let mut k = j;
+        while k < lines.len() {
+            for c in lines[k].code.chars() {
+                match c {
+                    '{' => {
+                        depth += 1;
+                        opened = true;
+                    }
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+            }
+            in_test[k] = true;
+            if opened && depth <= 0 {
+                break;
+            }
+            k += 1;
+        }
+        i = k + 1;
+    }
+    in_test
 }
 
 /// Module path of a file: crate ident plus the path segments under
@@ -608,7 +695,7 @@ fn parse_signature(header: &str) -> Option<(String, Vec<Param>, String, bool)> {
             continue;
         };
         let (pat, ty) = (&piece[..colon], &piece[colon + 1..]);
-        let name = audit::binders(pat).pop().unwrap_or_default();
+        let name = binders(pat).pop().unwrap_or_default();
         if !name.is_empty() {
             params.push(Param {
                 name,
@@ -795,7 +882,7 @@ fn scan_atomics(
             if !ty_has_atomic {
                 continue;
             }
-            let name = audit::binders(&rest[..colon]).pop().unwrap_or_default();
+            let name = binders(&rest[..colon]).pop().unwrap_or_default();
             (name, false)
         } else if let Some(colon) = find_top_level_colon(trimmed) {
             // Struct field: `pub counters: Arc<CounterShard>,`. The
@@ -810,7 +897,7 @@ fn scan_atomics(
             if !ty_has_atomic {
                 continue;
             }
-            let name = audit::idents(head)
+            let name = idents(head)
                 .into_iter()
                 .rfind(|w| w != "pub" && w != "crate" && w != "super")
                 .unwrap_or_default();

@@ -1,5 +1,5 @@
 //! A line-oriented Rust-source lexer — just enough syntax awareness for
-//! the project lints, in the same hand-rolled spirit as `cscv_trace::json`.
+//! the analyzer, in the same hand-rolled spirit as `cscv_trace::json`.
 //!
 //! The lexer does not tokenize; it classifies every byte of a source file
 //! as *code*, *string content*, or *comment content*, then hands each line
@@ -11,12 +11,15 @@
 //! * [`LineView::code_with_strings`] — comments blanked, string literals
 //!   kept verbatim (attribute matching like `cfg(feature = "trace")`
 //!   needs the literal);
-//! * [`LineView::comment`] — the comment text of the line (SAFETY-comment
-//!   detection).
+//! * [`LineView::comment`] — the comment text of the line (`AUDIT(…)` /
+//!   `ATOMIC(…)` annotation detection).
 //!
 //! Handled syntax: line comments, nested block comments, string literals
 //! with escapes, raw strings (`r"…"`, `r#"…"#`, byte variants), char
 //! literals, and the char-vs-lifetime ambiguity (`'a'` vs `'static`).
+//! The expression-text helpers at the end ([`idents`], [`binders`],
+//! [`strip_subscripts`], [`subscript_positions`]) work on the blanked
+//! code view.
 
 /// One source line in the three synchronized views.
 #[derive(Debug, Default, Clone)]
@@ -296,6 +299,133 @@ pub fn word_positions(haystack: &str, word: &str) -> Vec<usize> {
             out.push(at);
         }
         from = at + word.len();
+    }
+    out
+}
+
+/// Identifiers (not numeric literals) in `s`, in order.
+pub fn idents(s: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut cur = String::new();
+    for c in s.chars() {
+        if is_ident_char(c) {
+            cur.push(c);
+        } else if !cur.is_empty() {
+            out.push(std::mem::take(&mut cur));
+        }
+    }
+    if !cur.is_empty() {
+        out.push(cur);
+    }
+    out.retain(|w| !w.starts_with(|c: char| c.is_ascii_digit()));
+    out
+}
+
+/// Binder names introduced by a pattern like `x`, `mut x`, `(a, b)`,
+/// `&(mut a, b)`.
+pub fn binders(pat: &str) -> Vec<String> {
+    idents(pat)
+        .into_iter()
+        .filter(|w| w != "mut" && w != "ref" && w != "_")
+        .collect()
+}
+
+/// Remove `[...]` segments so identifiers used *as* subscripts don't
+/// count as the expression's own operands (`masks[mi]` → `masks`).
+pub fn strip_subscripts(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut depth = 0usize;
+    for c in s.chars() {
+        match c {
+            '[' => depth += 1,
+            ']' => depth = depth.saturating_sub(1),
+            c if depth == 0 => out.push(c),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Byte offset of the `(`/`[` matching the closer at `close`.
+pub fn balance_back(bytes: &[u8], close: usize) -> Option<usize> {
+    let (open_c, close_c) = match bytes[close] {
+        b')' => (b'(', b')'),
+        b']' => (b'[', b']'),
+        _ => return None,
+    };
+    let mut depth = 0i64;
+    for j in (0..=close).rev() {
+        if bytes[j] == close_c {
+            depth += 1;
+        } else if bytes[j] == open_c {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
+            }
+        }
+    }
+    None
+}
+
+/// Byte offsets of `container[index]` subscripts with a non-literal
+/// index on one line (array literals, attributes, and types don't
+/// match: their `[` is not preceded by an identifier or `)`/`]`).
+pub fn subscript_positions(code: &str) -> Vec<usize> {
+    let bytes = code.as_bytes();
+    let mut out = Vec::new();
+    for (i, &b) in bytes.iter().enumerate() {
+        if b != b'[' {
+            continue;
+        }
+        let mut k = i;
+        while k > 0 && bytes[k - 1].is_ascii_whitespace() {
+            k -= 1;
+        }
+        if k == 0 {
+            continue;
+        }
+        let prev = bytes[k - 1] as char;
+        if !(is_ident_char(prev) || prev == ')' || prev == ']') {
+            continue;
+        }
+        // `*const [T; W]`, `&mut [T]`, `dyn [..]`: the word before the
+        // bracket is a keyword, so this is a type or pattern position.
+        if is_ident_char(prev) {
+            let mut w = k;
+            while w > 0 && is_ident_char(bytes[w - 1] as char) {
+                w -= 1;
+            }
+            if matches!(
+                &code[w..k],
+                "const" | "mut" | "dyn" | "in" | "as" | "return" | "else" | "match" | "impl"
+            ) {
+                continue;
+            }
+        }
+        let mut depth = 0usize;
+        let mut inner = String::new();
+        for &c in &bytes[i..] {
+            match c {
+                b'[' => {
+                    depth += 1;
+                    if depth > 1 {
+                        inner.push('[');
+                    }
+                }
+                b']' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                    inner.push(']');
+                }
+                c => inner.push(c as char),
+            }
+        }
+        if idents(&inner).is_empty() {
+            continue; // literal or empty subscript: `x[0]`, `x[..]`
+        }
+        out.push(i);
     }
     out
 }

@@ -2,26 +2,19 @@
 //!
 //! Several subsystems, free of external dependencies:
 //!
-//! * [`lint`] (driven by the [`lexer`]) — a project-specific static
-//!   analysis pass run as `cargo run -p cscv-xtask -- lint` from `ci.sh`
-//!   and CI. See the lint module docs for the four rules; diagnostics
-//!   come out as a human table or NDJSON ([`ndjson`]).
-//! * [`audit`] — the deeper dataflow-flavored pass (`… -- audit`):
-//!   truncating casts on index arithmetic in hot paths, slice indexing
-//!   inside/feeding `unsafe` blocks, undeclared cfg features, and
-//!   crate-layering violations against the workspace DAG, with
-//!   `// AUDIT(<key>): <why>` annotations for vetted sites.
-//! * [`analyze`] — the whole-workspace *inter-procedural* engine
-//!   (`… -- analyze`): a cross-crate call graph over the lexer's item
-//!   model feeds fixpoint dataflow for six rule families
-//!   (unsafe-provenance escapes, panic-reachability with witness
+//! * [`analyze`] (driven by the [`lexer`]) — the one static-analysis
+//!   pass (`cargo run -p cscv-xtask -- analyze`): a cross-crate call
+//!   graph over the lexer's item model feeds fixpoint dataflow for the
+//!   project rules the compiler cannot express (unsafe-provenance
+//!   escapes, panic reachability from the kernel hot paths with witness
 //!   chains, atomic-ordering discipline against `// ATOMIC(<role>)`
-//!   declarations, inter-procedural cast truncation, index-domain
-//!   provenance against the `DOMAIN(<d>)` typestate catalog, and
-//!   shard wire-protocol conformance against `SESSION_SPEC`) plus a
-//!   stale-annotation check; findings gate through the checked-in
-//!   ratchet baseline `crates/xtask/analyze_baseline.json`, with warm
-//!   runs replayed byte-identically from `target/analyze-cache.json`.
+//!   declarations, index-cast truncation, slice indexing inside or
+//!   feeding `unsafe`, and the crate-layering DAG) plus a
+//!   stale-annotation check. Findings gate through the checked-in
+//!   ratchet baseline `crates/xtask/analyze_baseline.json`. Everything
+//!   the compiler can hold (the unsafe-module whitelist, SAFETY
+//!   comments, undeclared cfg features) is a workspace lint instead, and
+//!   the shard wire session is checked at runtime by `cscv-shard`.
 //! * [`fuzz`] — structure-aware differential fuzzing (`… -- fuzz`):
 //!   randomized CT geometries and degenerate matrices round-tripped
 //!   through every sparse format with invariant validation after each
@@ -43,11 +36,8 @@
 //!   the heuristic beyond the noise band).
 
 pub mod analyze;
-pub mod audit;
 pub mod fuzz;
 pub mod lexer;
-pub mod lint;
-pub mod ndjson;
 pub mod perf;
 pub mod sched;
 pub mod shard_cmd;

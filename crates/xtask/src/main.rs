@@ -1,8 +1,6 @@
 //! CLI entry point.
 //!
 //! ```text
-//! cscv-xtask lint [--root DIR] [--format table|ndjson]
-//! cscv-xtask audit [--root DIR] [--format table|ndjson]
 //! cscv-xtask analyze [--root DIR] [--format table|ndjson]
 //!                    [--baseline FILE] [--write-baseline]
 //! cscv-xtask fuzz [--iters N] [--seed S] [--corpus DIR]
@@ -25,9 +23,7 @@
 //! 1 = findings not in the ratchet baseline, 2 = stale baseline entries
 //! (or usage/IO errors).
 
-use cscv_xtask::audit::audit_root;
-use cscv_xtask::lint::{lint_root, Report};
-use cscv_xtask::{analyze, fuzz, ndjson, perf, shard_cmd, tune_cmd};
+use cscv_xtask::{analyze, fuzz, perf, shard_cmd, tune_cmd};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -39,37 +35,23 @@ enum Format {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cscv-xtask lint [--root DIR] [--format table|ndjson]\n\
-         \x20      cscv-xtask audit [--root DIR] [--format table|ndjson]\n\
-         \x20      cscv-xtask analyze [--root DIR] [--format table|ndjson] [--baseline FILE] [--write-baseline] [--no-cache] [--protocol-dot FILE]\n\
+        "usage: cscv-xtask analyze [--root DIR] [--format table|ndjson] [--baseline FILE] [--write-baseline]\n\
          \x20      cscv-xtask fuzz [--iters N] [--seed S] [--corpus DIR]\n\
          \x20      cscv-xtask perf-report DIR [--format table|ndjson] [--peak-gbs F] [--export-dir DIR]\n\
          \x20      cscv-xtask perf-report --diff DIR_A DIR_B [--threshold F] [--format table|ndjson]\n\
          \x20      cscv-xtask tune [DIR] [--cache FILE] [--format table|ndjson] [--reps N] [--warmup N] [--threads N] [--model]\n\
          \x20      cscv-xtask shard [--case FILE] [--workers LIST] [--solver NAME|all] [--iters N] [--method stripe|bisect] [--threads N] [--launch process|threads] [--tol F] [--trace-export FILE] [--telemetry FILE] [--format table|ndjson]\n\n\
-         lint        scans crates/*/src/**.rs (and the umbrella src/) for the\n\
-         \x20           project rules: SAFETY comments on unsafe, the unsafe-module\n\
-         \x20           whitelist, panicking constructs in kernel hot paths, and\n\
-         \x20           trace-cfg fallbacks.\n\
-         audit       runs the deeper dataflow pass: truncating casts on index\n\
-         \x20           arithmetic in hot paths, slice indexing inside/feeding unsafe\n\
-         \x20           blocks, cfg features missing from the owning Cargo.toml, and\n\
-         \x20           crate-layering violations; vet sites with // AUDIT(<key>): why.\n\
          analyze     whole-workspace inter-procedural analysis: a cross-crate call\n\
          \x20           graph plus fixpoint dataflow checks unsafe-provenance escapes,\n\
          \x20           panic reachability from the kernel hot paths (with witness\n\
          \x20           call chains), atomic-ordering discipline against\n\
-         \x20           // ATOMIC(statistic|handoff|flag) declarations, inter-\n\
-         \x20           procedural cast truncation, index-domain provenance against\n\
-         \x20           the // DOMAIN(<d>) catalog, wire-protocol session conformance\n\
-         \x20           against SESSION_SPEC, and stale AUDIT/ATOMIC/DOMAIN\n\
+         \x20           // ATOMIC(statistic|handoff|flag) declarations, index-cast\n\
+         \x20           truncation, slice indexing inside or feeding unsafe blocks,\n\
+         \x20           the crate-layering DAG, and stale or malformed AUDIT/ATOMIC\n\
          \x20           annotations; findings ratchet against --baseline (default\n\
          \x20           <root>/crates/xtask/analyze_baseline.json) — new findings\n\
          \x20           exit 1, stale baseline entries exit 2, clean exits 0;\n\
-         \x20           --write-baseline adopts the current findings; warm runs\n\
-         \x20           replay target/analyze-cache.json byte-identically\n\
-         \x20           (--no-cache forces a cold run); --protocol-dot FILE exports\n\
-         \x20           the declared session spec as GraphViz DOT.\n\
+         \x20           --write-baseline adopts the current findings.\n\
          fuzz        structure-aware differential fuzzing: random CT geometries and\n\
          \x20           degenerate matrices round-tripped through every format with\n\
          \x20           invariant validation and executor-vs-dense checks; failures\n\
@@ -106,8 +88,6 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint_cmd(&args[1..]),
-        Some("audit") => audit_cmd(&args[1..]),
         Some("analyze") => analyze_cmd(&args[1..]),
         Some("fuzz") => fuzz_cmd(&args[1..]),
         Some("perf-report") => perf_cmd(&args[1..]),
@@ -126,81 +106,11 @@ fn parse_format(v: Option<&str>) -> Option<Format> {
     }
 }
 
-fn lint_cmd(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut format = Format::Table;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(d) => root = PathBuf::from(d),
-                None => return usage(),
-            },
-            "--format" => match parse_format(it.next().map(String::as_str)) {
-                Some(f) => format = f,
-                None => return usage(),
-            },
-            "--ndjson" => format = Format::Ndjson,
-            _ => return usage(),
-        }
-    }
-    match lint_root(&root) {
-        Ok(report) => {
-            emit(&report, format, "lint");
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(e) => {
-            eprintln!("cscv-xtask: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn audit_cmd(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut format = Format::Table;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(d) => root = PathBuf::from(d),
-                None => return usage(),
-            },
-            "--format" => match parse_format(it.next().map(String::as_str)) {
-                Some(f) => format = f,
-                None => return usage(),
-            },
-            "--ndjson" => format = Format::Ndjson,
-            _ => return usage(),
-        }
-    }
-    match audit_root(&root) {
-        Ok(report) => {
-            emit(&report, format, "audit");
-            if report.is_clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(e) => {
-            eprintln!("cscv-xtask: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 fn analyze_cmd(args: &[String]) -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut format = Format::Table;
     let mut baseline_path: Option<PathBuf> = None;
     let mut write_baseline = false;
-    let mut use_cache = true;
-    let mut protocol_dot: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -218,39 +128,13 @@ fn analyze_cmd(args: &[String]) -> ExitCode {
                 None => return usage(),
             },
             "--write-baseline" => write_baseline = true,
-            "--no-cache" => use_cache = false,
-            "--protocol-dot" => match it.next() {
-                Some(p) => protocol_dot = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
             _ => return usage(),
         }
     }
     let baseline_path =
         baseline_path.unwrap_or_else(|| root.join("crates/xtask/analyze_baseline.json"));
-    if let Some(dot_path) = &protocol_dot {
-        match analyze::protocol::dot_from_root(&root) {
-            Ok(Some(dot)) => {
-                if let Err(e) = std::fs::write(dot_path, dot) {
-                    eprintln!("cscv-xtask analyze: write {}: {e}", dot_path.display());
-                    return ExitCode::from(2);
-                }
-                eprintln!(
-                    "cscv-xtask analyze: wrote session-spec DOT to {}",
-                    dot_path.display()
-                );
-            }
-            Ok(None) => {
-                eprintln!("cscv-xtask analyze: no SESSION_SPEC declared — no DOT written");
-            }
-            Err(e) => {
-                eprintln!("cscv-xtask analyze: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let report = match analyze::cache::analyze_root_cached(&root, use_cache) {
-        Ok((r, _warm)) => r,
+    let report = match analyze::analyze_root(&root) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("cscv-xtask analyze: {e}");
             return ExitCode::from(2);
@@ -602,52 +486,6 @@ fn shard_worker_cmd(args: &[String]) -> ExitCode {
         Err(e) => {
             eprintln!("cscv-xtask shard-worker: {e}");
             ExitCode::from(2)
-        }
-    }
-}
-
-fn emit(report: &Report, format: Format, tool: &str) {
-    match format {
-        Format::Ndjson => {
-            for d in &report.diagnostics {
-                println!("{}", ndjson::diagnostic_line(d));
-            }
-            println!("{}", ndjson::summary_line(report));
-        }
-        Format::Table => {
-            if report.is_clean() {
-                println!(
-                    "cscv-xtask {tool}: OK — {} files, {} lines, 0 violations",
-                    report.files_scanned, report.lines_scanned
-                );
-                return;
-            }
-            let loc_w = report
-                .diagnostics
-                .iter()
-                .map(|d| format!("{}:{}", d.file.display(), d.line).len())
-                .max()
-                .unwrap_or(0);
-            let rule_w = report
-                .diagnostics
-                .iter()
-                .map(|d| d.rule.len())
-                .max()
-                .unwrap_or(0);
-            for d in &report.diagnostics {
-                println!(
-                    "{:<loc_w$}  {:<rule_w$}  {}",
-                    format!("{}:{}", d.file.display(), d.line),
-                    d.rule,
-                    d.message.split_whitespace().collect::<Vec<_>>().join(" "),
-                );
-            }
-            println!(
-                "cscv-xtask {tool}: FAIL — {} files, {} lines, {} violation(s)",
-                report.files_scanned,
-                report.lines_scanned,
-                report.diagnostics.len()
-            );
         }
     }
 }

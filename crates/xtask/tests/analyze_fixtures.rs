@@ -8,10 +8,11 @@
 //! workspace's `crates/*` members glob. Only the binary contract tests
 //! materialize a fixture workspace, and they do it under a temp dir.
 
-use cscv_xtask::analyze::symbols::Workspace;
+use cscv_xtask::analyze::symbols::{parse_manifest, Workspace};
 use cscv_xtask::analyze::{
-    self, analyze_workspace, Baseline, Ratchet, RULE_ATOMIC_ORDERING, RULE_ATOMIC_ROLE, RULE_FENCE,
-    RULE_INDEX_DOMAIN, RULE_IPC_CAST, RULE_PANIC_REACH, RULE_PROTOCOL, RULE_PROVENANCE, RULE_STALE,
+    self, analyze_workspace, rules, Baseline, Ratchet, RULE_ATOMIC_ORDERING, RULE_ATOMIC_ROLE,
+    RULE_FENCE, RULE_IPC_CAST, RULE_LAYERING, RULE_PANIC_REACH, RULE_PROVENANCE, RULE_STALE,
+    RULE_UNSAFE_INDEXING,
 };
 use std::path::{Path, PathBuf};
 
@@ -602,36 +603,95 @@ fn doc_comment_grammar_prose_is_not_stale() {
 }
 
 // ---------------------------------------------------------------------------
-// index-domain.
+// Hot-path panics and casts inside the kernel files themselves.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn index_domain_mismatch_fires_and_domain_ok_suppresses() {
-    let ws = Workspace::from_sources(&[(
-        "demo-a",
-        "crates/a/src/exec.rs",
-        "pub fn hot() {\n\
-         \x20   // DOMAIN(NnzIdx)\n\
-         \x20   let p = 3;\n\
-         \x20   // DOMAIN(RowId)\n\
-         \x20   let rows = vec![0.0; 8];\n\
-         \x20   let bad = rows[p];\n\
-         \x20   // AUDIT(domain-ok): nnz offsets double as row ids in this toy.\n\
-         \x20   let vetted = rows[p];\n\
-         \x20   let _ = (bad, vetted);\n\
-         }\n",
-    )]);
+fn kernel_unwrap_is_flagged_outside_tests_only() {
+    let src = "pub fn hot(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n\
+               #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+               assert_eq!(super::hot(&[1]), 1);\n        Some(3).unwrap();\n    }\n}\n";
+    let ws = Workspace::from_sources(&[("demo-a", "crates/a/src/kernels.rs", src)]);
     let report = analyze_workspace(&ws);
-    let hits = active(&report, RULE_INDEX_DOMAIN);
+    let hits = active(&report, RULE_PANIC_REACH);
     assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    assert_eq!(hits[0].line, 6);
+    assert_eq!(hits[0].line, 1);
     assert!(
-        hits[0].message.contains("`RowId`-indexed") && hits[0].message.contains("`NnzIdx` index"),
+        hits[0].message.contains("crates/a/src/kernels.rs:2"),
         "{}",
         hits[0].message
     );
-    assert_eq!(suppressed(&report, RULE_INDEX_DOMAIN).len(), 1);
-    // The annotations all attached — nothing stale.
+    // The same body in a file no hot path reaches is not a finding.
+    let ws = Workspace::from_sources(&[("demo-a", "crates/a/src/io.rs", src)]);
+    assert!(active(&analyze_workspace(&ws), RULE_PANIC_REACH).is_empty());
+}
+
+const CAST_SOURCE: &str = "pub fn f(xs: &[f64], i: usize) -> u32 {\n    \
+                           let idx = i + xs.len();\n    idx as u32\n}\n";
+
+#[test]
+fn index_cast_in_hot_file_is_flagged_without_a_call_edge() {
+    let ws = Workspace::from_sources(&[("demo-a", "crates/a/src/kernels.rs", CAST_SOURCE)]);
+    let report = analyze_workspace(&ws);
+    let hits = active(&report, RULE_IPC_CAST);
+    assert_eq!(hits.len(), 1, "{:?}", report.findings);
+    assert_eq!(hits[0].line, 3);
+    assert!(
+        hits[0].message.contains("idx as u32"),
+        "{}",
+        hits[0].message
+    );
+    // Not reachable from a hot path: not flagged.
+    let ws = Workspace::from_sources(&[("demo-a", "crates/a/src/io.rs", CAST_SOURCE)]);
+    assert!(active(&analyze_workspace(&ws), RULE_IPC_CAST).is_empty());
+    // A bare `.len()` needs no index binding to be one.
+    let ws = Workspace::from_sources(&[(
+        "demo-a",
+        "crates/a/src/kernels.rs",
+        "pub fn lanes(v: &[f32]) -> u32 {\n    v.len() as u32\n}\n",
+    )]);
+    assert_eq!(active(&analyze_workspace(&ws), RULE_IPC_CAST).len(), 1);
+}
+
+#[test]
+fn widening_and_non_index_casts_pass() {
+    // u8 loads widened to u32, a bitmask cast to float, and a bool.
+    let ws = Workspace::from_sources(&[(
+        "demo-a",
+        "crates/a/src/kernels.rs",
+        "pub fn f(masks: &[u8], mi: usize, bits: u64) -> u32 {\n    \
+         let m = masks[mi] as u32;\n    let _ = bits as f64;\n    \
+         let _ = (mi == 0) as u8;\n    m\n}\n",
+    )]);
+    let report = analyze_workspace(&ws);
+    assert!(
+        active(&report, RULE_IPC_CAST).is_empty(),
+        "{:?}",
+        report.findings
+    );
+}
+
+// ---------------------------------------------------------------------------
+// unsafe-indexing.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn index_inside_unsafe_is_flagged_and_index_ok_suppresses() {
+    let ws = Workspace::from_sources(&[(
+        "demo-a",
+        "crates/a/src/pool.rs",
+        "pub fn f(v: &[u32], i: usize) -> u32 {\n    unsafe { v[i] }\n}\n\
+         pub fn g(v: &[u32], i: usize) -> u32 {\n    \
+         // AUDIT(index-ok): caller guarantees i < v.len().\n    unsafe { v[i] }\n}\n",
+    )]);
+    let report = analyze_workspace(&ws);
+    let hits = active(&report, RULE_UNSAFE_INDEXING);
+    assert_eq!(hits.len(), 1, "{:?}", report.findings);
+    assert_eq!(
+        (hits[0].line, hits[0].symbol.as_str()),
+        (2, "demo_a::pool::f")
+    );
+    assert_eq!(suppressed(&report, RULE_UNSAFE_INDEXING).len(), 1);
     assert!(
         active(&report, RULE_STALE).is_empty(),
         "{:?}",
@@ -640,368 +700,133 @@ fn index_domain_mismatch_fires_and_domain_ok_suppresses() {
 }
 
 #[test]
-fn index_domain_translator_array_legalizes_permuted_access() {
+fn index_feeding_unsafe_is_flagged() {
     let ws = Workspace::from_sources(&[(
         "demo-a",
-        "crates/a/src/exec.rs",
-        "pub fn gather() {\n\
-         \x20   // DOMAIN(PermutedPos)\n\
-         \x20   let slot = 2;\n\
-         \x20   // DOMAIN(PermutedPos -> RowId)\n\
-         \x20   let perm = vec![0usize; 8];\n\
-         \x20   // DOMAIN(RowId)\n\
-         \x20   let rows = vec![0.0; 8];\n\
-         \x20   let r = perm[slot];\n\
-         \x20   let good = rows[r];\n\
-         \x20   let bad = rows[slot];\n\
-         \x20   let _ = (good, bad);\n\
-         }\n",
+        "crates/a/src/pool.rs",
+        "pub fn f(xs: &[f64], off: &[usize], p: *mut f64) {\n    \
+         let q = off[1usize + 2];\n    let v = xs[q];\n    unsafe {\n        *p = v;\n    }\n}\n",
     )]);
     let report = analyze_workspace(&ws);
-    let hits = active(&report, RULE_INDEX_DOMAIN);
-    // Only the untranslated subscript fires; `perm[slot]` and
-    // `rows[perm[slot]]` are legal.
+    let hits = active(&report, RULE_UNSAFE_INDEXING);
     assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    assert_eq!(hits[0].line, 10);
+    assert_eq!(hits[0].line, 3);
     assert!(
-        hits[0].salient.contains("|RowId|PermutedPos|"),
+        hits[0].message.contains("binding `v`"),
         "{}",
-        hits[0].salient
+        hits[0].message
     );
 }
 
 #[test]
-fn index_domain_offset_arithmetic_translates() {
+fn literal_subscripts_unsafe_fns_and_tests_are_not_unsafe_indexing() {
     let ws = Workspace::from_sources(&[(
         "demo-a",
-        "crates/a/src/shard.rs",
-        "pub fn rebase() {\n\
-         \x20   // DOMAIN(RowId)\n\
-         \x20   let row = 9;\n\
-         \x20   // DOMAIN(RowId)\n\
-         \x20   let row0 = 4;\n\
-         \x20   // DOMAIN(ShardLocalRow)\n\
-         \x20   let local = vec![0.0; 8];\n\
-         \x20   let good = local[row - row0];\n\
-         \x20   let bad = local[row];\n\
-         \x20   let _ = (good, bad);\n\
-         }\n",
+        "crates/a/src/pool.rs",
+        "pub unsafe fn g(xs: &[f64], i: usize) -> f64 {\n    xs[i]\n}\n\
+         pub fn h(xs: &[f64]) -> f64 {\n    unsafe { xs[0] }\n}\n\
+         #[cfg(test)]\nmod tests {\n    fn t(xs: &[f64], n: usize) {\n        \
+         unsafe { xs[n] };\n    }\n}\n",
     )]);
     let report = analyze_workspace(&ws);
-    let hits = active(&report, RULE_INDEX_DOMAIN);
-    // `row - row0` translates RowId to ShardLocalRow per the catalog;
-    // the raw global subscript is the only finding.
-    assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    assert_eq!(hits[0].line, 9);
     assert!(
-        hits[0].salient.contains("|ShardLocalRow|RowId|"),
-        "{}",
-        hits[0].salient
-    );
-}
-
-#[test]
-fn index_domain_crosses_call_edges_with_witness_chain() {
-    let ws = Workspace::from_sources(&[
-        (
-            "demo-a",
-            "crates/a/src/ids.rs",
-            "// DOMAIN(RowId)\n\
-             pub fn first_row() -> usize {\n    0\n}\n",
-        ),
-        (
-            "demo-b",
-            "crates/b/src/exec.rs",
-            "pub fn drive() {\n\
-             \x20   let r = demo_a::ids::first_row();\n\
-             \x20   stash(r);\n\
-             }\n\
-             fn stash(r: usize) {\n\
-             \x20   // DOMAIN(NnzIdx)\n\
-             \x20   let buf = vec![0u32; 4];\n\
-             \x20   let x = buf[r];\n\
-             \x20   let _ = x;\n\
-             }\n",
-        ),
-    ]);
-    let report = analyze_workspace(&ws);
-    let hits = active(&report, RULE_INDEX_DOMAIN);
-    assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    let chain = hits[0].chain.join(" -> ");
-    assert!(
-        chain.contains("first_row") && chain.contains("drive") && chain.contains("stash"),
-        "witness chain should walk producer -> caller -> subscript: {chain}"
-    );
-}
-
-#[test]
-fn index_domain_catalog_api_tags_returns() {
-    // No source annotation on the producer: the committed catalog's
-    // `layout::row_index -> RowId` suffix entry supplies the domain.
-    let ws = Workspace::from_sources(&[(
-        "demo-a",
-        "crates/a/src/layout.rs",
-        "pub fn row_index(v: usize, b: usize) -> usize {\n    v * 4 + b\n}\n\
-         pub fn use_it() {\n\
-         \x20   let r = row_index(1, 2);\n\
-         \x20   // DOMAIN(NnzIdx)\n\
-         \x20   let stream = vec![0u32; 16];\n\
-         \x20   let x = stream[r];\n\
-         \x20   let _ = x;\n\
-         }\n",
-    )]);
-    let report = analyze_workspace(&ws);
-    let hits = active(&report, RULE_INDEX_DOMAIN);
-    assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    assert!(
-        hits[0].salient.contains("|NnzIdx|RowId|"),
-        "{}",
-        hits[0].salient
-    );
-}
-
-#[test]
-fn stale_domain_annotation_is_flagged() {
-    let ws = Workspace::from_sources(&[(
-        "demo-a",
-        "crates/a/src/lib.rs",
-        "// DOMAIN(RowId)\n\
-         \n\
-         pub fn unrelated() {}\n\
-         pub fn misnamed() {\n\
-         \x20   // DOMAIN(RowIdx)\n\
-         \x20   let v = vec![0; 4];\n\
-         \x20   let _ = v;\n\
-         }\n",
-    )]);
-    let report = analyze_workspace(&ws);
-    let stale: Vec<_> = active(&report, RULE_STALE)
-        .into_iter()
-        .filter(|f| f.salient.starts_with("domain|"))
-        .map(|f| f.salient.clone())
-        .collect();
-    // One unattached (blank line breaks the comment block), one naming
-    // a domain outside the catalog.
-    assert_eq!(stale.len(), 2, "{:?}", report.findings);
-    assert!(
-        stale.iter().any(|s| s.starts_with("domain|unattached|")),
-        "{stale:?}"
-    );
-    assert!(
-        stale
-            .iter()
-            .any(|s| s.starts_with("domain|unknown|RowIdx|")),
-        "{stale:?}"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// protocol-conformance.
-// ---------------------------------------------------------------------------
-
-/// A minimal spec: coordinator requests Ping from Idle, worker replies
-/// Pong back to Idle; Trace may interleave while waiting; Err escapes.
-const TOY_SPEC: &str = "pub const SESSION_SPEC: &[&str] = &[\n\
-    \x20   \"endpoint coordinator crates/a/src/coord.rs\",\n\
-    \x20   \"endpoint worker crates/a/src/serve.rs\",\n\
-    \x20   \"msg Ping c2w Idle Waiting\",\n\
-    \x20   \"msg Pong w2c Waiting Idle\",\n\
-    \x20   \"side Trace w2c Waiting\",\n\
-    \x20   \"escape Err w2c\",\n\
-    \x20   \"absorber recv_folding\",\n\
-    ];\n";
-
-#[test]
-fn protocol_unmatched_send_fires_and_protocol_ok_suppresses() {
-    let ws = Workspace::from_sources(&[
-        ("demo-a", "crates/a/src/protocol.rs", TOY_SPEC),
-        (
-            "demo-a",
-            "crates/a/src/coord.rs",
-            "pub fn call(conn: &mut Conn) {\n\
-             \x20   Msg::Ping { n: 1 }.send(conn);\n\
-             \x20   Msg::Rogue { n: 2 }.send(conn);\n\
-             \x20   // AUDIT(protocol-ok): debug-only frame, workers ignore unknown tags.\n\
-             \x20   Msg::Probe { n: 3 }.send(conn);\n\
-             }\n",
-        ),
-    ]);
-    let report = analyze_workspace(&ws);
-    let hits = active(&report, RULE_PROTOCOL);
-    assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    assert!(
-        hits[0].salient.starts_with("send|Rogue|c2w|"),
-        "{}",
-        hits[0].salient
-    );
-    assert_eq!(suppressed(&report, RULE_PROTOCOL).len(), 1);
-}
-
-#[test]
-fn protocol_worker_direction_is_oriented() {
-    // The same frame is fine from the worker (w2c) but a violation from
-    // the coordinator — direction comes from the endpoint role.
-    let ws = Workspace::from_sources(&[
-        ("demo-a", "crates/a/src/protocol.rs", TOY_SPEC),
-        (
-            "demo-a",
-            "crates/a/src/serve.rs",
-            "pub fn reply(conn: &mut Conn) {\n\
-             \x20   Msg::Pong { n: 1 }.send(conn);\n\
-             }\n",
-        ),
-        (
-            "demo-a",
-            "crates/a/src/coord.rs",
-            "pub fn confused(conn: &mut Conn) {\n\
-             \x20   Msg::Pong { n: 1 }.send(conn);\n\
-             }\n",
-        ),
-    ]);
-    let report = analyze_workspace(&ws);
-    let hits = active(&report, RULE_PROTOCOL);
-    assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    assert!(
-        hits[0].salient.starts_with("send|Pong|c2w|"),
-        "{}",
-        hits[0].salient
-    );
-}
-
-#[test]
-fn protocol_direct_recv_must_absorb_trace() {
-    let ws = Workspace::from_sources(&[
-        ("demo-a", "crates/a/src/protocol.rs", TOY_SPEC),
-        (
-            "demo-a",
-            "crates/a/src/coord.rs",
-            "pub fn drain(conn: &mut Conn) -> Msg {\n\
-             \x20   let Msg::Pong { n } = Msg::recv(conn) else { panic!() };\n\
-             \x20   Msg::Pong { n }\n\
-             }\n",
-        ),
-    ]);
-    let report = analyze_workspace(&ws);
-    let hits = active(&report, RULE_PROTOCOL);
-    assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    assert!(
-        hits[0].salient.starts_with("absorb|Trace|Pong|"),
-        "{}",
-        hits[0].salient
-    );
-}
-
-#[test]
-fn protocol_multiline_let_else_is_seen() {
-    // The destructuring pattern opens lines before the `Msg::recv(`
-    // call — the checker must look back to find the awaited reply.
-    let ws = Workspace::from_sources(&[
-        ("demo-a", "crates/a/src/protocol.rs", TOY_SPEC),
-        (
-            "demo-a",
-            "crates/a/src/coord.rs",
-            "pub fn drain(conn: &mut Conn) -> u64 {\n\
-             \x20   let Msg::Pong {\n\
-             \x20       n,\n\
-             \x20   } = Msg::recv(conn) else { panic!() };\n\
-             \x20   n\n\
-             }\n",
-        ),
-    ]);
-    let report = analyze_workspace(&ws);
-    let hits = active(&report, RULE_PROTOCOL);
-    assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    assert!(
-        hits[0].salient.starts_with("absorb|Trace|Pong|"),
-        "{}",
-        hits[0].salient
-    );
-}
-
-#[test]
-fn protocol_absorber_is_clean_but_must_fold_every_side() {
-    let ws = Workspace::from_sources(&[
-        ("demo-a", "crates/a/src/protocol.rs", TOY_SPEC),
-        (
-            "demo-a",
-            "crates/a/src/coord.rs",
-            "pub fn recv_folding(conn: &mut Conn) -> Msg {\n\
-             \x20   loop {\n\
-             \x20       match Msg::recv(conn) {\n\
-             \x20           Msg::Trace { line } => fold(line),\n\
-             \x20           m => return m,\n\
-             \x20       }\n\
-             \x20   }\n\
-             }\n\
-             pub fn drain(conn: &mut Conn) -> Msg {\n\
-             \x20   let Msg::Pong { n } = recv_folding(conn) else { panic!() };\n\
-             \x20   Msg::Pong { n }\n\
-             }\n",
-        ),
-    ]);
-    let report = analyze_workspace(&ws);
-    assert!(
-        active(&report, RULE_PROTOCOL).is_empty(),
+        active(&report, RULE_UNSAFE_INDEXING).is_empty(),
         "{:?}",
         report.findings
     );
+}
 
-    // Same shape, but the absorber forgets the Trace arm.
-    let ws = Workspace::from_sources(&[
-        ("demo-a", "crates/a/src/protocol.rs", TOY_SPEC),
-        (
-            "demo-a",
-            "crates/a/src/coord.rs",
-            "pub fn recv_folding(conn: &mut Conn) -> Msg {\n\
-             \x20   Msg::recv(conn)\n\
-             }\n",
-        ),
-    ]);
+// ---------------------------------------------------------------------------
+// crate-layering.
+// ---------------------------------------------------------------------------
+
+fn manifest_workspace(manifests: &[(&str, &str)]) -> Workspace {
+    let mut ws = Workspace::default();
+    for (rel, toml) in manifests {
+        ws.crates.push(parse_manifest(Path::new(rel), toml));
+    }
+    ws
+}
+
+#[test]
+fn layering_violation_is_flagged_at_the_dependency_line() {
+    let ws = manifest_workspace(&[(
+        "crates/trace/Cargo.toml",
+        "[package]\nname = \"cscv-trace\"\n\n[dependencies]\ncscv-core = { path = \"../core\" }\n\
+         \n[dev-dependencies]\ncscv-sparse.workspace = true\n",
+    )]);
     let report = analyze_workspace(&ws);
-    let hits = active(&report, RULE_PROTOCOL);
+    let hits = active(&report, RULE_LAYERING);
+    // The dev edge is exempt; the build edge is not.
     assert_eq!(hits.len(), 1, "{:?}", report.findings);
+    assert_eq!(hits[0].file, PathBuf::from("crates/trace/Cargo.toml"));
+    assert_eq!(hits[0].line, 5);
     assert!(
-        hits[0].salient.starts_with("absorber|Trace|"),
+        hits[0].message.contains("`cscv-trace` → `cscv-core`"),
         "{}",
-        hits[0].salient
+        hits[0].message
     );
 }
 
 #[test]
-fn protocol_tag_spec_coverage_both_ways() {
-    let spec_with_tags = format!(
-        "pub mod tag {{\n\
-         \x20   pub const PING: u8 = 1;\n\
-         \x20   pub const PONG: u8 = 2;\n\
-         \x20   pub const TRACE: u8 = 16;\n\
-         \x20   pub const ERR: u8 = 255;\n\
-         \x20   pub const ROGUE: u8 = 9;\n\
-         }}\n{TOY_SPEC}"
-    );
-    let ws = Workspace::from_sources(&[("demo-a", "crates/a/src/protocol.rs", &spec_with_tags)]);
+fn unregistered_crate_is_a_layering_violation() {
+    let ws = manifest_workspace(&[(
+        "crates/rogue/Cargo.toml",
+        "[package]\nname = \"cscv-rogue\"\n",
+    )]);
     let report = analyze_workspace(&ws);
-    let hits: Vec<String> = active(&report, RULE_PROTOCOL)
-        .into_iter()
-        .map(|f| f.salient.clone())
-        .collect();
-    assert!(hits.contains(&"tag|ROGUE".to_string()), "{hits:?}");
-    assert!(!hits.iter().any(|s| s.starts_with("tag|PING")), "{hits:?}");
+    let hits = active(&report, RULE_LAYERING);
+    assert_eq!(hits.len(), 1, "{:?}", report.findings);
+    assert!(
+        hits[0].message.contains("not part of"),
+        "{}",
+        hits[0].message
+    );
+}
 
-    // And the reverse: a spec frame with no wire tag is drift too.
-    let spec_missing_tag = format!(
-        "pub mod tag {{\n\
-         \x20   pub const PING: u8 = 1;\n\
-         \x20   pub const TRACE: u8 = 16;\n\
-         \x20   pub const ERR: u8 = 255;\n\
-         }}\n{TOY_SPEC}"
-    );
-    let ws = Workspace::from_sources(&[("demo-a", "crates/a/src/protocol.rs", &spec_missing_tag)]);
+#[test]
+fn layering_dag_is_topologically_ordered() {
+    // Every crate lists only crates declared before it, so the table is
+    // acyclic by construction.
+    let mut seen: Vec<&str> = Vec::new();
+    for (name, deps) in rules::LAYERING_DAG {
+        for d in *deps {
+            assert!(seen.contains(d), "{name} depends on later/unknown {d}");
+        }
+        seen.push(name);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Malformed annotations.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn unknown_annotation_key_and_empty_reason_are_flagged() {
+    let ws = Workspace::from_sources(&[(
+        "demo-a",
+        "crates/a/src/io.rs",
+        "// AUDIT(lgtm): trust me.\npub fn f() {}\n// AUDIT(cast-ok):\npub fn g() {}\n",
+    )]);
     let report = analyze_workspace(&ws);
-    let hits: Vec<String> = active(&report, RULE_PROTOCOL)
+    let hits: Vec<(usize, &str)> = active(&report, RULE_STALE)
         .into_iter()
-        .map(|f| f.salient.clone())
+        .map(|f| (f.line, f.salient.as_str()))
         .collect();
-    assert!(hits.contains(&"spec-frame|Pong".to_string()), "{hits:?}");
+    assert_eq!(
+        hits,
+        [
+            (1, "bad|lgtm|crates/a/src/io.rs"),
+            (3, "bad|cast-ok|crates/a/src/io.rs")
+        ],
+        "{:?}",
+        report.findings
+    );
+    assert!(
+        report.findings[0].message.contains("unknown AUDIT key"),
+        "{}",
+        report.findings[0].message
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -1027,7 +852,7 @@ impl FixtureWorkspace {
         .unwrap();
         std::fs::write(
             root.join("crates/demo/Cargo.toml"),
-            "[package]\nname = \"demo\"\nversion = \"0.1.0\"\n",
+            "[package]\nname = \"cscv-trace\"\nversion = \"0.1.0\"\n",
         )
         .unwrap();
         std::fs::write(root.join("crates/demo/src/lib.rs"), lib_rs).unwrap();
@@ -1122,6 +947,20 @@ fn ratchet_clean_workspace_exits_0() {
 }
 
 #[test]
+fn root_without_manifests_exits_2() {
+    let fx = FixtureWorkspace::new("empty", "");
+    std::fs::remove_dir_all(fx.root.join("crates")).unwrap();
+    std::fs::remove_file(fx.root.join("Cargo.toml")).unwrap();
+    let out = fx.analyze(&[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("no crate manifests"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn ndjson_output_carries_fingerprints_and_summary() {
     let fx = FixtureWorkspace::new("ndjson", DIRTY_LIB);
     let out = fx.analyze(&["--format", "ndjson"]);
@@ -1152,7 +991,7 @@ fn ndjson_emits_per_rule_counts() {
         "{text}"
     );
     // Every rule reports a count line, including silent ones.
-    for rule in ["index-domain", "protocol-conformance"] {
+    for rule in ["unsafe-indexing", "crate-layering"] {
         assert!(
             text.lines().any(|l| l.contains("\"kind\":\"rule-count\"")
                 && l.contains(&format!("\"rule\":\"{rule}\""))
@@ -1160,79 +999,6 @@ fn ndjson_emits_per_rule_counts() {
             "missing rule-count for {rule}: {text}"
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental cache: warm replays are byte-identical, edits invalidate.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn cache_warm_run_is_byte_identical_and_edits_invalidate() {
-    let fx = FixtureWorkspace::new("cache", "pub fn tidy() {}\n");
-    let cold = fx.analyze(&[]);
-    assert_eq!(
-        cold.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&cold.stdout)
-    );
-    assert!(
-        fx.root.join("target/analyze-cache.json").exists(),
-        "cold run must persist the cache"
-    );
-    let warm = fx.analyze(&[]);
-    assert_eq!(warm.status.code(), Some(0));
-    assert_eq!(
-        cold.stdout, warm.stdout,
-        "warm replay must be byte-identical to the cold run"
-    );
-    // A source edit changes the content hash: the next run re-analyzes
-    // instead of replaying the stale result.
-    std::fs::write(fx.root.join("crates/demo/src/lib.rs"), DIRTY_LIB).unwrap();
-    let edited = fx.analyze(&[]);
-    assert_eq!(
-        edited.status.code(),
-        Some(1),
-        "{}",
-        String::from_utf8_lossy(&edited.stdout)
-    );
-    assert!(String::from_utf8_lossy(&edited.stdout).contains("[new] atomic-role"));
-    // --no-cache always produces the same report as the cached path.
-    let no_cache = fx.analyze(&["--no-cache"]);
-    assert_eq!(edited.stdout, no_cache.stdout);
-}
-
-// ---------------------------------------------------------------------------
-// Session-spec DOT export through the real binary.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn protocol_dot_export_writes_artifact() {
-    let fx = FixtureWorkspace::new(
-        "dot",
-        "pub const SESSION_SPEC: &[&str] = &[\n\
-         \x20   \"endpoint coordinator crates/demo/src/lib.rs\",\n\
-         \x20   \"msg Ping c2w Idle Waiting\",\n\
-         \x20   \"msg Pong w2c Waiting Idle\",\n\
-         \x20   \"side Trace w2c Waiting\",\n\
-         ];\n",
-    );
-    let dot_path = fx.root.join("session.dot");
-    let out = fx.analyze(&["--protocol-dot", dot_path.to_str().unwrap()]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let dot = std::fs::read_to_string(&dot_path).unwrap();
-    assert!(dot.starts_with("// Session spec"), "{dot}");
-    assert!(dot.contains("digraph session"), "{dot}");
-    assert!(
-        dot.contains("\"Idle\" -> \"Waiting\" [label=\"Ping c2w\"]"),
-        "{dot}"
-    );
-    assert!(dot.contains("style=dashed"), "{dot}");
 }
 
 // ---------------------------------------------------------------------------

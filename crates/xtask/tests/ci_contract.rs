@@ -69,6 +69,39 @@ fn ci_sh_runs_the_analyze_ratchet_unconditionally() {
 }
 
 #[test]
+fn ci_gates_name_only_subcommands_that_exist() {
+    // `lint` and `audit` folded into `analyze` and the workspace lint
+    // table; neither the script nor the workflow may call them, and the
+    // analyze result cache (`--no-cache`) and `--protocol-dot` are gone.
+    let sh = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
+    let yml = std::fs::read_to_string(repo_root().join(".github/workflows/ci.yml")).unwrap();
+    for text in [&sh, &yml] {
+        for gone in [
+            "cscv-xtask -- lint",
+            "cscv-xtask -- audit",
+            "--no-cache",
+            "--protocol-dot",
+        ] {
+            assert!(!text.contains(gone), "CI still invokes `{gone}`");
+        }
+    }
+}
+
+#[test]
+fn ci_sh_tests_the_benchmark_package_unconditionally() {
+    // cscv-benchmark is its own workspace: only this stage compiles it.
+    let text = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
+    let pos = text
+        .find("--manifest-path cscv-benchmark/Cargo.toml")
+        .expect("ci.sh must test the benchmark package");
+    let first_conditional = text.find("if [ \"$").unwrap_or(text.len());
+    assert!(
+        pos < first_conditional,
+        "benchmark tests must not sit behind a flag"
+    );
+}
+
+#[test]
 fn sanitizer_stage_is_deterministic_and_uses_vetted_suppressions() {
     let text = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
     let stage = text
