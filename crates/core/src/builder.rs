@@ -564,34 +564,33 @@ mod tests {
 
     /// Direct (executor-free) single-thread SpMV over the blocks.
     fn spmv_single_thread_check(csc: &Csc<f64>, m: &CscvMatrix<f64>, params: CscvParams) {
+        use crate::kernels::{forward_block, scatter_add, LaneSource, MLanes, ZLanes};
+        fn block<'a, S: LaneSource<'a, f64, W>, const W: usize>(
+            blk: &'a Block<f64>,
+            s_vxg: usize,
+            x: &[f64],
+            ytil: &mut [f64],
+            y: &mut [f64],
+        ) {
+            forward_block::<f64, S, W, 1>(blk, s_vxg, x, x.len(), ytil);
+            scatter_add::<f64, W, 1>(blk, ytil, &mut [y], 0);
+        }
         let x: Vec<f64> = (0..csc.n_cols()).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut y_ref = vec![0.0; csc.n_rows()];
         csc.spmv_serial(&x, &mut y_ref);
         let mut y = vec![0.0; csc.n_rows()];
         let mut ytil = vec![0.0; m.max_ytil];
+        let s = params.s_vxg;
         for blk in &m.blocks {
             match (m.variant, params.s_vvec) {
-                (Variant::Z, 4) => {
-                    crate::kernels::run_block_z::<f64, 4>(blk, params.s_vxg, &x, &mut ytil)
-                }
-                (Variant::Z, 8) => {
-                    crate::kernels::run_block_z::<f64, 8>(blk, params.s_vxg, &x, &mut ytil)
-                }
-                (Variant::Z, 16) => {
-                    crate::kernels::run_block_z::<f64, 16>(blk, params.s_vxg, &x, &mut ytil)
-                }
-                (Variant::M, 4) => {
-                    crate::kernels::run_block_m::<f64, 4, false>(blk, params.s_vxg, &x, &mut ytil)
-                }
-                (Variant::M, 8) => {
-                    crate::kernels::run_block_m::<f64, 8, false>(blk, params.s_vxg, &x, &mut ytil)
-                }
-                (Variant::M, 16) => {
-                    crate::kernels::run_block_m::<f64, 16, false>(blk, params.s_vxg, &x, &mut ytil)
-                }
+                (Variant::Z, 4) => block::<ZLanes<f64>, 4>(blk, s, &x, &mut ytil, &mut y),
+                (Variant::Z, 8) => block::<ZLanes<f64>, 8>(blk, s, &x, &mut ytil, &mut y),
+                (Variant::Z, 16) => block::<ZLanes<f64>, 16>(blk, s, &x, &mut ytil, &mut y),
+                (Variant::M, 4) => block::<MLanes<f64, false>, 4>(blk, s, &x, &mut ytil, &mut y),
+                (Variant::M, 8) => block::<MLanes<f64, false>, 8>(blk, s, &x, &mut ytil, &mut y),
+                (Variant::M, 16) => block::<MLanes<f64, false>, 16>(blk, s, &x, &mut ytil, &mut y),
                 _ => unreachable!(),
             }
-            crate::kernels::scatter_add(blk, &ytil, &mut y, 0);
         }
         cscv_sparse::dense::assert_vec_close(&y, &y_ref, 1e-12);
     }

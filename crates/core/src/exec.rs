@@ -9,15 +9,21 @@
 //! * [`ParallelStrategy::LocalCopies`] — the paper's own scheme: blocks
 //!   are distributed freely, each thread accumulates into a private copy
 //!   of `y`, and copies are reduced in parallel afterwards. Kept for
-//!   fidelity and as the fallback when there are fewer view groups than
-//!   threads.
+//!   fidelity with the paper; it runs only when configured (the
+//!   autotuner includes it in its search).
+//!
+//! The strategy holds at every batch width. The transpose product has
+//! one scheme of its own: threads own whole image tiles, whose column
+//! sets are disjoint.
+//!
+//! Every product — single or batched, forward or transpose — enters
+//! through one `(S_VVec, expand path)` dispatch and runs as compiled
+//! batch-width chunks of the one forward or transpose block kernel; a
+//! single-RHS product is the batch of width 1.
 
 use crate::builder::{try_build, BuildError};
 use crate::format::{Block, CscvMatrix, Variant};
-use crate::kernels::{
-    gather, gather_multi, run_block_m, run_block_m_multi, run_block_m_t, run_block_m_t_multi,
-    run_block_z, run_block_z_multi, run_block_z_t, run_block_z_t_multi, scatter_add,
-};
+use crate::kernels::{forward_block, gather, scatter_add, transpose_block, MLanes, ZLanes};
 use crate::layout::{ImageShape, SinoLayout};
 use crate::params::CscvParams;
 use cscv_simd::expand::{select_path, ExpandPath};
@@ -25,6 +31,7 @@ use cscv_simd::{MaskExpand, Scalar};
 use cscv_sparse::numa::NumaTopology;
 use cscv_sparse::shared::{reduce_buffers_into, Scratch, SharedSliceMut};
 use cscv_sparse::{partition, Csc, SpmvExecutor, ThreadPool};
+use std::ops::Range;
 
 /// Tally one block-kernel pass into the trace counters (traced builds
 /// only — the `ENABLED` guard makes this whole body dead code
@@ -58,6 +65,25 @@ fn trace_block_pass<T: Scalar>(m: &CscvMatrix<T>, blk: &Block<T>, k: u64) {
         add(Counter::BytesLoaded, blk.matrix_bytes() as u64);
         add(blocks_counter, 1);
     }
+}
+
+/// The expand path this machine offers CSCV-M at lane width `s_vvec`.
+fn available_path<T: MaskExpand>(s_vvec: usize) -> ExpandPath {
+    match s_vvec {
+        4 => select_path::<T, 4>(),
+        8 => select_path::<T, 8>(),
+        16 => select_path::<T, 16>(),
+        _ => unreachable!("validated by CscvParams"),
+    }
+}
+
+/// Direction of a product.
+#[derive(Clone, Copy)]
+enum Dir {
+    /// `Y = A X`.
+    Forward,
+    /// `X = Aᵀ Y`.
+    Transpose,
 }
 
 /// Thread-level parallelization scheme.
@@ -126,12 +152,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         // construction when `check-invariants` is on, since matrices may
         // arrive hand-assembled rather than from the builder.
         crate::invariants::assert_valid(&m, "CscvExec::with_strategy");
-        let path = match m.params.s_vvec {
-            4 => select_path::<T, 4>(),
-            8 => select_path::<T, 8>(),
-            16 => select_path::<T, 16>(),
-            _ => unreachable!("validated by CscvParams"),
-        };
+        let path = available_path::<T>(m.params.s_vvec);
         let mut block_prefix = Vec::with_capacity(m.blocks.len() + 1);
         block_prefix.push(0usize);
         let mut acc = 0;
@@ -239,14 +260,8 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
     /// If `Hardware` is requested but unavailable for this lane width.
     pub fn force_expand_path(&mut self, path: ExpandPath) {
         if path == ExpandPath::Hardware {
-            let available = match self.m.params.s_vvec {
-                4 => select_path::<T, 4>(),
-                8 => select_path::<T, 8>(),
-                16 => select_path::<T, 16>(),
-                _ => unreachable!(),
-            };
             assert_eq!(
-                available,
+                available_path::<T>(self.m.params.s_vvec),
                 ExpandPath::Hardware,
                 "hardware expand unavailable for W={}",
                 self.m.params.s_vvec
@@ -257,16 +272,6 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
 
     pub fn strategy(&self) -> ParallelStrategy {
         self.strategy
-    }
-
-    #[inline(always)]
-    fn run_one_block<const W: usize, const HW: bool>(&self, bi: usize, x: &[T], ytil: &mut [T]) {
-        let blk = &self.m.blocks[bi];
-        trace_block_pass(&self.m, blk, 1);
-        match self.m.variant {
-            Variant::Z => run_block_z::<T, W>(blk, self.m.params.s_vxg, x, ytil),
-            Variant::M => run_block_m::<T, W, HW>(blk, self.m.params.s_vxg, x, ytil),
-        }
     }
 
     /// Record one top-level kernel dispatch plus the call's vector
@@ -292,68 +297,11 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
     /// Transpose product `x = Aᵀ y` — the paper's stated future work
     /// ("we will implement CSCV on x = Aᵀy in CT backward projection"),
     /// here realized on the same block structure: gather `ỹ` through the
-    /// block map, run the transposed VxG kernels, and accumulate per
+    /// block map, run the transposed VxG kernel, and accumulate per
     /// column. Threads own whole image *tiles* (the column-disjoint
-    /// axis), so no reduction is needed.
+    /// axis), so no reduction is needed. The batch of width 1.
     pub fn spmv_transpose(&self, y: &[T], x: &mut [T], pool: &ThreadPool) {
-        assert_eq!(y.len(), self.m.n_rows);
-        assert_eq!(x.len(), self.m.n_cols);
-        self.trace_dispatch(self.m.n_rows, self.m.n_cols);
-        let hw = self.path == ExpandPath::Hardware;
-        match (self.m.params.s_vvec, hw) {
-            (4, false) => self.spmv_transpose_impl::<4, false>(y, x, pool),
-            (4, true) => self.spmv_transpose_impl::<4, true>(y, x, pool),
-            (8, false) => self.spmv_transpose_impl::<8, false>(y, x, pool),
-            (8, true) => self.spmv_transpose_impl::<8, true>(y, x, pool),
-            (16, false) => self.spmv_transpose_impl::<16, false>(y, x, pool),
-            (16, true) => self.spmv_transpose_impl::<16, true>(y, x, pool),
-            _ => unreachable!("validated by CscvParams"),
-        }
-    }
-
-    fn spmv_transpose_impl<const W: usize, const HW: bool>(
-        &self,
-        y: &[T],
-        x: &mut [T],
-        pool: &ThreadPool,
-    ) {
-        let n = pool.n_threads();
-        let tile_ranges = partition::split_by_prefix(&self.tile_prefix, n);
-        let mut ytil_bufs = self.ytil_scratch.take(n, self.m.max_ytil);
-        let out = SharedSliceMut::new(x);
-        let bufs = SharedSliceMut::new(&mut ytil_bufs[..]);
-        let zero_ranges = partition::even_chunks(out.len(), n);
-        pool.run(|tid| {
-            // SAFETY: disjoint zero ranges (separate dispatch = barrier).
-            // AUDIT(index-ok): zero_ranges has one entry per pool thread
-            // and tid < n_threads by the dispatch contract.
-            unsafe { out.slice_mut(zero_ranges[tid].clone()) }.fill(T::ZERO);
-        });
-        // The dispatch above fully completed (ack barrier), so the write
-        // dispatch below may repartition `out` by tile instead of chunk.
-        out.claims_barrier();
-        pool.run(|tid| {
-            // SAFETY: slot `tid` only.
-            let ytil = &mut unsafe { bufs.slice_mut(tid..tid + 1) }[0];
-            // SAFETY: threads own whole tiles, and tiles have pairwise
-            // disjoint column sets, so sink targets never overlap.
-            let mut sink = |c: usize, v: T| unsafe { *out.get_raw(c) += v };
-            for ti in tile_ranges[tid].clone() {
-                for &bi in &self.tile_blocks[ti] {
-                    let blk = &self.m.blocks[bi as usize];
-                    trace_block_pass(&self.m, blk, 1);
-                    gather(blk, y, ytil);
-                    match self.m.variant {
-                        Variant::Z => {
-                            run_block_z_t::<T, W>(blk, self.m.params.s_vxg, ytil, &mut sink)
-                        }
-                        Variant::M => {
-                            run_block_m_t::<T, W, HW>(blk, self.m.params.s_vxg, ytil, &mut sink)
-                        }
-                    }
-                }
-            }
-        });
+        self.run(Dir::Transpose, y, 1, x, pool)
     }
 
     /// Batched transpose product `X = Aᵀ Y` over `k` column-major
@@ -361,143 +309,182 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
     /// stream — and for CSCV-M every mask expansion — is traversed once
     /// per register-tile chunk instead of once per RHS.
     pub fn spmv_transpose_multi(&self, y: &[T], k: usize, x: &mut [T], pool: &ThreadPool) {
+        self.run(Dir::Transpose, y, k, x, pool)
+    }
+
+    /// Every product's entry: check the `k` column-major operands, then
+    /// the one `(S_VVec, expand path)` → const-generic selection.
+    fn run(&self, dir: Dir, src: &[T], k: usize, dst: &mut [T], pool: &ThreadPool) {
         assert!(k > 0, "batch width must be positive");
-        assert_eq!(y.len(), k * self.m.n_rows);
-        assert_eq!(x.len(), k * self.m.n_cols);
-        self.trace_dispatch(k * self.m.n_rows, k * self.m.n_cols);
+        let (src_len, dst_len) = match dir {
+            Dir::Forward => (self.m.n_cols, self.m.n_rows),
+            Dir::Transpose => (self.m.n_rows, self.m.n_cols),
+        };
+        assert_eq!(src.len(), k * src_len);
+        assert_eq!(dst.len(), k * dst_len);
+        self.trace_dispatch(src.len(), dst.len());
         let hw = self.path == ExpandPath::Hardware;
         match (self.m.params.s_vvec, hw) {
-            (4, false) => self.spmv_transpose_multi_impl::<4, false>(y, k, x, pool),
-            (4, true) => self.spmv_transpose_multi_impl::<4, true>(y, k, x, pool),
-            (8, false) => self.spmv_transpose_multi_impl::<8, false>(y, k, x, pool),
-            (8, true) => self.spmv_transpose_multi_impl::<8, true>(y, k, x, pool),
-            (16, false) => self.spmv_transpose_multi_impl::<16, false>(y, k, x, pool),
-            (16, true) => self.spmv_transpose_multi_impl::<16, true>(y, k, x, pool),
+            (4, false) => self.run_chunks::<4, false>(dir, src, k, dst, pool),
+            (4, true) => self.run_chunks::<4, true>(dir, src, k, dst, pool),
+            (8, false) => self.run_chunks::<8, false>(dir, src, k, dst, pool),
+            (8, true) => self.run_chunks::<8, true>(dir, src, k, dst, pool),
+            (16, false) => self.run_chunks::<16, false>(dir, src, k, dst, pool),
+            (16, true) => self.run_chunks::<16, true>(dir, src, k, dst, pool),
             _ => unreachable!("validated by CscvParams"),
         }
     }
 
-    fn spmv_multi_impl<const W: usize, const HW: bool>(
+    /// Split a `k`-wide batch into compiled register-tile widths and run
+    /// each chunk: one matrix-stream pass per chunk.
+    fn run_chunks<const W: usize, const HW: bool>(
         &self,
-        x: &[T],
+        dir: Dir,
+        src: &[T],
         k: usize,
-        y: &mut [T],
+        dst: &mut [T],
         pool: &ThreadPool,
     ) {
-        let (n_cols, n_rows) = (self.m.n_cols, self.m.n_rows);
+        let (src_len, dst_len) = (src.len() / k, dst.len() / k);
+        let widths: &[usize] = match dir {
+            Dir::Forward => &[8, 4, 2, 1],
+            // The transpose caps its tile at 4: the per-VxG accumulator
+            // is `S_VxG·K·W` lanes wide, and at K = 8 the register spill
+            // traffic would undo the amortization being bought.
+            Dir::Transpose => &[4, 2, 1],
+        };
         let mut done = 0usize;
-        for chunk in partition::batch_chunks(k, &[8, 4, 2, 1]) {
-            let xs = &x[done * n_cols..(done + chunk) * n_cols];
-            let ys = &mut y[done * n_rows..(done + chunk) * n_rows];
-            match chunk {
-                8 => self.spmm_chunk::<W, HW, 8>(xs, ys, pool),
-                4 => self.spmm_chunk::<W, HW, 4>(xs, ys, pool),
-                2 => self.spmm_chunk::<W, HW, 2>(xs, ys, pool),
-                _ => self.spmv_impl::<W, HW>(xs, ys, pool),
+        for chunk in partition::batch_chunks(k, widths) {
+            let s = &src[done * src_len..(done + chunk) * src_len];
+            let d = &mut dst[done * dst_len..(done + chunk) * dst_len];
+            match (dir, chunk) {
+                (Dir::Forward, 8) => self.forward::<W, HW, 8>(s, d, pool),
+                (Dir::Forward, 4) => self.forward::<W, HW, 4>(s, d, pool),
+                (Dir::Forward, 2) => self.forward::<W, HW, 2>(s, d, pool),
+                (Dir::Forward, _) => self.forward::<W, HW, 1>(s, d, pool),
+                (Dir::Transpose, 4) => self.transpose::<W, HW, 4>(s, d, pool),
+                (Dir::Transpose, 2) => self.transpose::<W, HW, 2>(s, d, pool),
+                (Dir::Transpose, _) => self.transpose::<W, HW, 1>(s, d, pool),
             }
             done += chunk;
         }
     }
 
-    /// One compiled-width chunk of the batched forward product. Threads
-    /// own whole view groups (row-disjoint, as in the single-RHS
-    /// ViewGroups strategy); each thread's ỹ scratch holds the `K`
-    /// interleaved segments.
-    fn spmm_chunk<const W: usize, const HW: bool, const K: usize>(
+    /// One compiled-width chunk of the forward product: `K` column-major
+    /// RHS in `x`, `K` outputs in `y`; each thread's ỹ scratch holds the
+    /// `K` interleaved segments.
+    fn forward<const W: usize, const HW: bool, const K: usize>(
         &self,
         x: &[T],
         y: &mut [T],
         pool: &ThreadPool,
     ) {
         let n = pool.n_threads();
-        let (n_cols, n_rows) = (self.m.n_cols, self.m.n_rows);
-        let weights: Vec<usize> = self.m.groups.iter().map(|g| g.nnz.max(1)).collect();
-        let ranges = partition::split_by_weights(&weights, n);
+        let n_rows = self.m.n_rows;
         let mut ytil_bufs = self.ytil_scratch.take(n, self.m.max_ytil * K);
-        let out = SharedSliceMut::new(y);
-        let bufs = SharedSliceMut::new(&mut ytil_bufs[..]);
-        pool.run(|tid| {
-            // SAFETY: slot `tid` only.
-            let ytil = &mut unsafe { bufs.slice_mut(tid..tid + 1) }[0];
-            for gi in ranges[tid].clone() {
-                let info = &self.m.groups[gi];
-                let rr = info.row_range.clone();
-                for kk in 0..K {
-                    // SAFETY: group row ranges are pairwise disjoint, so
-                    // each per-RHS copy of them is too.
-                    unsafe { out.slice_mut(kk * n_rows + rr.start..kk * n_rows + rr.end) }
-                        .fill(T::ZERO);
-                }
-                for bi in info.block_range.clone() {
-                    let blk = &self.m.blocks[bi];
-                    trace_block_pass(&self.m, blk, K as u64);
-                    match self.m.variant {
-                        Variant::Z => {
-                            run_block_z_multi::<T, W, K>(blk, self.m.params.s_vxg, x, n_cols, ytil)
+        match self.strategy {
+            ParallelStrategy::ViewGroups => {
+                let weights: Vec<usize> = self.m.groups.iter().map(|g| g.nnz.max(1)).collect();
+                let ranges = partition::split_by_weights(&weights, n);
+                let out = SharedSliceMut::new(y);
+                let bufs = SharedSliceMut::new(&mut ytil_bufs[..]);
+                pool.run(|tid| {
+                    // SAFETY: slot `tid` only.
+                    let ytil = &mut unsafe { bufs.slice_mut(tid..tid + 1) }[0];
+                    for gi in ranges[tid].clone() {
+                        let info = &self.m.groups[gi];
+                        let rr = info.row_range.clone();
+                        let mut dst: [&mut [T]; K] = std::array::from_fn(|kk| {
+                            // SAFETY: group row ranges are pairwise
+                            // disjoint, so each per-RHS copy of them is too.
+                            unsafe { out.slice_mut(kk * n_rows + rr.start..kk * n_rows + rr.end) }
+                        });
+                        for seg in dst.iter_mut() {
+                            seg.fill(T::ZERO);
                         }
-                        Variant::M => run_block_m_multi::<T, W, HW, K>(
-                            blk,
-                            self.m.params.s_vxg,
-                            x,
-                            n_cols,
-                            ytil,
-                        ),
-                    }
-                    // Scatter the K interleaved segments straight into
-                    // the K column-major copies of this group's rows.
-                    for (slot, &row) in blk.map.iter().enumerate() {
-                        if row >= 0 {
-                            let base = (slot / W) * W * K + slot % W;
-                            for kk in 0..K {
-                                // SAFETY: rows of this group belong to
-                                // this thread alone (see fill above).
-                                unsafe {
-                                    // AUDIT(index-ok): ytil holds max_ytil·K slots (CSCV-STATS) and slot < map.len() (CSCV-VXG-BOUNDS).
-                                    *out.get_raw(kk * n_rows + row as usize) += ytil[base + kk * W];
-                                }
-                            }
+                        for bi in info.block_range.clone() {
+                            self.run_block::<W, HW, K>(bi, x, ytil, &mut dst, rr.start);
                         }
                     }
+                });
+            }
+            ParallelStrategy::LocalCopies if n == 1 => {
+                // One thread needs no private copy and no reduction.
+                y.fill(T::ZERO);
+                self.run_blocks_into::<W, HW, K>(0..self.m.blocks.len(), x, &mut ytil_bufs[0], y);
+            }
+            ParallelStrategy::LocalCopies => {
+                let ranges = partition::split_by_prefix(&self.block_prefix, n);
+                let mut y_bufs = self.y_scratch.take(n, y.len());
+                {
+                    let ytils = SharedSliceMut::new(&mut ytil_bufs[..]);
+                    let ys = SharedSliceMut::new(&mut y_bufs[..]);
+                    pool.run(|tid| {
+                        // SAFETY: slot `tid` only.
+                        let ytil = &mut unsafe { ytils.slice_mut(tid..tid + 1) }[0];
+                        // SAFETY: slot `tid` only.
+                        let y_local = &mut unsafe { ys.slice_mut(tid..tid + 1) }[0];
+                        self.run_blocks_into::<W, HW, K>(ranges[tid].clone(), x, ytil, y_local);
+                    });
                 }
+                reduce_buffers_into(pool, &y_bufs[..n], y);
             }
-        });
-    }
-
-    fn spmv_transpose_multi_impl<const W: usize, const HW: bool>(
-        &self,
-        y: &[T],
-        k: usize,
-        x: &mut [T],
-        pool: &ThreadPool,
-    ) {
-        let (n_cols, n_rows) = (self.m.n_cols, self.m.n_rows);
-        let mut done = 0usize;
-        // The transpose caps its tile at 4: the per-VxG accumulator is
-        // `S_VxG·K·W` lanes wide, and at K = 8 the register spill traffic
-        // would undo the amortization being bought.
-        for chunk in partition::batch_chunks(k, &[4, 2, 1]) {
-            let ys = &y[done * n_rows..(done + chunk) * n_rows];
-            let xs = &mut x[done * n_cols..(done + chunk) * n_cols];
-            match chunk {
-                4 => self.spmm_t_chunk::<W, HW, 4>(ys, xs, pool),
-                2 => self.spmm_t_chunk::<W, HW, 2>(ys, xs, pool),
-                _ => self.spmv_transpose_impl::<W, HW>(ys, xs, pool),
-            }
-            done += chunk;
         }
     }
 
-    /// One compiled-width chunk of the batched transpose. Threads own
+    /// Run `blocks` and scatter-add them into `y_full`, which holds all
+    /// `K` column-major outputs (a LocalCopies private copy).
+    fn run_blocks_into<const W: usize, const HW: bool, const K: usize>(
+        &self,
+        blocks: Range<usize>,
+        x: &[T],
+        ytil: &mut [T],
+        y_full: &mut [T],
+    ) {
+        let mut rest = y_full;
+        let mut dst: [&mut [T]; K] = std::array::from_fn(|_| {
+            let (seg, tail) = std::mem::take(&mut rest).split_at_mut(self.m.n_rows);
+            rest = tail;
+            seg
+        });
+        for bi in blocks {
+            self.run_block::<W, HW, K>(bi, x, ytil, &mut dst, 0);
+        }
+    }
+
+    /// One block of the forward product: the kernel with this matrix's
+    /// lane source, then the scatter into the `K` output segments (whose
+    /// index 0 is global row `row_offset`).
+    #[inline(always)]
+    fn run_block<const W: usize, const HW: bool, const K: usize>(
+        &self,
+        bi: usize,
+        x: &[T],
+        ytil: &mut [T],
+        dst: &mut [&mut [T]; K],
+        row_offset: usize,
+    ) {
+        let blk = &self.m.blocks[bi];
+        trace_block_pass(&self.m, blk, K as u64);
+        let (s_vxg, n_cols) = (self.m.params.s_vxg, self.m.n_cols);
+        match self.m.variant {
+            Variant::Z => forward_block::<T, ZLanes<T>, W, K>(blk, s_vxg, x, n_cols, ytil),
+            Variant::M => forward_block::<T, MLanes<T, HW>, W, K>(blk, s_vxg, x, n_cols, ytil),
+        }
+        scatter_add::<T, W, K>(blk, ytil, dst, row_offset);
+    }
+
+    /// One compiled-width chunk of the transpose product. Threads own
     /// whole image tiles (column-disjoint); the sink lands each member
     /// column's `K` partial sums in the `K` column-major `x` copies.
-    fn spmm_t_chunk<const W: usize, const HW: bool, const K: usize>(
+    fn transpose<const W: usize, const HW: bool, const K: usize>(
         &self,
         y: &[T],
         x: &mut [T],
         pool: &ThreadPool,
     ) {
         let n = pool.n_threads();
-        let (n_cols, n_rows) = (self.m.n_cols, self.m.n_rows);
+        let (n_cols, n_rows, s_vxg) = (self.m.n_cols, self.m.n_rows, self.m.params.s_vxg);
         let tile_ranges = partition::split_by_prefix(&self.tile_prefix, n);
         let mut ytil_bufs = self.ytil_scratch.take(n, self.m.max_ytil * K);
         let out = SharedSliceMut::new(x);
@@ -526,82 +513,18 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                 for &bi in &self.tile_blocks[ti] {
                     let blk = &self.m.blocks[bi as usize];
                     trace_block_pass(&self.m, blk, K as u64);
-                    gather_multi::<T, W, K>(blk, y, n_rows, ytil);
+                    gather::<T, W, K>(blk, y, n_rows, ytil);
                     match self.m.variant {
-                        Variant::Z => run_block_z_t_multi::<T, W, K>(
-                            blk,
-                            self.m.params.s_vxg,
-                            ytil,
-                            &mut sink,
-                        ),
-                        Variant::M => run_block_m_t_multi::<T, W, HW, K>(
-                            blk,
-                            self.m.params.s_vxg,
-                            ytil,
-                            &mut sink,
-                        ),
+                        Variant::Z => {
+                            transpose_block::<T, ZLanes<T>, W, K>(blk, s_vxg, ytil, &mut sink)
+                        }
+                        Variant::M => {
+                            transpose_block::<T, MLanes<T, HW>, W, K>(blk, s_vxg, ytil, &mut sink)
+                        }
                     }
                 }
             }
         });
-    }
-
-    fn spmv_impl<const W: usize, const HW: bool>(&self, x: &[T], y: &mut [T], pool: &ThreadPool) {
-        let n = pool.n_threads();
-        match self.strategy {
-            ParallelStrategy::ViewGroups => {
-                let weights: Vec<usize> = self.m.groups.iter().map(|g| g.nnz.max(1)).collect();
-                let ranges = partition::split_by_weights(&weights, n);
-                let mut ytil_bufs = self.ytil_scratch.take(n, self.m.max_ytil);
-                let out = SharedSliceMut::new(y);
-                let bufs = SharedSliceMut::new(&mut ytil_bufs[..]);
-                pool.run(|tid| {
-                    // SAFETY: slot `tid` only.
-                    let ytil = &mut unsafe { bufs.slice_mut(tid..tid + 1) }[0];
-                    for gi in ranges[tid].clone() {
-                        // AUDIT(index-ok): gi ranges over 0..groups.len()
-                        // (split_by_prefix partitions the group prefix).
-                        let info = &self.m.groups[gi];
-                        // SAFETY: group row ranges are pairwise disjoint.
-                        let dst = unsafe { out.slice_mut(info.row_range.clone()) };
-                        dst.fill(T::ZERO);
-                        for bi in info.block_range.clone() {
-                            self.run_one_block::<W, HW>(bi, x, ytil);
-                            scatter_add(&self.m.blocks[bi], ytil, dst, info.row_range.start);
-                        }
-                    }
-                });
-            }
-            ParallelStrategy::LocalCopies => {
-                if n == 1 {
-                    let mut ytil_bufs = self.ytil_scratch.take(1, self.m.max_ytil);
-                    y.fill(T::ZERO);
-                    for bi in 0..self.m.blocks.len() {
-                        self.run_one_block::<W, HW>(bi, x, &mut ytil_bufs[0]);
-                        scatter_add(&self.m.blocks[bi], &ytil_bufs[0], y, 0);
-                    }
-                    return;
-                }
-                let ranges = partition::split_by_prefix(&self.block_prefix, n);
-                let mut ytil_bufs = self.ytil_scratch.take(n, self.m.max_ytil);
-                let mut y_bufs = self.y_scratch.take(n, y.len());
-                {
-                    let ytils = SharedSliceMut::new(&mut ytil_bufs[..]);
-                    let ys = SharedSliceMut::new(&mut y_bufs[..]);
-                    pool.run(|tid| {
-                        // SAFETY: slot `tid` only.
-                        let ytil = &mut unsafe { ytils.slice_mut(tid..tid + 1) }[0];
-                        // SAFETY: slot `tid` only.
-                        let y_local = &mut unsafe { ys.slice_mut(tid..tid + 1) }[0];
-                        for bi in ranges[tid].clone() {
-                            self.run_one_block::<W, HW>(bi, x, ytil);
-                            scatter_add(&self.m.blocks[bi], ytil, y_local, 0);
-                        }
-                    });
-                }
-                reduce_buffers_into(pool, &y_bufs[..n], y);
-            }
-        }
     }
 }
 
@@ -627,42 +550,18 @@ impl<T: Scalar + MaskExpand> SpmvExecutor<T> for CscvExec<T> {
         self.m.matrix_bytes()
     }
 
+    /// Forward product `y = A x`: the batch of width 1.
     fn spmv(&self, x: &[T], y: &mut [T], pool: &ThreadPool) {
-        assert_eq!(x.len(), self.m.n_cols);
-        assert_eq!(y.len(), self.m.n_rows);
-        self.trace_dispatch(self.m.n_cols, self.m.n_rows);
-        let hw = self.path == ExpandPath::Hardware;
-        match (self.m.params.s_vvec, hw) {
-            (4, false) => self.spmv_impl::<4, false>(x, y, pool),
-            (4, true) => self.spmv_impl::<4, true>(x, y, pool),
-            (8, false) => self.spmv_impl::<8, false>(x, y, pool),
-            (8, true) => self.spmv_impl::<8, true>(x, y, pool),
-            (16, false) => self.spmv_impl::<16, false>(x, y, pool),
-            (16, true) => self.spmv_impl::<16, true>(x, y, pool),
-            _ => unreachable!("validated by CscvParams"),
-        }
+        self.run(Dir::Forward, x, 1, y, pool)
     }
 
     /// True batched SpMM: one matrix-stream pass per register-tile chunk
-    /// (k split into {8, 4, 2, 1}), view-group partitioned. See the
-    /// module docs — the batch dimension rides in the accumulator tile,
+    /// (k split into {8, 4, 2, 1}), under the configured strategy. See
+    /// the kernel docs — the batch dimension rides in the accumulator tile,
     /// so matrix (and CSCV-M mask-expansion) traffic is paid once per
     /// chunk rather than once per RHS.
     fn spmv_multi(&self, x: &[T], k: usize, y: &mut [T], pool: &ThreadPool) {
-        assert!(k > 0, "batch width must be positive");
-        assert_eq!(x.len(), k * self.m.n_cols);
-        assert_eq!(y.len(), k * self.m.n_rows);
-        self.trace_dispatch(k * self.m.n_cols, k * self.m.n_rows);
-        let hw = self.path == ExpandPath::Hardware;
-        match (self.m.params.s_vvec, hw) {
-            (4, false) => self.spmv_multi_impl::<4, false>(x, k, y, pool),
-            (4, true) => self.spmv_multi_impl::<4, true>(x, k, y, pool),
-            (8, false) => self.spmv_multi_impl::<8, false>(x, k, y, pool),
-            (8, true) => self.spmv_multi_impl::<8, true>(x, k, y, pool),
-            (16, false) => self.spmv_multi_impl::<16, false>(x, k, y, pool),
-            (16, true) => self.spmv_multi_impl::<16, true>(x, k, y, pool),
-            _ => unreachable!("validated by CscvParams"),
-        }
+        self.run(Dir::Forward, x, k, y, pool)
     }
 }
 
@@ -803,24 +702,57 @@ mod tests {
         assert!((lhs - rhs).abs() / lhs.abs().max(1.0) < 1e-12);
     }
 
+    /// Every executor configuration of one matrix shape: Z and M, both
+    /// strategies, soft expand and (where this machine has it) hardware
+    /// `vexpand`.
+    fn every_config(
+        csc: &Csc<f64>,
+        layout: SinoLayout,
+        img: ImageShape,
+        params: CscvParams,
+    ) -> Vec<CscvExec<f64>> {
+        let mut out = Vec::new();
+        for variant in [Variant::Z, Variant::M] {
+            for strategy in [ParallelStrategy::ViewGroups, ParallelStrategy::LocalCopies] {
+                for path in [ExpandPath::Software, ExpandPath::Hardware] {
+                    let m = build(csc, layout, img, params, variant);
+                    let mut exec = CscvExec::with_strategy(m, strategy);
+                    if path == ExpandPath::Hardware && exec.expand_path() != path {
+                        continue;
+                    }
+                    exec.force_expand_path(path);
+                    out.push(exec);
+                }
+            }
+        }
+        out
+    }
+
+    /// Bitwise, not within a tolerance: every RHS of a batch sees the
+    /// same FMA and scatter order as a lone product of that column.
     #[test]
     fn spmv_multi_matches_k_independent_spmvs() {
         let (csc, layout, img) = ct_like(13, 24, 8, 6);
         let (nc, nr) = (csc.n_cols(), csc.n_rows());
-        for variant in [Variant::Z, Variant::M] {
-            for params in [CscvParams::new(4, 4, 2), CscvParams::new(8, 8, 3)] {
-                let exec = CscvExec::new(build(&csc, layout, img, params, variant));
+        let pools = [ThreadPool::new(1), ThreadPool::new(3)];
+        for params in [CscvParams::new(4, 4, 2), CscvParams::new(8, 8, 3)] {
+            for exec in every_config(&csc, layout, img, params) {
                 // Odd k exercises the {8,4,2,1} chunk decomposition.
-                for k in [1usize, 3, 5, 8, 11] {
+                for k in [1usize, 2, 3, 5, 8, 11] {
                     let x: Vec<f64> = (0..k * nc).map(|i| (i as f64 * 0.13).sin()).collect();
-                    for threads in [1, 3] {
-                        let pool = ThreadPool::new(threads);
+                    for pool in &pools {
                         let mut y_multi = vec![f64::NAN; k * nr];
-                        exec.spmv_multi(&x, k, &mut y_multi, &pool);
+                        exec.spmv_multi(&x, k, &mut y_multi, pool);
                         for kk in 0..k {
                             let mut y_one = vec![f64::NAN; nr];
-                            exec.spmv(&x[kk * nc..(kk + 1) * nc], &mut y_one, &pool);
-                            assert_vec_close(&y_multi[kk * nr..(kk + 1) * nr], &y_one, 1e-12);
+                            exec.spmv(&x[kk * nc..(kk + 1) * nc], &mut y_one, pool);
+                            assert_eq!(
+                                &y_multi[kk * nr..(kk + 1) * nr],
+                                y_one.as_slice(),
+                                "{:?} k={k} column {kk} threads={}",
+                                exec.config(),
+                                pool.n_threads()
+                            );
                         }
                     }
                 }
@@ -828,22 +760,30 @@ mod tests {
         }
     }
 
+    /// The transpose counterpart of the bitwise batch test above.
     #[test]
     fn spmv_transpose_multi_matches_k_independent_transposes() {
         let (csc, layout, img) = ct_like(13, 24, 8, 6);
         let (nc, nr) = (csc.n_cols(), csc.n_rows());
-        for variant in [Variant::Z, Variant::M] {
-            let exec = CscvExec::new(build(&csc, layout, img, CscvParams::new(4, 8, 2), variant));
-            for k in [1usize, 3, 4, 7] {
-                let y: Vec<f64> = (0..k * nr).map(|i| (i as f64 * 0.07).cos()).collect();
-                for threads in [1, 4] {
-                    let pool = ThreadPool::new(threads);
-                    let mut x_multi = vec![f64::NAN; k * nc];
-                    exec.spmv_transpose_multi(&y, k, &mut x_multi, &pool);
-                    for kk in 0..k {
-                        let mut x_one = vec![f64::NAN; nc];
-                        exec.spmv_transpose(&y[kk * nr..(kk + 1) * nr], &mut x_one, &pool);
-                        assert_vec_close(&x_multi[kk * nc..(kk + 1) * nc], &x_one, 1e-12);
+        let pools = [ThreadPool::new(1), ThreadPool::new(3)];
+        for params in [CscvParams::new(4, 8, 2), CscvParams::new(3, 16, 1)] {
+            for exec in every_config(&csc, layout, img, params) {
+                for k in [1usize, 2, 3, 5, 7, 8] {
+                    let y: Vec<f64> = (0..k * nr).map(|i| (i as f64 * 0.07).cos()).collect();
+                    for pool in &pools {
+                        let mut x_multi = vec![f64::NAN; k * nc];
+                        exec.spmv_transpose_multi(&y, k, &mut x_multi, pool);
+                        for kk in 0..k {
+                            let mut x_one = vec![f64::NAN; nc];
+                            exec.spmv_transpose(&y[kk * nr..(kk + 1) * nr], &mut x_one, pool);
+                            assert_eq!(
+                                &x_multi[kk * nc..(kk + 1) * nc],
+                                x_one.as_slice(),
+                                "{:?} k={k} column {kk} threads={}",
+                                exec.config(),
+                                pool.n_threads()
+                            );
+                        }
                     }
                 }
             }

@@ -6,57 +6,115 @@
 //! the block's map. No gathers or scatters appear inside the loops; the
 //! lane bodies are plain `[T; W]` arithmetic the compiler vectorizes.
 //!
-//! CSCV-M differs only in decompressing each lane block first (hardware
-//! `vexpand` or `soft-vexpand`, chosen once per matrix).
+//! There is one forward and one transpose kernel. Both are generic over
+//! the lane width `W`, the batch width `K` and the [`LaneSource`] that
+//! replays the block's value stream: CSCV-Z reads lane blocks straight
+//! from it ([`ZLanes`]), CSCV-M decompresses each one first ([`MLanes`],
+//! hardware `vexpand` or `soft-vexpand`, chosen once per matrix).
+//!
+//! The batch dimension `K` gives each right-hand side its own register
+//! accumulator; every lane block (and, for CSCV-M, every expansion) is
+//! produced once and reused `K` times. The batched ỹ is interleaved by
+//! lane block: slot `at` of the single-RHS layout becomes base `at·K`,
+//! with RHS `k`'s `W` lanes at `at·K + k·W`, so the `K` accumulator
+//! tiles of one curve offset are contiguous. At `K = 1` this is the
+//! single-RHS layout and algorithm, op for op.
+//!
+//! RHS vectors are packed column-major: RHS `k` occupies
+//! `x[k·n_cols .. (k+1)·n_cols]` and `y[k·n_rows .. (k+1)·n_rows]`.
 
 use crate::format::Block;
 use cscv_simd::expand::expand_soft;
-use cscv_simd::lanes::{fma_lanes, fma_tile, hsum, load_lanes, load_tile, store_lanes, store_tile};
+use cscv_simd::lanes::{fma_tile, hsum, load_tile, store_tile};
 use cscv_simd::{MaskExpand, Scalar};
 
 /// Upper bound on `S_VxG` (x-value gather buffer size).
 pub const MAX_VXG: usize = 32;
 
-/// Borrow a `W`-lane block from the value stream without a bounds check
-/// in the hot loop (checked in debug builds).
-#[inline(always)]
-fn lane_block<T: Scalar, const W: usize>(vals: &[T], p: usize) -> &[T; W] {
-    debug_assert!(p + W <= vals.len());
-    // SAFETY: builder guarantees the stream is whole lane blocks; the
-    // debug assert validates in tests.
-    unsafe { &*(vals.as_ptr().add(p) as *const [T; W]) }
+/// A block's value stream, replayed one `W`-lane block at a time in
+/// storage order (curve offset major, VxG member minor).
+pub trait LaneSource<'a, T: Scalar, const W: usize> {
+    fn open(blk: &'a Block<T>) -> Self;
+    /// Values consumed so far: the `val_ptr` of the next VxG.
+    fn pos(&self) -> usize;
+    /// The next lane block, with padding lanes zero.
+    fn next(&mut self) -> [T; W];
 }
 
-/// CSCV-Z block kernel: `ỹ += x ⊗ block` with padding zeros kept.
-/// `ytil` must hold at least `blk.ytil_len()` elements; it is zeroed here.
-// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_z<T: Scalar, const W: usize>(
-    blk: &Block<T>,
-    s_vxg: usize,
-    x: &[T],
-    ytil: &mut [T],
-) {
-    let ytil = &mut ytil[..blk.ytil_len()];
-    ytil.fill(T::ZERO);
-    let vals = blk.vals.as_slice();
-    let mut xs = [T::ZERO; MAX_VXG];
-    for i in 0..blk.n_vxgs() {
-        let q = blk.vxg_q[i] as usize;
-        let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        for (s, &c) in cols.iter().enumerate() {
-            xs[s] = x[c as usize];
+/// CSCV-Z lane source: padding zeros are stored, so each lane block is
+/// `W` consecutive values.
+pub struct ZLanes<'a, T> {
+    vals: &'a [T],
+    p: usize,
+}
+
+impl<'a, T: Scalar, const W: usize> LaneSource<'a, T, W> for ZLanes<'a, T> {
+    #[inline(always)]
+    fn open(blk: &'a Block<T>) -> Self {
+        ZLanes {
+            vals: &blk.vals,
+            p: 0,
         }
-        let mut p = blk.val_ptr[i] as usize;
-        for ci in 0..count {
-            let at = q + ci * W;
-            let mut acc: [T; W] = load_lanes(ytil, at);
-            for &xv in &xs[..s_vxg] {
-                fma_lanes(&mut acc, xv, lane_block::<T, W>(vals, p));
-                p += W;
-            }
-            store_lanes(ytil, at, acc);
+    }
+
+    #[inline(always)]
+    fn pos(&self) -> usize {
+        self.p
+    }
+
+    #[inline(always)]
+    fn next(&mut self) -> [T; W] {
+        debug_assert!(self.p + W <= self.vals.len());
+        // SAFETY: a CSCV-Z stream is whole lane blocks, one per
+        // (curve offset, member) pair the kernels visit (CSCV-VALPTR);
+        // the debug assert validates in tests.
+        let lanes = unsafe { *(self.vals.as_ptr().add(self.p) as *const [T; W]) };
+        self.p += W;
+        lanes
+    }
+}
+
+/// CSCV-M lane source: padding zeros removed; each lane block is one
+/// occupancy mask plus its `popcount` values, re-inflated by mask
+/// expansion. `HW` selects the hardware `vexpand` path (the executor
+/// verified availability when it chose it).
+pub struct MLanes<'a, T, const HW: bool> {
+    vals: &'a [T],
+    masks: &'a [u8],
+    p: usize,
+    mi: usize,
+}
+
+impl<'a, T: MaskExpand, const W: usize, const HW: bool> LaneSource<'a, T, W> for MLanes<'a, T, HW> {
+    #[inline(always)]
+    fn open(blk: &'a Block<T>) -> Self {
+        MLanes {
+            vals: &blk.vals,
+            masks: &blk.masks,
+            p: 0,
+            mi: 0,
         }
+    }
+
+    #[inline(always)]
+    fn pos(&self) -> usize {
+        self.p
+    }
+
+    #[inline(always)]
+    fn next(&mut self) -> [T; W] {
+        let mask = read_mask::<W>(self.masks, self.mi);
+        self.mi += W.div_ceil(8);
+        let lanes = if HW {
+            debug_assert!(self.vals.len() >= self.p + mask.count_ones() as usize);
+            // SAFETY: caller verified hardware availability; the
+            // stream holds popcount(mask) values at p by build.
+            unsafe { T::expand_hw::<W>(mask, self.vals.as_ptr().add(self.p)) }
+        } else {
+            expand_soft::<T, W>(mask, &self.vals[self.p..])
+        };
+        self.p += mask.count_ones() as usize;
+        lanes
     }
 }
 
@@ -86,237 +144,33 @@ fn read_mask<const W: usize>(masks: &[u8], mi: usize) -> u32 {
     }
 }
 
-/// CSCV-M block kernel: padding zeros removed; each lane block is
-/// re-inflated by mask expansion before the FMA. `HW` selects the
-/// hardware `vexpand` path (caller verified availability).
-// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_m<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
-    blk: &Block<T>,
-    s_vxg: usize,
-    x: &[T],
-    ytil: &mut [T],
-) {
-    let mask_bytes = W.div_ceil(8);
-    let ytil = &mut ytil[..blk.ytil_len()];
-    ytil.fill(T::ZERO);
-    let vals = blk.vals.as_slice();
-    let masks = blk.masks.as_slice();
-    let mut xs = [T::ZERO; MAX_VXG];
-    let mut p = 0usize;
-    let mut mi = 0usize;
-    for i in 0..blk.n_vxgs() {
-        debug_assert_eq!(p, blk.val_ptr[i] as usize);
-        let q = blk.vxg_q[i] as usize;
-        let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        for (s, &c) in cols.iter().enumerate() {
-            xs[s] = x[c as usize];
-        }
-        for ci in 0..count {
-            let at = q + ci * W;
-            let mut acc: [T; W] = load_lanes(ytil, at);
-            for &xv in &xs[..s_vxg] {
-                let mask = read_mask::<W>(masks, mi);
-                mi += mask_bytes;
-                let lanes: [T; W] = if HW {
-                    debug_assert!(vals.len() >= p + mask.count_ones() as usize);
-                    // SAFETY: caller verified hardware availability; the
-                    // stream holds popcount(mask) values at p by build.
-                    unsafe { T::expand_hw::<W>(mask, vals.as_ptr().add(p)) }
-                } else {
-                    expand_soft::<T, W>(mask, &vals[p..])
-                };
-                p += mask.count_ones() as usize;
-                fma_lanes(&mut acc, xv, &lanes);
-            }
-            store_lanes(ytil, at, acc);
-        }
-    }
-    debug_assert_eq!(p, vals.len());
-}
-
-/// Scatter-add a computed `ỹ` into an output slice whose index 0
-/// corresponds to global row `row_offset` (paper Alg. 3 line 11, the
-/// inverse mapping `ι_k⁻¹`).
-// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn scatter_add<T: Scalar>(blk: &Block<T>, ytil: &[T], dst: &mut [T], row_offset: usize) {
-    for (slot, &row) in blk.map.iter().enumerate() {
-        if row >= 0 {
-            let at = row as usize - row_offset;
-            dst[at] += ytil[slot];
-        }
-    }
-}
-
-/// Gather the block's `ỹ` view of a global `y` (forward mapping `ι_k`;
-/// invalid slots read as zero). The transpose kernels' prologue.
-// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn gather<T: Scalar>(blk: &Block<T>, y: &[T], ytil: &mut [T]) {
-    let ytil = &mut ytil[..blk.ytil_len()];
-    for (slot, &row) in blk.map.iter().enumerate() {
-        ytil[slot] = if row >= 0 { y[row as usize] } else { T::ZERO };
-    }
-}
-
-/// Transpose CSCV-Z block kernel: `x[cols] += blockᵀ · ỹ` (the paper's
-/// future-work `x = Aᵀy` back-projection, here implemented). `ytil` must
-/// already hold the gathered `ỹ` (see [`gather`]); per member column the
-/// kernel accumulates a `W`-lane dot product, horizontally summed once.
-// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_z_t<T: Scalar, const W: usize>(
-    blk: &Block<T>,
-    s_vxg: usize,
-    ytil: &[T],
-    sink: &mut impl FnMut(usize, T),
-) {
-    let vals = blk.vals.as_slice();
-    for i in 0..blk.n_vxgs() {
-        let q = blk.vxg_q[i] as usize;
-        let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        let mut accs = [[T::ZERO; W]; MAX_VXG];
-        let mut p = blk.val_ptr[i] as usize;
-        for ci in 0..count {
-            let yt: [T; W] = load_lanes(ytil, q + ci * W);
-            for acc in accs.iter_mut().take(s_vxg) {
-                let v = lane_block::<T, W>(vals, p);
-                for l in 0..W {
-                    acc[l] = v[l].mul_add(yt[l], acc[l]);
-                }
-                p += W;
-            }
-        }
-        for (s, &c) in cols.iter().enumerate() {
-            // Padded members repeat a real column with all-zero values,
-            // so the unconditional add is safe.
-            sink(c as usize, cscv_simd::lanes::hsum(&accs[s]));
-        }
-    }
-}
-
-/// Transpose CSCV-M block kernel (mask-expanded values).
-// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_m_t<T: Scalar + MaskExpand, const W: usize, const HW: bool>(
-    blk: &Block<T>,
-    s_vxg: usize,
-    ytil: &[T],
-    sink: &mut impl FnMut(usize, T),
-) {
-    let mask_bytes = W.div_ceil(8);
-    let vals = blk.vals.as_slice();
-    let masks = blk.masks.as_slice();
-    let mut p = 0usize;
-    let mut mi = 0usize;
-    for i in 0..blk.n_vxgs() {
-        debug_assert_eq!(p, blk.val_ptr[i] as usize);
-        let q = blk.vxg_q[i] as usize;
-        let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        let mut accs = [[T::ZERO; W]; MAX_VXG];
-        for ci in 0..count {
-            let yt: [T; W] = load_lanes(ytil, q + ci * W);
-            for acc in accs.iter_mut().take(s_vxg) {
-                let mask = read_mask::<W>(masks, mi);
-                mi += mask_bytes;
-                let lanes: [T; W] = if HW {
-                    debug_assert!(vals.len() >= p + mask.count_ones() as usize);
-                    // SAFETY: caller verified hardware availability; the
-                    // stream holds popcount(mask) values at p by build.
-                    unsafe { T::expand_hw::<W>(mask, vals.as_ptr().add(p)) }
-                } else {
-                    expand_soft::<T, W>(mask, &vals[p..])
-                };
-                p += mask.count_ones() as usize;
-                for l in 0..W {
-                    acc[l] = lanes[l].mul_add(yt[l], acc[l]);
-                }
-            }
-        }
-        for (s, &c) in cols.iter().enumerate() {
-            sink(c as usize, cscv_simd::lanes::hsum(&accs[s]));
-        }
-    }
-    debug_assert_eq!(p, vals.len());
-}
-
-// ---------------------------------------------------------------------
-// Batched multi-RHS (SpMM) kernels.
-//
-// The batch dimension `K` is a const generic so each RHS gets its own
-// register accumulator block; the matrix value stream (and, for CSCV-M,
-// each mask expansion) is read ONCE per lane block and reused `K` times.
-// The multi-RHS ỹ is interleaved by lane block: the single-RHS slot
-// position `at` becomes base `at·K`, with RHS `k`'s `W` lanes at
-// `at·K + k·W`, so the K accumulator tiles of one curve offset are
-// contiguous in memory.
-//
-// RHS vectors are packed column-major: RHS `k` occupies
-// `x[k·n_cols .. (k+1)·n_cols]` and `y[k·n_rows .. (k+1)·n_rows]`.
-// ---------------------------------------------------------------------
-
 /// Gather the `K` `x`-scalars of one member column into a tile row.
 #[inline(always)]
 fn gather_xs<T: Scalar, const K: usize>(x: &[T], n_cols: usize, c: usize) -> [T; K] {
     std::array::from_fn(|k| x[k * n_cols + c])
 }
 
-/// Batched CSCV-Z block kernel: `ỹ_k += x_k ⊗ block` for `K` right-hand
-/// sides in one pass over the value stream. `x` holds `K` column-major
-/// RHS vectors of length `n_cols`; `ytil` must hold at least
+/// Forward block kernel: `ỹ_k = x_k ⊗ block` for `K` right-hand sides
+/// in one pass over the value stream. `x` holds `K` column-major RHS
+/// vectors of length `n_cols`; `ytil` must hold at least
 /// `K · blk.ytil_len()` elements (interleaved layout) and is zeroed here.
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_z_multi<T: Scalar, const W: usize, const K: usize>(
-    blk: &Block<T>,
+pub fn forward_block<'a, T, S, const W: usize, const K: usize>(
+    blk: &'a Block<T>,
     s_vxg: usize,
     x: &[T],
     n_cols: usize,
     ytil: &mut [T],
-) {
+) where
+    T: Scalar,
+    S: LaneSource<'a, T, W>,
+{
     let ytil = &mut ytil[..blk.ytil_len() * K];
     ytil.fill(T::ZERO);
-    let vals = blk.vals.as_slice();
+    let mut lanes = S::open(blk);
     let mut xs = [[T::ZERO; K]; MAX_VXG];
     for i in 0..blk.n_vxgs() {
-        let q = blk.vxg_q[i] as usize;
-        let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        for (s, &c) in cols.iter().enumerate() {
-            xs[s] = gather_xs::<T, K>(x, n_cols, c as usize);
-        }
-        let mut p = blk.val_ptr[i] as usize;
-        for ci in 0..count {
-            let at = (q + ci * W) * K;
-            let mut accs: [[T; W]; K] = load_tile(ytil, at);
-            for xk in &xs[..s_vxg] {
-                fma_tile(&mut accs, xk, lane_block::<T, W>(vals, p));
-                p += W;
-            }
-            store_tile(ytil, at, &accs);
-        }
-    }
-}
-
-/// Batched CSCV-M block kernel: each lane block is mask-expanded ONCE
-/// and folded into all `K` accumulators — the decompression cost is
-/// amortized across the batch exactly like the value-stream traffic.
-// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_m_multi<T: Scalar + MaskExpand, const W: usize, const HW: bool, const K: usize>(
-    blk: &Block<T>,
-    s_vxg: usize,
-    x: &[T],
-    n_cols: usize,
-    ytil: &mut [T],
-) {
-    let mask_bytes = W.div_ceil(8);
-    let ytil = &mut ytil[..blk.ytil_len() * K];
-    ytil.fill(T::ZERO);
-    let vals = blk.vals.as_slice();
-    let masks = blk.masks.as_slice();
-    let mut xs = [[T::ZERO; K]; MAX_VXG];
-    let mut p = 0usize;
-    let mut mi = 0usize;
-    for i in 0..blk.n_vxgs() {
-        debug_assert_eq!(p, blk.val_ptr[i] as usize);
+        debug_assert_eq!(lanes.pos(), blk.val_ptr[i] as usize);
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
         let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
@@ -327,98 +181,46 @@ pub fn run_block_m_multi<T: Scalar + MaskExpand, const W: usize, const HW: bool,
             let at = (q + ci * W) * K;
             let mut accs: [[T; W]; K] = load_tile(ytil, at);
             for xk in &xs[..s_vxg] {
-                let mask = read_mask::<W>(masks, mi);
-                mi += mask_bytes;
-                let lanes: [T; W] = if HW {
-                    debug_assert!(vals.len() >= p + mask.count_ones() as usize);
-                    // SAFETY: caller verified hardware availability; the
-                    // stream holds popcount(mask) values at p by build.
-                    unsafe { T::expand_hw::<W>(mask, vals.as_ptr().add(p)) }
-                } else {
-                    expand_soft::<T, W>(mask, &vals[p..])
-                };
-                p += mask.count_ones() as usize;
-                fma_tile(&mut accs, xk, &lanes);
+                fma_tile(&mut accs, xk, &lanes.next());
             }
             store_tile(ytil, at, &accs);
         }
     }
-    debug_assert_eq!(p, vals.len());
+    debug_assert_eq!(lanes.pos(), blk.vals.len());
 }
 
-/// Scatter-add a batched interleaved `ỹ` into `K` output segments.
-/// `dst` holds `K` column-major segments of `seg_len` rows each (RHS `k`
-/// at `dst[k·seg_len ..]`); segment index 0 is global row `row_offset`.
+/// Transpose block kernel: `x_k[cols] += blockᵀ · ỹ_k` for `K`
+/// right-hand sides in one value-stream pass (the paper's future-work
+/// `x = Aᵀy` back-projection, here implemented). `ytil` must hold the
+/// gathered batch (see [`gather`]); per member column the kernel
+/// accumulates `K` `W`-lane dot products and hands the sink their `K`
+/// horizontal sums at once.
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn scatter_add_multi<T: Scalar, const W: usize, const K: usize>(
-    blk: &Block<T>,
-    ytil: &[T],
-    dst: &mut [T],
-    seg_len: usize,
-    row_offset: usize,
-) {
-    for (slot, &row) in blk.map.iter().enumerate() {
-        if row >= 0 {
-            let at = row as usize - row_offset;
-            let base = (slot / W) * W * K + slot % W;
-            for k in 0..K {
-                dst[k * seg_len + at] += ytil[base + k * W];
-            }
-        }
-    }
-}
-
-/// Gather the block's batched `ỹ` view of `K` column-major `y` segments
-/// of `n_rows` each (invalid slots read as zero). Prologue of the
-/// batched transpose kernels.
-// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn gather_multi<T: Scalar, const W: usize, const K: usize>(
-    blk: &Block<T>,
-    y: &[T],
-    n_rows: usize,
-    ytil: &mut [T],
-) {
-    let ytil = &mut ytil[..blk.ytil_len() * K];
-    for (slot, &row) in blk.map.iter().enumerate() {
-        let base = (slot / W) * W * K + slot % W;
-        for k in 0..K {
-            ytil[base + k * W] = if row >= 0 {
-                y[k * n_rows + row as usize]
-            } else {
-                T::ZERO
-            };
-        }
-    }
-}
-
-/// Batched transpose CSCV-Z kernel: `x_k[cols] += blockᵀ · ỹ_k` for all
-/// `K` right-hand sides in one value-stream pass. `ytil` must hold the
-/// interleaved gathered batch (see [`gather_multi`]); per member column
-/// the sink receives the `K` horizontal sums at once.
-// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_z_t_multi<T: Scalar, const W: usize, const K: usize>(
-    blk: &Block<T>,
+pub fn transpose_block<'a, T, S, const W: usize, const K: usize>(
+    blk: &'a Block<T>,
     s_vxg: usize,
     ytil: &[T],
     sink: &mut impl FnMut(usize, &[T; K]),
-) {
-    let vals = blk.vals.as_slice();
+) where
+    T: Scalar,
+    S: LaneSource<'a, T, W>,
+{
+    let mut lanes = S::open(blk);
     for i in 0..blk.n_vxgs() {
+        debug_assert_eq!(lanes.pos(), blk.val_ptr[i] as usize);
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
         let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
         let mut accs = [[[T::ZERO; W]; K]; MAX_VXG];
-        let mut p = blk.val_ptr[i] as usize;
         for ci in 0..count {
             let yt: [[T; W]; K] = load_tile(ytil, (q + ci * W) * K);
             for acc in accs.iter_mut().take(s_vxg) {
-                let v = lane_block::<T, W>(vals, p);
+                let v = lanes.next();
                 for k in 0..K {
                     for l in 0..W {
                         acc[k][l] = v[l].mul_add(yt[k][l], acc[k][l]);
                     }
                 }
-                p += W;
             }
         }
         for (s, &c) in cols.iter().enumerate() {
@@ -428,60 +230,55 @@ pub fn run_block_z_t_multi<T: Scalar, const W: usize, const K: usize>(
             sink(c as usize, &sums);
         }
     }
+    debug_assert_eq!(lanes.pos(), blk.vals.len());
 }
 
-/// Batched transpose CSCV-M kernel (each mask expansion shared by all
-/// `K` right-hand sides).
+/// Scatter-add a batched `ỹ` into `K` output segments (paper Alg. 3
+/// line 11, the inverse mapping `ι_k⁻¹`): valid slot `s` of RHS `k`
+/// lands in `dst[k][map[s] − row_offset]`.
 // AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
-pub fn run_block_m_t_multi<
-    T: Scalar + MaskExpand,
-    const W: usize,
-    const HW: bool,
-    const K: usize,
->(
+pub fn scatter_add<T: Scalar, const W: usize, const K: usize>(
     blk: &Block<T>,
-    s_vxg: usize,
     ytil: &[T],
-    sink: &mut impl FnMut(usize, &[T; K]),
+    dst: &mut [&mut [T]; K],
+    row_offset: usize,
 ) {
-    let mask_bytes = W.div_ceil(8);
-    let vals = blk.vals.as_slice();
-    let masks = blk.masks.as_slice();
-    let mut p = 0usize;
-    let mut mi = 0usize;
-    for i in 0..blk.n_vxgs() {
-        debug_assert_eq!(p, blk.val_ptr[i] as usize);
-        let q = blk.vxg_q[i] as usize;
-        let count = blk.vxg_count[i] as usize;
-        let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        let mut accs = [[[T::ZERO; W]; K]; MAX_VXG];
-        for ci in 0..count {
-            let yt: [[T; W]; K] = load_tile(ytil, (q + ci * W) * K);
-            for acc in accs.iter_mut().take(s_vxg) {
-                let mask = read_mask::<W>(masks, mi);
-                mi += mask_bytes;
-                let lanes: [T; W] = if HW {
-                    debug_assert!(vals.len() >= p + mask.count_ones() as usize);
-                    // SAFETY: caller verified hardware availability; the
-                    // stream holds popcount(mask) values at p by build.
-                    unsafe { T::expand_hw::<W>(mask, vals.as_ptr().add(p)) }
-                } else {
-                    expand_soft::<T, W>(mask, &vals[p..])
-                };
-                p += mask.count_ones() as usize;
-                for k in 0..K {
-                    for l in 0..W {
-                        acc[k][l] = lanes[l].mul_add(yt[k][l], acc[k][l]);
-                    }
+    for (lb, rows) in blk.map.chunks(W).enumerate() {
+        for (l, &row) in rows.iter().enumerate() {
+            if row >= 0 {
+                let at = row as usize - row_offset;
+                let base = lb * W * K + l;
+                for (k, seg) in dst.iter_mut().enumerate() {
+                    seg[at] += ytil[base + k * W];
                 }
             }
         }
-        for (s, &c) in cols.iter().enumerate() {
-            let sums: [T; K] = std::array::from_fn(|k| hsum(&accs[s][k]));
-            sink(c as usize, &sums);
+    }
+}
+
+/// Gather the block's batched `ỹ` view of `K` column-major `y` segments
+/// of `n_rows` each (forward mapping `ι_k`; invalid slots read as zero).
+/// The transpose kernel's prologue.
+// AUDIT(panic-ok): checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
+pub fn gather<T: Scalar, const W: usize, const K: usize>(
+    blk: &Block<T>,
+    y: &[T],
+    n_rows: usize,
+    ytil: &mut [T],
+) {
+    let ytil = &mut ytil[..blk.ytil_len() * K];
+    for (lb, rows) in blk.map.chunks(W).enumerate() {
+        for (l, &row) in rows.iter().enumerate() {
+            let base = lb * W * K + l;
+            for k in 0..K {
+                ytil[base + k * W] = if row >= 0 {
+                    y[k * n_rows + row as usize]
+                } else {
+                    T::ZERO
+                };
+            }
         }
     }
-    debug_assert_eq!(p, vals.len());
 }
 
 #[cfg(test)]
@@ -512,20 +309,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn z_kernel_computes_expected() {
-        let blk = tiny_block_z();
-        let mut x = vec![0.0f64; 8];
-        x[3] = 2.0;
-        x[5] = 10.0;
-        let mut ytil = vec![f64::NAN; 8];
-        run_block_z::<f64, 4>(&blk, 2, &x, &mut ytil);
-        // offset 0: 2*[1,2,3,4] + 10*[5,6,7,8] = [52,64,76,88]
-        assert_eq!(&ytil[..4], &[52.0, 64.0, 76.0, 88.0]);
-        // offset 1: 2*[0,0,1,0] + 10*[2,0,0,0] = [20,0,2,0]
-        assert_eq!(&ytil[4..], &[20.0, 0.0, 2.0, 0.0]);
-    }
-
     fn tiny_block_m() -> Block<f64> {
         // Same matrix as tiny_block_z with padding stripped.
         Block {
@@ -544,22 +327,84 @@ mod tests {
         }
     }
 
+    /// Dense image of the tiny blocks: (column, its 8 rows).
+    const DENSE_COLS: [(usize, [f64; 8]); 2] = [
+        (3, [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 1.0, 0.0]),
+        (5, [5.0, 6.0, 7.0, 8.0, 2.0, 0.0, 0.0, 0.0]),
+    ];
+
+    /// Slot `s` of RHS `k` in the interleaved `W = 4` ỹ layout.
+    fn slot<const K: usize>(s: usize, k: usize) -> usize {
+        (s / 4) * 4 * K + k * 4 + s % 4
+    }
+
+    /// The forward kernel at batch width `K` over every lane source
+    /// this machine can run, de-interleaved per RHS.
+    fn forward_all_sources<const K: usize>(x: &[f64], n_cols: usize) -> Vec<Vec<Vec<f64>>> {
+        let (z, m) = (tiny_block_z(), tiny_block_m());
+        let mut runs = vec![vec![f64::NAN; 8 * K]; 2];
+        forward_block::<f64, ZLanes<f64>, 4, K>(&z, 2, x, n_cols, &mut runs[0]);
+        forward_block::<f64, MLanes<f64, false>, 4, K>(&m, 2, x, n_cols, &mut runs[1]);
+        if <f64 as MaskExpand>::hw_available::<4>() {
+            let mut hw = vec![f64::NAN; 8 * K];
+            forward_block::<f64, MLanes<f64, true>, 4, K>(&m, 2, x, n_cols, &mut hw);
+            runs.push(hw);
+        }
+        runs.iter()
+            .map(|ytil| {
+                (0..K)
+                    .map(|k| (0..8).map(|s| ytil[slot::<K>(s, k)]).collect())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn z_kernel_computes_expected() {
+        let blk = tiny_block_z();
+        let mut x = vec![0.0f64; 8];
+        x[3] = 2.0;
+        x[5] = 10.0;
+        let mut ytil = vec![f64::NAN; 8];
+        forward_block::<f64, ZLanes<f64>, 4, 1>(&blk, 2, &x, 8, &mut ytil);
+        // offset 0: 2*[1,2,3,4] + 10*[5,6,7,8] = [52,64,76,88]
+        assert_eq!(&ytil[..4], &[52.0, 64.0, 76.0, 88.0]);
+        // offset 1: 2*[0,0,1,0] + 10*[2,0,0,0] = [20,0,2,0]
+        assert_eq!(&ytil[4..], &[20.0, 0.0, 2.0, 0.0]);
+    }
+
     #[test]
     fn m_kernel_matches_z_kernel() {
-        let z = tiny_block_z();
-        let m = tiny_block_m();
         let mut x = vec![0.0f64; 8];
         x[3] = -1.5;
         x[5] = 0.25;
-        let mut yz = vec![0.0; 8];
-        let mut ym = vec![0.0; 8];
-        run_block_z::<f64, 4>(&z, 2, &x, &mut yz);
-        run_block_m::<f64, 4, false>(&m, 2, &x, &mut ym);
-        assert_eq!(yz, ym);
-        if <f64 as MaskExpand>::hw_available::<4>() {
-            let mut yh = vec![0.0; 8];
-            run_block_m::<f64, 4, true>(&m, 2, &x, &mut yh);
-            assert_eq!(yz, yh);
+        let runs = forward_all_sources::<1>(&x, 8);
+        for run in &runs[1..] {
+            assert_eq!(run, &runs[0]);
+        }
+    }
+
+    /// The batched forward kernel, every lane source, against the dense
+    /// image and against `K` independent `K = 1` runs. Dyadic inputs keep
+    /// the dense reference exact, so all comparisons are bitwise.
+    #[test]
+    fn multi_kernels_match_k_independent_singles() {
+        const K: usize = 3;
+        let n_cols = 8;
+        let x: Vec<f64> = (0..K * n_cols)
+            .map(|i| (i % 7) as f64 * 0.5 - 1.0)
+            .collect();
+        let batched = forward_all_sources::<K>(&x, n_cols);
+        for k in 0..K {
+            let xk = &x[k * n_cols..(k + 1) * n_cols];
+            let dense: Vec<f64> = (0..8)
+                .map(|r| DENSE_COLS.iter().map(|(c, col)| col[r] * xk[*c]).sum())
+                .collect();
+            let singles = forward_all_sources::<1>(xk, n_cols);
+            for (src, run) in batched.iter().enumerate() {
+                assert_eq!(run[k], dense, "source {src} rhs {k} vs dense");
+                assert_eq!(run[k], singles[src][0], "source {src} rhs {k} vs K = 1");
+            }
         }
     }
 
@@ -569,43 +414,46 @@ mod tests {
         blk.map = vec![4, -1, 5, -1, 6, -1, 7, -1];
         let ytil: Vec<f64> = (1..=8).map(|i| i as f64).collect();
         let mut dst = vec![10.0; 4]; // rows 4..8
-        scatter_add(&blk, &ytil, &mut dst, 4);
+        scatter_add::<f64, 4, 1>(&blk, &ytil, &mut [&mut dst[..]], 4);
         assert_eq!(dst, vec![11.0, 13.0, 15.0, 17.0]);
+    }
+
+    /// The transpose kernel at batch width `K` over every lane source,
+    /// as `K` column-major `x` vectors of 8.
+    fn transpose_all_sources<const K: usize>(y: &[f64], n_rows: usize) -> Vec<Vec<f64>> {
+        let (z, m) = (tiny_block_z(), tiny_block_m());
+        let mut ytil = vec![f64::NAN; 8 * K];
+        gather::<f64, 4, K>(&z, y, n_rows, &mut ytil);
+        fn add_into<const K: usize>(x: &mut [f64]) -> impl FnMut(usize, &[f64; K]) + '_ {
+            move |c, sums| {
+                for (k, v) in sums.iter().enumerate() {
+                    x[k * 8 + c] += v;
+                }
+            }
+        }
+        let mut runs = vec![vec![0.0; 8 * K]; 2];
+        let (rz, rm) = runs.split_at_mut(1);
+        transpose_block::<f64, ZLanes<f64>, 4, K>(&z, 2, &ytil, &mut add_into(&mut rz[0]));
+        transpose_block::<f64, MLanes<f64, false>, 4, K>(&m, 2, &ytil, &mut add_into(&mut rm[0]));
+        if <f64 as MaskExpand>::hw_available::<4>() {
+            let mut hw = vec![0.0; 8 * K];
+            transpose_block::<f64, MLanes<f64, true>, 4, K>(&m, 2, &ytil, &mut add_into(&mut hw));
+            runs.push(hw);
+        }
+        runs
     }
 
     #[test]
     fn transpose_kernels_match_explicit_transpose() {
-        // Forward: y = B x over the tiny block; transpose must satisfy
-        // <Bx, y> = <x, Bᵀy> and the explicit element-wise transpose.
-        let z = tiny_block_z();
-        let m = tiny_block_m();
+        // Forward: y = B x over the tiny block; the transpose must match
+        // the explicit element-wise transpose of its dense image.
         let y: Vec<f64> = (1..=8).map(|i| i as f64 * 0.5).collect();
-        // Gather is identity here (map = 0..8).
-        let mut ytil = vec![0.0; 8];
-        gather(&z, &y, &mut ytil);
-        assert_eq!(ytil, y);
-
-        // Explicit transpose from the dense image of the block:
-        // offset 0 rows 0..4, offset 1 rows 4..8; col 3 then col 5.
-        let dense_cols: [(usize, [f64; 8]); 2] = [
-            (3, [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 1.0, 0.0]),
-            (5, [5.0, 6.0, 7.0, 8.0, 2.0, 0.0, 0.0, 0.0]),
-        ];
         let mut x_ref = vec![0.0; 8];
-        for (c, col) in dense_cols {
+        for (c, col) in DENSE_COLS {
             x_ref[c] = col.iter().zip(&y).map(|(a, b)| a * b).sum();
         }
-
-        let mut xz = vec![0.0; 8];
-        run_block_z_t::<f64, 4>(&z, 2, &ytil, &mut |c, v| xz[c] += v);
-        assert_eq!(xz, x_ref);
-        let mut xm = vec![0.0; 8];
-        run_block_m_t::<f64, 4, false>(&m, 2, &ytil, &mut |c, v| xm[c] += v);
-        assert_eq!(xm, x_ref);
-        if <f64 as MaskExpand>::hw_available::<4>() {
-            let mut xh = vec![0.0; 8];
-            run_block_m_t::<f64, 4, true>(&m, 2, &ytil, &mut |c, v| xh[c] += v);
-            assert_eq!(xh, x_ref);
+        for (src, x) in transpose_all_sources::<1>(&y, 8).iter().enumerate() {
+            assert_eq!(x, &x_ref, "source {src}");
         }
     }
 
@@ -615,7 +463,7 @@ mod tests {
         blk.map = vec![2, -1, 0, -1, 1, -1, 3, -1];
         let y = vec![10.0, 20.0, 30.0, 40.0];
         let mut ytil = vec![f64::NAN; 8];
-        gather(&blk, &y, &mut ytil);
+        gather::<f64, 4, 1>(&blk, &y, 4, &mut ytil);
         assert_eq!(ytil, vec![30.0, 0.0, 10.0, 0.0, 20.0, 0.0, 40.0, 0.0]);
     }
 
@@ -643,7 +491,7 @@ mod tests {
             vxg_q: vec![0],
             vxg_count: vec![1],
             cols: vec![0],
-            val_ptr: vec![0],
+            val_ptr: vec![0, 2],
             vals: vec![3.0, 7.0],    // lanes 0 and 15 occupied
             masks: vec![0x01, 0x80], // 0x8001 LE — exactly 2 bytes
             nnz: 2,
@@ -651,38 +499,10 @@ mod tests {
         };
         let x = vec![2.0f64];
         let mut ytil = vec![f64::NAN; 16];
-        run_block_m::<f64, 16, false>(&blk, 1, &x, &mut ytil);
+        forward_block::<f64, MLanes<f64, false>, 16, 1>(&blk, 1, &x, 1, &mut ytil);
         assert_eq!(ytil[0], 6.0);
         assert_eq!(ytil[15], 14.0);
         assert_eq!(&ytil[1..15], &[0.0; 14]);
-    }
-
-    /// The batched kernels against K independent single-RHS runs on the
-    /// tiny hand-built blocks, all layouts crossed (Z/M, soft/hw).
-    #[test]
-    fn multi_kernels_match_k_independent_singles() {
-        const K: usize = 3;
-        let z = tiny_block_z();
-        let m = tiny_block_m();
-        let n_cols = 8;
-        // K column-major RHS vectors with distinct values.
-        let x: Vec<f64> = (0..K * n_cols).map(|i| (i as f64 * 0.7).sin()).collect();
-
-        let mut ytil_multi = vec![f64::NAN; 8 * K];
-        run_block_z_multi::<f64, 4, K>(&z, 2, &x, n_cols, &mut ytil_multi);
-        let mut ytil_m_multi = vec![f64::NAN; 8 * K];
-        run_block_m_multi::<f64, 4, false, K>(&m, 2, &x, n_cols, &mut ytil_m_multi);
-
-        for k in 0..K {
-            let mut ytil_one = vec![0.0; 8];
-            run_block_z::<f64, 4>(&z, 2, &x[k * n_cols..(k + 1) * n_cols], &mut ytil_one);
-            // De-interleave: slot s of RHS k lives at (s/4)*4*K + k*4 + s%4.
-            for (s, &one) in ytil_one.iter().enumerate() {
-                let at = (s / 4) * 4 * K + k * 4 + s % 4;
-                assert_eq!(ytil_multi[at], one, "Z rhs {k} slot {s}");
-                assert_eq!(ytil_m_multi[at], one, "M rhs {k} slot {s}");
-            }
-        }
     }
 
     #[test]
@@ -694,12 +514,13 @@ mod tests {
         let mut ytil = vec![0.0f64; 8 * K];
         for s in 0..8 {
             for k in 0..K {
-                ytil[(s / 4) * 4 * K + k * 4 + s % 4] = (s * 10 + k) as f64;
+                ytil[slot::<K>(s, k)] = (s * 10 + k) as f64;
             }
         }
-        // Scatter into K segments of rows 4..8 (seg_len 4, offset 4).
+        // Scatter into K segments of rows 4..8 (offset 4).
         let mut dst = vec![100.0f64; 4 * K];
-        scatter_add_multi::<f64, 4, K>(&blk, &ytil, &mut dst, 4, 4);
+        let (d0, d1) = dst.split_at_mut(4);
+        scatter_add::<f64, 4, K>(&blk, &ytil, &mut [d0, d1], 4);
         assert_eq!(
             dst,
             vec![
@@ -713,50 +534,39 @@ mod tests {
         y[4..8].copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         y[12..16].copy_from_slice(&[5.0, 6.0, 7.0, 8.0]);
         let mut gt = vec![f64::NAN; 8 * K];
-        gather_multi::<f64, 4, K>(&blk, &y, 8, &mut gt);
+        gather::<f64, 4, K>(&blk, &y, 8, &mut gt);
         for s in 0..8 {
             for k in 0..K {
-                let at = (s / 4) * 4 * K + k * 4 + s % 4;
                 let expect = if s % 2 == 0 {
                     (k * 4 + s / 2 + 1) as f64
                 } else {
                     0.0
                 };
-                assert_eq!(gt[at], expect, "slot {s} rhs {k}");
+                assert_eq!(gt[slot::<K>(s, k)], expect, "slot {s} rhs {k}");
             }
         }
     }
 
+    /// The batched transpose kernel, every lane source, against the
+    /// dense image and against `K` independent `K = 1` runs (bitwise).
     #[test]
     fn transpose_multi_matches_k_independent_singles() {
         const K: usize = 3;
-        let z = tiny_block_z();
-        let m = tiny_block_m();
         let n_rows = 8;
         let y: Vec<f64> = (0..K * n_rows).map(|i| (i as f64) * 0.5 - 3.0).collect();
-        let mut ytil = vec![0.0; 8 * K];
-        gather_multi::<f64, 4, K>(&z, &y, n_rows, &mut ytil);
-
-        let mut xz = [0.0; 8 * K];
-        run_block_z_t_multi::<f64, 4, K>(&z, 2, &ytil, &mut |c, sums| {
-            for k in 0..K {
-                xz[k * 8 + c] += sums[k];
-            }
-        });
-        let mut xm = [0.0; 8 * K];
-        run_block_m_t_multi::<f64, 4, false, K>(&m, 2, &ytil, &mut |c, sums| {
-            for k in 0..K {
-                xm[k * 8 + c] += sums[k];
-            }
-        });
-
+        let batched = transpose_all_sources::<K>(&y, n_rows);
         for k in 0..K {
-            let mut ytil_one = vec![0.0; 8];
-            gather(&z, &y[k * n_rows..(k + 1) * n_rows], &mut ytil_one);
-            let mut x_one = vec![0.0; 8];
-            run_block_z_t::<f64, 4>(&z, 2, &ytil_one, &mut |c, v| x_one[c] += v);
-            assert_eq!(&xz[k * 8..(k + 1) * 8], x_one.as_slice(), "Z rhs {k}");
-            assert_eq!(&xm[k * 8..(k + 1) * 8], x_one.as_slice(), "M rhs {k}");
+            let yk = &y[k * n_rows..(k + 1) * n_rows];
+            let mut dense = vec![0.0; 8];
+            for (c, col) in DENSE_COLS {
+                dense[c] = col.iter().zip(yk).map(|(a, b)| a * b).sum();
+            }
+            let singles = transpose_all_sources::<1>(yk, n_rows);
+            for (src, run) in batched.iter().enumerate() {
+                let xk = &run[k * 8..(k + 1) * 8];
+                assert_eq!(xk, dense.as_slice(), "source {src} rhs {k} vs dense");
+                assert_eq!(xk, singles[src].as_slice(), "source {src} rhs {k} vs K = 1");
+            }
         }
     }
 }

@@ -28,8 +28,10 @@ pub fn write_pgm(path: impl AsRef<Path>, img: &[f64], nx: usize, ny: usize) -> s
     std::fs::write(path, out)
 }
 
-/// Parse a binary PGM back into `(nx, ny, bytes)` (test round-trips and
-/// simple tooling; rows returned in the suite's bottom-up order).
+/// Parse a binary 8-bit PGM (maxval 255, as [`write_pgm`] writes) back
+/// into `(nx, ny, bytes)` (test round-trips and simple tooling; rows
+/// returned in the suite's bottom-up order). Malformed input is
+/// `InvalidData`.
 pub fn read_pgm(path: impl AsRef<Path>) -> std::io::Result<(usize, usize, Vec<u8>)> {
     let data = std::fs::read(path)?;
     let err = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
@@ -53,11 +55,17 @@ pub fn read_pgm(path: impl AsRef<Path>) -> std::io::Result<(usize, usize, Vec<u8
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| err("bad height"))?;
+    // `write_pgm` writes 8-bit samples only; a 16-bit file would be
+    // misread byte by byte.
+    if parts.next() != Some("255") {
+        return Err(err("maxval other than 255"));
+    }
+    let n = nx.checked_mul(ny).ok_or_else(|| err("size overflows"))?;
     let pixels = &data[header_end + 1..];
-    if pixels.len() < nx * ny {
+    if pixels.len() < n {
         return Err(err("truncated pixels"));
     }
-    let mut out = vec![0u8; nx * ny];
+    let mut out = vec![0u8; n];
     for iy in 0..ny {
         let src = &pixels[iy * nx..(iy + 1) * nx];
         out[(ny - 1 - iy) * nx..(ny - iy) * nx].copy_from_slice(src);
@@ -97,8 +105,24 @@ mod tests {
         let dir = std::env::temp_dir().join("cscv_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.pgm");
-        std::fs::write(&path, b"P6\n2 2\n255\nxxxx").unwrap();
-        assert!(read_pgm(&path).is_err());
+        let invalid = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            read_pgm(&path).unwrap_err().kind()
+        };
+        assert_eq!(
+            invalid(b"P6\n2 2\n255\nxxxx"),
+            std::io::ErrorKind::InvalidData
+        );
+        assert_eq!(
+            invalid(b"P5\n18446744073709551615 2\n255\nxxxx"),
+            std::io::ErrorKind::InvalidData,
+            "width x height overflows"
+        );
+        assert_eq!(
+            invalid(b"P5\n2 2\n65535\nxxxxxxxx"),
+            std::io::ErrorKind::InvalidData,
+            "16-bit maxval"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -24,7 +24,7 @@ use crate::plan::ColWindow;
 use crate::protocol::{hello_flags, Msg, Role};
 use crate::wire::Conn;
 use cscv_core::layout::ImageShape;
-use cscv_core::{CscvExec, ExecConfig, SinoLayout, Variant};
+use cscv_core::{CscvExec, SinoLayout};
 use cscv_sparse::formats::CsrExec;
 use cscv_sparse::{Csr, SpmvExecutor, ThreadPool};
 use cscv_tune::{AutoExec, Op, TuneCache};
@@ -81,11 +81,10 @@ impl ShardBackend {
                     && img.nx * img.ny == csr.n_cols()
                     && csr.nnz() > 0 =>
             {
-                let csc = csr.to_csc();
-                // `auto` panics if even the heuristic config cannot
-                // build; pre-check so odd shards degrade to CSR instead.
-                match CscvExec::from_csc(&csc, l, img, ExecConfig::heuristic(Variant::Z)) {
-                    Ok(_) => Exec::Cscv(Box::new(CscvExec::auto(&csc, l, img, Op::Spmv, cache))),
+                // A shard no CSCV configuration builds for (odd layout)
+                // degrades to the CSR pair.
+                match CscvExec::auto(&csr.to_csc(), l, img, Op::Spmv, cache) {
+                    Ok(exec) => Exec::Cscv(Box::new(exec)),
                     Err(_) => Exec::Csr(CsrExec::new(csr.clone())),
                 }
             }

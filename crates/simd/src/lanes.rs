@@ -21,21 +21,6 @@ pub fn fma_lanes<T: Scalar, const W: usize>(acc: &mut [T; W], x: T, vals: &[T; W
     }
 }
 
-/// Copy `W` lanes out of a slice starting at `at`.
-#[inline(always)]
-pub fn load_lanes<T: Scalar, const W: usize>(src: &[T], at: usize) -> [T; W] {
-    let mut out = [T::ZERO; W];
-    out.copy_from_slice(&src[at..at + W]);
-    out
-}
-
-/// Write `W` lanes into a slice starting at `at`.
-#[inline(always)]
-// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
-pub fn store_lanes<T: Scalar, const W: usize>(dst: &mut [T], at: usize, v: [T; W]) {
-    dst[at..at + W].copy_from_slice(&v);
-}
-
 /// `K`×`W` register-tile FMA: fold one matrix lane block into `K`
 /// accumulators, one per right-hand side, each scaled by that RHS's
 /// own `x` scalar.
@@ -175,16 +160,6 @@ mod tests {
         for l in 0..8 {
             assert_eq!(acc[l], 1.0 + 2.0 * vals[l]);
         }
-    }
-
-    #[test]
-    fn load_store_roundtrip() {
-        let src = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let lanes: [f32; 4] = load_lanes(&src, 1);
-        assert_eq!(lanes, [2.0, 3.0, 4.0, 5.0]);
-        let mut dst = [0.0f32; 6];
-        store_lanes(&mut dst, 2, lanes);
-        assert_eq!(dst, [0.0, 0.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]

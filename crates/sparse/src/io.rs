@@ -84,6 +84,17 @@ pub fn read_matrix_market<T: Scalar>(path: impl AsRef<Path>) -> std::io::Result<
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| parse_err("bad nnz"))?;
 
+    if n_rows > u32::MAX as usize || n_cols > u32::MAX as usize {
+        return Err(parse_err(format!(
+            "size {n_rows}x{n_cols} exceeds the u32 index range"
+        )));
+    }
+    if symmetric && n_rows != n_cols {
+        return Err(parse_err(format!(
+            "symmetric matrix must be square, got {n_rows}x{n_cols}"
+        )));
+    }
+
     let mut coo = Coo::new(n_rows, n_cols);
     let mut read = 0usize;
     for line in lines {
@@ -183,6 +194,23 @@ mod tests {
         )
         .unwrap();
         assert!(read_matrix_market::<f64>(&p).is_err(), "nnz mismatch");
+        let invalid = |text: &str| {
+            std::fs::write(&p, text).unwrap();
+            read_matrix_market::<f64>(&p)
+                .map(|_| ())
+                .unwrap_err()
+                .kind()
+        };
+        assert_eq!(
+            invalid("%%MatrixMarket matrix coordinate real general\n4294967296 2 0\n"),
+            std::io::ErrorKind::InvalidData,
+            "dimension above u32::MAX"
+        );
+        assert_eq!(
+            invalid("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n"),
+            std::io::ErrorKind::InvalidData,
+            "non-square symmetric"
+        );
     }
 
     #[test]

@@ -14,14 +14,15 @@
 //! Both degrade to the heuristic on any failure (unreadable cache,
 //! cached config that no longer builds), so they are safe to use as the
 //! default construction path: the worst case is exactly what the caller
-//! would have gotten without tuning.
+//! would have gotten without tuning. They return the `BuildError` only
+//! when the heuristic itself does not build for the matrix.
 
 use crate::cache::TuneCache;
 use crate::fingerprint::Fingerprint;
 use crate::space::{Op, TunedConfig};
 use crate::tuner::{tune, CandidateBench, TuneOptions, WallClockBench};
 use cscv_core::layout::ImageShape;
-use cscv_core::{CscvExec, ExecConfig, SinoLayout, Variant};
+use cscv_core::{BuildError, CscvExec, ExecConfig, SinoLayout, Variant};
 use cscv_simd::{MaskExpand, Scalar};
 use cscv_sparse::{Csc, SpmvExecutor, ThreadPool};
 
@@ -110,24 +111,22 @@ fn heuristic_config(op: Op) -> TunedConfig {
     TunedConfig::heuristic(op, ThreadPool::max_parallelism())
 }
 
-/// Build an executor from `cfg`, degrading to the heuristic — which
-/// always builds for any matrix the workspace accepts — if the tuned
-/// parameters are invalid for this matrix (e.g. a cached config from a
-/// *near* fingerprint whose `S_VxG` exceeds this layout's view count).
+/// Build an executor from `cfg`, degrading to the heuristic if the
+/// tuned parameters are invalid for this matrix (e.g. a cached config
+/// from a *near* fingerprint whose `S_VxG` exceeds this layout's view
+/// count). Fails only when the heuristic does not build either.
 fn build_or_heuristic<T: Scalar + MaskExpand>(
     csc: &Csc<T>,
     layout: SinoLayout,
     img: ImageShape,
     cfg: TunedConfig,
     op: Op,
-) -> (CscvExec<T>, TunedConfig) {
+) -> Result<(CscvExec<T>, TunedConfig), BuildError> {
     match CscvExec::from_csc(csc, layout, img, cfg.exec_config()) {
-        Ok(exec) => (exec, cfg),
+        Ok(exec) => Ok((exec, cfg)),
         Err(_) => {
-            let h = heuristic_config(op);
-            let exec = CscvExec::from_csc(csc, layout, img, ExecConfig::heuristic(Variant::Z))
-                .expect("heuristic CSCV config must build");
-            (exec, h)
+            let exec = CscvExec::from_csc(csc, layout, img, ExecConfig::heuristic(Variant::Z))?;
+            Ok((exec, heuristic_config(op)))
         }
     }
 }
@@ -135,7 +134,8 @@ fn build_or_heuristic<T: Scalar + MaskExpand>(
 /// Consult-only tuned construction for `CscvExec` (and anything else
 /// that wants to opt in): cached winner if the cache knows this
 /// fingerprint (exactly or nearly), static heuristic otherwise. Never
-/// runs a benchmark.
+/// runs a benchmark. Fails when no CSCV configuration builds for this
+/// matrix, e.g. a shard whose layout the builder rejects.
 pub trait AutoExec<T: Scalar + MaskExpand>: Sized {
     fn auto(
         csc: &Csc<T>,
@@ -143,7 +143,7 @@ pub trait AutoExec<T: Scalar + MaskExpand>: Sized {
         img: ImageShape,
         op: Op,
         cache: &mut TuneCache,
-    ) -> Self;
+    ) -> Result<Self, BuildError>;
 }
 
 impl<T: Scalar + MaskExpand> AutoExec<T> for CscvExec<T> {
@@ -153,28 +153,28 @@ impl<T: Scalar + MaskExpand> AutoExec<T> for CscvExec<T> {
         img: ImageShape,
         op: Op,
         cache: &mut TuneCache,
-    ) -> Self {
+    ) -> Result<Self, BuildError> {
         let fp = Fingerprint::compute(csc, layout);
         let cfg = cache
             .lookup(&fp, op, T::NAME, crate::cache::NEAR_THRESHOLD)
             .0
             .map(|e| e.config)
             .unwrap_or_else(|| heuristic_config(op));
-        build_or_heuristic(csc, layout, img, cfg, op).0
+        build_or_heuristic(csc, layout, img, cfg, op).map(|(exec, _)| exec)
     }
 }
 
 /// Tuned construction with search: cache hit → build immediately;
 /// miss → run the sampled grid search (persisting the winner through
 /// `cache`) and build the selected config. Any failure degrades to the
-/// static heuristic.
+/// static heuristic; fails only when that does not build either.
 pub fn tuned_executor<T: Scalar + MaskExpand>(
     csc: &Csc<T>,
     layout: SinoLayout,
     img: ImageShape,
     opts: &TuneOptions,
     cache: &mut TuneCache,
-) -> TunedExec<T> {
+) -> Result<TunedExec<T>, BuildError> {
     tuned_executor_with(csc, layout, img, opts, cache, &mut WallClockBench)
 }
 
@@ -187,13 +187,13 @@ pub fn tuned_executor_with<T: Scalar + MaskExpand>(
     opts: &TuneOptions,
     cache: &mut TuneCache,
     bench: &mut dyn CandidateBench<T>,
-) -> TunedExec<T> {
+) -> Result<TunedExec<T>, BuildError> {
     let cfg = match tune(csc, layout, img, opts, cache, bench) {
         Ok(report) => report.chosen,
         Err(_) => heuristic_config(opts.op),
     };
-    let (exec, config) = build_or_heuristic(csc, layout, img, cfg, opts.op);
-    TunedExec { exec, config }
+    let (exec, config) = build_or_heuristic(csc, layout, img, cfg, opts.op)?;
+    Ok(TunedExec { exec, config })
 }
 
 #[cfg(test)]
@@ -228,7 +228,7 @@ mod tests {
     fn auto_with_empty_cache_is_the_heuristic() {
         let (csc, layout, img) = case();
         let mut cache = TuneCache::in_memory();
-        let exec = CscvExec::auto(&csc, layout, img, Op::Spmv, &mut cache);
+        let exec = CscvExec::auto(&csc, layout, img, Op::Spmv, &mut cache).unwrap();
         assert_eq!(exec.config(), ExecConfig::heuristic(Variant::Z));
         // Consult-only: the miss must not have populated the cache.
         assert_eq!(cache.len(), 0);
@@ -239,7 +239,7 @@ mod tests {
         let (csc, layout, img) = case();
         let mut cache = TuneCache::in_memory();
         let report = tune(&csc, layout, img, &opts(), &mut cache, &mut ModelBench).unwrap();
-        let exec = CscvExec::auto(&csc, layout, img, Op::Spmv, &mut cache);
+        let exec = CscvExec::auto(&csc, layout, img, Op::Spmv, &mut cache).unwrap();
         assert_eq!(exec.config(), report.chosen.exec_config());
     }
 
@@ -250,7 +250,8 @@ mod tests {
         let mut cache = TuneCache::in_memory();
         let mut o = opts();
         o.op = Op::Spmm { k: 5 };
-        let tuned = tuned_executor_with(&csc, layout, img, &o, &mut cache, &mut ModelBench);
+        let tuned =
+            tuned_executor_with(&csc, layout, img, &o, &mut cache, &mut ModelBench).unwrap();
         let reference =
             CscvExec::from_csc(&csc, layout, img, ExecConfig::heuristic(Variant::Z)).unwrap();
 
@@ -282,7 +283,7 @@ mod tests {
             s_vxg: layout.n_views * 4,
             ..TunedConfig::heuristic(Op::Spmv, 2)
         };
-        let (exec, cfg) = build_or_heuristic(&csc, layout, img, bad, Op::Spmv);
+        let (exec, cfg) = build_or_heuristic(&csc, layout, img, bad, Op::Spmv).unwrap();
         assert_eq!(exec.config(), ExecConfig::heuristic(Variant::Z));
         assert_eq!(cfg, heuristic_config(Op::Spmv));
     }

@@ -13,8 +13,9 @@
 //!   matrices (`band_frac > 0.25`) skip 16 — wide VxGs only pay off
 //!   when P1/P2 hold and padding stays low;
 //! * `LocalCopies` is only tried for single-RHS SpMV with > 1 thread:
-//!   the batched and transpose paths partition by view group / tile
-//!   regardless, and at one thread the strategies coincide;
+//!   the transpose partitions by image tile regardless, at one thread
+//!   the strategies coincide, and batched candidates hold ViewGroups to
+//!   keep the grid small;
 //! * thread counts try {1, max/2, max} rather than every count — the
 //!   scaling curve is monotone in between for these kernels;
 //! * the multi-RHS tile width sweeps {1, 2, 4, 8} ∩ [1, k] for

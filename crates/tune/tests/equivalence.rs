@@ -87,7 +87,8 @@ fn check_family<T: Scalar + MaskExpand>(tol: f64) {
                 max_threads: 2,
                 ..TuneOptions::default()
             };
-            let tuned = tuned_executor_with(&csc, layout, img, &opts, &mut cache, &mut ModelBench);
+            let tuned = tuned_executor_with(&csc, layout, img, &opts, &mut cache, &mut ModelBench)
+                .expect("the heuristic builds for every corpus case");
 
             let x: Vec<T> = (0..csc.n_cols())
                 .map(|i| T::from_f64(0.25 + (i % 13) as f64 * 0.5 - 3.0))
@@ -152,8 +153,8 @@ fn cached_config_reproduces_search_results() {
     };
 
     let mut cache = TuneCache::in_memory();
-    let cold = tuned_executor_with(&csc, layout, img, &opts, &mut cache, &mut ModelBench);
-    let warm = tuned_executor_with(&csc, layout, img, &opts, &mut cache, &mut ModelBench);
+    let cold = tuned_executor_with(&csc, layout, img, &opts, &mut cache, &mut ModelBench).unwrap();
+    let warm = tuned_executor_with(&csc, layout, img, &opts, &mut cache, &mut ModelBench).unwrap();
     assert_eq!(warm.config(), cold.config());
 
     let x: Vec<f64> = (0..csc.n_cols()).map(|i| (i % 7) as f64 - 2.5).collect();
