@@ -149,6 +149,12 @@ impl CaseDesc {
         {
             return Err("dimensions and parameters must be positive".into());
         }
+        // `generate` indexes rows and columns with u32.
+        for (what, a, b) in [("views·bins", d.n_views, d.n_bins), ("nx·ny", d.nx, d.ny)] {
+            if a.checked_mul(b).is_none_or(|p| p > u32::MAX as usize) {
+                return Err(format!("{what} = {a}·{b} exceeds the u32 index range"));
+            }
+        }
         Ok(d)
     }
 }
@@ -317,6 +323,21 @@ mod tests {
         assert!(CaseDesc::parse("views").is_err());
         assert!(CaseDesc::parse("vvec=5 kind=ct-banded").is_err());
         assert!(CaseDesc::parse("kind=ct-banded views=0").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_sizes_generate_cannot_build() {
+        let huge = usize::MAX / 2;
+        for bad in [
+            "views=100000 bins=100000".to_string(),
+            "nx=65536 ny=65536".to_string(),
+            format!("views={huge} bins=3"),
+            format!("nx=3 ny={huge}"),
+        ] {
+            assert!(CaseDesc::parse(&bad).is_err(), "should reject {bad:?}");
+        }
+        // The largest accepted product is u32::MAX itself.
+        assert!(CaseDesc::parse("views=65537 bins=65535 nx=1 ny=1").is_ok());
     }
 
     #[test]

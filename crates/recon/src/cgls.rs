@@ -6,11 +6,11 @@
 
 use crate::operators::LinearOperator;
 use crate::sirt::ReconResult;
-use cscv_simd::lanes::{axpy, norm2_sq};
 use cscv_sparse::{Scalar, ThreadPool};
 
 /// Run CGLS for up to `iterations` steps (stops early when the normal
-/// residual stagnates below `tol` relative to its start).
+/// residual stagnates below `tol` relative to its start): the width-1
+/// call of [`cgls_batch`](crate::batch::cgls_batch).
 pub fn cgls<T: Scalar>(
     op: &dyn LinearOperator<T>,
     b: &[T],
@@ -18,66 +18,7 @@ pub fn cgls<T: Scalar>(
     tol: f64,
     pool: &ThreadPool,
 ) -> ReconResult<T> {
-    assert_eq!(b.len(), op.n_rows());
-    let (m, n) = (op.n_rows(), op.n_cols());
-
-    let mut x = vec![T::ZERO; n];
-    // r = b − A x = b initially.
-    let mut r = b.to_vec();
-    // s = Aᵀ r.
-    let mut s = vec![T::ZERO; n];
-    op.apply_transpose(&r, &mut s, pool);
-    let mut p = s.clone();
-    let mut q = vec![T::ZERO; m];
-    let mut gamma = norm2_sq(&s).to_f64();
-    let gamma0 = gamma;
-    let mut history = Vec::with_capacity(iterations);
-    let mut done = 0usize;
-
-    let _span = cscv_trace::span::enter("solver.cgls");
-    for _ in 0..iterations {
-        if gamma <= tol * tol * gamma0 || gamma == 0.0 {
-            break;
-        }
-        let t_iter = cscv_trace::ENABLED.then(std::time::Instant::now);
-        op.apply(&p, &mut q, pool);
-        let qq = norm2_sq(&q).to_f64();
-        if qq == 0.0 {
-            break;
-        }
-        let alpha = gamma / qq;
-        axpy(T::from_f64(alpha), &p, &mut x);
-        axpy(T::from_f64(-alpha), &q, &mut r);
-        let res_norm = norm2_sq(&r).to_f64().sqrt();
-        history.push(res_norm);
-        if cscv_trace::ENABLED {
-            cscv_trace::counters::add(cscv_trace::counters::Counter::SolverIters, 1);
-            let iter_ms = t_iter.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
-            cscv_trace::span::event(
-                "cgls.iter",
-                &[
-                    ("iter", done as f64),
-                    ("residual", res_norm),
-                    ("iter_ms", iter_ms),
-                ],
-            );
-        }
-        op.apply_transpose(&r, &mut s, pool);
-        let gamma_new = norm2_sq(&s).to_f64();
-        let beta = gamma_new / gamma;
-        gamma = gamma_new;
-        // p = s + beta p.
-        for j in 0..n {
-            p[j] = s[j] + T::from_f64(beta) * p[j];
-        }
-        done += 1;
-    }
-
-    ReconResult {
-        x,
-        residual_history: history,
-        iterations: done,
-    }
+    crate::batch::cgls_batch(op, b, 1, iterations, tol, pool).into_single()
 }
 
 #[cfg(test)]

@@ -77,10 +77,10 @@ pub fn run_solver(
 
 /// Largest per-iteration relative deviation between two residual-norm
 /// trajectories: `max_i |a_i − b_i| / max(|a_i|, |b_i|, ε)`. Returns
-/// `f64::INFINITY` when the lengths differ (a truncated run must never
-/// pass a tolerance gate).
+/// `f64::INFINITY` when the lengths differ or either side holds a NaN
+/// (a truncated or diverged run must never pass a tolerance gate).
 pub fn trajectory_max_rel_diff(a: &[f64], b: &[f64]) -> f64 {
-    if a.len() != b.len() {
+    if a.len() != b.len() || a.iter().chain(b).any(|v| v.is_nan()) {
         return f64::INFINITY;
     }
     a.iter()
@@ -146,6 +146,10 @@ mod tests {
         let d = trajectory_max_rel_diff(&a, &b);
         assert!(d > 1e-10 && d < 1e-8, "{d}");
         assert_eq!(trajectory_max_rel_diff(&a, &a[..2]), f64::INFINITY);
+        let nan = [1.0, f64::NAN, 0.25];
+        assert_eq!(trajectory_max_rel_diff(&nan, &a), f64::INFINITY);
+        assert_eq!(trajectory_max_rel_diff(&a, &nan), f64::INFINITY);
+        assert_eq!(trajectory_max_rel_diff(&nan, &nan), f64::INFINITY);
     }
 
     #[test]

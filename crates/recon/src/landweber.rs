@@ -6,7 +6,7 @@
 
 use crate::operators::LinearOperator;
 use crate::sirt::ReconResult;
-use cscv_simd::lanes::{axpy, norm2_sq, scale};
+use cscv_simd::lanes::{norm2_sq, scale};
 use cscv_sparse::{Scalar, ThreadPool};
 
 /// Estimate `σ_max²(A)` by power iteration on `AᵀA` (`iters` steps).
@@ -41,6 +41,8 @@ pub fn largest_singular_value_sq<T: Scalar>(
 
 /// Run Landweber iterations from a zero image. `step_scale` multiplies
 /// the safe step `1/σ_max²` (values in `(0, 2)` converge; 1.0 default).
+/// The width-1 call of [`landweber_batch`](crate::batch::landweber_batch)
+/// without early exit.
 pub fn landweber<T: Scalar>(
     op: &dyn LinearOperator<T>,
     b: &[T],
@@ -48,49 +50,7 @@ pub fn landweber<T: Scalar>(
     step_scale: f64,
     pool: &ThreadPool,
 ) -> ReconResult<T> {
-    assert_eq!(b.len(), op.n_rows());
-    let (m, n) = (op.n_rows(), op.n_cols());
-    let sigma2 = largest_singular_value_sq(op, 20, pool);
-    let step = if sigma2 > 0.0 {
-        T::from_f64(step_scale / sigma2)
-    } else {
-        T::ZERO
-    };
-
-    let mut x = vec![T::ZERO; n];
-    let mut ax = vec![T::ZERO; m];
-    let mut r = vec![T::ZERO; m];
-    let mut g = vec![T::ZERO; n];
-    let mut history = Vec::with_capacity(iterations);
-    let _span = cscv_trace::span::enter("solver.landweber");
-    for it in 0..iterations {
-        let t_iter = cscv_trace::ENABLED.then(std::time::Instant::now);
-        op.apply(&x, &mut ax, pool);
-        for i in 0..m {
-            r[i] = b[i] - ax[i];
-        }
-        let res_norm = norm2_sq(&r).to_f64().sqrt();
-        history.push(res_norm);
-        if cscv_trace::ENABLED {
-            cscv_trace::counters::add(cscv_trace::counters::Counter::SolverIters, 1);
-            let iter_ms = t_iter.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
-            cscv_trace::span::event(
-                "landweber.iter",
-                &[
-                    ("iter", it as f64),
-                    ("residual", res_norm),
-                    ("iter_ms", iter_ms),
-                ],
-            );
-        }
-        op.apply_transpose(&r, &mut g, pool);
-        axpy(step, &g, &mut x);
-    }
-    ReconResult {
-        x,
-        residual_history: history,
-        iterations,
-    }
+    crate::batch::landweber_batch(op, b, 1, iterations, step_scale, 0.0, pool).into_single()
 }
 
 #[cfg(test)]

@@ -16,11 +16,12 @@
 //!   power-method step size (baseline and building block);
 //! * [`operators`] — the forward/transpose operator abstraction that
 //!   plugs any `SpmvExecutor` pair (CSCV, CSR, …) into the solvers;
-//! * [`batch`] — batched variants of the solvers that reconstruct a
-//!   stack of slices sharing one operator through `apply_multi`, so the
-//!   matrix is streamed once per register-tile chunk instead of once per
-//!   slice (the multi-RHS amortization the batched SpMM kernels exist
-//!   for);
+//! * [`batch`] — the one iteration loop of SIRT, CGLS and Landweber. It
+//!   reconstructs a stack of slices sharing one operator through
+//!   `apply_multi`, so the matrix is streamed once per register-tile
+//!   chunk instead of once per slice (the multi-RHS amortization the
+//!   batched SpMM kernels exist for); the single-image `sirt`, `cgls`
+//!   and `landweber` above are its width-1 calls;
 //! * [`metrics`] — RMSE / PSNR / relative error image quality metrics;
 //! * [`driver`] — a solver selector plus the trajectory/bitwise
 //!   comparison predicates the sharded-equivalence gates run on.

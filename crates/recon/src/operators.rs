@@ -79,17 +79,7 @@ impl<T: Scalar> SpmvOperator<T> {
         assert_eq!(forward.n_cols(), transpose.n_rows(), "shape mismatch");
         assert_eq!(forward.n_rows(), csr.n_rows());
         assert_eq!(forward.n_cols(), csr.n_cols());
-        let mut abs_row_sums = vec![T::ZERO; csr.n_rows()];
-        let mut abs_col_sums = vec![T::ZERO; csr.n_cols()];
-        for (r, row_sum) in abs_row_sums.iter_mut().enumerate() {
-            let (cols, vals) = csr.row(r);
-            let mut acc = T::ZERO;
-            for (c, v) in cols.iter().zip(vals) {
-                acc += v.abs();
-                abs_col_sums[*c as usize] += v.abs();
-            }
-            *row_sum = acc;
-        }
+        let (abs_row_sums, abs_col_sums) = csr.abs_sums();
         SpmvOperator {
             forward,
             transpose,
@@ -159,15 +149,7 @@ impl<T: Scalar + MaskExpand> CscvOperator<T> {
     pub fn new(exec: CscvExec<T>, csr: &Csr<T>) -> Self {
         assert_eq!(exec.n_rows(), csr.n_rows());
         assert_eq!(exec.n_cols(), csr.n_cols());
-        let mut abs_row_sums = vec![T::ZERO; csr.n_rows()];
-        let mut abs_col_sums = vec![T::ZERO; csr.n_cols()];
-        for (r, row_sum) in abs_row_sums.iter_mut().enumerate() {
-            let (cols, vals) = csr.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                *row_sum += v.abs();
-                abs_col_sums[*c as usize] += v.abs();
-            }
-        }
+        let (abs_row_sums, abs_col_sums) = csr.abs_sums();
         CscvOperator {
             exec,
             abs_row_sums,

@@ -20,7 +20,8 @@ pub struct ReconResult<T> {
     pub iterations: usize,
 }
 
-/// Run `iterations` SIRT steps from a zero initial image.
+/// Run `iterations` SIRT steps from a zero initial image: the width-1
+/// call of [`sirt_batch`](crate::batch::sirt_batch) without early exit.
 ///
 /// `relaxation` scales each update (1.0 = classic SIRT; smaller damps).
 pub fn sirt<T: Scalar>(
@@ -30,59 +31,7 @@ pub fn sirt<T: Scalar>(
     relaxation: f64,
     pool: &ThreadPool,
 ) -> ReconResult<T> {
-    assert_eq!(b.len(), op.n_rows());
-    let (m, n) = (op.n_rows(), op.n_cols());
-    let lambda = T::from_f64(relaxation);
-
-    // Inverse weights; zero rows/cols get weight 0 (they never update).
-    let inv = |sums: Vec<T>| -> Vec<T> {
-        sums.into_iter()
-            .map(|s| if s == T::ZERO { T::ZERO } else { T::ONE / s })
-            .collect()
-    };
-    let r_inv = inv(op.abs_row_sums(pool));
-    let c_inv = inv(op.abs_col_sums(pool));
-
-    let mut x = vec![T::ZERO; n];
-    let mut ax = vec![T::ZERO; m];
-    let mut resid = vec![T::ZERO; m];
-    let mut back = vec![T::ZERO; n];
-    let mut history = Vec::with_capacity(iterations);
-
-    let _span = cscv_trace::span::enter("solver.sirt");
-    for it in 0..iterations {
-        let t_iter = cscv_trace::ENABLED.then(std::time::Instant::now);
-        op.apply(&x, &mut ax, pool);
-        let mut norm = 0.0f64;
-        for i in 0..m {
-            let r = b[i] - ax[i];
-            norm += r.to_f64() * r.to_f64();
-            resid[i] = r * r_inv[i];
-        }
-        history.push(norm.sqrt());
-        op.apply_transpose(&resid, &mut back, pool);
-        for j in 0..n {
-            x[j] = (lambda * c_inv[j] * back[j]) + x[j];
-        }
-        if cscv_trace::ENABLED {
-            cscv_trace::counters::add(cscv_trace::counters::Counter::SolverIters, 1);
-            let iter_ms = t_iter.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
-            cscv_trace::span::event(
-                "sirt.iter",
-                &[
-                    ("iter", it as f64),
-                    ("residual", norm.sqrt()),
-                    ("iter_ms", iter_ms),
-                ],
-            );
-        }
-    }
-
-    ReconResult {
-        x,
-        residual_history: history,
-        iterations,
-    }
+    crate::batch::sirt_batch(op, b, 1, iterations, relaxation, 0.0, pool).into_single()
 }
 
 #[cfg(test)]

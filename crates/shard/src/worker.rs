@@ -144,18 +144,7 @@ impl ShardBackend {
 
     /// `|A_s|` row sums (one per shard row) and full-width column sums.
     pub fn abs_sums(&self) -> (Vec<f64>, Vec<f64>) {
-        let mut row = vec![0.0; self.csr.n_rows()];
-        let mut col = vec![0.0; self.csr.n_cols()];
-        for (r, row_r) in row.iter_mut().enumerate() {
-            let (cols, vals) = self.csr.row(r);
-            let mut acc = 0.0;
-            for (c, v) in cols.iter().zip(vals) {
-                acc += v.abs();
-                col[*c as usize] += v.abs();
-            }
-            *row_r = acc;
-        }
-        (row, col)
+        self.csr.abs_sums()
     }
 }
 

@@ -107,6 +107,21 @@ impl<T: Scalar> Csr<T> {
         (&self.col_idx[lo..hi], &self.vals[lo..hi])
     }
 
+    /// Row and column sums of `|A|` (the SIRT weights), accumulated in
+    /// storage order.
+    pub fn abs_sums(&self) -> (Vec<T>, Vec<T>) {
+        let mut row_sums = vec![T::ZERO; self.n_rows];
+        let mut col_sums = vec![T::ZERO; self.n_cols];
+        for (r, row_sum) in row_sums.iter_mut().enumerate() {
+            let (cols, vals) = self.row(r);
+            for (c, v) in cols.iter().zip(vals) {
+                *row_sum += v.abs();
+                col_sums[*c as usize] += v.abs();
+            }
+        }
+        (row_sums, col_sums)
+    }
+
     /// Bytes of the stored matrix data (`M(A)` in the paper's model).
     pub fn matrix_bytes(&self) -> usize {
         self.row_ptr.len() * std::mem::size_of::<usize>()
@@ -236,6 +251,17 @@ mod tests {
         let mut y = vec![0.0; 3];
         m.spmv_serial(&x, &mut y);
         assert_eq!(y, vec![7.0, 0.0, 11.0]);
+    }
+
+    #[test]
+    fn abs_sums_count_magnitudes() {
+        let mut coo = Coo::new(2, 3);
+        coo.push(0, 0, -1.0);
+        coo.push(0, 2, 2.0);
+        coo.push(1, 0, 3.0);
+        let (rows, cols) = coo.to_csr().abs_sums();
+        assert_eq!(rows, vec![3.0, 3.0]);
+        assert_eq!(cols, vec![4.0, 0.0, 2.0]);
     }
 
     #[test]

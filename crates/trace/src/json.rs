@@ -105,6 +105,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -174,9 +175,15 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts; deeper input
+/// is an error rather than a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -218,11 +225,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parse one array or object, at most [`MAX_DEPTH`] levels deep.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -414,6 +435,15 @@ mod tests {
         for bad in ["", "{", "[1,", "tru", "\"x", "{\"a\" 1}", "1 2", "{]}"] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
+        // Nesting past the limit is an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(1_000_000)).is_err());
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
+        let deep_obj = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(Json::parse(&deep_obj(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep_obj(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

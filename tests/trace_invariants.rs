@@ -228,7 +228,7 @@ fn batch_retirement_emits_swap_compaction_events() {
     // Per-slice iteration events exist for every recorded residual.
     let iter_events = events
         .iter()
-        .filter(|(_, e)| !e.is_span && e.name == "batch.iter")
+        .filter(|(_, e)| !e.is_span && e.name == "sirt.iter")
         .count();
     let history_len: usize = res.residual_histories.iter().map(Vec::len).sum();
     assert_eq!(iter_events, history_len);
