@@ -13,6 +13,7 @@
 #                                  bench_results/smoke/baseline.json
 #   ci.sh --update-perf-baseline + run the smoke benches and rewrite the
 #                                  baseline from this machine's numbers
+#                                  (and its build's target features)
 #   ci.sh --miri                 + run the Miri-compatible test subset (the
 #                                  unsafe-heavy crates' lib tests) under
 #                                  `cargo miri`; skipped with a notice when
@@ -97,10 +98,14 @@ if [ "$MIRI" = 1 ]; then
     # Lib tests of the unsafe-heavy crates only: integration suites mix in
     # timing loops and subprocess spawns that Miri cannot model, and the
     # per-file `#[cfg_attr(miri, ignore)]` gates keep the remaining
-    # file-IO/timing unit tests out of the run.
+    # file-IO/timing unit tests out of the run. The empty RUSTFLAGS
+    # replaces .cargo/config.toml's native build with the portable one:
+    # under Miri `is_x86_feature_detected!` reports compile-time
+    # features, and the AVX-512 `vexpand` intrinsics a native build
+    # would reach may not be interpretable.
     if cargo miri --version >/dev/null 2>&1; then
         step "cargo miri test (unsafe-heavy crate libs)"
-        MIRIFLAGS="${MIRIFLAGS:-}" cargo miri test -q \
+        RUSTFLAGS="" MIRIFLAGS="${MIRIFLAGS:-}" cargo miri test -q \
             -p cscv-sparse -p cscv-simd -p cscv-core -p cscv-trace --lib
     else
         step "miri not installed — skipping (rustup component add miri)"

@@ -13,6 +13,11 @@
 //! loose: this catches "kernel fell off a cliff" (lost vectorization,
 //! accidental serialization), not percent-level drift.
 //!
+//! The baseline records the build's compile-time `target_features`
+//! (manifest schema v3). The gate refuses, with exit code 2, to compare
+//! manifests from a different build — or from a mix of builds — since a
+//! kernel built without `fma` is several times slower on the same CPU.
+//!
 //! ```text
 //! perf_smoke_check --manifests bench_results/smoke/manifests \
 //!                  [--baseline bench_results/smoke/baseline.json] \
@@ -20,7 +25,7 @@
 //! ```
 
 use cscv_trace::json::Json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 struct Args {
@@ -62,9 +67,57 @@ fn parse_args() -> Args {
     a
 }
 
-/// Best measured GFLOP/s per `(driver, executor, threads, k)` key.
-fn collect(manifests: &PathBuf) -> BTreeMap<String, f64> {
+/// The `target_features` of a manifest line or baseline as JSON text;
+/// `None` where they were not recorded (schema v1/v2).
+fn build_of(v: &Json) -> Option<String> {
+    v.get("target_features").map(Json::to_string)
+}
+
+fn show(build: &Option<String>) -> &str {
+    build.as_deref().unwrap_or("(not recorded)")
+}
+
+/// The one build all measurements came from, or why there is none.
+fn one_build(builds: &BTreeSet<Option<String>>) -> Result<Option<String>, String> {
+    match builds.len() {
+        0 | 1 => Ok(builds.first().cloned().flatten()),
+        _ => Err(format!(
+            "the manifests mix builds with target features {}",
+            builds.iter().map(show).collect::<Vec<_>>().join(" and ")
+        )),
+    }
+}
+
+/// `Ok` when the measurements and the baseline come from the same build.
+fn same_build(baseline: &Option<String>, builds: &BTreeSet<Option<String>>) -> Result<(), String> {
+    let current = one_build(builds)?;
+    if current == *baseline {
+        Ok(())
+    } else {
+        Err(format!(
+            "the manifests were built with target features {} but the baseline with {}",
+            show(&current),
+            show(baseline)
+        ))
+    }
+}
+
+/// Refuse to go on (exit 2) when the builds do not match.
+fn refuse_on<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|why| {
+        eprintln!(
+            "perf-smoke: refusing to compare: {why}; rebuild with the baseline's \
+             configuration or regenerate it (ci.sh --update-perf-baseline)"
+        );
+        std::process::exit(2)
+    })
+}
+
+/// Best measured GFLOP/s per `(driver, executor, threads, k)` key, and
+/// the builds the measurements came from.
+fn collect(manifests: &PathBuf) -> (BTreeMap<String, f64>, BTreeSet<Option<String>>) {
     let mut best: BTreeMap<String, f64> = BTreeMap::new();
+    let mut builds = BTreeSet::new();
     let entries = std::fs::read_dir(manifests)
         .unwrap_or_else(|e| panic!("cannot read manifest dir {}: {e}", manifests.display()));
     for entry in entries.flatten() {
@@ -91,6 +144,7 @@ fn collect(manifests: &PathBuf) -> BTreeMap<String, f64> {
             if !gflops.is_finite() || gflops <= 0.0 {
                 continue;
             }
+            builds.insert(build_of(&v));
             let key = format!("{driver}/{name}/t{threads}/k{k}");
             let slot = best.entry(key).or_insert(0.0);
             if gflops > *slot {
@@ -98,22 +152,29 @@ fn collect(manifests: &PathBuf) -> BTreeMap<String, f64> {
             }
         }
     }
-    best
+    (best, builds)
 }
 
-fn load_baseline(path: &PathBuf) -> BTreeMap<String, f64> {
+fn load_baseline(path: &PathBuf) -> (BTreeMap<String, f64>, Option<String>) {
     let body = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
     let v = Json::parse(&body).expect("baseline parses");
-    v.get("kernels")
+    let kernels = v
+        .get("kernels")
         .and_then(Json::as_obj)
         .expect("baseline has a \"kernels\" object")
         .iter()
         .filter_map(|(k, v)| v.as_f64().map(|g| (k.clone(), g)))
-        .collect()
+        .collect();
+    (kernels, build_of(&v))
 }
 
-fn write_baseline(path: &PathBuf, current: &BTreeMap<String, f64>, tolerance: f64) {
+fn write_baseline(
+    path: &PathBuf,
+    current: &BTreeMap<String, f64>,
+    build: &Option<String>,
+    tolerance: f64,
+) {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).expect("create baseline dir");
     }
@@ -127,6 +188,9 @@ fn write_baseline(path: &PathBuf, current: &BTreeMap<String, f64>, tolerance: f6
         Json::from(comment).to_string()
     ));
     out.push_str(&format!(" \"tolerance\": {tolerance},\n"));
+    if let Some(build) = build {
+        out.push_str(&format!(" \"target_features\": {build},\n"));
+    }
     out.push_str(" \"kernels\": {\n");
     for (i, (k, &g)) in current.iter().enumerate() {
         let sep = if i + 1 < current.len() { "," } else { "" };
@@ -147,7 +211,7 @@ fn write_baseline(path: &PathBuf, current: &BTreeMap<String, f64>, tolerance: f6
 
 fn main() {
     let args = parse_args();
-    let current = collect(&args.manifests);
+    let (current, builds) = collect(&args.manifests);
     assert!(
         !current.is_empty(),
         "no measurements found under {} — did the smoke run export CSCV_MANIFEST_DIR?",
@@ -155,11 +219,13 @@ fn main() {
     );
 
     if args.write_baseline {
-        write_baseline(&args.baseline, &current, args.tolerance);
+        let build = refuse_on(one_build(&builds));
+        write_baseline(&args.baseline, &current, &build, args.tolerance);
         return;
     }
 
-    let baseline = load_baseline(&args.baseline);
+    let (baseline, baseline_build) = load_baseline(&args.baseline);
+    refuse_on(same_build(&baseline_build, &builds));
     let mut regressions = Vec::new();
     let mut checked = 0usize;
     for (key, &base) in &baseline {
@@ -203,4 +269,35 @@ fn main() {
         std::process::exit(1);
     }
     println!("PERF_SMOKE_OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn build(fma: bool) -> Option<String> {
+        let v = Json::parse(&format!(r#"{{"target_features":{{"fma":{fma}}}}}"#)).unwrap();
+        build_of(&v)
+    }
+
+    #[test]
+    fn refuses_to_compare_different_builds() {
+        let (native, portable) = (build(true), build(false));
+        let set = |b: &[&Option<String>]| b.iter().map(|&b| b.clone()).collect::<BTreeSet<_>>();
+        assert_eq!(same_build(&native, &set(&[&native])), Ok(()));
+        // A scalar-call build against a packed-FMA baseline, and back.
+        let why = same_build(&native, &set(&[&portable])).unwrap_err();
+        assert!(
+            why.contains(r#"{"fma":false}"#) && why.contains(r#"{"fma":true}"#),
+            "{why}"
+        );
+        assert!(same_build(&portable, &set(&[&native])).is_err());
+        // Pre-v3 manifests against a v3 baseline, and a mix of builds.
+        assert!(same_build(&native, &set(&[&None])).is_err());
+        let mixed = set(&[&native, &portable]);
+        assert!(same_build(&native, &mixed).unwrap_err().contains("mix"));
+        assert!(one_build(&mixed).is_err());
+        // v1/v2 manifests still compare against a v1/v2 baseline.
+        assert_eq!(same_build(&None, &set(&[&None])), Ok(()));
+    }
 }

@@ -29,11 +29,37 @@ use std::sync::atomic::{AtomicI64, Ordering};
 ///   `secs_max` summary, plus the `membw` record type for bandwidth
 ///   ceilings.
 ///
+/// * **v3**: every record carries `target_features`, the build's
+///   compile-time `fma`/`avx2`/`avx512f`, so a
+///   scalar-call build can never be compared against a packed-FMA one.
+///
 /// Consumers (`perf_smoke_check`, `cscv-xtask perf-report`) key off
 /// field presence, not the version number, so v1 files keep parsing:
 /// a line without `samples` is treated as a single-sample distribution
-/// at `secs_min`.
-pub const SCHEMA_VERSION: u64 = 2;
+/// at `secs_min`, and a line without `target_features` as a build that
+/// did not record them.
+pub const SCHEMA_VERSION: u64 = 3;
+
+/// The build's compile-time target features that decide how the kernels
+/// were lowered, as a JSON object `{"fma":…,"avx2":…,"avx512f":…}`.
+fn target_features() -> Json {
+    let b = cscv_simd::build_features();
+    Json::obj(vec![
+        ("fma", Json::Bool(b.fma)),
+        ("avx2", Json::Bool(b.avx2)),
+        ("avx512f", Json::Bool(b.avx512f)),
+    ])
+}
+
+/// The fields every record starts with: type, schema, driver and build.
+fn header(kind: &str) -> Vec<(&'static str, Json)> {
+    vec![
+        ("type", kind.into()),
+        ("schema", SCHEMA_VERSION.into()),
+        ("driver", driver_name().into()),
+        ("target_features", target_features()),
+    ]
+}
 
 /// Directory manifests go to, if recording is enabled.
 pub fn manifest_dir() -> Option<PathBuf> {
@@ -129,10 +155,8 @@ fn distribution_fields(lat: &LatencySummary, samples: &[f64]) -> Vec<(&'static s
 
 /// Record a single-RHS measurement.
 pub fn record_spmv(m: &SpmvMeasurement) {
-    let mut rec = vec![
-        ("type", "spmv".into()),
-        ("schema", SCHEMA_VERSION.into()),
-        ("driver", driver_name().into()),
+    let mut rec = header("spmv");
+    rec.extend([
         ("name", m.name.as_str().into()),
         ("threads", m.threads.into()),
         ("k", 1u64.into()),
@@ -141,7 +165,7 @@ pub fn record_spmv(m: &SpmvMeasurement) {
         ("mem_bytes", m.mem_requirement.into()),
         ("eff_bw_gbs", m.eff_bandwidth_gbs.into()),
         ("r_nnze", m.r_nnze.into()),
-    ];
+    ]);
     rec.extend(shard_fields());
     rec.extend(distribution_fields(&m.latency(), &m.samples));
     append(&Json::obj(rec));
@@ -149,10 +173,8 @@ pub fn record_spmv(m: &SpmvMeasurement) {
 
 /// Record a batched (multi-RHS) measurement.
 pub fn record_spmm(m: &SpmmMeasurement) {
-    let mut rec = vec![
-        ("type", "spmm".into()),
-        ("schema", SCHEMA_VERSION.into()),
-        ("driver", driver_name().into()),
+    let mut rec = header("spmm");
+    rec.extend([
         ("name", m.name.as_str().into()),
         ("threads", m.threads.into()),
         ("k", m.k.into()),
@@ -160,7 +182,7 @@ pub fn record_spmm(m: &SpmmMeasurement) {
         ("gflops", m.gflops.into()),
         ("mem_bytes", m.mem_requirement.into()),
         ("eff_bw_gbs", m.eff_bandwidth_gbs.into()),
-    ];
+    ]);
     rec.extend(shard_fields());
     rec.extend(distribution_fields(&m.latency(), &m.samples));
     append(&Json::obj(rec));
@@ -180,10 +202,8 @@ pub fn record_tune(
     candidates: usize,
     samples: usize,
 ) {
-    append(&Json::obj(vec![
-        ("type", "tune".into()),
-        ("schema", SCHEMA_VERSION.into()),
-        ("driver", driver_name().into()),
+    let mut rec = header("tune");
+    rec.extend([
         ("op", op.into()),
         ("scalar", scalar.into()),
         ("config", config.into()),
@@ -191,7 +211,8 @@ pub fn record_tune(
         ("heuristic_secs", heuristic_secs.into()),
         ("candidates", (candidates as u64).into()),
         ("samples", (samples as u64).into()),
-    ]));
+    ]);
+    append(&Json::obj(rec));
 }
 
 /// One sharded-solve outcome for `record_shard`: the equivalence
@@ -227,10 +248,8 @@ pub struct ShardRunRecord<'a> {
 
 /// Record one sharded-solve equivalence outcome (`type: "shard"`).
 pub fn record_shard(r: &ShardRunRecord) {
-    append(&Json::obj(vec![
-        ("type", "shard".into()),
-        ("schema", SCHEMA_VERSION.into()),
-        ("driver", driver_name().into()),
+    let mut rec = header("shard");
+    rec.extend([
         ("case", r.case.into()),
         ("solver", r.solver.into()),
         ("method", r.method.into()),
@@ -244,7 +263,8 @@ pub fn record_shard(r: &ShardRunRecord) {
         ("reduce_ns", r.reduce_ns.into()),
         ("worker_busy_ns", r.worker_busy_ns.into()),
         ("execs", r.execs.into()),
-    ]));
+    ]);
+    append(&Json::obj(rec));
 }
 
 /// Record a measured memory-bandwidth ceiling (the roofline input);
@@ -252,13 +272,12 @@ pub fn record_shard(r: &ShardRunRecord) {
 /// `CSCV_MANIFEST_DIR`, so `perf-report` finds the machine's ceiling
 /// next to the kernel measurements it normalizes.
 pub fn record_membw(bw: &crate::membw::Bandwidth) {
-    append(&Json::obj(vec![
-        ("type", "membw".into()),
-        ("schema", SCHEMA_VERSION.into()),
-        ("driver", driver_name().into()),
+    let mut rec = header("membw");
+    rec.extend([
         ("read_gbs", bw.read_gbs().into()),
         ("triad_gbs", bw.triad_gbs().into()),
-    ]));
+    ]);
+    append(&Json::obj(rec));
 }
 
 #[cfg(test)]
@@ -339,12 +358,30 @@ mod tests {
         ];
         rec.extend(distribution_fields(&lat, &m.samples));
         let back = Json::parse(&Json::obj(rec).to_string()).unwrap();
-        assert_eq!(back.get("schema").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(
+            back.get("schema").and_then(Json::as_f64),
+            Some(SCHEMA_VERSION as f64)
+        );
         assert_eq!(back.get("secs_p50").and_then(Json::as_f64), Some(0.2));
         assert_eq!(back.get("secs_max").and_then(Json::as_f64), Some(0.4));
         let samples = back.get("samples").and_then(Json::as_arr).unwrap();
         assert_eq!(samples.len(), 4);
         // Execution order is preserved, not sorted.
         assert_eq!(samples[0].as_f64(), Some(0.4));
+    }
+
+    #[test]
+    fn every_record_header_carries_the_build() {
+        let back = Json::parse(&Json::obj(header("membw")).to_string()).unwrap();
+        assert_eq!(back.get("schema").and_then(Json::as_f64), Some(3.0));
+        let tf = back.get("target_features").expect("v3 records the build");
+        let built = cscv_simd::build_features();
+        for (name, on) in [
+            ("fma", built.fma),
+            ("avx2", built.avx2),
+            ("avx512f", built.avx512f),
+        ] {
+            assert_eq!(tf.get(name), Some(&Json::Bool(on)), "{name}");
+        }
     }
 }

@@ -1,8 +1,11 @@
-//! Cached CPU feature detection.
+//! Cached CPU feature detection, and the features the build targets.
 //!
 //! Kernel variants (notably the CSCV-M expand path) are chosen once at
 //! matrix-construction time from this snapshot, so the hot loops carry no
-//! per-iteration feature branches.
+//! per-iteration feature branches. Everything else — above all the packed
+//! FMA in the lane loops — depends on the compile-time features instead,
+//! which the repository's `.cargo/config.toml` pins to the building CPU
+//! (`-C target-cpu=native`, the analogue of the paper's `-xHost`).
 
 use std::sync::OnceLock;
 
@@ -85,6 +88,19 @@ impl CpuFeatures {
     }
 }
 
+/// The features this build was compiled to use (`cfg!(target_feature)`),
+/// as opposed to what the running CPU has. Without `fma`, `mul_add`
+/// lowers to one libm call per lane.
+pub const fn build_features() -> CpuFeatures {
+    CpuFeatures {
+        avx2: cfg!(target_feature = "avx2"),
+        fma: cfg!(target_feature = "fma"),
+        avx512f: cfg!(target_feature = "avx512f"),
+        avx512vl: cfg!(target_feature = "avx512vl"),
+        avx512bw: cfg!(target_feature = "avx512bw"),
+    }
+}
+
 /// Cached feature snapshot for the running machine.
 pub fn cpu_features() -> &'static CpuFeatures {
     static FEATURES: OnceLock<CpuFeatures> = OnceLock::new();
@@ -113,6 +129,26 @@ mod tests {
         assert!(!f.hw_expand_available(4, 32));
         assert!(!f.hw_expand_available(2, 8));
         assert!(!f.hw_expand_available(8, 16));
+    }
+
+    #[test]
+    fn build_enables_host_fma_features() {
+        let (cpu, built) = (cpu_features(), build_features());
+        let missing: Vec<&str> = [
+            ("fma", cpu.fma, built.fma),
+            ("avx2", cpu.avx2, built.avx2),
+            ("avx512f", cpu.avx512f, built.avx512f),
+        ]
+        .into_iter()
+        .filter(|&(_, has, on)| has && !on)
+        .map(|(name, _, _)| name)
+        .collect();
+        assert!(
+            missing.is_empty(),
+            "this CPU has {missing:?} but the build does not enable them, so the \
+             kernels call libm per lane: build inside the repository so \
+             .cargo/config.toml applies, without a RUSTFLAGS that overrides it"
+        );
     }
 
     #[test]

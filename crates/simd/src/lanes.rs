@@ -2,7 +2,8 @@
 //!
 //! Every kernel here is written as a fixed-trip-count loop over `[T; W]`
 //! arrays (or exact chunks of slices) with FMA bodies. Compiled with
-//! `-C target-cpu=native` LLVM lowers them to packed `vfmadd` instructions
+//! `-C target-cpu=native` (pinned by the repository's `.cargo/config.toml`)
+//! LLVM lowers them to packed `vfmadd` instructions
 //! of the widest available vector unit — this is the "compiler-assisted
 //! vectorization" the paper relies on for performance portability, and the
 //! reason the suite contains no per-ISA kernel copies.

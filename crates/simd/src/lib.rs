@@ -12,7 +12,8 @@
 //!   written so the auto-vectorizer emits packed instructions.
 //! * [`expand`] — mask expansion: `soft-vexpand` (portable) and the
 //!   hardware `vexpandps/vexpandpd` paths (x86-64, runtime detected).
-//! * [`detect`] — cached CPU feature detection.
+//! * [`detect`] — cached CPU feature detection and the build's
+//!   compile-time target features.
 //! * [`rng`] — the in-tree xorshift PRNG used by tests, noise models and
 //!   benchmark input generation (keeps the workspace dependency-free).
 
@@ -23,7 +24,7 @@ pub mod lanes;
 pub mod rng;
 pub mod scalar;
 
-pub use detect::{cpu_features, CpuFeatures};
+pub use detect::{build_features, cpu_features, CpuFeatures};
 pub use expand::{ExpandPath, MaskExpand};
 pub use scalar::Scalar;
 mod randomized;
