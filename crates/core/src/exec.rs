@@ -77,6 +77,13 @@ fn available_path<T: MaskExpand>(s_vvec: usize) -> ExpandPath {
     }
 }
 
+/// Largest forward register tile (`K·W` lanes) a batch chunk may use:
+/// 16 of the 32 256-bit vector registers of an AVX-512 core, which
+/// leaves room for the lane block and the broadcast `x` scalars. Past
+/// it the tile spills (OSKI's rule: a register block pays only while it
+/// stays in registers).
+const MAX_TILE_BYTES: usize = 512;
+
 /// Direction of a product.
 #[derive(Clone, Copy)]
 enum Dir {
@@ -347,10 +354,16 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
     ) {
         let (src_len, dst_len) = (src.len() / k, dst.len() / k);
         let widths: &[usize] = match dir {
-            Dir::Forward => &[8, 4, 2, 1],
-            // The transpose caps its tile at 4: the per-VxG accumulator
-            // is `S_VxG·K·W` lanes wide, and at K = 8 the register spill
-            // traffic would undo the amortization being bought.
+            // The forward tile of `K·W` lanes must stay in registers: a
+            // K = 8 tile above `MAX_TILE_BYTES` spills inside the FMA loop
+            // and runs slower than two K = 4 passes (f64 at W = 16).
+            Dir::Forward if 8 * W * T::BYTES <= MAX_TILE_BYTES => &[8, 4, 2, 1],
+            Dir::Forward => &[4, 2, 1],
+            // The transpose holds `S_VxG + 1` tiles (one accumulator per
+            // member plus the ỹ tile). At K = 8 they no longer fit, and
+            // on ct128 with the Table III parameters every (precision,
+            // variant) pair measures at or below its K = 4 rate: f32
+            // CSCV-Z 2.1 against 10.2 GFLOP/s.
             Dir::Transpose => &[4, 2, 1],
         };
         let mut done = 0usize;

@@ -12,9 +12,16 @@
 //! from it ([`ZLanes`]), CSCV-M decompresses each one first ([`MLanes`],
 //! hardware `vexpand` or `soft-vexpand`, chosen once per matrix).
 //!
-//! The batch dimension `K` gives each right-hand side its own register
-//! accumulator; every lane block (and, for CSCV-M, every expansion) is
-//! produced once and reused `K` times. The batched ỹ is interleaved by
+//! The batch dimension `K` turns the accumulator into a `K`×`W` tile, one
+//! `W`-lane row per right-hand side; every lane block (and, for CSCV-M,
+//! every expansion) is produced once and reused `K` times. The axis that
+//! vectorizes is `W`, never `K`: each tile row is whole vector FMAs
+//! against a broadcast `x` scalar, and the tile stays in registers for
+//! all `S_VxG` members of a curve offset. Vectorized along `K`, which
+//! LLVM does when `K·size_of::<T>()` is exactly one vector unless
+//! [`fma_tile`] keeps `K` innermost, every tile column becomes a strided
+//! gather and scatter on a stack copy. The executor caps `K` so the
+//! forward tile fits in registers. The batched ỹ is interleaved by
 //! lane block: slot `at` of the single-RHS layout becomes base `at·K`,
 //! with RHS `k`'s `W` lanes at `at·K + k·W`, so the `K` accumulator
 //! tiles of one curve offset are contiguous. At `K = 1` this is the
@@ -206,15 +213,19 @@ pub fn transpose_block<'a, T, S, const W: usize, const K: usize>(
     S: LaneSource<'a, T, W>,
 {
     let mut lanes = S::open(blk);
+    // One accumulator array for the whole block: each VxG resets only
+    // its `s_vxg` members, not all `MAX_VXG`.
+    let mut accs = [[[T::ZERO; W]; K]; MAX_VXG];
+    let accs = &mut accs[..s_vxg];
     for i in 0..blk.n_vxgs() {
         debug_assert_eq!(lanes.pos(), blk.val_ptr[i] as usize);
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
         let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        let mut accs = [[[T::ZERO; W]; K]; MAX_VXG];
+        accs.fill([[T::ZERO; W]; K]);
         for ci in 0..count {
             let yt: [[T; W]; K] = load_tile(ytil, (q + ci * W) * K);
-            for acc in accs.iter_mut().take(s_vxg) {
+            for acc in accs.iter_mut() {
                 let v = lanes.next();
                 for k in 0..K {
                     for l in 0..W {
@@ -339,24 +350,35 @@ mod tests {
     }
 
     /// The forward kernel at batch width `K` over every lane source
-    /// this machine can run, de-interleaved per RHS.
-    fn forward_all_sources<const K: usize>(x: &[f64], n_cols: usize) -> Vec<Vec<Vec<f64>>> {
-        let (z, m) = (tiny_block_z(), tiny_block_m());
-        let mut runs = vec![vec![f64::NAN; 8 * K]; 2];
-        forward_block::<f64, ZLanes<f64>, 4, K>(&z, 2, x, n_cols, &mut runs[0]);
-        forward_block::<f64, MLanes<f64, false>, 4, K>(&m, 2, x, n_cols, &mut runs[1]);
+    /// this machine can run (`z` and its padding-stripped twin `m`),
+    /// de-interleaved per RHS.
+    fn forward_sources<const K: usize>(
+        z: &Block<f64>,
+        m: &Block<f64>,
+        s_vxg: usize,
+        x: &[f64],
+        n_cols: usize,
+    ) -> Vec<Vec<Vec<f64>>> {
+        let n = z.ytil_len();
+        let mut runs = vec![vec![f64::NAN; n * K]; 2];
+        forward_block::<f64, ZLanes<f64>, 4, K>(z, s_vxg, x, n_cols, &mut runs[0]);
+        forward_block::<f64, MLanes<f64, false>, 4, K>(m, s_vxg, x, n_cols, &mut runs[1]);
         if <f64 as MaskExpand>::hw_available::<4>() {
-            let mut hw = vec![f64::NAN; 8 * K];
-            forward_block::<f64, MLanes<f64, true>, 4, K>(&m, 2, x, n_cols, &mut hw);
+            let mut hw = vec![f64::NAN; n * K];
+            forward_block::<f64, MLanes<f64, true>, 4, K>(m, s_vxg, x, n_cols, &mut hw);
             runs.push(hw);
         }
         runs.iter()
             .map(|ytil| {
                 (0..K)
-                    .map(|k| (0..8).map(|s| ytil[slot::<K>(s, k)]).collect())
+                    .map(|k| (0..n).map(|s| ytil[slot::<K>(s, k)]).collect())
                     .collect()
             })
             .collect()
+    }
+
+    fn forward_all_sources<const K: usize>(x: &[f64], n_cols: usize) -> Vec<Vec<Vec<f64>>> {
+        forward_sources::<K>(&tiny_block_z(), &tiny_block_m(), 2, x, n_cols)
     }
 
     #[test]
@@ -418,29 +440,58 @@ mod tests {
         assert_eq!(dst, vec![11.0, 13.0, 15.0, 17.0]);
     }
 
-    /// The transpose kernel at batch width `K` over every lane source,
-    /// as `K` column-major `x` vectors of 8.
-    fn transpose_all_sources<const K: usize>(y: &[f64], n_rows: usize) -> Vec<Vec<f64>> {
-        let (z, m) = (tiny_block_z(), tiny_block_m());
-        let mut ytil = vec![f64::NAN; 8 * K];
-        gather::<f64, 4, K>(&z, y, n_rows, &mut ytil);
-        fn add_into<const K: usize>(x: &mut [f64]) -> impl FnMut(usize, &[f64; K]) + '_ {
+    /// The transpose kernel at batch width `K` over every lane source
+    /// (`z` and its padding-stripped twin `m`), as `K` column-major `x`
+    /// vectors of `n_cols`.
+    fn transpose_sources<const K: usize>(
+        z: &Block<f64>,
+        m: &Block<f64>,
+        s_vxg: usize,
+        y: &[f64],
+        n_rows: usize,
+        n_cols: usize,
+    ) -> Vec<Vec<f64>> {
+        let mut ytil = vec![f64::NAN; z.ytil_len() * K];
+        gather::<f64, 4, K>(z, y, n_rows, &mut ytil);
+        fn add_into<const K: usize>(
+            x: &mut [f64],
+            n_cols: usize,
+        ) -> impl FnMut(usize, &[f64; K]) + '_ {
             move |c, sums| {
                 for (k, v) in sums.iter().enumerate() {
-                    x[k * 8 + c] += v;
+                    x[k * n_cols + c] += v;
                 }
             }
         }
-        let mut runs = vec![vec![0.0; 8 * K]; 2];
+        let mut runs = vec![vec![0.0; n_cols * K]; 2];
         let (rz, rm) = runs.split_at_mut(1);
-        transpose_block::<f64, ZLanes<f64>, 4, K>(&z, 2, &ytil, &mut add_into(&mut rz[0]));
-        transpose_block::<f64, MLanes<f64, false>, 4, K>(&m, 2, &ytil, &mut add_into(&mut rm[0]));
+        transpose_block::<f64, ZLanes<f64>, 4, K>(
+            z,
+            s_vxg,
+            &ytil,
+            &mut add_into(&mut rz[0], n_cols),
+        );
+        transpose_block::<f64, MLanes<f64, false>, 4, K>(
+            m,
+            s_vxg,
+            &ytil,
+            &mut add_into(&mut rm[0], n_cols),
+        );
         if <f64 as MaskExpand>::hw_available::<4>() {
-            let mut hw = vec![0.0; 8 * K];
-            transpose_block::<f64, MLanes<f64, true>, 4, K>(&m, 2, &ytil, &mut add_into(&mut hw));
+            let mut hw = vec![0.0; n_cols * K];
+            transpose_block::<f64, MLanes<f64, true>, 4, K>(
+                m,
+                s_vxg,
+                &ytil,
+                &mut add_into(&mut hw, n_cols),
+            );
             runs.push(hw);
         }
         runs
+    }
+
+    fn transpose_all_sources<const K: usize>(y: &[f64], n_rows: usize) -> Vec<Vec<f64>> {
+        transpose_sources::<K>(&tiny_block_z(), &tiny_block_m(), 2, y, n_rows, 8)
     }
 
     #[test]
@@ -545,6 +596,127 @@ mod tests {
                 assert_eq!(gt[slot::<K>(s, k)], expect, "slot {s} rhs {k}");
             }
         }
+    }
+
+    /// Three VxGs of counts 3, 1 and 2 over four curve offsets: W = 4,
+    /// S_VxG = 2 (below `MAX_VXG`), 6 columns, rows 0..16. The last
+    /// VxG's second member is padding (its column repeated, values zero).
+    const MULTI_S_VXG: usize = 2;
+    const MULTI_VXGS: [(u32, u16, [u32; 2]); 3] = [(0, 3, [1, 4]), (4, 1, [0, 2]), (8, 2, [5, 5])];
+
+    fn multi_vxg_block_z() -> Block<f64> {
+        let mut vals = Vec::new();
+        let mut val_ptr = vec![0];
+        for (i, &(_, count, _)) in MULTI_VXGS.iter().enumerate() {
+            for ci in 0..count as usize {
+                for s in 0..MULTI_S_VXG {
+                    for l in 0..4 {
+                        let padding = i == 2 && s == 1;
+                        let v = ((i * 7 + ci * 5 + s * 3 + l) % 6) as f64 * 0.5;
+                        vals.push(if padding { 0.0 } else { v });
+                    }
+                }
+            }
+            val_ptr.push(vals.len() as u32);
+        }
+        Block {
+            group: 0,
+            tile: 0,
+            map: (0..16).collect(),
+            vxg_q: MULTI_VXGS.iter().map(|v| v.0).collect(),
+            vxg_count: MULTI_VXGS.iter().map(|v| v.1).collect(),
+            cols: MULTI_VXGS.iter().flat_map(|v| v.2).collect(),
+            val_ptr,
+            nnz: vals.iter().filter(|v| **v != 0.0).count(),
+            lane_slots: vals.len(),
+            vals,
+            masks: vec![],
+        }
+    }
+
+    /// The CSCV-M form of a `W = 4` CSCV-Z block: padding zeros
+    /// stripped, one occupancy mask per lane block.
+    fn strip_padding(z: &Block<f64>) -> Block<f64> {
+        let nonzeros = |vals: &[f64]| vals.iter().filter(|v| **v != 0.0).count() as u32;
+        Block {
+            vals: z.vals.iter().copied().filter(|v| *v != 0.0).collect(),
+            masks: z
+                .vals
+                .chunks(4)
+                .map(|lb| (0..4).filter(|&l| lb[l] != 0.0).map(|l| 1u8 << l).sum())
+                .collect(),
+            val_ptr: z
+                .val_ptr
+                .iter()
+                .map(|&p| nonzeros(&z.vals[..p as usize]))
+                .collect(),
+            ..z.clone()
+        }
+    }
+
+    /// Dense image `d[row][col]` of a `W = 4` CSCV-Z block.
+    fn dense_image(z: &Block<f64>, s_vxg: usize, n_rows: usize, n_cols: usize) -> Vec<Vec<f64>> {
+        let mut d = vec![vec![0.0; n_cols]; n_rows];
+        let mut lane_blocks = z.vals.chunks(4);
+        for i in 0..z.n_vxgs() {
+            for ci in 0..z.vxg_count[i] as usize {
+                for &c in &z.cols[i * s_vxg..(i + 1) * s_vxg] {
+                    let lb = lane_blocks.next().unwrap();
+                    for (l, v) in lb.iter().enumerate() {
+                        let row = z.map[z.vxg_q[i] as usize + ci * 4 + l];
+                        if row >= 0 {
+                            d[row as usize][c as usize] += v;
+                        }
+                    }
+                }
+            }
+        }
+        d
+    }
+
+    /// Both kernels at batch width `K` on the multi-VxG block, every lane
+    /// source, against its dense image (dyadic data: exact, so bitwise).
+    fn check_multi_vxg_block<const K: usize>() {
+        let (n_rows, n_cols) = (16, 6);
+        let z = multi_vxg_block_z();
+        let m = strip_padding(&z);
+        let d = dense_image(&z, MULTI_S_VXG, n_rows, n_cols);
+        let x: Vec<f64> = (0..K * n_cols)
+            .map(|i| (i % 5) as f64 * 0.5 - 1.0)
+            .collect();
+        let y: Vec<f64> = (0..K * n_rows)
+            .map(|i| (i % 11) as f64 * 0.25 - 1.0)
+            .collect();
+        let fwd = forward_sources::<K>(&z, &m, MULTI_S_VXG, &x, n_cols);
+        let tr = transpose_sources::<K>(&z, &m, MULTI_S_VXG, &y, n_rows, n_cols);
+        for k in 0..K {
+            let xk = &x[k * n_cols..(k + 1) * n_cols];
+            let yk = &y[k * n_rows..(k + 1) * n_rows];
+            let ax: Vec<f64> = d
+                .iter()
+                .map(|row| row.iter().zip(xk).map(|(a, b)| a * b).sum())
+                .collect();
+            let aty: Vec<f64> = (0..n_cols)
+                .map(|c| d.iter().zip(yk).map(|(row, b)| row[c] * b).sum())
+                .collect();
+            for src in 0..fwd.len() {
+                assert_eq!(fwd[src][k], ax, "forward source {src} rhs {k}");
+                assert_eq!(
+                    &tr[src][k * n_cols..(k + 1) * n_cols],
+                    aty.as_slice(),
+                    "transpose source {src} rhs {k}"
+                );
+            }
+        }
+    }
+
+    /// The transpose kernel reuses one accumulator array across a
+    /// block's VxGs: each VxG must start from zero, whatever the count
+    /// of the VxG before it.
+    #[test]
+    fn multi_vxg_block_matches_dense_image() {
+        check_multi_vxg_block::<1>();
+        check_multi_vxg_block::<3>();
     }
 
     /// The batched transpose kernel, every lane source, against the

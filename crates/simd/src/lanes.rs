@@ -28,8 +28,18 @@ pub fn fma_lanes<T: Scalar, const W: usize>(acc: &mut [T; W], x: T, vals: &[T; W
 ///
 /// This is the batched-SpMM inner primitive: the matrix lane block
 /// (`vals`) is loaded **once** and reused `K` times, so matrix traffic
-/// is amortized across the batch while the per-RHS FMAs stay
-/// independent (K·W-wide ILP for the auto-vectorizer).
+/// is amortized across the batch.
+///
+/// The lane axis `W` is the one that has to vectorize: it is contiguous
+/// in `vals` and in every accumulator row, so each RHS row becomes
+/// whole vector FMAs against a broadcast `xs[k]`, and the tile stays in
+/// registers. Hence the loop order, `K` innermost: LLVM unrolls it away
+/// and vectorizes the lane loop. With `K` outermost, an unrolled
+/// `K·W` body past LLVM's full-unroll budget leaves the `K` loop as
+/// the loop to vectorize, and when `K·size_of::<T>()` is exactly one
+/// vector (f32 at K = 8 on 256-bit lanes) it does: `xs` loads as one
+/// vector, every accumulator column becomes a strided
+/// `vgatherqps`/`vscatterqps`, and the tile moves to the stack.
 #[inline(always)]
 // AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
 pub fn fma_tile<T: Scalar, const W: usize, const K: usize>(
@@ -37,8 +47,8 @@ pub fn fma_tile<T: Scalar, const W: usize, const K: usize>(
     xs: &[T; K],
     vals: &[T; W],
 ) {
-    for k in 0..K {
-        for l in 0..W {
+    for l in 0..W {
+        for k in 0..K {
             accs[k][l] = vals[l].mul_add(xs[k], accs[k][l]);
         }
     }

@@ -81,7 +81,7 @@ if [ "$SMOKE" = 1 ]; then
     runt table4   $R table4_best_perf    -- --dataset ct128 --threads 1 --iters 2 > $OUT/table4.txt  2>&1
     runt ablation $R ablation            -- --dataset ct128 --threads 1 --iters 2 > $OUT/ablation.txt 2>&1
     runt backproj $R backprojection      -- --dataset ct128 --threads 1 --iters 2 > $OUT/backprojection.txt 2>&1
-    runt batched  $R batched_spmm        -- --dataset ct128 --threads 1 --iters 2 --k 1,2,4 > $OUT/batched_spmm.txt 2>&1
+    runt batched  $R batched_spmm        -- --dataset ct128 --threads 1 --iters 2 --k 1,2,4,8 > $OUT/batched_spmm.txt 2>&1
     echo SMOKE_DONE
     exit 0
 fi

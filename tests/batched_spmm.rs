@@ -2,7 +2,9 @@
 //! `k` independent `spmv` calls for EVERY executor in the field — the
 //! tuned multi-RHS implementations (CSCV-Z/M, CSR, CSC) and the
 //! loop-of-singles default the remaining baselines inherit — plus the
-//! batched transpose adjoint identity, column by column.
+//! batched transpose adjoint identity, column by column. The CSCV
+//! kernels promise the single-RHS FMA order op for op at every batch
+//! width, so for them the agreement is bitwise in both precisions.
 
 use cscv_repro::harness::suite::{cscv_exec, executor_builders, prepare, PreparedDataset};
 use cscv_repro::prelude::*;
@@ -21,6 +23,10 @@ fn batch_input<T: Scalar>(x1: &[T], k: usize) -> Vec<T> {
     x
 }
 
+/// Executors whose batched products must be bit-identical to `k`
+/// single-RHS products.
+const BITWISE: &[&str] = &["CSCV-Z", "CSCV-M"];
+
 fn check_all_executors<T: Scalar + cscv_repro::simd::MaskExpand>(tol: f64) {
     let prep: PreparedDataset<T> = prepare(&cscv_repro::ct::datasets::tiny());
     let (nr, nc) = (prep.csr.n_rows(), prep.csr.n_cols());
@@ -37,11 +43,19 @@ fn check_all_executors<T: Scalar + cscv_repro::simd::MaskExpand>(tol: f64) {
                 for kk in 0..k {
                     let mut y_one = vec![T::ZERO; nr];
                     exec.spmv(&x[kk * nc..(kk + 1) * nc], &mut y_one, &pool);
-                    let err = max_rel_err(&y_multi[kk * nr..(kk + 1) * nr], &y_one);
-                    assert!(
-                        err < tol,
-                        "{name} k={k} rhs={kk} threads={threads}: err {err}"
-                    );
+                    let y_kk = &y_multi[kk * nr..(kk + 1) * nr];
+                    if BITWISE.contains(&name) {
+                        assert!(
+                            y_kk == y_one.as_slice(),
+                            "{name} k={k} rhs={kk} threads={threads}: not bit-identical"
+                        );
+                    } else {
+                        let err = max_rel_err(y_kk, &y_one);
+                        assert!(
+                            err < tol,
+                            "{name} k={k} rhs={kk} threads={threads}: err {err}"
+                        );
+                    }
                 }
             }
         }
@@ -58,9 +72,8 @@ fn every_executor_spmv_multi_matches_k_singles_f64() {
     check_all_executors::<f64>(1e-12);
 }
 
-#[test]
-fn cscv_batched_transpose_matches_k_single_transposes() {
-    let prep: PreparedDataset<f64> = prepare(&cscv_repro::ct::datasets::tiny());
+fn check_cscv_batched_transpose<T: Scalar + cscv_repro::simd::MaskExpand>() {
+    let prep: PreparedDataset<T> = prepare(&cscv_repro::ct::datasets::tiny());
     let (nr, nc) = (prep.csr.n_rows(), prep.csr.n_cols());
     for (params, variant) in [
         (CscvParams::default_z(), Variant::Z),
@@ -68,20 +81,34 @@ fn cscv_batched_transpose_matches_k_single_transposes() {
     ] {
         let exec = cscv_exec(&prep, params, variant);
         for k in [1usize, 3, 8] {
-            let y: Vec<f64> = (0..k * nr).map(|i| (i as f64 * 0.23).sin()).collect();
+            let y: Vec<T> = (0..k * nr)
+                .map(|i| T::from_f64((i as f64 * 0.23).sin()))
+                .collect();
             for threads in [1, 4] {
                 let pool = ThreadPool::new(threads);
-                let mut x_multi = vec![f64::NAN; k * nc];
+                let mut x_multi = vec![T::from_f64(f64::NAN); k * nc];
                 exec.spmv_transpose_multi(&y, k, &mut x_multi, &pool);
                 for kk in 0..k {
-                    let mut x_one = vec![f64::NAN; nc];
+                    let mut x_one = vec![T::from_f64(f64::NAN); nc];
                     exec.spmv_transpose(&y[kk * nr..(kk + 1) * nr], &mut x_one, &pool);
-                    let err = max_rel_err(&x_multi[kk * nc..(kk + 1) * nc], &x_one);
-                    assert!(err < 1e-12, "{variant:?} k={k} rhs={kk}: err {err}");
+                    assert!(
+                        x_multi[kk * nc..(kk + 1) * nc] == x_one[..],
+                        "{variant:?} k={k} rhs={kk} threads={threads}: not bit-identical"
+                    );
                 }
             }
         }
     }
+}
+
+#[test]
+fn cscv_batched_transpose_matches_k_single_transposes() {
+    check_cscv_batched_transpose::<f64>();
+}
+
+#[test]
+fn cscv_batched_transpose_matches_k_single_transposes_f32() {
+    check_cscv_batched_transpose::<f32>();
 }
 
 #[test]
