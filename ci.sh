@@ -6,7 +6,7 @@
 # toolchain is all CI needs.
 #
 #   ci.sh                        core gate (fmt, clippy with the workspace
-#                                  lints, xtask analyze, fuzz corpus replay,
+#                                  and crate lints, fuzz corpus replay,
 #                                  build, docs, tests, benchmark tests)
 #   ci.sh --perf-smoke           + run the smoke benches and fail on >25%
 #                                  GFLOP/s regressions vs the checked-in
@@ -67,9 +67,6 @@ cargo clippy --workspace -- -D warnings
 
 step "cargo clippy --workspace --features trace -- -D warnings"
 cargo clippy --workspace --features trace -- -D warnings
-
-step "cscv-xtask analyze (inter-procedural rules + findings ratchet)"
-cargo run -q -p cscv-xtask -- analyze
 
 step "cscv-xtask fuzz (regression corpus replay)"
 cargo run -q -p cscv-xtask -- fuzz --iters 0 --corpus crates/xtask/fuzz_corpus

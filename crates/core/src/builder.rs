@@ -69,6 +69,9 @@ pub enum BuildError {
     },
     /// `params.s_vxg` exceeds the kernels' compiled accumulator bound.
     VxgAboveKernelBound { s_vxg: usize, max: usize },
+    /// One block's VxG start slot or value stream outgrows its u32
+    /// index, or a VxG's offset count its u16 (invariant `CSCV-U32-FIT`).
+    BlockExceedsIndexRange { what: &'static str, value: usize },
 }
 
 impl std::fmt::Display for BuildError {
@@ -92,6 +95,9 @@ impl std::fmt::Display for BuildError {
             BuildError::VxgAboveKernelBound { s_vxg, max } => {
                 write!(f, "S_VxG = {s_vxg} above the kernel bound {max}")
             }
+            BuildError::BlockExceedsIndexRange { what, value } => {
+                write!(f, "{what} {value} exceeds its block index type")
+            }
         }
     }
 }
@@ -105,6 +111,10 @@ impl std::error::Error for BuildError {}
 /// If the CSC shape disagrees with `layout`/`img`, a dimension exceeds
 /// the compressed index range, or `s_vxg > 32`. Use [`try_build`] for a
 /// typed error instead.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper; try_build returns the typed error"
+)]
 pub fn build<T: Scalar>(
     csc: &Csc<T>,
     layout: SinoLayout,
@@ -119,6 +129,10 @@ pub fn build<T: Scalar>(
 ///
 /// # Panics
 /// Same conditions as [`build`]; see [`try_build_with_curves`].
+#[expect(
+    clippy::panic,
+    reason = "documented panicking wrapper; try_build_with_curves returns the typed error"
+)]
 pub fn build_with_curves<T: Scalar>(
     csc: &Csc<T>,
     layout: SinoLayout,
@@ -207,18 +221,21 @@ pub fn try_build_with_curves<T: Scalar>(
     for (gi, views) in vgroups.iter().enumerate() {
         let block_start = blocks.len();
         let mut group_nnz = 0usize;
-        // Group count <= n_views <= n_rows <= i32::MAX and tile count <=
-        // n_pixels <= u32::MAX — both ceilings established above, so
-        // these conversions cannot truncate.
-        // AUDIT(panic-ok): ceiling established above — group count <= i32::MAX.
-        let group_id = u32::try_from(gi).expect("group index fits u32");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "group count <= n_views <= n_rows <= i32::MAX, the ceiling established above"
+        )]
+        let group_id = gi as u32;
         for (ti, tile) in tile_list.iter().enumerate() {
-            // AUDIT(panic-ok): ceiling established above — tile count <= u32::MAX.
-            let tile_id = u32::try_from(ti).expect("tile index fits u32");
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "tile count <= n_pixels <= u32::MAX, the ceiling established above"
+            )]
+            let tile_id = ti as u32;
             if let Some(block) = build_block(
                 csc, &layout, &img, tile, views, group_id, tile_id, params, variant, curves,
                 &mut stats,
-            ) {
+            )? {
                 group_nnz += block.nnz;
                 max_ytil = max_ytil.max(block.ytil_len());
                 blocks.push(block);
@@ -230,6 +247,7 @@ pub fn try_build_with_curves<T: Scalar>(
             nnz: group_nnz,
         });
     }
+    index_fit(blocks.len(), "block count")?;
     stats.n_blocks = blocks.len();
 
     let matrix = CscvMatrix {
@@ -260,6 +278,10 @@ struct ColData<T> {
 }
 
 /// Slice one column's nonzeros for a view range as `(local view, bin, val)`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "local view < S_VVec <= 16 and bin < n_bins <= n_rows <= i32::MAX, the ceilings try_build_with_curves established"
+)]
 fn col_block_entries<T: Scalar>(
     csc: &Csc<T>,
     layout: &SinoLayout,
@@ -274,13 +296,7 @@ fn col_block_entries<T: Scalar>(
         .zip(&vals[lo..hi])
         .map(|(&r, &v)| {
             let (view, bin) = layout.ray_of_row(r as usize);
-            // Local view < S_VVec <= 16 and bin < n_bins <= n_rows, both
-            // within the u32 ceilings try_build_with_curves established.
-            (
-                u32::try_from(view - views.start).expect("local view fits u32"),
-                u32::try_from(bin).expect("bin fits u32"),
-                v,
-            )
+            ((view - views.start) as u32, bin as u32, v)
         })
         .collect()
 }
@@ -289,6 +305,10 @@ fn col_block_entries<T: Scalar>(
 type RawColumns<T> = Vec<(u32, Vec<(u32, u32, T)>)>;
 
 #[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "col < n_pixels <= u32::MAX and row < n_rows <= i32::MAX (the ceilings try_build_with_curves established); offset differences are non-negative (c0 <= c1, c_min <= c) and at most n_bins; bin is checked non-negative; W <= 16 lanes leave mask >> 8 within u8"
+)]
 fn build_block<T: Scalar>(
     csc: &Csc<T>,
     layout: &SinoLayout,
@@ -301,7 +321,7 @@ fn build_block<T: Scalar>(
     variant: Variant,
     curves: &dyn CurveProvider,
     stats: &mut CscvStats,
-) -> Option<Block<T>> {
+) -> Result<Option<Block<T>>, BuildError> {
     let w = params.s_vvec;
     let g = params.s_vxg;
     let cols = tile.cols(img);
@@ -312,18 +332,20 @@ fn build_block<T: Scalar>(
     for &col in &cols {
         let entries = col_block_entries(csc, layout, col, views);
         block_nnz += entries.len();
-        // col < n_pixels <= u32::MAX (checked in try_build_with_curves).
-        // AUDIT(panic-ok): ceiling established in try_build_with_curves — col < n_pixels <= u32::MAX.
-        raw.push((u32::try_from(col).expect("column fits u32"), entries));
+        raw.push((col as u32, entries));
     }
     if block_nnz == 0 {
-        return None;
+        return Ok(None);
     }
 
     // 2. Reference curve: tile center via the provider, falling back to
     //    a data-driven curve of the first non-empty column of the tile.
     let (cx, cy) = tile.center();
     let ref_col = img.col_index(cx, cy);
+    #[expect(
+        clippy::expect_used,
+        reason = "block_nnz > 0, so some column has entries in this view group and yields a curve"
+    )]
     let curve = curves.curve(ref_col, views).unwrap_or_else(|| {
         let fallback = raw
             .iter()
@@ -365,8 +387,9 @@ fn build_block<T: Scalar>(
     }
 
     // 4. Block offset range and column ordering by first offset.
-    let c_min = cdata.iter().map(|c| c.c0).min().unwrap();
-    let c_max = cdata.iter().map(|c| c.c1).max().unwrap();
+    // block_nnz > 0, so `cdata` is non-empty and the folds are exact.
+    let c_min = cdata.iter().map(|c| c.c0).fold(i64::MAX, i64::min);
+    let c_max = cdata.iter().map(|c| c.c1).fold(i64::MIN, i64::max);
     let n_off = (c_max - c_min + 1) as usize;
     cdata.sort_by_key(|c| (c.c0, c.col));
 
@@ -380,8 +403,15 @@ fn build_block<T: Scalar>(
     let mut descs = Vec::with_capacity(n_vxg);
     for vi in 0..n_vxg {
         let members = vi * g..((vi + 1) * g).min(cdata.len());
-        let c_start = cdata[members.clone()].iter().map(|c| c.c0).min().unwrap();
-        let c_end = cdata[members.clone()].iter().map(|c| c.c1).max().unwrap();
+        // Every VxG has at least one member, so the folds are exact.
+        let c_start = cdata[members.clone()]
+            .iter()
+            .map(|c| c.c0)
+            .fold(i64::MAX, i64::min);
+        let c_end = cdata[members.clone()]
+            .iter()
+            .map(|c| c.c1)
+            .fold(i64::MIN, i64::max);
         let count = (c_end - c_start + 1) as usize;
         let member_slots: usize = cdata[members.clone()]
             .iter()
@@ -412,12 +442,16 @@ fn build_block<T: Scalar>(
     let mut lane = vec![T::ZERO; w];
     let mut block_lane_slots = 0usize;
     for d in &descs {
-        // Slot index <= map.len() = n_off·W; a block whose ỹ outgrows
-        // u32 is unusable anyway (val_ptr is u32 too), so fail loudly
-        // rather than wrap (invariant CSCV-U32-FIT).
+        // A block whose ỹ outgrows u32 is unusable (val_ptr is u32 too),
+        // so reject it rather than wrap (invariant CSCV-U32-FIT).
         let q = (d.c_start - c_min) as usize * w;
-        vxg_q.push(u32::try_from(q).expect("VxG start slot fits u32"));
-        vxg_count.push(u16::try_from(d.count).expect("offset count fits u16"));
+        vxg_q.push(index_fit(q, "VxG start slot")?);
+        vxg_count.push(
+            u16::try_from(d.count).map_err(|_| BuildError::BlockExceedsIndexRange {
+                what: "VxG offset count",
+                value: d.count,
+            })?,
+        );
         let members = &cdata[d.members.clone()];
         for s in 0..g {
             out_cols.push(members.get(s).map(|c| c.col).unwrap_or(members[0].col));
@@ -451,7 +485,7 @@ fn build_block<T: Scalar>(
                 }
             }
         }
-        val_ptr.push(u32::try_from(vals.len()).expect("block value stream fits u32"));
+        val_ptr.push(index_fit(vals.len(), "block value stream length")?);
     }
 
     // 6. ỹ scatter map.
@@ -462,13 +496,12 @@ fn build_block<T: Scalar>(
         for v in 0..wl {
             let bin = curve.bin(v) + c_abs;
             if bin >= 0 && (bin as usize) < layout.n_bins {
-                let row = layout.row_index(views.start + v, bin as usize);
-                map[off * w + v] = i32::try_from(row).expect("row fits i32");
+                map[off * w + v] = layout.row_index(views.start + v, bin as usize) as i32;
             }
         }
     }
 
-    Some(Block {
+    Ok(Some(Block {
         group,
         tile: tile_idx,
         map,
@@ -480,7 +513,12 @@ fn build_block<T: Scalar>(
         masks,
         nnz: block_nnz,
         lane_slots: block_lane_slots,
-    })
+    }))
+}
+
+/// `value` as a u32 block index, or the typed error naming `what`.
+fn index_fit(value: usize, what: &'static str) -> Result<u32, BuildError> {
+    u32::try_from(value).map_err(|_| BuildError::BlockExceedsIndexRange { what, value })
 }
 
 #[cfg(test)]

@@ -176,7 +176,10 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
             .unwrap_or(0);
         let mut tile_blocks: Vec<Vec<u32>> = vec![Vec::new(); n_tiles];
         for (bi, b) in m.blocks.iter().enumerate() {
-            // AUDIT(panic-ok): CSCV-U32-FIT — the builder caps the block count below u32::MAX; the expect documents that invariant at the narrowing site.
+            #[expect(
+                clippy::expect_used,
+                reason = "CSCV-U32-FIT: the builder rejects more than u32::MAX blocks; the expect documents that invariant at the narrowing site"
+            )]
             let bi = u32::try_from(bi).expect("block index fits u32 (CSCV-U32-FIT)");
             tile_blocks[b.tile as usize].push(bi);
         }
@@ -505,7 +508,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         let zero_ranges = partition::even_chunks(out.len(), n);
         pool.run(|tid| {
             // SAFETY: disjoint zero ranges (separate dispatch = barrier).
-            // AUDIT(index-ok): zero_ranges has one entry per pool thread
+            // `zero_ranges` has one entry per pool thread
             // and tid < n_threads by the dispatch contract.
             unsafe { out.slice_mut(zero_ranges[tid].clone()) }.fill(T::ZERO);
         });

@@ -197,7 +197,7 @@ impl<T: Scalar> CscvMatrix<T> {
                         }
                     }
                 }
-                assert_eq!(*b.val_ptr.last().unwrap() as usize, b.vals.len());
+                assert_eq!(b.val_ptr.last().map(|&p| p as usize), Some(b.vals.len()));
                 if self.variant == Variant::M {
                     let lane_blocks: usize = (0..n).map(|i| b.vxg_count[i] as usize * g).sum();
                     assert_eq!(b.masks.len(), lane_blocks * self.mask_bytes());

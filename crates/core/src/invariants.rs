@@ -205,10 +205,13 @@ impl<T: Scalar> CscvMatrix<T> {
 /// if the matrix breaks any catalog invariant. No-op without the
 /// `check-invariants` feature.
 #[cfg(feature = "check-invariants")]
+#[expect(
+    clippy::panic,
+    reason = "this is the validation boundary: a malformed matrix must stop the run with the full violation list"
+)]
 pub fn assert_valid<T: Scalar>(m: &CscvMatrix<T>, boundary: &str) {
     if let Err(violations) = m.validate_full() {
         let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-        // AUDIT(panic-ok): this IS the validation boundary — a malformed matrix must stop the run with the full violation list.
         panic!(
             "CSCV invariant violation after {boundary}:\n{}",
             rendered.join("\n")

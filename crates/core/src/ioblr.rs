@@ -37,24 +37,30 @@ impl RefCurve {
         }
         let n = min_bins.len();
         let mut bins = vec![0i64; n];
-        // Indices of defined views.
-        let defined: Vec<usize> = (0..n).filter(|&v| min_bins[v].is_some()).collect();
+        // Defined views with their bins.
+        let defined: Vec<(usize, u32)> = min_bins
+            .iter()
+            .enumerate()
+            .filter_map(|(v, b)| b.map(|b| (v, b)))
+            .collect();
         for v in 0..n {
             bins[v] = match min_bins[v] {
                 Some(b) => b as i64,
                 None => {
                     // Nearest defined neighbors on each side.
-                    let left = defined.iter().rev().find(|&&d| d < v);
-                    let right = defined.iter().find(|&&d| d > v);
+                    let left = defined.iter().rev().find(|&&(d, _)| d < v);
+                    let right = defined.iter().find(|&&(d, _)| d > v);
                     match (left, right) {
-                        (Some(&l), Some(&r)) => {
-                            let bl = min_bins[l].unwrap() as f64;
-                            let br = min_bins[r].unwrap() as f64;
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "the value lies between two u32 bins"
+                        )]
+                        (Some(&(l, bl)), Some(&(r, br))) => {
+                            let (bl, br) = (bl as f64, br as f64);
                             let t = (v - l) as f64 / (r - l) as f64;
                             (bl + t * (br - bl)).round() as i64
                         }
-                        (Some(&l), None) => min_bins[l].unwrap() as i64,
-                        (None, Some(&r)) => min_bins[r].unwrap() as i64,
+                        (Some(&(_, b)), None) | (None, Some(&(_, b))) => b as i64,
                         (None, None) => unreachable!("at least one defined"),
                     }
                 }
@@ -117,14 +123,19 @@ pub fn min_bin_per_view<T: Scalar>(
     let hi = rows.partition_point(|&r| (r as usize) < views.end * layout.n_bins);
     for &row in &rows[lo..hi] {
         let (v, b) = layout.ray_of_row(row as usize);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "b is the bin of a u32 row id, so b <= row <= u32::MAX"
+        )]
+        let b = b as u32;
         let slot = &mut out[v - views.start];
         match slot {
             Some(prev) => {
-                if b < *prev as usize {
-                    *slot = Some(b as u32);
+                if b < *prev {
+                    *slot = Some(b);
                 }
             }
-            None => *slot = Some(b as u32),
+            None => *slot = Some(b),
         }
     }
     out
@@ -177,7 +188,12 @@ pub fn block_stats_for_curve(
             c_min = c_min.min(c);
             c_max = c_max.max(c);
         }
-        n_cscve += (c_max - c_min + 1) as usize;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "c_min <= c_max, and the span is at most n_bins"
+        )]
+        let span = (c_max - c_min + 1) as usize;
+        n_cscve += span;
         offset_min = offset_min.min(c_min);
         offset_max = offset_max.max(c_max);
     }

@@ -48,6 +48,10 @@ impl std::fmt::Display for YLayout {
 /// appear here because groups never exceed the block's view count.
 ///
 /// `curve` is required for [`YLayout::IoblrMajor`].
+#[expect(
+    clippy::expect_used,
+    reason = "documented precondition: IoblrMajor callers pass a curve"
+)]
 pub fn column_efficiency(
     entries: &[(u32, u32)],
     curve: Option<&RefCurve>,
@@ -71,11 +75,9 @@ pub fn column_efficiency(
 
 /// Summary of an efficiency distribution: `(min, max, mean)`.
 pub fn summarize(counts: &[usize]) -> (usize, usize, f64) {
-    if counts.is_empty() {
+    let (Some(&min), Some(&max)) = (counts.iter().min(), counts.iter().max()) else {
         return (0, 0, 0.0);
-    }
-    let min = *counts.iter().min().unwrap();
-    let max = *counts.iter().max().unwrap();
+    };
     let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
     (min, max, mean)
 }

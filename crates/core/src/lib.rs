@@ -25,6 +25,19 @@
 //! [`exec::CscvExec`] (implementing `cscv_sparse::SpmvExecutor` for both
 //! variants).
 
+// Index narrowing and panics are checked per site: a site that is safe
+// by an invariant says so in `#[expect(…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation
+)]
+// Test code narrows freely; clippy.toml exempts its panics the same way.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
+
 pub mod analysis;
 pub mod builder;
 #[allow(unsafe_code)]

@@ -95,6 +95,10 @@ impl FanBeamGeometry {
 
     /// One pixel's fan-beam trajectory: `(view, bin, chord)` entries
     /// ordered by row index (line model: chord at bin-center rays).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bins are clamped to [0, n_bins - 1] before their float-to-int casts (which saturate), and view/bin ids lie below n_views·n_bins, the row count Csc::from_parts bounds by u32::MAX"
+    )]
     pub fn col_entries(&self, grid: &ImageGrid, col: usize) -> Vec<TrajectoryEntry> {
         let (ix, iy) = grid.pixel_of_col(col);
         let (cx, cy) = grid.pixel_center(ix, iy);
@@ -135,6 +139,10 @@ impl FanBeamGeometry {
     }
 
     /// Column-driven CSC assembly.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row ids < n_rays and column ids < n_pixels, and Csc/Csr::from_parts asserts both dimensions fit u32, so no wrapped id escapes"
+    )]
     pub fn assemble_csc<T: Scalar>(&self, grid: &ImageGrid) -> Csc<T> {
         let n_cols = grid.n_pixels();
         let mut col_ptr = Vec::with_capacity(n_cols + 1);
@@ -152,6 +160,10 @@ impl FanBeamGeometry {
     }
 
     /// Row-driven CSR assembly via Siddon (independent cross-check).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row ids < n_rays and column ids < n_pixels, and Csc/Csr::from_parts asserts both dimensions fit u32, so no wrapped id escapes"
+    )]
     pub fn assemble_csr_siddon<T: Scalar>(&self, grid: &ImageGrid) -> Csr<T> {
         let n_rows = self.n_rays();
         let mut row_ptr = Vec::with_capacity(n_rows + 1);

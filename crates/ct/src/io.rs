@@ -6,6 +6,10 @@ use std::path::Path;
 
 /// Normalize a float image to `0..=255` (min/max scaling; constant
 /// images map to 0).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "clamped to 0..=255 before the cast"
+)]
 pub fn normalize_u8(img: &[f64]) -> Vec<u8> {
     let lo = img.iter().cloned().fold(f64::INFINITY, f64::min);
     let hi = img.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

@@ -41,6 +41,10 @@ pub fn joseph_ray(grid: &ImageGrid, theta: f64, s: f64) -> Vec<(usize, usize, f6
 }
 
 /// Linear interpolation across pixel centers in x at image row `iy`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float-to-int casts saturate, and the range checks below drop every index outside the grid"
+)]
 fn push_interp_x(
     grid: &ImageGrid,
     x: f64,
@@ -64,6 +68,10 @@ fn push_interp_x(
 }
 
 /// Linear interpolation across pixel centers in y at image column `ix`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float-to-int casts saturate, and the range checks below drop every index outside the grid"
+)]
 fn push_interp_y(
     grid: &ImageGrid,
     ix: usize,

@@ -21,6 +21,19 @@
 //! * [`datasets`] — the Table II matrix family at default (¼ linear)
 //!   and paper scale.
 
+// Index narrowing and panics are checked per site: a site that is safe
+// by an invariant says so in `#[expect(…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation
+)]
+// Test code narrows freely; clippy.toml exempts its panics the same way.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
+
 pub mod chord;
 pub mod datasets;
 pub mod fanbeam;

@@ -66,7 +66,7 @@ pub fn trace_ray(grid: &ImageGrid, theta: f64, s: f64, eps: f64) -> Vec<(usize, 
             }
         }
     }
-    ts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    ts.sort_by(f64::total_cmp);
 
     // Each consecutive parameter pair is one in-cell segment; the segment
     // midpoint identifies the cell unambiguously.
@@ -84,6 +84,10 @@ pub fn trace_ray(grid: &ImageGrid, theta: f64, s: f64, eps: f64) -> Vec<(usize, 
         if ix < 0.0 || iy < 0.0 {
             continue;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "non-negative (checked above) and range-checked below; float-to-int casts saturate"
+        )]
         let (ix, iy) = (ix as usize, iy as usize);
         if ix >= grid.nx || iy >= grid.ny {
             continue;

@@ -41,6 +41,10 @@ impl SystemMatrix {
     /// The projection trajectory of one pixel (matrix column) under a
     /// given model: all `(view, bin, value)` entries, ordered by view
     /// then bin — i.e. by ascending row index.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bins are clamped to [0, n_bins - 1] before their float-to-int casts (which saturate), and view/bin ids lie below n_views·n_bins, the row count Csc::from_parts bounds by u32::MAX"
+    )]
     pub fn col_entries_model(
         ct: &CtGeometry,
         col: usize,
@@ -97,6 +101,10 @@ impl SystemMatrix {
     /// be negative or ≥ n_bins at the detector edges — callers clamp).
     /// This is the curve IOBLR aligns parallel polylines to when no
     /// data-driven curve is available.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a bin index of the detector, give or take one footprint; float-to-int casts saturate"
+    )]
     pub fn min_bin_curve(ct: &CtGeometry, col: usize) -> Vec<i64> {
         let (ix, iy) = ct.grid.pixel_of_col(col);
         let (cx, cy) = ct.grid.pixel_center(ix, iy);
@@ -113,6 +121,10 @@ impl SystemMatrix {
     }
 
     /// Column-driven CSC assembly under a given model.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row ids < n_rays and column ids < n_pixels, and Csc/Csr::from_parts asserts both dimensions fit u32, so no wrapped id escapes"
+    )]
     pub fn assemble_csc_model<T: Scalar>(ct: &CtGeometry, model: ProjectorModel) -> Csc<T> {
         let _span = cscv_trace::span::enter("system.assemble_csc");
         let n_cols = ct.n_cols();
@@ -147,6 +159,10 @@ impl SystemMatrix {
         Self::assemble_csr_with(ct, |theta, s| joseph_ray(&ct.grid, theta, s))
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row ids < n_rays and column ids < n_pixels, and Csc/Csr::from_parts asserts both dimensions fit u32, so no wrapped id escapes"
+    )]
     fn assemble_csr_with<T: Scalar>(
         ct: &CtGeometry,
         ray_fn: impl Fn(f64, f64) -> Vec<(usize, usize, f64)>,

@@ -106,7 +106,7 @@ pub fn append(record: &Json) {
 /// (−1 = unset). A shard worker sets this once at startup so every
 /// measurement it records is attributable to its shard; single-process
 /// drivers never touch it and their records stay unchanged.
-// ATOMIC(statistic): a tag copied into measurement records — set once
+// A tag copied into measurement records — set once
 // by the worker before measuring on the same thread; readers that race
 // the store merely emit an untagged record, so Relaxed is sufficient.
 static SHARD_CONTEXT: AtomicI64 = AtomicI64::new(-1);

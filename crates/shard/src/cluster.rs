@@ -50,8 +50,7 @@ use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// How worker endpoints are brought up.
@@ -186,20 +185,14 @@ pub fn tree_reduce(mut bufs: Vec<Vec<f64>>) -> Vec<f64> {
 }
 
 /// Process-global sequence for unique socket paths (pid alone is not
-/// enough: one process may start many clusters).
-// ATOMIC(statistic): unique-id allocator — fetch_add only needs
-// uniqueness, never cross-thread ordering.
+/// enough: one process may start many clusters). A Relaxed `fetch_add`
+/// suffices: only uniqueness matters, never ordering.
 static SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
 
 enum Endpoint {
-    Thread {
-        handle: std::thread::JoinHandle<()>,
-        // ATOMIC(flag): the worker publishes "serve() completed" with a
-        // Release store; the coordinator's Acquire load after join()
-        // observes the worker's final writes, distinguishing a clean
-        // protocol shutdown from a thread that bailed mid-serve.
-        served: Arc<AtomicBool>,
-    },
+    /// Joins to whether `serve()` completed cleanly, telling a protocol
+    /// shutdown apart from a thread that bailed mid-serve.
+    Thread(std::thread::JoinHandle<bool>),
     Process(Child),
 }
 
@@ -240,7 +233,7 @@ fn recv_folding<S: io::Read + io::Write>(
 ) -> io::Result<Msg> {
     loop {
         let msg = Msg::recv(conn)?;
-        st.last_seen_ns = started.elapsed().as_nanos() as u64;
+        st.last_seen_ns = clock::duration_ns(started.elapsed());
         match msg {
             Msg::Trace {
                 seq: _,
@@ -502,7 +495,7 @@ impl Cluster {
         }
         let t0 = Instant::now();
         let merged = tree_reduce(partials);
-        self.reduce_ns += t0.elapsed().as_nanos() as u64;
+        self.reduce_ns += clock::duration_ns(t0.elapsed());
         x.copy_from_slice(&merged);
         Ok(())
     }
@@ -538,7 +531,7 @@ impl Cluster {
         }
         let t0 = Instant::now();
         let cols = tree_reduce(partials);
-        self.reduce_ns += t0.elapsed().as_nanos() as u64;
+        self.reduce_ns += clock::duration_ns(t0.elapsed());
         Ok((rows, cols))
     }
 
@@ -572,7 +565,7 @@ impl Cluster {
             .collect();
         ClusterTelemetry {
             workers,
-            wall_ns: self.started.elapsed().as_nanos() as u64,
+            wall_ns: clock::duration_ns(self.started.elapsed()),
         }
     }
 
@@ -640,7 +633,7 @@ impl Cluster {
             bytes_tx: self.conns.iter().map(|c| c.bytes_tx).sum(),
             bytes_rx: self.conns.iter().map(|c| c.bytes_rx).sum(),
             reduce_ns: self.reduce_ns,
-            wall_ns: self.started.elapsed().as_nanos() as u64,
+            wall_ns: clock::duration_ns(self.started.elapsed()),
         })
     }
 
@@ -685,8 +678,8 @@ impl Cluster {
         }
         for (i, ep) in self.endpoints.drain(..).enumerate() {
             match ep {
-                Endpoint::Thread { handle, served } => {
-                    if handle.join().is_err() || !served.load(Ordering::Acquire) {
+                Endpoint::Thread(handle) => {
+                    if !matches!(handle.join(), Ok(true)) {
                         self.states[i].degraded = true;
                     }
                 }
@@ -706,7 +699,7 @@ impl Cluster {
         }
         stats.bytes_tx = self.conns.iter().map(|c| c.bytes_tx).sum();
         stats.bytes_rx = self.conns.iter().map(|c| c.bytes_rx).sum();
-        stats.wall_ns = self.started.elapsed().as_nanos() as u64;
+        stats.wall_ns = clock::duration_ns(self.started.elapsed());
         if cscv_trace::ENABLED {
             use cscv_trace::counters::{add, Counter};
             add(Counter::ShardBytesTx, stats.bytes_tx);
@@ -795,7 +788,7 @@ impl Drop for Cluster {
     fn drop(&mut self) {
         for ep in self.endpoints.drain(..) {
             match ep {
-                Endpoint::Thread { .. } => {} // unblocks when its socket drops
+                Endpoint::Thread(_) => {} // unblocks when its socket drops
                 Endpoint::Process(mut child) => {
                     let _ = child.kill();
                     let _ = child.wait();
@@ -824,8 +817,6 @@ fn connect_all(
             let mut endpoints = Vec::with_capacity(n);
             for i in 0..n {
                 let (ours, theirs) = UnixStream::pair()?;
-                let served = Arc::new(AtomicBool::new(false));
-                let served_w = Arc::clone(&served);
                 let handle = std::thread::Builder::new()
                     .name(format!("cscv-shard-serve-{i}"))
                     .spawn(move || {
@@ -833,11 +824,9 @@ fn connect_all(
                         let mut cache = worker::env_cache();
                         // Errors surface on the coordinator side as broken
                         // frames; the thread itself just stops serving.
-                        if worker::serve(&mut conn, &mut cache).is_ok() {
-                            served_w.store(true, Ordering::Release);
-                        }
+                        worker::serve(&mut conn, &mut cache).is_ok()
                     })?;
-                endpoints.push(Endpoint::Thread { handle, served });
+                endpoints.push(Endpoint::Thread(handle));
                 conns.push(Conn::new(ours));
             }
             Ok((conns, endpoints, None))

@@ -30,6 +30,19 @@
 //! `cscv-xtask shard` drives the whole stack end to end and gates
 //! single- vs multi-process residual equivalence.
 
+// Index narrowing and panics are checked per site: a site that is safe
+// by an invariant says so in `#[expect(…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation
+)]
+// Test code narrows freely; clippy.toml exempts its panics the same way.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
+
 pub mod cluster;
 pub mod operator;
 pub mod plan;

@@ -21,7 +21,7 @@ use cscv_recon::LinearOperator;
 use cscv_sparse::{Csr, ThreadPool};
 use cscv_tune::TuneCache;
 use std::io;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// A sharded cluster as a linear operator. Collectives are serialized
 /// through a mutex (solvers issue them sequentially anyway); I/O
@@ -50,29 +50,41 @@ impl ShardedOperator {
         })
     }
 
+    /// The cluster, locked for one collective.
+    #[expect(
+        clippy::expect_used,
+        reason = "a panic while the lock was held left a collective half-sent; the wire session cannot resume"
+    )]
+    fn cluster(&self) -> MutexGuard<'_, Cluster> {
+        self.cluster.lock().expect("cluster lock")
+    }
+
     /// Snapshot cluster statistics (workers keep serving).
     pub fn stats(&self) -> io::Result<ClusterStats> {
-        self.cluster.lock().expect("cluster lock").stats()
+        self.cluster().stats()
     }
 
     /// Live cluster-health snapshot (coordinator-side state only — no
     /// worker round trip; see [`Cluster::telemetry`]).
     pub fn telemetry(&self) -> crate::cluster::ClusterTelemetry {
-        self.cluster.lock().expect("cluster lock").telemetry()
+        self.cluster().telemetry()
     }
 
     /// Shut the cluster down cleanly and return the final statistics.
     pub fn shutdown(self) -> io::Result<ClusterStats> {
-        self.cluster.into_inner().expect("cluster lock").shutdown()
+        self.into_cluster()?.shutdown()
     }
 
     /// Shut down and return stats plus telemetry and per-worker trace
     /// streams (see [`Cluster::shutdown_full`]).
     pub fn shutdown_full(self) -> io::Result<crate::cluster::ShutdownReport> {
+        self.into_cluster()?.shutdown_full()
+    }
+
+    fn into_cluster(self) -> io::Result<Cluster> {
         self.cluster
             .into_inner()
-            .expect("cluster lock")
-            .shutdown_full()
+            .map_err(|_| io::Error::other("a collective panicked while holding the cluster"))
     }
 }
 
@@ -83,17 +95,21 @@ impl LinearOperator<f64> for ShardedOperator {
     fn n_cols(&self) -> usize {
         self.n_cols
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "LinearOperator has no error channel; a failed collective must stop the solve"
+    )]
     fn apply(&self, x: &[f64], y: &mut [f64], _pool: &ThreadPool) {
-        self.cluster
-            .lock()
-            .expect("cluster lock")
+        self.cluster()
             .spmv(x, y)
             .expect("shard cluster I/O (forward)");
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "LinearOperator has no error channel; a failed collective must stop the solve"
+    )]
     fn apply_transpose(&self, y: &[f64], x: &mut [f64], _pool: &ThreadPool) {
-        self.cluster
-            .lock()
-            .expect("cluster lock")
+        self.cluster()
             .spmv_t(y, x)
             .expect("shard cluster I/O (adjoint)");
     }

@@ -26,6 +26,11 @@ use std::io::{self, Read, Write};
 /// this suite assembles, small enough to reject corrupt headers.
 pub const MAX_FRAME: u64 = 1 << 34;
 
+/// Upper bound on the pool width a [`crate::protocol::Msg::Hello`] may
+/// ask a worker for: far above any host's core count, far below a
+/// thread count that would exhaust the process.
+pub const MAX_WORKER_THREADS: u64 = 1024;
+
 /// Bytes added to every payload by the frame header.
 pub const FRAME_OVERHEAD: u64 = 1 + 8;
 
@@ -48,8 +53,8 @@ pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<u6
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
     let mut header = [0u8; 9];
     r.read_exact(&mut header)?;
-    let tag = header[0];
-    let len = u64::from_le_bytes(header[1..9].try_into().expect("9-byte header"));
+    let [tag, len @ ..] = header;
+    let len = u64::from_le_bytes(len);
     if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -201,9 +206,17 @@ impl<'a> Dec<'a> {
         Ok(head)
     }
 
+    fn take_array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or_else(|| bad("truncated payload"))?;
+        self.buf = rest;
+        Ok(*head)
+    }
+
     pub fn u64(&mut self) -> io::Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     fn len_prefix(&mut self, elem_bytes: usize) -> io::Result<usize> {
@@ -223,10 +236,7 @@ impl<'a> Dec<'a> {
     pub fn u32s(&mut self) -> io::Result<Vec<u32>> {
         let n = self.len_prefix(4)?;
         (0..n)
-            .map(|_| {
-                let b = self.take(4)?;
-                Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-            })
+            .map(|_| Ok(u32::from_le_bytes(self.take_array()?)))
             .collect()
     }
 

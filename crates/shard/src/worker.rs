@@ -22,11 +22,12 @@
 
 use crate::plan::ColWindow;
 use crate::protocol::{hello_flags, Msg, Role};
-use crate::wire::Conn;
+use crate::wire::{Conn, MAX_WORKER_THREADS};
 use cscv_core::layout::ImageShape;
 use cscv_core::{CscvExec, SinoLayout};
 use cscv_sparse::formats::CsrExec;
 use cscv_sparse::{Csr, SpmvExecutor, ThreadPool};
+use cscv_trace::clock::duration_ns;
 use cscv_tune::{AutoExec, Op, TuneCache};
 use std::io::{self, Read, Write};
 use std::time::Instant;
@@ -77,8 +78,8 @@ impl ShardBackend {
             Some(l)
                 if l.n_views > 0
                     && l.n_bins > 0
-                    && csr.n_rows() == l.n_views * l.n_bins
-                    && img.nx * img.ny == csr.n_cols()
+                    && l.n_views.checked_mul(l.n_bins) == Some(csr.n_rows())
+                    && img.nx.checked_mul(img.ny) == Some(csr.n_cols())
                     && csr.nnz() > 0 =>
             {
                 // A shard no CSCV configuration builds for (odd layout)
@@ -248,29 +249,43 @@ fn decode_matrix(m: Msg) -> io::Result<(Csr<f64>, Option<SinoLayout>, ImageShape
     if row_ptr.windows(2).any(|w| w[0] > w[1]) || row_ptr[0] != 0 {
         return Err(proto_err("row_ptr not monotone from 0"));
     }
-    if *row_ptr.last().expect("nonempty") != col_idx.len() as u64 {
+    if row_ptr.last() != Some(&(col_idx.len() as u64)) {
         return Err(proto_err("row_ptr/nnz mismatch"));
     }
-    let n_cols = n_cols as usize;
+    // Column ids are u32, so a wider matrix cannot be addressed.
+    if n_cols > u64::from(u32::MAX) || row_ptr.len() - 1 > u32::MAX as usize {
+        return Err(proto_err("matrix dimensions exceed the u32 index range"));
+    }
+    let n_cols = wire_usize(n_cols, "n_cols")?;
     if col_idx.iter().any(|&c| c as usize >= n_cols) {
         return Err(proto_err("column index out of range"));
     }
-    let csr = Csr::from_parts(
-        row_ptr.len() - 1,
-        n_cols,
-        row_ptr.iter().map(|&p| p as usize).collect(),
-        col_idx,
-        vals,
+    let row_ptr = row_ptr
+        .iter()
+        .map(|&p| wire_usize(p, "row_ptr entry"))
+        .collect::<io::Result<Vec<usize>>>()?;
+    if row_ptr
+        .windows(2)
+        .any(|w| col_idx[w[0]..w[1]].windows(2).any(|c| c[0] >= c[1]))
+    {
+        return Err(proto_err("columns not strictly increasing within a row"));
+    }
+    let (n_views, n_bins) = (
+        wire_usize(n_views, "n_views")?,
+        wire_usize(n_bins, "n_bins")?,
     );
-    let layout = (n_views > 0 && n_bins > 0).then_some(SinoLayout {
-        n_views: n_views as usize,
-        n_bins: n_bins as usize,
-    });
-    let img = ImageShape {
-        nx: nx as usize,
-        ny: ny as usize,
-    };
-    Ok((csr, layout, img))
+    let (nx, ny) = (wire_usize(nx, "nx")?, wire_usize(ny, "ny")?);
+    if n_views.checked_mul(n_bins).is_none() || nx.checked_mul(ny).is_none() {
+        return Err(proto_err("sinogram or image size overflows usize"));
+    }
+    let csr = Csr::from_parts(row_ptr.len() - 1, n_cols, row_ptr, col_idx, vals);
+    let layout = (n_views > 0 && n_bins > 0).then_some(SinoLayout { n_views, n_bins });
+    Ok((csr, layout, ImageShape { nx, ny }))
+}
+
+/// A wire `u64` as a `usize`, or the typed error naming `what`.
+fn wire_usize(v: u64, what: &str) -> io::Result<usize> {
+    usize::try_from(v).map_err(|_| proto_err(&format!("{what} {v} overflows usize")))
 }
 
 /// Serve one coordinator connection to completion: handshake, build,
@@ -306,6 +321,14 @@ fn serve_session<S: Read + Write>(
     else {
         return Err(proto_err("expected Hello"));
     };
+    // Checked before anything is spawned: the pool would otherwise try
+    // to start `threads` OS threads.
+    if threads > MAX_WORKER_THREADS {
+        return Err(proto_err(&format!(
+            "Hello.threads {threads} above MAX_WORKER_THREADS ({MAX_WORKER_THREADS})"
+        )));
+    }
+    let threads = wire_usize(threads, "threads")?;
     let mut trace = TraceStream::new(flags);
     // Clock-offset handshake: echo probes until the Matrix arrives. The
     // coordinator only sends probes in trace builds, so this loop is a
@@ -328,9 +351,9 @@ fn serve_session<S: Read + Write>(
     let mut stats = WorkerStats::default();
     let backend = {
         let _s = cscv_trace::span::enter_ctx("shard.worker.build", 0, trace_id);
-        ShardBackend::build(csr, layout, img, threads as usize, cache)
+        ShardBackend::build(csr, layout, img, threads, cache)
     };
-    stats.busy_ns += t0.elapsed().as_nanos() as u64;
+    stats.busy_ns += duration_ns(t0.elapsed());
     Msg::MatrixAck {
         col_lo: backend.window.lo as u64,
         col_hi: backend.window.hi as u64,
@@ -350,7 +373,7 @@ fn serve_session<S: Read + Write>(
                     let _s = cscv_trace::span::enter_ctx("shard.worker.spmv", 0, span);
                     backend.spmv(&x)
                 };
-                stats.busy_ns += t0.elapsed().as_nanos() as u64;
+                stats.busy_ns += duration_ns(t0.elapsed());
                 stats.spmv_calls += 1;
                 if trace.due() {
                     trace.flush(conn, &stats)?;
@@ -366,7 +389,7 @@ fn serve_session<S: Read + Write>(
                     let _s = cscv_trace::span::enter_ctx("shard.worker.spmv_t", 0, span);
                     backend.spmv_t(&y)
                 };
-                stats.busy_ns += t0.elapsed().as_nanos() as u64;
+                stats.busy_ns += duration_ns(t0.elapsed());
                 stats.spmv_t_calls += 1;
                 if trace.due() {
                     trace.flush(conn, &stats)?;
@@ -383,7 +406,7 @@ fn serve_session<S: Read + Write>(
                     let _s = cscv_trace::span::enter_ctx("shard.worker.abs_sums", 0, span);
                     backend.abs_sums()
                 };
-                stats.busy_ns += t0.elapsed().as_nanos() as u64;
+                stats.busy_ns += duration_ns(t0.elapsed());
                 if trace.due() {
                     trace.flush(conn, &stats)?;
                 }
@@ -614,17 +637,71 @@ mod tests {
 
     #[test]
     fn malformed_matrix_is_rejected() {
-        let m = Msg::Matrix {
-            n_cols: 2,
+        let matrix = |n_cols: u64, side: u64, col_idx: Vec<u32>| Msg::Matrix {
+            n_cols,
             row0: 0,
-            n_views: 0,
-            n_bins: 0,
-            nx: 2,
-            ny: 1,
-            row_ptr: vec![0, 1],
-            col_idx: vec![5], // out of range for n_cols = 2
-            vals: vec![1.0],
+            n_views: side,
+            n_bins: side,
+            nx: side,
+            ny: side,
+            row_ptr: vec![0, col_idx.len() as u64],
+            vals: vec![1.0; col_idx.len()],
+            col_idx,
         };
-        assert!(decode_matrix(m).is_err());
+        for (m, why) in [
+            (matrix(2, 1, vec![5]), "column index out of range"),
+            (matrix(2, 1, vec![1, 0]), "not strictly increasing"),
+            (matrix(u64::MAX, 1, vec![0]), "u32 index range"),
+            (matrix(2, 1 << 33, vec![0]), "overflows usize"),
+        ] {
+            let e = decode_matrix(m).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(e.to_string().contains(why), "{e}");
+        }
+    }
+
+    /// Oversized wire fields end the session with a typed error before
+    /// any allocation or thread spawn they would size.
+    #[test]
+    fn oversized_hello_threads_and_image_end_the_session() {
+        use std::os::unix::net::UnixStream;
+        for (threads, side, why) in [
+            (u64::MAX, 1, "MAX_WORKER_THREADS"),
+            (1, 1 << 33, "overflows usize"),
+        ] {
+            let (a, b) = UnixStream::pair().unwrap();
+            let worker = std::thread::spawn(move || {
+                let mut conn = Conn::new(b);
+                serve(&mut conn, &mut TuneCache::in_memory())
+            });
+            let mut conn = Conn::new(a);
+            Msg::Hello {
+                shard: 0,
+                n_shards: 1,
+                threads,
+                trace_id: 0,
+                flags: 0,
+            }
+            .send(&mut conn)
+            .unwrap();
+            // After a rejected Hello the worker may already have hung up.
+            let _ = Msg::Matrix {
+                n_cols: 1,
+                row0: 0,
+                n_views: side,
+                n_bins: side,
+                nx: side,
+                ny: side,
+                row_ptr: vec![0, 1],
+                col_idx: vec![0],
+                vals: vec![1.0],
+            }
+            .send(&mut conn);
+            let e = worker.join().unwrap().unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(e.to_string().contains(why), "{e}");
+            let reply = Msg::recv(&mut conn).unwrap_err();
+            assert!(reply.to_string().contains(why), "{reply}");
+        }
     }
 }

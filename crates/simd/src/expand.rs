@@ -214,6 +214,10 @@ impl MaskExpand for f32 {
     // elements) matches each intrinsic wrapper's requirements; W == N in
     // every write_out arm.
     #[inline(always)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a W-lane mask has W significant bits, so it fits the W-lane intrinsic's u8/u16 mask"
+    )]
     unsafe fn expand_hw<const W: usize>(mask: u32, src: *const Self) -> [Self; W] {
         #[cfg(target_arch = "x86_64")]
         {
@@ -241,6 +245,10 @@ impl MaskExpand for f64 {
     // elements) matches each intrinsic wrapper's requirements; W == N in
     // every write_out arm.
     #[inline(always)]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a W-lane mask has W significant bits, so it fits the W-lane intrinsic's u8/u16 mask"
+    )]
     unsafe fn expand_hw<const W: usize>(mask: u32, src: *const Self) -> [Self; W] {
         #[cfg(target_arch = "x86_64")]
         {

@@ -15,7 +15,7 @@ use crate::scalar::Scalar;
 /// The CSCV inner-loop primitive: one CSCVE (a `W`-wide dense column
 /// segment) folded into the reordered-`ỹ` accumulator.
 #[inline(always)]
-// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
+// Checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
 pub fn fma_lanes<T: Scalar, const W: usize>(acc: &mut [T; W], x: T, vals: &[T; W]) {
     for l in 0..W {
         acc[l] = vals[l].mul_add(x, acc[l]);
@@ -41,7 +41,7 @@ pub fn fma_lanes<T: Scalar, const W: usize>(acc: &mut [T; W], x: T, vals: &[T; W
 /// vector, every accumulator column becomes a strided
 /// `vgatherqps`/`vscatterqps`, and the tile moves to the stack.
 #[inline(always)]
-// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
+// Checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
 pub fn fma_tile<T: Scalar, const W: usize, const K: usize>(
     accs: &mut [[T; W]; K],
     xs: &[T; K],
@@ -68,7 +68,7 @@ pub fn load_tile<T: Scalar, const W: usize, const K: usize>(src: &[T], at: usize
 
 /// Store a `K`×`W` tile into `K` consecutive `W`-blocks starting at `at`.
 #[inline(always)]
-// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
+// Checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
 pub fn store_tile<T: Scalar, const W: usize, const K: usize>(
     dst: &mut [T],
     at: usize,
@@ -81,7 +81,7 @@ pub fn store_tile<T: Scalar, const W: usize, const K: usize>(
 
 /// Horizontal sum of a lane block (pairwise, keeps f32 error modest).
 #[inline(always)]
-// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
+// Checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
 pub fn hsum<T: Scalar, const W: usize>(v: &[T; W]) -> T {
     let mut width = W;
     let mut buf = *v;
@@ -100,7 +100,7 @@ pub fn hsum<T: Scalar, const W: usize>(v: &[T; W]) -> T {
 
 /// `y += alpha * x` over whole slices (8-lane unrolled body + scalar tail).
 #[inline]
-// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
+// Checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
 pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     assert_eq!(x.len(), y.len());
     let mut xc = x.chunks_exact(8);
@@ -118,7 +118,7 @@ pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
 /// Dot product with 4 independent accumulators for instruction-level
 /// parallelism (FMA latency hiding).
 #[inline]
-// AUDIT(panic-ok): checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
+// Checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
 pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     assert_eq!(x.len(), y.len());
     let mut acc = [T::ZERO; 4];

@@ -17,6 +17,19 @@
 //! * [`rng`] — the in-tree xorshift PRNG used by tests, noise models and
 //!   benchmark input generation (keeps the workspace dependency-free).
 
+// Index narrowing and panics are checked per site: a site that is safe
+// by an invariant says so in `#[expect(…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation
+)]
+// Test code narrows freely; clippy.toml exempts its panics the same way.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
+
 pub mod detect;
 #[allow(unsafe_code)]
 pub mod expand;

@@ -44,6 +44,10 @@ impl XorShift64 {
 
     /// Uniform integer in `[0, bound)`; `bound` must be positive. The
     /// modulo bias is < 2⁻⁵³ for any bound the suite uses.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below `bound`, which is a usize"
+    )]
     pub fn next_usize(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "bound must be positive");
         (self.next_u64() % bound as u64) as usize

@@ -75,6 +75,11 @@ macro_rules! impl_scalar {
             const BYTES: usize = std::mem::size_of::<$t>();
 
             #[inline(always)]
+            // `allow`, not `expect`: only the f32 expansion narrows.
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "rounding f64 to the working precision is this function's purpose"
+            )]
             fn from_f64(v: f64) -> Self {
                 v as $t
             }

@@ -50,6 +50,10 @@ impl<T: Scalar> Coo<T> {
     /// # Panics
     /// On out-of-bounds indices.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row < n_rows <= u32::MAX and col < n_cols <= u32::MAX (asserted here and in `new`)"
+    )]
     pub fn push(&mut self, row: usize, col: usize, val: T) {
         assert!(row < self.n_rows && col < self.n_cols);
         self.entries.push((row as u32, col as u32, val));

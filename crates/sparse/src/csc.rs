@@ -27,6 +27,10 @@ impl<T: Scalar> Csc<T> {
         row_idx: Vec<u32>,
         vals: Vec<T>,
     ) -> Self {
+        assert!(
+            n_rows <= u32::MAX as usize && n_cols <= u32::MAX as usize,
+            "dimensions {n_rows}x{n_cols} exceed the u32 index range"
+        );
         assert_eq!(col_ptr.len(), n_cols + 1, "col_ptr length");
         assert_eq!(row_idx.len(), vals.len(), "row/val length mismatch");
         assert_eq!(*col_ptr.first().unwrap_or(&0), 0, "col_ptr[0] must be 0");

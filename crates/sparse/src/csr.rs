@@ -31,6 +31,10 @@ impl<T: Scalar> Csr<T> {
         col_idx: Vec<u32>,
         vals: Vec<T>,
     ) -> Self {
+        assert!(
+            n_rows <= u32::MAX as usize && n_cols <= u32::MAX as usize,
+            "dimensions {n_rows}x{n_cols} exceed the u32 index range"
+        );
         assert_eq!(row_ptr.len(), n_rows + 1, "row_ptr length");
         assert_eq!(col_idx.len(), vals.len(), "col/val length mismatch");
         assert_eq!(*row_ptr.first().unwrap_or(&0), 0, "row_ptr[0] must be 0");
@@ -160,6 +164,10 @@ impl<T: Scalar> Csr<T> {
     }
 
     /// Explicit transpose (counting sort; `O(nnz + n)`).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "r < n_rows <= u32::MAX: every Csr constructor bounds both dimensions"
+    )]
     pub fn transpose(&self) -> Csr<T> {
         let mut row_ptr = vec![0usize; self.n_cols + 1];
         for &c in &self.col_idx {

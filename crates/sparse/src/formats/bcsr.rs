@@ -34,6 +34,10 @@ pub struct BcsrExec<T> {
 }
 
 impl<T: Scalar> BcsrExec<T> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the block width CB is a small constant"
+    )]
     pub fn new(csr: &Csr<T>) -> Self {
         let n_rows = csr.n_rows();
         let n_brows = n_rows.div_ceil(R);

@@ -49,6 +49,10 @@ pub struct Csr5Exec<T> {
 }
 
 impl<T: Scalar> Csr5Exec<T> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "row < n_rows <= u32::MAX: every Csr constructor bounds both dimensions"
+    )]
     pub fn new(csr: &Csr<T>) -> Self {
         let nnz = csr.nnz();
         let tiles = nnz / TILE;
@@ -226,7 +230,7 @@ impl<T: Scalar> SpmvExecutor<T> for Csr5Exec<T> {
             pool.run(|tid| {
                 // Phase split inside one dispatch is unsound (no barrier),
                 // so zero only this thread's slice first…
-                // AUDIT(index-ok): zero_ranges has one entry per pool
+                // `zero_ranges` has one entry per pool
                 // thread and tid < n_threads by the dispatch contract.
                 let z = zero_ranges[tid].clone();
                 // SAFETY: disjoint zero ranges.
@@ -236,7 +240,7 @@ impl<T: Scalar> SpmvExecutor<T> for Csr5Exec<T> {
             // flush dispatch may repartition `out` by row ownership.
             out.claims_barrier();
             pool.run(|tid| {
-                // AUDIT(index-ok): tile_ranges / shared_rows are sized
+                // `tile_ranges` / `shared_rows` are sized
                 // one entry per pool thread; tid < n_threads.
                 let range = tile_ranges[tid].clone();
                 if range.is_empty() {
@@ -244,7 +248,7 @@ impl<T: Scalar> SpmvExecutor<T> for Csr5Exec<T> {
                 }
                 // SAFETY: threads flush only rows owned per the carry
                 // protocol; the shared boundary row goes to the carry.
-                // AUDIT(index-ok): shared_rows has n_threads entries.
+                // `shared_rows` has n_threads entries.
                 let carry = unsafe { self.run_tiles(range, x, &out, shared_rows[tid]) };
                 // SAFETY: slot `tid` only.
                 unsafe { carries_s.slice_mut(tid..tid + 1)[0] = carry };

@@ -134,7 +134,7 @@ impl<T: Scalar> SpmvExecutor<T> for CsrExec<T> {
         let out = SharedSliceMut::new(y);
         let csr = &self.csr;
         pool.run(|tid| {
-            // AUDIT(index-ok): ranges has one entry per pool thread and
+            // `ranges` has one entry per pool thread and
             // tid < n_threads by the dispatch contract.
             let range = ranges[tid].clone();
             // SAFETY: row ranges are disjoint across threads.

@@ -65,6 +65,10 @@ impl<T: Scalar> CvrExec<T> {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "l < OMEGA, the SIMD lane count, and r < n_rows <= u32::MAX (every Csr constructor bounds both dimensions)"
+    )]
     fn build_partition(csr: &Csr<T>, rows: std::ops::Range<usize>) -> CvrPartition<T> {
         // Queue of non-empty rows to stream, in order.
         let mut pending = rows
@@ -100,8 +104,6 @@ impl<T: Scalar> CvrExec<T> {
                         if idx == end {
                             recs.push(FlushRec {
                                 step,
-                                // AUDIT(cast-ok): l < OMEGA (the SIMD
-                                // lane count), far below u32::MAX.
                                 lane: l as u32,
                                 row: *r as u32,
                             });
@@ -138,10 +140,7 @@ impl<T: Scalar> CvrExec<T> {
             for l in 0..OMEGA {
                 acc[l] = vs[l].mul_add(x[cs[l] as usize], acc[l]);
             }
-            // AUDIT(cast-ok): FlushRec stores steps as u32 by
-            // construction, so the step counter s fits u32 whenever a
-            // record can match at all.
-            while ri < p.recs.len() && p.recs[ri].step == s as u32 {
+            while ri < p.recs.len() && p.recs[ri].step as usize == s {
                 let rec = p.recs[ri];
                 y[rec.row as usize - row0] = acc[rec.lane as usize];
                 acc[rec.lane as usize] = T::ZERO;

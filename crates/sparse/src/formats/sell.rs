@@ -37,6 +37,10 @@ pub struct SellCSigmaExec<T> {
 }
 
 impl<T: Scalar> SellCSigmaExec<T> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rows and chunk widths are bounded by n_rows, n_cols <= u32::MAX (every Csr constructor bounds both)"
+    )]
     pub fn new(csr: &Csr<T>) -> Self {
         let n_rows = csr.n_rows();
         let n_chunks = n_rows.div_ceil(C);
@@ -135,8 +139,8 @@ impl<T: Scalar> SpmvExecutor<T> for SellCSigmaExec<T> {
                     }
                 }
                 for (l, &a) in acc.iter().enumerate() {
-                    // AUDIT(index-ok): perm holds n_chunks·C entries and
-                    // chunk < n_chunks, l < C by construction.
+                    // perm holds n_chunks·C entries, chunk < n_chunks and
+                    // l < C.
                     let r = self.perm[chunk * C + l];
                     if r != u32::MAX {
                         // SAFETY: each original row appears in exactly one

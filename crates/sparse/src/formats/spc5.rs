@@ -34,6 +34,10 @@ pub struct Spc5Exec<T, const R: usize> {
 }
 
 impl<T: Scalar + MaskExpand, const R: usize> Spc5Exec<T, R> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "lane < R, the block row count"
+    )]
     pub fn new(csr: &Csr<T>) -> Self {
         assert!(R >= 2 && R <= 16, "block height must be in 2..=16");
         let n_rows = csr.n_rows();
@@ -55,8 +59,6 @@ impl<T: Scalar + MaskExpand, const R: usize> Spc5Exec<T, R> {
             for (lane, r) in (r0..r1).enumerate() {
                 let (rcols, rvals) = csr.row(r);
                 for (c, v) in rcols.iter().zip(rvals) {
-                    // AUDIT(cast-ok): lane < R (the block row count),
-                    // far below u32::MAX.
                     scratch.push((*c, lane as u32, *v));
                 }
             }

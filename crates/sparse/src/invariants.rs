@@ -218,6 +218,10 @@ pub fn validate_coo<T: Scalar>(m: &Coo<T>) -> Vec<Violation> {
 }
 
 #[cfg(feature = "check-invariants")]
+#[expect(
+    clippy::panic,
+    reason = "this is the validation boundary: a malformed matrix must stop the run with the full violation list"
+)]
 fn panic_violations(what: &str, boundary: &str, violations: &[Violation]) -> ! {
     let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
     panic!(

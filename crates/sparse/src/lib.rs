@@ -14,6 +14,19 @@
 //!   [`partition`] helpers;
 //! * re-implementations of the paper's baselines in [`formats`].
 
+// Index narrowing and panics are checked per site: a site that is safe
+// by an invariant says so in `#[expect(…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation
+)]
+// Test code narrows freely; clippy.toml exempts its panics the same way.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
+
 pub mod coo;
 pub mod csc;
 pub mod csr;

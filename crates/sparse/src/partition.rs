@@ -77,7 +77,10 @@ pub fn batch_chunks(mut k: usize, caps: &[usize]) -> Vec<usize> {
     debug_assert_eq!(caps.last(), Some(&1), "caps must end at 1");
     let mut out = Vec::new();
     while k > 0 {
-        // AUDIT(panic-ok): `caps` ends at 1 by documented contract (debug-asserted above), so the find always succeeds.
+        #[expect(
+            clippy::expect_used,
+            reason = "`caps` ends at 1 by documented contract (debug-asserted above), so the find always succeeds"
+        )]
         let c = *caps.iter().find(|&&c| c <= k).expect("caps end at 1");
         out.push(c);
         k -= c;

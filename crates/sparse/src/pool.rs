@@ -52,6 +52,10 @@ impl ThreadPool {
     /// Create a pool with `n_threads` execution slots (minimum 1).
     ///
     /// `n_threads == 1` creates no OS threads; `run` executes inline.
+    #[expect(
+        clippy::expect_used,
+        reason = "thread spawn fails only on resource exhaustion during pool construction, before any dispatched work exists to lose"
+    )]
     pub fn new(n_threads: usize) -> Self {
         let n_threads = n_threads.max(1);
         let (ack_tx, ack_rx) = channel::<Ack>();
@@ -76,7 +80,6 @@ impl ThreadPool {
                             }
                         }
                     })
-                    // AUDIT(panic-ok): thread spawn fails only on resource exhaustion during pool construction, before any dispatched work exists to lose.
                     .expect("spawn pool worker");
                 job_txs.push(tx);
                 handles.push(handle);
@@ -125,7 +128,7 @@ impl ThreadPool {
             f(tid);
             cscv_trace::counters::add(
                 cscv_trace::counters::Counter::PoolBusyNs,
-                t0.elapsed().as_nanos() as u64,
+                cscv_trace::clock::duration_ns(t0.elapsed()),
             );
             cscv_trace::counters::add(cscv_trace::counters::Counter::PoolTasks, 1);
         };
@@ -133,6 +136,10 @@ impl ThreadPool {
     }
 
     /// The untimed dispatch protocol shared by both paths of [`run`].
+    #[expect(
+        clippy::expect_used,
+        reason = "a dead worker leaves no way to finish the run: a send fails only if the worker already died mid-run, a recv only if it died without acking, and aborting beats returning a silently partial reduction"
+    )]
     fn dispatch(&self, f: &(dyn Fn(usize) + Sync)) {
         if self.n_threads == 1 {
             f(0);
@@ -155,12 +162,10 @@ impl ThreadPool {
                 task: TaskPtr(raw),
                 thread_idx: idx,
             })
-            // AUDIT(panic-ok): a worker that dropped its channel already died mid-run; aborting beats returning a silently partial reduction.
             .expect("worker alive");
         }
         let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
         for _ in 0..self.n_threads {
-            // AUDIT(panic-ok): all ack senders live in `handles`; recv fails only if a worker died without acking, which is unrecoverable.
             match guard.ack_rx.recv().expect("worker alive") {
                 Ok(()) => {}
                 Err(p) => panic = Some(p),

@@ -57,6 +57,10 @@ mod claims {
 
         /// Register `[start, end)` for the calling thread; panic with
         /// both claim sites on a cross-thread overlap.
+        #[expect(
+            clippy::panic,
+            reason = "deliberate: an overlapping claim is a data race in the making, and a diagnostic panic beats silent UB"
+        )]
         pub fn claim(&self, mut start: usize, mut end: usize, site: &'static Location<'static>) {
             if start >= end {
                 return;
@@ -71,7 +75,6 @@ mod claims {
             while i < v.len() && v[i].start <= end {
                 let c = &v[i];
                 if c.start < end && start < c.end && c.thread != me {
-                    // AUDIT(panic-ok): deliberate — an overlapping claim is a data race in the making; a diagnostic panic beats silent UB.
                     panic!(
                         "SharedSliceMut aliasing violation: thread {:?} ({me:?}) claimed \
                          [{start}..{end}) at {site}, overlapping [{}..{}) claimed by \
@@ -255,8 +258,8 @@ where
     pool.run(|tid| {
         // SAFETY: ranges were validated pairwise disjoint and in bounds
         // above, and each slot takes only its own range.
-        // AUDIT(index-ok): the assert above requires ranges.len() ==
-        // pool.n_threads() and tid < n_threads by the dispatch contract.
+        // The assert above requires ranges.len() == pool.n_threads(),
+        // and tid < n_threads by the dispatch contract.
         let dst = unsafe { shared.slice_mut(ranges[tid].clone()) };
         f(tid, dst);
     });

@@ -23,7 +23,7 @@ pub struct CountStats {
 impl CountStats {
     /// Compute from raw counts. Empty input gives all-zero stats.
     pub fn from_counts(counts: &[usize]) -> Self {
-        if counts.is_empty() {
+        let (Some(&min), Some(&max)) = (counts.iter().min(), counts.iter().max()) else {
             return CountStats {
                 min: 0,
                 max: 0,
@@ -31,9 +31,7 @@ impl CountStats {
                 std_dev: 0.0,
                 cv: 0.0,
             };
-        }
-        let min = *counts.iter().min().unwrap();
-        let max = *counts.iter().max().unwrap();
+        };
         let n = counts.len() as f64;
         let mean = counts.iter().sum::<usize>() as f64 / n;
         let var = counts

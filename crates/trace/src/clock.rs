@@ -23,6 +23,11 @@
 //! Always compiled: the math operates on exchanged numbers, not on live
 //! instrumentation, and the exporter needs it to merge archived traces.
 
+/// `d` in whole nanoseconds, saturating at `u64::MAX` (about 584 years).
+pub fn duration_ns(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// One probe exchange: coordinator send time, worker clock reading,
 /// coordinator receive time (all nanoseconds on the respective epoch
 /// clocks).
@@ -86,6 +91,13 @@ pub fn estimate(samples: &[ClockSample]) -> OffsetEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn duration_ns_saturates() {
+        use std::time::Duration;
+        assert_eq!(duration_ns(Duration::from_micros(3)), 3_000);
+        assert_eq!(duration_ns(Duration::MAX), u64::MAX);
+    }
 
     #[test]
     fn single_symmetric_exchange_recovers_offset() {

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-// ATOMIC(statistic): per-thread trace counters — each thread bumps only
+// Per-thread trace counters — each thread bumps only
 // its own shard with Relaxed fetch_add and aggregation folds whatever it
 // observes; no cross-thread ordering protocol exists or is needed.
 pub(crate) type CounterShard = [AtomicU64; N_COUNTERS];
@@ -88,7 +88,7 @@ pub(crate) fn collect_events() -> Vec<(String, Event)> {
     out
 }
 
-// ATOMIC(statistic): counts registry resets so incremental cursors can
+// Counts registry resets so incremental cursors can
 // detect that buffers were cleared behind them; a Relaxed bump/load is
 // enough because drains already serialize on the slot mutexes.
 static RESET_GEN: AtomicU64 = AtomicU64::new(0);
@@ -142,7 +142,7 @@ pub(crate) fn reset() {
 /// (the common time base of every span and event).
 pub(crate) fn epoch_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    crate::clock::duration_ns(EPOCH.get_or_init(Instant::now).elapsed())
 }
 
 /// Serialize tests that assert on the (global) counter state.

@@ -51,7 +51,7 @@ mod imp {
         parent: u64,
     }
 
-    // ATOMIC(statistic): process-global span-id allocator — a Relaxed
+    // Process-global span-id allocator — a Relaxed
     // fetch_add hands out unique nonzero ids; no ordering with other
     // memory is implied or required.
     static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);

@@ -1,20 +1,15 @@
 //! `cscv-xtask` — the workspace's correctness- and perf-tooling crate.
 //!
-//! Several subsystems, free of external dependencies:
+//! Several subsystems, free of external dependencies. Static checks are
+//! not among them: the compiler and clippy hold the unsafe-module
+//! whitelist, SAFETY comments, index narrowing and panics (see the
+//! library crates' `lib.rs` and the root `clippy.toml`),
+//! `tests/layering.rs` holds the crate DAG, and `cscv-shard` checks its
+//! wire session at runtime.
 //!
-//! * [`analyze`] (driven by the [`lexer`]) — the one static-analysis
-//!   pass (`cargo run -p cscv-xtask -- analyze`): a cross-crate call
-//!   graph over the lexer's item model feeds fixpoint dataflow for the
-//!   project rules the compiler cannot express (unsafe-provenance
-//!   escapes, panic reachability from the kernel hot paths with witness
-//!   chains, atomic-ordering discipline against `// ATOMIC(<role>)`
-//!   declarations, index-cast truncation, slice indexing inside or
-//!   feeding `unsafe`, and the crate-layering DAG) plus a
-//!   stale-annotation check. Findings gate through the checked-in
-//!   ratchet baseline `crates/xtask/analyze_baseline.json`. Everything
-//!   the compiler can hold (the unsafe-module whitelist, SAFETY
-//!   comments, undeclared cfg features) is a workspace lint instead, and
-//!   the shard wire session is checked at runtime by `cscv-shard`.
+//! * [`lexer`] — a comment- and string-aware view of Rust source for
+//!   the contract tests that read it (`tests/ci_contract.rs` checks the
+//!   library crates' crate-level `deny` lints through it).
 //! * [`fuzz`] — structure-aware differential fuzzing (`… -- fuzz`):
 //!   randomized CT geometries and degenerate matrices round-tripped
 //!   through every sparse format with invariant validation after each
@@ -35,7 +30,6 @@
 //!   and reports speedups (exit 1 when a tuned config is slower than
 //!   the heuristic beyond the noise band).
 
-pub mod analyze;
 pub mod fuzz;
 pub mod lexer;
 pub mod perf;

@@ -1,8 +1,6 @@
 //! CLI entry point.
 //!
 //! ```text
-//! cscv-xtask analyze [--root DIR] [--format table|ndjson]
-//!                    [--baseline FILE] [--write-baseline]
 //! cscv-xtask fuzz [--iters N] [--seed S] [--corpus DIR]
 //! cscv-xtask perf-report DIR [--format table|ndjson] [--peak-gbs F]
 //!                            [--export-dir DIR]
@@ -18,12 +16,10 @@
 //! cscv-xtask shard-worker --socket PATH   (internal: worker process)
 //! ```
 //!
-//! Exit codes: 0 = clean, 1 = violations / perf regressions / fuzz
-//! failures, 2 = usage or IO error. `analyze` refines the convention:
-//! 1 = findings not in the ratchet baseline, 2 = stale baseline entries
-//! (or usage/IO errors).
+//! Exit codes: 0 = clean, 1 = perf regressions / tune or shard
+//! equivalence failures / fuzz failures, 2 = usage or IO error.
 
-use cscv_xtask::{analyze, fuzz, perf, shard_cmd, tune_cmd};
+use cscv_xtask::{fuzz, perf, shard_cmd, tune_cmd};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -35,23 +31,11 @@ enum Format {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cscv-xtask analyze [--root DIR] [--format table|ndjson] [--baseline FILE] [--write-baseline]\n\
-         \x20      cscv-xtask fuzz [--iters N] [--seed S] [--corpus DIR]\n\
+        "usage: cscv-xtask fuzz [--iters N] [--seed S] [--corpus DIR]\n\
          \x20      cscv-xtask perf-report DIR [--format table|ndjson] [--peak-gbs F] [--export-dir DIR]\n\
          \x20      cscv-xtask perf-report --diff DIR_A DIR_B [--threshold F] [--format table|ndjson]\n\
          \x20      cscv-xtask tune [DIR] [--cache FILE] [--format table|ndjson] [--reps N] [--warmup N] [--threads N] [--model]\n\
          \x20      cscv-xtask shard [--case FILE] [--workers LIST] [--solver NAME|all] [--iters N] [--method stripe|bisect] [--threads N] [--launch process|threads] [--tol F] [--trace-export FILE] [--telemetry FILE] [--format table|ndjson]\n\n\
-         analyze     whole-workspace inter-procedural analysis: a cross-crate call\n\
-         \x20           graph plus fixpoint dataflow checks unsafe-provenance escapes,\n\
-         \x20           panic reachability from the kernel hot paths (with witness\n\
-         \x20           call chains), atomic-ordering discipline against\n\
-         \x20           // ATOMIC(statistic|handoff|flag) declarations, index-cast\n\
-         \x20           truncation, slice indexing inside or feeding unsafe blocks,\n\
-         \x20           the crate-layering DAG, and stale or malformed AUDIT/ATOMIC\n\
-         \x20           annotations; findings ratchet against --baseline (default\n\
-         \x20           <root>/crates/xtask/analyze_baseline.json) — new findings\n\
-         \x20           exit 1, stale baseline entries exit 2, clean exits 0;\n\
-         \x20           --write-baseline adopts the current findings.\n\
          fuzz        structure-aware differential fuzzing: random CT geometries and\n\
          \x20           degenerate matrices round-tripped through every format with\n\
          \x20           invariant validation and executor-vs-dense checks; failures\n\
@@ -88,7 +72,6 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("analyze") => analyze_cmd(&args[1..]),
         Some("fuzz") => fuzz_cmd(&args[1..]),
         Some("perf-report") => perf_cmd(&args[1..]),
         Some("tune") => tune_cli(&args[1..]),
@@ -104,70 +87,6 @@ fn parse_format(v: Option<&str>) -> Option<Format> {
         Some("ndjson") => Some(Format::Ndjson),
         _ => None,
     }
-}
-
-fn analyze_cmd(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut format = Format::Table;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(d) => root = PathBuf::from(d),
-                None => return usage(),
-            },
-            "--format" => match parse_format(it.next().map(String::as_str)) {
-                Some(f) => format = f,
-                None => return usage(),
-            },
-            "--ndjson" => format = Format::Ndjson,
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--write-baseline" => write_baseline = true,
-            _ => return usage(),
-        }
-    }
-    let baseline_path =
-        baseline_path.unwrap_or_else(|| root.join("crates/xtask/analyze_baseline.json"));
-    let report = match analyze::analyze_root(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cscv-xtask analyze: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if write_baseline {
-        let text = analyze::Baseline::render(&report);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("cscv-xtask analyze: write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        let distinct: std::collections::BTreeSet<String> =
-            report.active().map(|f| f.fingerprint()).collect();
-        eprintln!(
-            "cscv-xtask analyze: wrote baseline ({} entries) to {}",
-            distinct.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let baseline = match analyze::Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cscv-xtask analyze: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let ratchet = analyze::Ratchet::compare(&report, &baseline);
-    match format {
-        Format::Table => print!("{}", analyze::render_table(&report, &ratchet)),
-        Format::Ndjson => print!("{}", analyze::render_ndjson(&report, &ratchet)),
-    }
-    ExitCode::from(ratchet.exit_code())
 }
 
 fn fuzz_cmd(args: &[String]) -> ExitCode {

@@ -1,10 +1,11 @@
-//! Shell-entrypoint contract tests: `ci.sh` flag handling and
-//! `run_experiments.sh` driver-failure propagation. Both scripts are
+//! Contract tests: `ci.sh` flags and stages, the index crates' deny
+//! lints, and `run_experiments.sh` failure propagation. Both scripts are
 //! exercised without invoking the toolchain — the flag parse happens
 //! before any cargo work, and the experiment script runs against a stub
 //! `cargo` in a sandbox copy so the repo's bench_results/ stay
 //! untouched.
 
+use cscv_xtask::lexer;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -53,32 +54,82 @@ fn ci_sh_advertises_every_stage_flag() {
 }
 
 #[test]
-fn ci_sh_runs_the_analyze_ratchet_unconditionally() {
-    // The inter-procedural analysis gate is part of the core stage
-    // list, not an opt-in flag: a new finding (exit 1) or a stale
-    // baseline entry (exit 2) must fail plain `ci.sh` under `set -e`.
+fn ci_sh_runs_both_clippy_gates_unconditionally() {
+    // The library crates' crate-level `deny` lints (panics, narrowing
+    // casts) and unfulfilled `#[expect]`s only fail the build under
+    // clippy with `-D warnings`, in both feature sets: plain `ci.sh`
+    // must run both, ahead of every opt-in stage.
     let text = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
-    let analyze_pos = text
-        .find("cargo run -q -p cscv-xtask -- analyze")
-        .expect("ci.sh must invoke the analyze gate");
-    let first_conditional = text.find("if [ \"$").unwrap_or(text.len());
-    assert!(
-        analyze_pos < first_conditional,
-        "analyze must run in the unconditional core gate, not behind a flag"
-    );
+    let lines: Vec<&str> = text.lines().map(str::trim).collect();
+    let first_conditional = lines
+        .iter()
+        .position(|l| l.starts_with("if [ \"$"))
+        .unwrap_or(lines.len());
+    for cmd in [
+        "cargo clippy --workspace -- -D warnings",
+        "cargo clippy --workspace --features trace -- -D warnings",
+    ] {
+        let pos = lines
+            .iter()
+            .position(|l| *l == cmd)
+            .unwrap_or_else(|| panic!("ci.sh must run `{cmd}`"));
+        assert!(
+            pos < first_conditional,
+            "`{cmd}` must run in the unconditional core gate, not behind a flag"
+        );
+    }
+}
+
+#[test]
+fn index_crates_deny_panics_and_narrowing_casts() {
+    // The clippy gates above only hold these crates to the per-site
+    // discipline while their `lib.rs` denies the lints; a deny that is
+    // commented out or loses a lint must fail here, not pass silently.
+    for krate in ["core", "sparse", "simd", "shard", "ct"] {
+        let path = repo_root().join("crates").join(krate).join("src/lib.rs");
+        let lines = lexer::analyze(&std::fs::read_to_string(&path).unwrap());
+        let start = lines
+            .iter()
+            .position(|l| l.is_attribute() && l.code.contains("#![deny("))
+            .unwrap_or_else(|| panic!("{}: no crate-level `#![deny(`", path.display()));
+        let mut deny = String::new();
+        for l in &lines[start..] {
+            deny.push_str(&l.code);
+            if l.code.contains(")]") {
+                break;
+            }
+        }
+        for lint in [
+            "unwrap_used",
+            "expect_used",
+            "panic",
+            "todo",
+            "unimplemented",
+            "cast_possible_truncation",
+        ] {
+            assert!(
+                !lexer::word_positions(&deny, lint).is_empty(),
+                "{}: `#![deny(` does not name clippy::{lint}",
+                path.display()
+            );
+        }
+    }
 }
 
 #[test]
 fn ci_gates_name_only_subcommands_that_exist() {
-    // `lint` and `audit` folded into `analyze` and the workspace lint
-    // table; neither the script nor the workflow may call them, and the
-    // analyze result cache (`--no-cache`) and `--protocol-dot` are gone.
+    // `lint`, `audit` and `analyze` gave way to compiler and clippy
+    // lints plus tests/layering.rs; neither the script nor the workflow
+    // may call them or name the analyze baseline, and the analyze
+    // result cache (`--no-cache`) and `--protocol-dot` are gone.
     let sh = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
     let yml = std::fs::read_to_string(repo_root().join(".github/workflows/ci.yml")).unwrap();
     for text in [&sh, &yml] {
         for gone in [
             "cscv-xtask -- lint",
             "cscv-xtask -- audit",
+            "cscv-xtask -- analyze",
+            "analyze_baseline.json",
             "--no-cache",
             "--protocol-dot",
         ] {
