@@ -1,6 +1,6 @@
 #!/bin/bash
 # Offline CI gate: formatting, lints, release build, docs, tests (both
-# feature modes), and optionally the perf-smoke regression gate.
+# feature modes), and optionally the A/B perf gate.
 # Requires no network access — the workspace has zero external crates in
 # every feature set (see DESIGN.md "Dependencies"), so a vendored/offline
 # toolchain is all CI needs.
@@ -8,12 +8,13 @@
 #   ci.sh                        core gate (fmt, clippy with the workspace
 #                                  and crate lints, fuzz corpus replay,
 #                                  build, docs, tests, benchmark tests)
-#   ci.sh --perf-smoke           + run the smoke benches and fail on >25%
-#                                  GFLOP/s regressions vs the checked-in
-#                                  bench_results/smoke/baseline.json
-#   ci.sh --update-perf-baseline + run the smoke benches and rewrite the
-#                                  baseline from this machine's numbers
-#                                  (and its build's target features)
+#   ci.sh --perf-smoke           + run the smoke benches twice on this
+#                                  machine, for HEAD (a fresh checkout) and
+#                                  for the working tree, and fail when
+#                                  `perf-report --diff` finds a kernel more
+#                                  than 2x slower (min-of-reps) than at
+#                                  HEAD, or the two sides come from
+#                                  different builds
 #   ci.sh --miri                 + run the Miri-compatible test subset (the
 #                                  unsafe-heavy crates' lib tests) under
 #                                  `cargo miri`; skipped with a notice when
@@ -40,7 +41,6 @@ cd "$(dirname "$0")"
 # recognized flag sets its stage; anything else prints the offender and
 # exits 2 before any toolchain work starts.
 PERF_SMOKE=0
-UPDATE_BASELINE=0
 MIRI=0
 FUZZ=0
 SHARD_SMOKE=0
@@ -48,7 +48,6 @@ SANITIZERS=0
 for arg in "$@"; do
     case "$arg" in
         --perf-smoke) PERF_SMOKE=1 ;;
-        --update-perf-baseline) PERF_SMOKE=1; UPDATE_BASELINE=1 ;;
         --miri) MIRI=1 ;;
         --fuzz) FUZZ=1 ;;
         --shard-smoke) SHARD_SMOKE=1 ;;
@@ -62,11 +61,11 @@ step() { echo; echo "== $* =="; }
 step "cargo fmt --check"
 cargo fmt --all --check
 
-step "cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+step "cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
-step "cargo clippy --workspace --features trace -- -D warnings"
-cargo clippy --workspace --features trace -- -D warnings
+step "cargo clippy --workspace --all-targets --features trace -- -D warnings"
+cargo clippy --workspace --all-targets --features trace -- -D warnings
 
 step "cscv-xtask fuzz (regression corpus replay)"
 cargo run -q -p cscv-xtask -- fuzz --iters 0 --corpus crates/xtask/fuzz_corpus
@@ -168,22 +167,24 @@ if [ "$SHARD_SMOKE" = 1 ]; then
 fi
 
 if [ "$PERF_SMOKE" = 1 ]; then
-    step "perf smoke: run_experiments.sh --smoke"
+    # A/B on one machine: the base (HEAD, extracted outside the repo so
+    # no config file of the working tree reaches its build) and the
+    # change (the working tree) run back to back and share the host's
+    # speed. The 2x bar sits above the noise between two smoke runs of
+    # one commit (single keys differ by up to ~65% on a 2-vCPU VM) and
+    # below the 5-10x cliffs the gate exists to catch.
+    BASE=$(mktemp -d)
+    trap 'rm -rf "$BASE"' EXIT
+    git archive HEAD | tar -x -C "$BASE"
+    step "perf smoke: run_experiments.sh --smoke (base: HEAD)"
+    (cd "$BASE" && ./run_experiments.sh --smoke)
+
+    step "perf smoke: run_experiments.sh --smoke (change: working tree)"
     ./run_experiments.sh --smoke
 
-    if [ "$UPDATE_BASELINE" = 1 ]; then
-        step "perf smoke: rewrite baseline"
-        cargo run --release -q -p cscv-bench --bin perf_smoke_check -- \
-            --manifests bench_results/smoke/manifests \
-            --baseline bench_results/smoke/baseline.json \
-            --write-baseline
-    else
-        step "perf smoke: check against baseline"
-        cargo run --release -q -p cscv-bench --bin perf_smoke_check -- \
-            --manifests bench_results/smoke/manifests \
-            --baseline bench_results/smoke/baseline.json \
-            --tolerance 0.25
-    fi
+    step "perf smoke: perf-report --diff base change --threshold 1.0"
+    cargo run --release -q -p cscv-xtask -- perf-report \
+        --diff "$BASE/bench_results/smoke" bench_results/smoke --threshold 1.0
 
     step "perf report: roofline attribution over smoke manifests"
     cargo run --release -q -p cscv-xtask -- perf-report bench_results/smoke

@@ -4,8 +4,9 @@
 //! [`measure_spmv`](crate::measure_spmv) / [`measure_spmm`](crate::measure_spmm)
 //! is appended as one self-describing JSON object per line to
 //! `<dir>/<driver>.ndjson`, where `driver` is the executable's file stem.
-//! The CI perf-smoke gate (`perf_smoke_check` in `cscv-bench`) consumes
-//! these files and compares them against a checked-in baseline.
+//! `cscv-xtask perf-report` consumes these files; its `--diff` mode is
+//! the perf gate, which compares the smoke runs of two commits made on
+//! the same machine.
 //!
 //! Recording is always compiled in (it is I/O at measurement boundaries,
 //! not hot-path instrumentation, so it does not need the `trace` feature)
@@ -33,8 +34,8 @@ use std::sync::atomic::{AtomicI64, Ordering};
 ///   compile-time `fma`/`avx2`/`avx512f`, so a
 ///   scalar-call build can never be compared against a packed-FMA one.
 ///
-/// Consumers (`perf_smoke_check`, `cscv-xtask perf-report`) key off
-/// field presence, not the version number, so v1 files keep parsing:
+/// The consumer (`cscv-xtask perf-report`) keys off field presence,
+/// not the version number, so v1 files keep parsing:
 /// a line without `samples` is treated as a single-sample distribution
 /// at `secs_min`, and a line without `target_features` as a build that
 /// did not record them.

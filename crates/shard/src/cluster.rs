@@ -944,10 +944,10 @@ mod tests {
         let mut xt = vec![0.0; 30];
         cluster.spmv_t(&yin, &mut xt).unwrap();
         let mut xt_ref = vec![0.0; 30];
-        for r in 0..48 {
+        for (r, yr) in yin.iter().enumerate() {
             let (cols, vals) = csr.row(r);
             for (c, v) in cols.iter().zip(vals) {
-                xt_ref[*c as usize] += v * yin[r];
+                xt_ref[*c as usize] += v * yr;
             }
         }
         for (a, b) in xt.iter().zip(&xt_ref) {

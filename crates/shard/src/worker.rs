@@ -500,10 +500,10 @@ mod tests {
         let y = [1.0, -2.0, 0.25, 4.0];
         let xt = b.spmv_t(&y);
         let mut xt_ref = vec![0.0; 6];
-        for r in 0..4 {
+        for (r, yr) in y.iter().enumerate() {
             let (cols, vals) = csr.row(r);
             for (c, v) in cols.iter().zip(vals) {
-                xt_ref[*c as usize] += v * y[r];
+                xt_ref[*c as usize] += v * yr;
             }
         }
         assert_eq!(xt, xt_ref);

@@ -53,10 +53,10 @@ fn dense(n: usize, seed: u64) -> Vec<f64> {
 /// Serial adjoint: `x += Aᵀ y` computed row by row.
 fn serial_spmv_t(csr: &Csr<f64>, y: &[f64], x: &mut [f64]) {
     x.fill(0.0);
-    for r in 0..csr.n_rows() {
+    for (r, yr) in y[..csr.n_rows()].iter().enumerate() {
         let (cols, vals) = csr.row(r);
         for (c, v) in cols.iter().zip(vals) {
-            x[*c as usize] += v * y[r];
+            x[*c as usize] += v * yr;
         }
     }
 }

@@ -29,7 +29,7 @@ fn family_rows(seed: u64) -> (CaseDesc, Csr<f64>, Vec<usize>) {
 /// CT-shaped cases) the view-aligned `n_bins`.
 fn block_sizes(desc: &CaseDesc, n_rows: usize) -> Vec<usize> {
     let mut out = vec![1];
-    if desc.n_bins > 1 && n_rows % desc.n_bins == 0 {
+    if desc.n_bins > 1 && n_rows.is_multiple_of(desc.n_bins) {
         out.push(desc.n_bins);
     }
     out

@@ -2,7 +2,7 @@
 //! (human-readable), both fed from the same registry snapshot.
 //!
 //! NDJSON — one JSON object per line, each with a `type` discriminator —
-//! is the format the bench manifests and the CI perf-smoke gate consume:
+//! is the format the bench manifests and the CI perf gate consume:
 //! appendable, greppable, parseable line-by-line without a document
 //! parser. Layout:
 //!

@@ -1,6 +1,5 @@
 //! A minimal JSON value with writer and parser — just enough for NDJSON
-//! trace emission, run manifests, and the perf-smoke baseline, with zero
-//! dependencies.
+//! trace emission and run manifests, with zero dependencies.
 //!
 //! Numbers are `f64` (every value this suite records — counters, GFLOP/s,
 //! byte counts — fits `f64` exactly below 2⁵³; integral values are

@@ -54,13 +54,13 @@ fn reference_spmv<T: Scalar>(csc: &Csc<T>, x: &[T]) -> Vec<T> {
 /// Serial ground truth for `x = Aᵀ y` (CSC columns are Aᵀ's rows).
 fn reference_spmv_t<T: Scalar>(csc: &Csc<T>, y: &[T]) -> Vec<T> {
     let mut x = vec![T::ZERO; csc.n_cols()];
-    for c in 0..csc.n_cols() {
+    for (c, xc) in x.iter_mut().enumerate() {
         let (rows, vals) = csc.col(c);
         let mut acc = T::ZERO;
         for (&r, &v) in rows.iter().zip(vals) {
-            acc = acc + v * y[r as usize];
+            acc += v * y[r as usize];
         }
-        x[c] = acc;
+        *xc = acc;
     }
     x
 }

@@ -13,7 +13,7 @@ use cscv_core::layout::ImageShape;
 use cscv_core::SinoLayout;
 use cscv_harness::gen::{generate, CaseDesc};
 use cscv_trace::counters::{self, Counter};
-use cscv_tune::{tune, CacheOutcome, ModelBench, Op, TuneCache, TuneOptions};
+use cscv_tune::{tune, CacheOutcome, ModelBench, TuneCache, TuneOptions};
 
 #[test]
 fn warm_cache_adds_zero_tune_sample_counters() {

@@ -17,7 +17,8 @@
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = perf regressions / tune or shard
-//! equivalence failures / fuzz failures, 2 = usage or IO error.
+//! equivalence failures / fuzz failures, 2 = usage or IO error, or a
+//! perf diff of two different builds.
 
 use cscv_xtask::{fuzz, perf, shard_cmd, tune_cmd};
 use std::path::PathBuf;
@@ -45,7 +46,8 @@ fn usage() -> ExitCode {
          \x20           each kernel as latency- or bandwidth-bound, optionally\n\
          \x20           exporting Chrome traces + flamegraph stacks; with --diff it\n\
          \x20           compares two directories (min-of-reps, relative threshold)\n\
-         \x20           and exits 1 on regressions.\n\
+         \x20           and exits 1 on regressions, 2 when the two come from\n\
+         \x20           different builds.\n\
          tune        batch-runs the cscv-tune autotuner over a corpus of case\n\
          \x20           descriptors (default crates/tune/tune_corpus), re-measures the\n\
          \x20           chosen configs vs the static heuristic on the full matrices,\n\
@@ -210,6 +212,12 @@ fn perf_diff(
 ) -> Result<ExitCode, String> {
     let la = perf::load_dir(a)?;
     let lb = perf::load_dir(b)?;
+    perf::same_build(&la.builds, &lb.builds).map_err(|why| {
+        format!(
+            "refusing to compare: {why}; rebuild both sides with one \
+             configuration (.cargo/config.toml, RUSTFLAGS)"
+        )
+    })?;
     let rows = perf::diff(&la, &lb, threshold);
     match format {
         Format::Table => {

@@ -6,17 +6,16 @@
 //!
 //! ```text
 //! bench_results/smoke/
-//!   manifests/*.ndjson   # measurement records (schema v1 or v2)
+//!   manifests/*.ndjson   # measurement records (schema v1 to v3)
 //!   trace/*.ndjson       # optional cscv-trace dumps (CSCV_TRACE_OUT)
 //! ```
 //!
 //! Passing either the run directory or its `manifests/` subdirectory
 //! works. Each `spmv`/`spmm` record is aggregated under the key
-//! `driver/name/tN/kN` (the same key the CI perf-smoke gate uses); the
-//! representative record per key is the one with the best GFLOP/s, and
-//! per-rep `samples` arrays are pooled across records. Schema-v1 lines
-//! (no `samples`) degrade to a single-sample distribution at
-//! `secs_min`.
+//! `driver/name/tN/kN`; the representative record per key is the one
+//! with the best GFLOP/s, and per-rep `samples` arrays are pooled across
+//! records. Schema-v1 lines (no `samples`) degrade to a single-sample
+//! distribution at `secs_min`.
 //!
 //! The roofline section joins each kernel with a bandwidth ceiling,
 //! resolved in order: an explicit `--peak-gbs` flag, the best `membw`
@@ -27,6 +26,11 @@
 //! Diffing compares the best (minimum) per-rep time per key — min-of-
 //! reps is immune to scheduler noise in a way means are not — and only
 //! flags a regression when the slowdown exceeds the relative threshold.
+//! It refuses to compare two directories whose records come from
+//! different builds (the schema-v3 `target_features`), or a directory
+//! that mixes builds: a kernel built without `fma` is several times
+//! slower on the same CPU, so such a diff would measure the build, not
+//! the change.
 
 use cscv_harness::roofline::{self, RooflinePoint};
 use cscv_harness::{summarize_samples, LatencySummary};
@@ -57,7 +61,7 @@ pub struct KernelAgg {
 }
 
 impl KernelAgg {
-    /// The aggregation key, matching the CI perf-smoke gate.
+    /// The aggregation key.
     pub fn key(&self) -> String {
         format!(
             "{}/{}/t{}/k{}",
@@ -93,6 +97,9 @@ pub struct LoadedDir {
     pub n_v1: usize,
     /// Unparseable or typeless lines skipped.
     pub n_skipped: usize,
+    /// The distinct `target_features` of the kernel records, as JSON
+    /// text; `None` for records that do not carry them (schema v1/v2).
+    pub builds: BTreeSet<Option<String>>,
 }
 
 /// Where the bandwidth ceiling came from.
@@ -159,6 +166,7 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
 
     let mut by_key: BTreeMap<String, KernelAgg> = BTreeMap::new();
     let mut membw: Option<f64> = None;
+    let mut builds = BTreeSet::new();
     let (mut n_records, mut n_v1, mut n_skipped) = (0usize, 0usize, 0usize);
     for path in &files {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -185,6 +193,7 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
                         n_skipped += 1;
                         continue;
                     };
+                    builds.insert(build_of(&v));
                     let driver = v
                         .get("driver")
                         .and_then(Json::as_str)
@@ -237,7 +246,47 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
         n_records,
         n_v1,
         n_skipped,
+        builds,
     })
+}
+
+/// The `target_features` of a manifest record as JSON text; `None`
+/// where they were not recorded (schema v1/v2).
+fn build_of(v: &Json) -> Option<String> {
+    v.get("target_features").map(Json::to_string)
+}
+
+fn show(build: &Option<String>) -> &str {
+    build.as_deref().unwrap_or("(not recorded)")
+}
+
+/// The one build all records of a directory came from, or why there is
+/// none.
+pub fn one_build(builds: &BTreeSet<Option<String>>) -> Result<Option<String>, String> {
+    match builds.len() {
+        0 | 1 => Ok(builds.first().cloned().flatten()),
+        _ => Err(format!(
+            "the manifests mix builds with target features {}",
+            builds.iter().map(show).collect::<Vec<_>>().join(" and ")
+        )),
+    }
+}
+
+/// `Ok` when A and B each come from one build, and the same one.
+pub fn same_build(
+    a: &BTreeSet<Option<String>>,
+    b: &BTreeSet<Option<String>>,
+) -> Result<(), String> {
+    let (a, b) = (one_build(a)?, one_build(b)?);
+    if a == b {
+        Ok(())
+    } else {
+        Err(format!(
+            "A was built with target features {} but B with {}",
+            show(&a),
+            show(&b)
+        ))
+    }
 }
 
 /// Pick the bandwidth ceiling: flag > membw record > observed proxy.
@@ -788,6 +837,15 @@ pub fn render_diff_table(a: &LoadedDir, b: &LoadedDir, rows: &[DiffRow], thresho
         b.dir.display(),
         threshold * 100.0
     );
+    for (side, l) in [("A", a), ("B", b)] {
+        let build = one_build(&l.builds).unwrap_or_else(Some);
+        let _ = writeln!(
+            out,
+            "{side}: {} records, target_features {}",
+            l.n_records,
+            show(&build)
+        );
+    }
     let key_w = rows.iter().map(|r| r.key.len()).max().unwrap_or(3).max(3);
     let fmt_side = |v: Option<f64>| v.map_or("-".to_string(), fmt_ms);
     for r in rows {
@@ -1026,6 +1084,11 @@ mod tests {
         let table = render_diff_table(&a, &b, &rows, 0.05);
         assert!(table.contains("REGRESSION"));
         assert!(table.contains("FAIL"));
+        // The header names each side's records and build.
+        assert!(
+            table.contains("A: 4 records, target_features (not recorded)"),
+            "{table}"
+        );
         // Minute-of-reps: B regresses secs_min but has one fast sample →
         // not a regression.
         let sc = Scratch::new("diff-c");
@@ -1037,6 +1100,39 @@ mod tests {
         let rows = diff(&a, &c, 0.05);
         let reg = rows.iter().find(|r| r.key == "bench/reg/t1/k1").unwrap();
         assert_eq!(reg.status, DiffStatus::Same);
+    }
+
+    fn build(fma: bool) -> Option<String> {
+        let v = Json::parse(&format!(r#"{{"target_features":{{"fma":{fma}}}}}"#)).unwrap();
+        build_of(&v)
+    }
+
+    #[test]
+    fn refuses_to_compare_different_builds() {
+        let (native, portable) = (build(true), build(false));
+        let set = |b: &[&Option<String>]| b.iter().map(|&b| b.clone()).collect::<BTreeSet<_>>();
+        assert_eq!(same_build(&set(&[&native]), &set(&[&native])), Ok(()));
+        // A packed-FMA build against a scalar-call one, and back.
+        let why = same_build(&set(&[&native]), &set(&[&portable])).unwrap_err();
+        assert!(
+            why.contains(r#"{"fma":false}"#) && why.contains(r#"{"fma":true}"#),
+            "{why}"
+        );
+        assert!(same_build(&set(&[&portable]), &set(&[&native])).is_err());
+        // Pre-v3 manifests against v3 ones, and a mix of builds on
+        // either side.
+        assert!(same_build(&set(&[&None]), &set(&[&native])).is_err());
+        assert!(same_build(&set(&[&native]), &set(&[&None])).is_err());
+        let mixed = set(&[&native, &portable]);
+        assert!(same_build(&set(&[&native]), &mixed)
+            .unwrap_err()
+            .contains("mix"));
+        assert!(same_build(&mixed, &set(&[&native]))
+            .unwrap_err()
+            .contains("mix"));
+        assert!(one_build(&mixed).is_err());
+        // v1/v2 manifests on both sides still compare.
+        assert_eq!(same_build(&set(&[&None]), &set(&[&None])), Ok(()));
     }
 
     #[test]

@@ -19,27 +19,31 @@ fn repo_root() -> PathBuf {
 
 #[test]
 fn ci_sh_rejects_unknown_flags_with_exit_two() {
-    let out = Command::new("bash")
-        .arg(repo_root().join("ci.sh"))
-        .arg("--bogus")
-        .output()
-        .expect("run ci.sh");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag: --bogus"), "stderr: {stderr}");
-    // The rejection must precede any build output.
-    assert!(out.stdout.is_empty(), "flag parse ran toolchain work");
+    // A retired flag is rejected like any other.
+    for flag in ["--bogus", "--update-perf-baseline"] {
+        let out = Command::new("bash")
+            .arg(repo_root().join("ci.sh"))
+            .arg(flag)
+            .output()
+            .expect("run ci.sh");
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag: {flag}")),
+            "stderr: {stderr}"
+        );
+        // The rejection must precede any build output.
+        assert!(out.stdout.is_empty(), "flag parse ran toolchain work");
+    }
 }
 
 #[test]
 fn ci_sh_advertises_every_stage_flag() {
     // The header comment is the CLI reference; every recognized flag
-    // must appear there (and --shard-smoke specifically is the gate this
-    // PR adds).
+    // must appear there.
     let text = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
     for flag in [
         "--perf-smoke",
-        "--update-perf-baseline",
         "--miri",
         "--fuzz",
         "--shard-smoke",
@@ -58,7 +62,7 @@ fn ci_sh_runs_both_clippy_gates_unconditionally() {
     // The library crates' crate-level `deny` lints (panics, narrowing
     // casts) and unfulfilled `#[expect]`s only fail the build under
     // clippy with `-D warnings`, in both feature sets: plain `ci.sh`
-    // must run both, ahead of every opt-in stage.
+    // must run both, ahead of every opt-in stage, over test code too.
     let text = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
     let lines: Vec<&str> = text.lines().map(str::trim).collect();
     let first_conditional = lines
@@ -66,8 +70,8 @@ fn ci_sh_runs_both_clippy_gates_unconditionally() {
         .position(|l| l.starts_with("if [ \"$"))
         .unwrap_or(lines.len());
     for cmd in [
-        "cargo clippy --workspace -- -D warnings",
-        "cargo clippy --workspace --features trace -- -D warnings",
+        "cargo clippy --workspace --all-targets -- -D warnings",
+        "cargo clippy --workspace --all-targets --features trace -- -D warnings",
     ] {
         let pos = lines
             .iter()
@@ -136,6 +140,75 @@ fn ci_gates_name_only_subcommands_that_exist() {
             assert!(!text.contains(gone), "CI still invokes `{gone}`");
         }
     }
+}
+
+/// A script's lines, with backslash continuations joined and whitespace
+/// collapsed.
+fn commands(text: &str) -> Vec<String> {
+    let joined = text.replace("\\\n", " ");
+    joined
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect()
+}
+
+/// Every file under `dir` except build output and git metadata.
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap().flatten() {
+        let path = entry.path();
+        let name = entry.file_name();
+        if path.is_dir() {
+            if !matches!(name.to_str(), Some("target" | ".git" | ".bench_build")) {
+                walk(&path, out);
+            }
+        } else {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn one_perf_gate_compares_against_the_parent_on_one_runner() {
+    // ci.sh and the workflow both gate perf with the same-runner A/B
+    // diff at the 2x bar.
+    for file in ["ci.sh", ".github/workflows/ci.yml"] {
+        let text = std::fs::read_to_string(repo_root().join(file)).unwrap();
+        assert!(
+            commands(&text).iter().any(|c| {
+                c.contains("cscv-xtask -- perf-report --diff") && c.ends_with("--threshold 1.0")
+            }),
+            "{file} must gate with `perf-report --diff BASE CHANGE --threshold 1.0`"
+        );
+    }
+    // The absolute-baseline gate is gone: no code, script, config or
+    // reference doc names its binary or its baseline file. Markdown
+    // other than the reference docs is not scanned: the change log and
+    // the planning notes record the retired names on purpose.
+    let retired = [
+        concat!("perf_smoke", "_check"),
+        concat!("smoke/", "baseline.json"),
+    ];
+    let mut files = Vec::new();
+    walk(&repo_root(), &mut files);
+    let mut scanned = 0;
+    for path in files {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
+        let scan = matches!(ext, "rs" | "sh" | "yml" | "toml" | "json")
+            || matches!(
+                name,
+                ".gitignore" | "README.md" | "DESIGN.md" | "EXPERIMENTS.md"
+            );
+        if !scan {
+            continue;
+        }
+        scanned += 1;
+        let text = std::fs::read_to_string(&path).unwrap_or_default();
+        for gone in retired {
+            assert!(!text.contains(gone), "{} names `{gone}`", path.display());
+        }
+    }
+    assert!(scanned > 50, "scanned only {scanned} files");
 }
 
 #[test]

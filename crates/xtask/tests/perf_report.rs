@@ -140,6 +140,41 @@ fn diff_exit_codes_clean_and_regressed() {
 }
 
 #[test]
+fn diff_refuses_manifests_from_different_builds() {
+    // The same kernel from a packed-FMA build and from a build without
+    // FMA (manifest schema v3 `target_features`).
+    let line = |fma: bool| {
+        spmv_line("kern", 0.010, &[0.010]).replacen(
+            '{',
+            &format!(r#"{{"target_features":{{"fma":{fma},"avx2":{fma},"avx512f":false}},"#),
+            1,
+        )
+    };
+    let (native, again, portable) = (
+        Scratch::new("build-native"),
+        Scratch::new("build-again"),
+        Scratch::new("build-portable"),
+    );
+    native.manifest("m.ndjson", &[line(true)]);
+    again.manifest("m.ndjson", &[line(true)]);
+    portable.manifest("m.ndjson", &[line(false)]);
+
+    let (code, stdout, stderr) = run(&["perf-report", "--diff", path(&native.0), path(&again.0)]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.contains(r#"B: 1 records, target_features {"fma":true"#),
+        "{stdout}"
+    );
+
+    for (a, b) in [(&native, &portable), (&portable, &native)] {
+        let (code, stdout, stderr) = run(&["perf-report", "--diff", path(&a.0), path(&b.0)]);
+        assert_eq!(code, 2, "{stdout}");
+        assert!(stderr.contains("refusing to compare"), "{stderr}");
+        assert!(stdout.is_empty(), "no verdict for a refused pair: {stdout}");
+    }
+}
+
+#[test]
 fn missing_directory_is_a_usage_error() {
     let s = Scratch::new("missing");
     let bogus = s.0.join("does-not-exist");

@@ -5,8 +5,9 @@
 # paper-strength minima.
 #
 # --smoke: run every driver on ct128 only with minimal iterations, so the
-# whole driver set is exercised in seconds (CI / sanity check, not
-# measurement).
+# whole driver set is exercised in seconds (CI / sanity check). The perf
+# gate diffs two such runs made on one machine; their numbers compare
+# commits, they are not measurements in their own right.
 #
 # --smoke-trace: same smoke set built with --features trace; each driver
 # also dumps its NDJSON trace to bench_results/smoke-trace/trace/ (for
@@ -60,12 +61,12 @@ if [ "$SMOKE" = 1 ]; then
     mkdir -p $OUT
     # Clean stale outputs from previous smoke runs: manifests and traces
     # are appended to / accumulated, so leftovers would mix old and new
-    # measurements and confuse the perf gate. baseline.json is the
-    # checked-in reference — never delete it.
+    # measurements and confuse the perf gate.
     rm -f "$OUT"/*.txt
     rm -rf "$OUT/manifests" "$OUT/trace"
     # Every measurement is also recorded to an NDJSON manifest per
-    # driver (consumed by perf_smoke_check and cscv-xtask perf-report).
+    # driver, consumed by `cscv-xtask perf-report`; the perf gate diffs
+    # the manifests of two smoke runs (ci.sh --perf-smoke).
     export CSCV_MANIFEST_DIR="$OUT/manifests"
     mkdir -p "$CSCV_MANIFEST_DIR"
     [ "$TRACE" = 1 ] && mkdir -p "$OUT/trace"
