@@ -3,15 +3,27 @@
 //! Prints, per dataset: geometry parameters, nnz, x/y sizes — plus the
 //! structural sanity columns the paper's properties imply (nnz per
 //! column per view ≈ 2.6; P3 coefficient of variation of column
-//! densities).
+//! densities) and the set-up cost: seconds to assemble the CSC, convert
+//! it to CSR, and build CSCV-Z and CSCV-M from it (the paper's "matrix
+//! format conversion", run on every core).
 //!
 //! Run: `cargo run --release -p cscv-bench --bin table2_datasets`
 //! (`--paper-scale` regenerates the original sizes — tens of GB).
 
 use cscv_bench::{emit, BenchArgs};
-use cscv_harness::suite::prepare;
+use cscv_core::layout::ImageShape;
+use cscv_core::{build, CscvParams, SinoLayout, Variant};
+use cscv_ct::system::SystemMatrix;
 use cscv_harness::table::{f, Table};
 use cscv_sparse::stats::MatrixProfile;
+use std::time::Instant;
+
+/// `f()` and its wall time in seconds.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let t0 = Instant::now();
+    let r = f();
+    (r, t0.elapsed().as_secs_f64())
+}
 
 fn main() {
     let _trace = cscv_bench::trace_report();
@@ -27,10 +39,26 @@ fn main() {
         "y size",
         "nnz/col/view",
         "col-density CV (P3)",
+        "assemble s",
+        "CSC->CSR s",
+        "CSCV-Z build s",
+        "CSCV-M build s",
     ]);
     for ds in &args.datasets {
-        let prep = prepare::<f32>(ds);
-        let profile = MatrixProfile::from_csr(&prep.csr);
+        let layout = SinoLayout {
+            n_views: ds.n_views,
+            n_bins: ds.n_bins,
+        };
+        let img = ImageShape {
+            nx: ds.img,
+            ny: ds.img,
+        };
+        let (csc, t_assemble) = timed(|| SystemMatrix::assemble_csc::<f32>(&ds.geometry()));
+        let (csr, t_csr) = timed(|| csc.to_csr());
+        let build_s = |params, variant| timed(|| build(&csc, layout, img, params, variant)).1;
+        let t_z = build_s(CscvParams::default_z(), Variant::Z);
+        let t_m = build_s(CscvParams::default_m(), Variant::M);
+        let profile = MatrixProfile::from_csr(&csr);
         table.add_row(vec![
             ds.name.to_string(),
             format!("{0}x{0}", ds.img),
@@ -45,6 +73,10 @@ fn main() {
                 2,
             ),
             f(profile.col_stats.cv, 3),
+            f(t_assemble, 3),
+            f(t_csr, 3),
+            f(t_z, 3),
+            f(t_m, 3),
         ]);
     }
     emit("Table II analog: CT matrix datasets", &table, &args.csv);

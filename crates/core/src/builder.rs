@@ -12,12 +12,18 @@
 //!    extra padding of Fig. 6a), then sort VxGs by offset count (Fig. 6b);
 //! 5. emit the value stream (full lanes for CSCV-Z; mask-compressed for
 //!    CSCV-M) and the block's ỹ scatter map.
+//!
+//! Blocks do not depend on each other, so the builder splits the
+//! (group, tile) sequence into contiguous parts, builds them on every
+//! core and concatenates the parts in order: the matrix does not depend
+//! on the part count.
 
 use crate::format::{Block, CscvMatrix, CscvStats, GroupInfo, Variant};
 use crate::ioblr::{min_bin_per_view, RefCurve};
 use crate::layout::{tiles, view_groups, ImageShape, SinoLayout, Tile};
 use crate::params::CscvParams;
-use cscv_sparse::{Csc, Scalar};
+use cscv_sparse::pool::{fork_join, split_range};
+use cscv_sparse::{Csc, Scalar, ThreadPool};
 use std::ops::Range;
 
 /// Source of IOBLR reference curves.
@@ -27,7 +33,7 @@ use std::ops::Range;
 /// that know their geometry analytically (e.g. `cscv-ct`'s parallel- or
 /// fan-beam operators) can provide exact curves instead — useful when
 /// the reference column is sparse or the matrix is subsampled.
-pub trait CurveProvider {
+pub trait CurveProvider: Sync {
     /// Reference curve for `ref_col` over the (global) view range, or
     /// `None` when this provider cannot produce one (the builder then
     /// falls back to a data-driven curve from another column).
@@ -207,48 +213,96 @@ pub fn try_build_with_curves<T: Scalar>(
         });
     }
 
+    build_in_parts(
+        csc,
+        layout,
+        img,
+        params,
+        variant,
+        curves,
+        ThreadPool::max_parallelism(),
+    )
+}
+
+/// The blocks of [`try_build_with_curves`], built over at most `parts`
+/// contiguous ranges of the (group, tile) sequence and merged in that
+/// order, so neither the matrix nor the first error depends on `parts`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "group count <= n_views <= n_rows <= i32::MAX and tile count <= n_pixels <= u32::MAX, the ceilings try_build_with_curves established"
+)]
+fn build_in_parts<T: Scalar>(
+    csc: &Csc<T>,
+    layout: SinoLayout,
+    img: ImageShape,
+    params: CscvParams,
+    variant: Variant,
+    curves: &dyn CurveProvider,
+    parts: usize,
+) -> Result<CscvMatrix<T>, BuildError> {
     let tile_list = tiles(&img, params.s_imgb);
     let vgroups = view_groups(layout.n_views, params.s_vvec);
+    let n_tiles = tile_list.len();
+
+    let built = fork_join(split_range(vgroups.len() * n_tiles, parts), |range| {
+        let mut scratch = BlockScratch::default();
+        let mut stats = CscvStats::default();
+        let mut blocks = Vec::new();
+        for k in range {
+            let (gi, ti) = (k / n_tiles, k % n_tiles);
+            let block = build_block(
+                csc,
+                &layout,
+                &img,
+                &tile_list[ti],
+                &vgroups[gi],
+                gi as u32,
+                ti as u32,
+                params,
+                variant,
+                curves,
+                &mut stats,
+                &mut scratch,
+            )?;
+            blocks.extend(block);
+        }
+        Ok((blocks, stats))
+    });
 
     let mut stats = CscvStats {
         nnz_orig: csc.nnz(),
         ..CscvStats::default()
     };
     let mut blocks = Vec::new();
-    let mut groups = Vec::with_capacity(vgroups.len());
-    let mut max_ytil = 0usize;
-
-    for (gi, views) in vgroups.iter().enumerate() {
-        let block_start = blocks.len();
-        let mut group_nnz = 0usize;
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "group count <= n_views <= n_rows <= i32::MAX, the ceiling established above"
-        )]
-        let group_id = gi as u32;
-        for (ti, tile) in tile_list.iter().enumerate() {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "tile count <= n_pixels <= u32::MAX, the ceiling established above"
-            )]
-            let tile_id = ti as u32;
-            if let Some(block) = build_block(
-                csc, &layout, &img, tile, views, group_id, tile_id, params, variant, curves,
-                &mut stats,
-            )? {
-                group_nnz += block.nnz;
-                max_ytil = max_ytil.max(block.ytil_len());
-                blocks.push(block);
-            }
-        }
-        groups.push(GroupInfo {
-            block_range: block_start..blocks.len(),
-            row_range: views.start * layout.n_bins..views.end * layout.n_bins,
-            nnz: group_nnz,
-        });
+    for part in built {
+        let (part_blocks, s) = part?;
+        stats.lane_slots += s.lane_slots;
+        stats.ioblr_padding += s.ioblr_padding;
+        stats.vxg_padding += s.vxg_padding;
+        stats.n_cscve += s.n_cscve;
+        stats.n_vxg += s.n_vxg;
+        blocks.extend(part_blocks);
     }
     index_fit(blocks.len(), "block count")?;
     stats.n_blocks = blocks.len();
+
+    // Blocks come in group order; each group owns a contiguous run.
+    let mut groups = Vec::with_capacity(vgroups.len());
+    let mut start = 0;
+    for (gi, views) in vgroups.iter().enumerate() {
+        let n = blocks[start..]
+            .iter()
+            .take_while(|b| b.group as usize == gi)
+            .count();
+        let block_range = start..start + n;
+        start += n;
+        groups.push(GroupInfo {
+            nnz: blocks[block_range.clone()].iter().map(|b| b.nnz).sum(),
+            block_range,
+            row_range: views.start * layout.n_bins..views.end * layout.n_bins,
+        });
+    }
+    let max_ytil = blocks.iter().map(Block::ytil_len).max().unwrap_or(0);
 
     let matrix = CscvMatrix {
         n_rows: csc.n_rows(),
@@ -267,17 +321,32 @@ pub fn try_build_with_curves<T: Scalar>(
 }
 
 /// Per-column working data inside one block.
-struct ColData<T> {
+struct ColData {
     col: u32,
     /// Offset span `[c0, c1]` relative to the reference curve.
     c0: i64,
     c1: i64,
-    /// Densified values: `(c − c0)·W + v` (lanes beyond the group's local
-    /// view count stay zero).
+    /// Start of the densified values in [`BlockScratch::grid`]:
+    /// `(c − c0)·W + v` (lanes beyond the group's local view count stay
+    /// zero).
+    grid: usize,
+}
+
+/// Working buffers of [`build_block`], reused by every block of a part.
+#[derive(Default)]
+struct BlockScratch<T> {
+    /// `(local view, bin, value)` of the tile's columns, column after
+    /// column.
+    entries: Vec<(u32, u32, T)>,
+    /// Per non-empty column: its id and its range of `entries`.
+    spans: Vec<(u32, Range<usize>)>,
+    cols: Vec<ColData>,
+    /// Densified columns, one after another.
     grid: Vec<T>,
 }
 
-/// Slice one column's nonzeros for a view range as `(local view, bin, val)`.
+/// Append one column's nonzeros for a view range to `out` as
+/// `(local view, bin, val)`.
 #[expect(
     clippy::cast_possible_truncation,
     reason = "local view < S_VVec <= 16 and bin < n_bins <= n_rows <= i32::MAX, the ceilings try_build_with_curves established"
@@ -287,22 +356,16 @@ fn col_block_entries<T: Scalar>(
     layout: &SinoLayout,
     col: usize,
     views: &Range<usize>,
-) -> Vec<(u32, u32, T)> {
+    out: &mut Vec<(u32, u32, T)>,
+) {
     let (rows, vals) = csc.col(col);
     let lo = rows.partition_point(|&r| (r as usize) < views.start * layout.n_bins);
     let hi = rows.partition_point(|&r| (r as usize) < views.end * layout.n_bins);
-    rows[lo..hi]
-        .iter()
-        .zip(&vals[lo..hi])
-        .map(|(&r, &v)| {
-            let (view, bin) = layout.ray_of_row(r as usize);
-            ((view - views.start) as u32, bin as u32, v)
-        })
-        .collect()
+    out.extend(rows[lo..hi].iter().zip(&vals[lo..hi]).map(|(&r, &v)| {
+        let (view, bin) = layout.ray_of_row(r as usize);
+        ((view - views.start) as u32, bin as u32, v)
+    }));
 }
-
-/// Per-column raw entries of one block: `(global col, [(view, bin, val)])`.
-type RawColumns<T> = Vec<(u32, Vec<(u32, u32, T)>)>;
 
 #[allow(clippy::too_many_arguments)]
 #[expect(
@@ -321,22 +384,31 @@ fn build_block<T: Scalar>(
     variant: Variant,
     curves: &dyn CurveProvider,
     stats: &mut CscvStats,
+    scratch: &mut BlockScratch<T>,
 ) -> Result<Option<Block<T>>, BuildError> {
     let w = params.s_vvec;
     let g = params.s_vxg;
-    let cols = tile.cols(img);
+    let BlockScratch {
+        entries,
+        spans,
+        cols: cdata,
+        grid,
+    } = scratch;
 
     // 1. Extract per-column entries.
-    let mut raw: RawColumns<T> = Vec::with_capacity(cols.len());
-    let mut block_nnz = 0usize;
-    for &col in &cols {
-        let entries = col_block_entries(csc, layout, col, views);
-        block_nnz += entries.len();
-        raw.push((col as u32, entries));
+    entries.clear();
+    spans.clear();
+    for col in tile.cols(img) {
+        let start = entries.len();
+        col_block_entries(csc, layout, col, views, entries);
+        if entries.len() > start {
+            spans.push((col as u32, start..entries.len()));
+        }
     }
-    if block_nnz == 0 {
+    let block_nnz = entries.len();
+    let Some(&(first_col, _)) = spans.first() else {
         return Ok(None);
-    }
+    };
 
     // 2. Reference curve: tile center via the provider, falling back to
     //    a data-driven curve of the first non-empty column of the tile.
@@ -344,45 +416,42 @@ fn build_block<T: Scalar>(
     let ref_col = img.col_index(cx, cy);
     #[expect(
         clippy::expect_used,
-        reason = "block_nnz > 0, so some column has entries in this view group and yields a curve"
+        reason = "the fallback column has entries in this view group, so it yields a curve"
     )]
     let curve = curves.curve(ref_col, views).unwrap_or_else(|| {
-        let fallback = raw
-            .iter()
-            .find(|(_, e)| !e.is_empty())
-            .map(|(c, _)| *c as usize)
-            .expect("block has nonzeros");
-        RefCurve::from_min_bins(&min_bin_per_view(csc, layout, fallback, views))
+        RefCurve::from_min_bins(&min_bin_per_view(csc, layout, first_col as usize, views))
             .expect("fallback column is non-empty")
     });
     assert_eq!(curve.len(), views.len(), "curve must cover the view group");
 
     // 3. Densify each column over its offset span.
-    let mut cdata: Vec<ColData<T>> = Vec::with_capacity(raw.len());
-    for (col, entries) in &raw {
-        if entries.is_empty() {
-            continue;
-        }
+    cdata.clear();
+    grid.clear();
+    let mut nonzero_vals = 0usize;
+    for (col, span) in spans.iter() {
+        let col_entries = &entries[span.clone()];
         let mut c0 = i64::MAX;
         let mut c1 = i64::MIN;
-        for &(v, b, _) in entries {
+        for &(v, b, _) in col_entries {
             let c = curve.offset(v as usize, b);
             c0 = c0.min(c);
             c1 = c1.max(c);
         }
-        let span = (c1 - c0 + 1) as usize;
-        let mut grid = vec![T::ZERO; span * w];
-        for &(v, b, val) in entries {
+        let n = (c1 - c0 + 1) as usize * w;
+        let at = grid.len();
+        grid.resize(at + n, T::ZERO);
+        for &(v, b, val) in col_entries {
             let c = curve.offset(v as usize, b);
-            grid[(c - c0) as usize * w + v as usize] = val;
+            grid[at + (c - c0) as usize * w + v as usize] = val;
+            nonzero_vals += usize::from(val != T::ZERO);
         }
-        stats.ioblr_padding += span * w - entries.len();
-        stats.n_cscve += span;
+        stats.ioblr_padding += n - col_entries.len();
+        stats.n_cscve += n / w;
         cdata.push(ColData {
             col: *col,
             c0,
             c1,
-            grid,
+            grid: at,
         });
     }
 
@@ -436,11 +505,18 @@ fn build_block<T: Scalar>(
     let mut vxg_count = Vec::with_capacity(descs.len());
     let mut out_cols = Vec::with_capacity(descs.len() * g);
     let mut val_ptr = Vec::with_capacity(descs.len() + 1);
-    let mut vals = Vec::new();
-    let mut masks = Vec::new();
+    // Exact sizes: Z stores every lane slot, M every nonzero and one
+    // mask per lane block.
+    let block_lane_slots: usize = descs.iter().map(|d| d.count * g * w).sum();
+    let (mut vals, mut masks) = match variant {
+        Variant::Z => (Vec::with_capacity(block_lane_slots), Vec::new()),
+        Variant::M => (
+            Vec::with_capacity(nonzero_vals),
+            Vec::with_capacity(block_lane_slots / w * mask_bytes),
+        ),
+    };
     val_ptr.push(0u32);
     let mut lane = vec![T::ZERO; w];
-    let mut block_lane_slots = 0usize;
     for d in &descs {
         // A block whose ỹ outgrows u32 is unusable (val_ptr is u32 too),
         // so reject it rather than wrap (invariant CSCV-U32-FIT).
@@ -462,11 +538,10 @@ fn build_block<T: Scalar>(
                 lane.fill(T::ZERO);
                 if let Some(m) = members.get(s) {
                     if c_abs >= m.c0 && c_abs <= m.c1 {
-                        let at = (c_abs - m.c0) as usize * w;
-                        lane.copy_from_slice(&m.grid[at..at + w]);
+                        let at = m.grid + (c_abs - m.c0) as usize * w;
+                        lane.copy_from_slice(&grid[at..at + w]);
                     }
                 }
-                block_lane_slots += w;
                 match variant {
                     Variant::Z => vals.extend_from_slice(&lane),
                     Variant::M => {
@@ -763,6 +838,127 @@ mod tests {
         let b = try_build(&csc, layout, img, p, Variant::M).unwrap();
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.blocks.len(), b.blocks.len());
+    }
+
+    /// Everything a build produces. `Debug` prints each float in its
+    /// shortest round-trip form, so equal strings mean equal bits.
+    fn bits<T: Scalar>(m: &CscvMatrix<T>) -> String {
+        format!("{m:?}")
+    }
+
+    /// Analytic curves of a CT geometry, from the generator's min-bin
+    /// curve. (`cscv_ct`'s `GeometricCurves` implements the trait of the
+    /// non-test build of this crate, so unit tests cannot pass it.)
+    struct Geometric<'a>(&'a cscv_ct::CtGeometry);
+
+    impl CurveProvider for Geometric<'_> {
+        fn curve(&self, ref_col: usize, views: &Range<usize>) -> Option<RefCurve> {
+            let bins = cscv_ct::system::SystemMatrix::min_bin_curve(self.0, ref_col, views.clone());
+            Some(RefCurve::from_bins(bins))
+        }
+    }
+
+    #[test]
+    fn builds_are_bitwise_equal_for_every_part_count() {
+        let ct = cscv_ct::CtGeometry::standard(16, 24, 10, 3.0, 18.0);
+        let ct_csc = cscv_ct::system::SystemMatrix::assemble_csc::<f32>(&ct);
+        let ct_layout = SinoLayout {
+            n_views: 10,
+            n_bins: 24,
+        };
+        let ct_img = ImageShape { nx: 16, ny: 16 };
+        let data = DataDrivenCurves {
+            csc: &ct_csc,
+            layout: ct_layout,
+        };
+        let geo = Geometric(&ct);
+        let (syn, syn_layout, syn_img) = synthetic(10, 14, 5, 4);
+        let syn_data = DataDrivenCurves {
+            csc: &syn,
+            layout: syn_layout,
+        };
+        for variant in [Variant::Z, Variant::M] {
+            for params in [CscvParams::new(4, 4, 2), CscvParams::new(3, 8, 3)] {
+                let ct_runs: [&dyn CurveProvider; 2] = [&data, &geo];
+                for curves in ct_runs {
+                    let one =
+                        build_in_parts(&ct_csc, ct_layout, ct_img, params, variant, curves, 1)
+                            .unwrap();
+                    one.validate();
+                    for parts in [2, 3, 7] {
+                        let m = build_in_parts(
+                            &ct_csc, ct_layout, ct_img, params, variant, curves, parts,
+                        )
+                        .unwrap();
+                        assert!(
+                            bits(&m) == bits(&one),
+                            "{variant} {params:?}, {parts} parts"
+                        );
+                    }
+                }
+                let one = build_in_parts(&syn, syn_layout, syn_img, params, variant, &syn_data, 1)
+                    .unwrap();
+                for parts in [2, 3, 7] {
+                    let m = build_in_parts(
+                        &syn, syn_layout, syn_img, params, variant, &syn_data, parts,
+                    )
+                    .unwrap();
+                    assert!(bits(&m) == bits(&one), "synthetic {variant}, {parts} parts");
+                }
+                let public = try_build(&syn, syn_layout, syn_img, params, variant).unwrap();
+                assert!(bits(&public) == bits(&one));
+            }
+        }
+    }
+
+    /// Data-driven curves, except that a few (group, tile) blocks get a
+    /// curve whose odd views jump by `70_000 + 10·tile` bins: their
+    /// columns span more offsets than a VxG's u16 count holds.
+    struct Jumping<'a> {
+        data: DataDrivenCurves<'a, f64>,
+        bad: &'a [(usize, usize)],
+    }
+
+    impl CurveProvider for Jumping<'_> {
+        fn curve(&self, ref_col: usize, views: &Range<usize>) -> Option<RefCurve> {
+            // One-pixel tiles and 4-view groups.
+            let (group, tile) = (views.start / 4, ref_col);
+            if !self.bad.contains(&(group, tile)) {
+                return self.data.curve(ref_col, views);
+            }
+            let jump = 70_000 + 10 * tile as i64;
+            Some(RefCurve::from_bins(
+                (0..views.len())
+                    .map(|v| if v % 2 == 1 { -jump } else { 0 })
+                    .collect(),
+            ))
+        }
+    }
+
+    #[test]
+    fn the_first_error_in_group_tile_order_wins_for_every_part_count() {
+        // 2 view groups × 16 one-pixel tiles = 32 blocks; the bad ones
+        // are blocks 18, 23 and 28, which 7 parts put in parts 4, 5, 6.
+        let (csc, layout, img) = synthetic(8, 12, 4, 4);
+        let params = CscvParams::new(1, 4, 1);
+        let curves = Jumping {
+            data: DataDrivenCurves { csc: &csc, layout },
+            bad: &[(1, 12), (1, 2), (1, 7)],
+        };
+        let first = build_in_parts(&csc, layout, img, params, Variant::Z, &curves, 1).unwrap_err();
+        let BuildError::BlockExceedsIndexRange { what, value } = first.clone() else {
+            panic!("unexpected error {first:?}");
+        };
+        assert_eq!(what, "VxG offset count");
+        // Tile 2's jump, not tile 7's or 12's.
+        assert!((70_020..70_070).contains(&value), "count {value}");
+        for parts in [2, 3, 7] {
+            for variant in [Variant::Z, Variant::M] {
+                let err =
+                    build_in_parts(&csc, layout, img, params, variant, &curves, parts).unwrap_err();
+                assert_eq!(err, first, "{variant}, {parts} parts");
+            }
+        }
     }
 
     #[test]

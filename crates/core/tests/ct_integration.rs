@@ -140,7 +140,7 @@ fn geometric_min_bin_curve_agrees_with_data_driven() {
     // data-driven curve CSCV derives from the matrix (where defined).
     let (ct, csc, layout, _) = setup(32, 46, 16, 11.25);
     for col in [0usize, 17, 512, 1023] {
-        let geo = SystemMatrix::min_bin_curve(&ct, col);
+        let geo = SystemMatrix::min_bin_curve(&ct, col, 0..16);
         let data = cscv_core::ioblr::min_bin_per_view(&csc, &layout, col, &(0..16));
         for v in 0..16 {
             if let Some(b) = data[v] {

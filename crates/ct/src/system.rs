@@ -15,7 +15,9 @@ use crate::chord::PixelFootprint;
 use crate::geometry::CtGeometry;
 use crate::joseph::joseph_ray;
 use crate::siddon::trace_ray;
-use cscv_sparse::{Csc, Csr, Scalar};
+use cscv_sparse::pool::{fork_join, split_range};
+use cscv_sparse::{Csc, Csr, Scalar, ThreadPool};
+use std::ops::Range;
 
 /// Discretization model for the detector response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,57 +39,122 @@ pub struct SystemMatrix;
 /// One nonzero of a pixel's trajectory: `(view, bin, chord length)`.
 pub type TrajectoryEntry = (u32, u32, f64);
 
+/// Trigonometry and pixel footprint of one view, computed once per view
+/// and shared by every column's trajectory.
+#[derive(Debug, Clone, Copy)]
+struct ViewTrig {
+    cos: f64,
+    sin: f64,
+    fp: PixelFootprint,
+}
+
+/// The [`ViewTrig`] of each view in `views`.
+fn view_table(ct: &CtGeometry, views: Range<usize>) -> Vec<ViewTrig> {
+    let h = ct.grid.pixel_size;
+    views
+        .map(|v| {
+            let theta = ct.proj.view_angle(v);
+            ViewTrig {
+                cos: theta.cos(),
+                sin: theta.sin(),
+                fp: PixelFootprint::new(theta, h),
+            }
+        })
+        .collect()
+}
+
+/// Center offset `s_c` of pixel `(cx, cy)` on a view's detector.
+fn center_offset(t: &ViewTrig, cx: f64, cy: f64) -> f64 {
+    cx * t.cos + cy * t.sin
+}
+
+/// Feed one column's trajectory to `push(view, bin, value)`, ordered by
+/// view then bin. `table` covers every view.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "bins are clamped to [0, n_bins - 1] before their float-to-int casts (which saturate)"
+)]
+fn trajectory(
+    ct: &CtGeometry,
+    table: &[ViewTrig],
+    col: usize,
+    model: ProjectorModel,
+    mut push: impl FnMut(usize, usize, f64),
+) {
+    let (ix, iy) = ct.grid.pixel_of_col(col);
+    let (cx, cy) = ct.grid.pixel_center(ix, iy);
+    let ds = ct.proj.bin_spacing;
+    // Strip support extends half a cell beyond the footprint.
+    let pad = match model {
+        ProjectorModel::Line => 0.0,
+        ProjectorModel::Strip => ds / 2.0,
+    };
+    for (v, t) in table.iter().enumerate() {
+        let fp = &t.fp;
+        let s_c = center_offset(t, cx, cy);
+        let b_lo = ct
+            .proj
+            .s_to_bin(s_c - fp.half_support - pad)
+            .ceil()
+            .max(0.0) as usize;
+        let b_hi = ct
+            .proj
+            .s_to_bin(s_c + fp.half_support + pad)
+            .floor()
+            .min(ct.proj.n_bins as f64 - 1.0);
+        if b_hi < 0.0 {
+            continue;
+        }
+        for b in b_lo..=(b_hi as usize) {
+            let d = ct.proj.bin_center(b) - s_c;
+            let val = match model {
+                ProjectorModel::Line => fp.chord(d),
+                ProjectorModel::Strip => fp.chord_integral(d - ds / 2.0, d + ds / 2.0) / ds,
+            };
+            if val > 1e-14 {
+                push(v, b, val);
+            }
+        }
+    }
+}
+
+/// Per view of `table`, the minimum bin a pixel's strip-model footprint
+/// can touch.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a bin index of the detector, give or take one footprint; float-to-int casts saturate"
+)]
+fn min_bins(ct: &CtGeometry, table: &[ViewTrig], col: usize) -> Vec<i64> {
+    let (ix, iy) = ct.grid.pixel_of_col(col);
+    let (cx, cy) = ct.grid.pixel_center(ix, iy);
+    let pad = ct.proj.bin_spacing / 2.0;
+    table
+        .iter()
+        .map(|t| {
+            let s_c = center_offset(t, cx, cy);
+            ct.proj.s_to_bin(s_c - t.fp.half_support - pad).ceil() as i64
+        })
+        .collect()
+}
+
 impl SystemMatrix {
     /// The projection trajectory of one pixel (matrix column) under a
     /// given model: all `(view, bin, value)` entries, ordered by view
     /// then bin — i.e. by ascending row index.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "bins are clamped to [0, n_bins - 1] before their float-to-int casts (which saturate), and view/bin ids lie below n_views·n_bins, the row count Csc::from_parts bounds by u32::MAX"
+        reason = "view/bin ids lie below n_views·n_bins, the row count Csc::from_parts bounds by u32::MAX"
     )]
     pub fn col_entries_model(
         ct: &CtGeometry,
         col: usize,
         model: ProjectorModel,
     ) -> Vec<TrajectoryEntry> {
-        let (ix, iy) = ct.grid.pixel_of_col(col);
-        let (cx, cy) = ct.grid.pixel_center(ix, iy);
-        let h = ct.grid.pixel_size;
-        let ds = ct.proj.bin_spacing;
-        // Strip support extends half a cell beyond the footprint.
-        let pad = match model {
-            ProjectorModel::Line => 0.0,
-            ProjectorModel::Strip => ds / 2.0,
-        };
+        let table = view_table(ct, 0..ct.proj.n_views);
         let mut out = Vec::with_capacity(ct.proj.n_views * 3);
-        for v in 0..ct.proj.n_views {
-            let theta = ct.proj.view_angle(v);
-            let fp = PixelFootprint::new(theta, h);
-            let s_c = cx * theta.cos() + cy * theta.sin();
-            let b_lo = ct
-                .proj
-                .s_to_bin(s_c - fp.half_support - pad)
-                .ceil()
-                .max(0.0) as usize;
-            let b_hi = ct
-                .proj
-                .s_to_bin(s_c + fp.half_support + pad)
-                .floor()
-                .min(ct.proj.n_bins as f64 - 1.0);
-            if b_hi < 0.0 {
-                continue;
-            }
-            for b in b_lo..=(b_hi as usize) {
-                let d = ct.proj.bin_center(b) - s_c;
-                let val = match model {
-                    ProjectorModel::Line => fp.chord(d),
-                    ProjectorModel::Strip => fp.chord_integral(d - ds / 2.0, d + ds / 2.0) / ds,
-                };
-                if val > 1e-14 {
-                    out.push((v as u32, b as u32, val));
-                }
-            }
-        }
+        trajectory(ct, &table, col, model, |v, b, val| {
+            out.push((v as u32, b as u32, val));
+        });
         out
     }
 
@@ -96,48 +163,62 @@ impl SystemMatrix {
         Self::col_entries_model(ct, col, ProjectorModel::Strip)
     }
 
-    /// Geometric reference curve of a pixel: per view, the *minimum* bin
-    /// index its footprint can touch under the default strip model (may
-    /// be negative or ≥ n_bins at the detector edges — callers clamp).
-    /// This is the curve IOBLR aligns parallel polylines to when no
-    /// data-driven curve is available.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "a bin index of the detector, give or take one footprint; float-to-int casts saturate"
-    )]
-    pub fn min_bin_curve(ct: &CtGeometry, col: usize) -> Vec<i64> {
-        let (ix, iy) = ct.grid.pixel_of_col(col);
-        let (cx, cy) = ct.grid.pixel_center(ix, iy);
-        let h = ct.grid.pixel_size;
-        let pad = ct.proj.bin_spacing / 2.0;
-        (0..ct.proj.n_views)
-            .map(|v| {
-                let theta = ct.proj.view_angle(v);
-                let fp = PixelFootprint::new(theta, h);
-                let s_c = cx * theta.cos() + cy * theta.sin();
-                ct.proj.s_to_bin(s_c - fp.half_support - pad).ceil() as i64
-            })
-            .collect()
+    /// Geometric reference curve of a pixel: per view of `views`, the
+    /// *minimum* bin index its footprint can touch under the default
+    /// strip model (may be negative or ≥ n_bins at the detector edges —
+    /// callers clamp). This is the curve IOBLR aligns parallel polylines
+    /// to when no data-driven curve is available.
+    pub fn min_bin_curve(ct: &CtGeometry, col: usize, views: Range<usize>) -> Vec<i64> {
+        min_bins(ct, &view_table(ct, views), col)
     }
 
-    /// Column-driven CSC assembly under a given model.
+    /// Column-driven CSC assembly under a given model, on every core.
+    pub fn assemble_csc_model<T: Scalar>(ct: &CtGeometry, model: ProjectorModel) -> Csc<T> {
+        Self::assemble_in_parts(ct, model, ThreadPool::max_parallelism())
+    }
+
+    /// [`Self::assemble_csc_model`] over at most `parts` contiguous
+    /// column ranges, concatenated in column order: the arrays do not
+    /// depend on `parts`.
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "row ids < n_rays and column ids < n_pixels, and Csc/Csr::from_parts asserts both dimensions fit u32, so no wrapped id escapes"
+        reason = "row ids < n_rays, and Csc::from_parts asserts the row count fits u32, so no wrapped id escapes"
     )]
-    pub fn assemble_csc_model<T: Scalar>(ct: &CtGeometry, model: ProjectorModel) -> Csc<T> {
+    fn assemble_in_parts<T: Scalar>(
+        ct: &CtGeometry,
+        model: ProjectorModel,
+        parts: usize,
+    ) -> Csc<T> {
         let _span = cscv_trace::span::enter("system.assemble_csc");
         let n_cols = ct.n_cols();
-        let mut col_ptr = Vec::with_capacity(n_cols + 1);
-        let mut row_idx = Vec::new();
-        let mut vals = Vec::new();
-        col_ptr.push(0usize);
-        for col in 0..n_cols {
-            for (v, b, val) in Self::col_entries_model(ct, col, model) {
-                row_idx.push(ct.proj.row_index(v as usize, b as usize) as u32);
-                vals.push(T::from_f64(val));
+        let table = view_table(ct, 0..ct.proj.n_views);
+        let mut pieces = fork_join(split_range(n_cols, parts), |cols| {
+            let mut col_end = Vec::with_capacity(cols.len());
+            let mut row_idx = Vec::new();
+            let mut vals = Vec::new();
+            for col in cols {
+                trajectory(ct, &table, col, model, |v, b, val| {
+                    row_idx.push(ct.proj.row_index(v, b) as u32);
+                    vals.push(T::from_f64(val));
+                });
+                col_end.push(row_idx.len());
             }
-            col_ptr.push(row_idx.len());
+            (col_end, row_idx, vals)
+        })
+        .into_iter();
+        // Part 0's arrays grow in place; the others are appended in order.
+        let (col_end, mut row_idx, mut vals) = pieces.next().unwrap_or_default();
+        let mut col_ptr = Vec::with_capacity(n_cols + 1);
+        col_ptr.push(0usize);
+        col_ptr.extend(col_end);
+        let rest: usize = pieces.as_slice().iter().map(|p| p.1.len()).sum();
+        row_idx.reserve_exact(rest);
+        vals.reserve_exact(rest);
+        for (col_end, rows, part_vals) in pieces {
+            let base = row_idx.len();
+            col_ptr.extend(col_end.iter().map(|e| base + e));
+            row_idx.extend_from_slice(&rows);
+            vals.extend_from_slice(&part_vals);
         }
         Csc::from_parts(ct.n_rows(), n_cols, col_ptr, row_idx, vals)
     }
@@ -206,7 +287,18 @@ impl SystemMatrix {
 /// [`CurveProvider`](cscv_core::CurveProvider) that needs no matrix data
 /// (exact even when the reference column is subsampled or empty).
 pub struct GeometricCurves<'a> {
-    pub ct: &'a CtGeometry,
+    ct: &'a CtGeometry,
+    table: Vec<ViewTrig>,
+}
+
+impl<'a> GeometricCurves<'a> {
+    /// Curves of `ct`, with its per-view table computed once.
+    pub fn new(ct: &'a CtGeometry) -> Self {
+        GeometricCurves {
+            ct,
+            table: view_table(ct, 0..ct.proj.n_views),
+        }
+    }
 }
 
 impl cscv_core::CurveProvider for GeometricCurves<'_> {
@@ -215,10 +307,10 @@ impl cscv_core::CurveProvider for GeometricCurves<'_> {
         ref_col: usize,
         views: &std::ops::Range<usize>,
     ) -> Option<cscv_core::ioblr::RefCurve> {
-        let full = SystemMatrix::min_bin_curve(self.ct, ref_col);
-        Some(cscv_core::ioblr::RefCurve::from_bins(
-            full[views.clone()].to_vec(),
-        ))
+        let table = self.table.get(views.clone())?;
+        Some(cscv_core::ioblr::RefCurve::from_bins(min_bins(
+            self.ct, table, ref_col,
+        )))
     }
 }
 
@@ -285,6 +377,69 @@ mod tests {
         }
     }
 
+    /// A CSC's arrays, values as bits.
+    fn bits(m: &Csc<f64>) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+        let vals = m.vals().iter().map(|v| v.to_bits()).collect();
+        (m.col_ptr().to_vec(), m.row_idx().to_vec(), vals)
+    }
+
+    #[test]
+    fn assembly_is_bitwise_equal_for_every_part_count() {
+        // The second geometry has 4 columns, fewer than 7 parts.
+        for ct in [small_ct(), CtGeometry::standard(2, 5, 6, 0.0, 30.0)] {
+            for model in [ProjectorModel::Line, ProjectorModel::Strip] {
+                let one = bits(&SystemMatrix::assemble_in_parts(&ct, model, 1));
+                for parts in [2, 3, 7] {
+                    let m = SystemMatrix::assemble_in_parts(&ct, model, parts);
+                    assert_eq!(bits(&m), one, "{model:?}, {parts} parts");
+                }
+                assert_eq!(bits(&SystemMatrix::assemble_csc_model(&ct, model)), one);
+                // Column by column, the trajectories are the same entries.
+                let csc = SystemMatrix::assemble_in_parts::<f64>(&ct, model, 3);
+                for col in 0..ct.n_cols() {
+                    let (rows, vals) = csc.col(col);
+                    let tr = SystemMatrix::col_entries_model(&ct, col, model);
+                    let want: Vec<(u32, u64)> = tr
+                        .iter()
+                        .map(|&(v, b, val)| {
+                            let row = ct.proj.row_index(v as usize, b as usize) as u32;
+                            (row, val.to_bits())
+                        })
+                        .collect();
+                    let got: Vec<(u32, u64)> = rows
+                        .iter()
+                        .zip(vals)
+                        .map(|(&r, v)| (r, v.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "{model:?}, col {col}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn min_bin_curve_of_a_view_range_is_a_slice_of_the_full_curve() {
+        use cscv_core::CurveProvider;
+        let ct = small_ct();
+        let curves = GeometricCurves::new(&ct);
+        for col in [0usize, 77, 255] {
+            let full = SystemMatrix::min_bin_curve(&ct, col, 0..ct.proj.n_views);
+            for views in [0..4, 4..8, 8..10, 3..3] {
+                let part = SystemMatrix::min_bin_curve(&ct, col, views.clone());
+                assert_eq!(part, full[views.clone()]);
+                let curve = curves.curve(col, &views).unwrap();
+                assert_eq!(
+                    (0..curve.len()).map(|v| curve.bin(v)).collect::<Vec<_>>(),
+                    full[views]
+                );
+            }
+        }
+        assert!(
+            curves.curve(0, &(8..11)).is_none(),
+            "views past the geometry"
+        );
+    }
+
     #[test]
     fn column_mass_is_pixel_area_per_view() {
         // Σ_b chord(b) ≈ h²/Δs per view when the full footprint is on the
@@ -311,7 +466,7 @@ mod tests {
     fn min_bin_curve_bounds_trajectory() {
         let ct = small_ct();
         for col in [3usize, 77, 200] {
-            let curve = SystemMatrix::min_bin_curve(&ct, col);
+            let curve = SystemMatrix::min_bin_curve(&ct, col, 0..ct.proj.n_views);
             let tr = SystemMatrix::col_entries(&ct, col);
             for &(v, b, _) in &tr {
                 assert!(
@@ -385,7 +540,7 @@ mod tests {
             img,
             params,
             Variant::Z,
-            &GeometricCurves { ct: &ct },
+            &GeometricCurves::new(&ct),
         );
         geo.validate();
         let data = build(&csc, layout, img, params, Variant::Z);

@@ -75,18 +75,6 @@ impl<T: Scalar> Csc<T> {
         }
     }
 
-    /// Adopt a transposed CSR's arrays as CSC of the original matrix.
-    pub(crate) fn from_transposed_csr(t: Csr<T>) -> Self {
-        // t is Aᵀ in CSR; its rows are A's columns.
-        Csc {
-            n_rows: t.n_cols(),
-            n_cols: t.n_rows(),
-            col_ptr: t.row_ptr().to_vec(),
-            row_idx: t.col_idx().to_vec(),
-            vals: t.vals().to_vec(),
-        }
-    }
-
     pub fn n_rows(&self) -> usize {
         self.n_rows
     }
@@ -154,17 +142,17 @@ impl<T: Scalar> Csc<T> {
         }
     }
 
-    /// Convert to CSR.
+    /// Convert to CSR (a transpose of the column-compressed arrays, on
+    /// every core).
     pub fn to_csr(&self) -> Csr<T> {
-        // Reinterpret as CSR of Aᵀ, transpose to get A in CSR.
-        let t = Csr::from_parts(
-            self.n_cols,
+        let (ptr, idx, vals) = crate::csr::transpose_arrays(
             self.n_rows,
-            self.col_ptr.clone(),
-            self.row_idx.clone(),
-            self.vals.clone(),
+            &self.col_ptr,
+            &self.row_idx,
+            &self.vals,
+            crate::ThreadPool::max_parallelism(),
         );
-        let csr = t.transpose();
+        let csr = Csr::from_parts(self.n_rows, self.n_cols, ptr, idx, vals);
         crate::invariants::assert_csr(&csr, "Csc::to_csr");
         csr
     }

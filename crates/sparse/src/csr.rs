@@ -7,6 +7,7 @@
 use crate::coo::Coo;
 use crate::csc::Csc;
 use cscv_simd::Scalar;
+use std::ops::Range;
 
 /// CSR sparse matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,46 +164,31 @@ impl<T: Scalar> Csr<T> {
         }
     }
 
-    /// Explicit transpose (counting sort; `O(nnz + n)`).
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "r < n_rows <= u32::MAX: every Csr constructor bounds both dimensions"
-    )]
+    /// Explicit transpose (counting sort; `O(nnz + n)`), on every core.
     pub fn transpose(&self) -> Csr<T> {
-        let mut row_ptr = vec![0usize; self.n_cols + 1];
-        for &c in &self.col_idx {
-            row_ptr[c as usize + 1] += 1;
-        }
-        for c in 0..self.n_cols {
-            row_ptr[c + 1] += row_ptr[c];
-        }
-        let mut cursor = row_ptr.clone();
-        let mut col_idx = vec![0u32; self.nnz()];
-        let mut vals = vec![T::ZERO; self.nnz()];
-        for r in 0..self.n_rows {
-            let (cols, vs) = self.row(r);
-            for (c, v) in cols.iter().zip(vs) {
-                let dst = cursor[*c as usize];
-                col_idx[dst] = r as u32;
-                vals[dst] = *v;
-                cursor[*c as usize] += 1;
-            }
-        }
-        let t = Csr {
-            n_rows: self.n_cols,
-            n_cols: self.n_rows,
-            row_ptr,
-            col_idx,
-            vals,
-        };
+        let (ptr, idx, vals) = transpose_arrays(
+            self.n_cols,
+            &self.row_ptr,
+            &self.col_idx,
+            &self.vals,
+            crate::ThreadPool::max_parallelism(),
+        );
+        let t = Csr::from_parts(self.n_cols, self.n_rows, ptr, idx, vals);
         crate::invariants::assert_csr(&t, "Csr::transpose");
         t
     }
 
     /// Convert to CSC (same matrix, column-compressed).
     pub fn to_csc(&self) -> Csc<T> {
-        let t = self.transpose();
-        let csc = Csc::from_transposed_csr(t);
+        // A's CSC arrays are the CSR arrays of Aᵀ.
+        let (ptr, idx, vals) = transpose_arrays(
+            self.n_cols,
+            &self.row_ptr,
+            &self.col_idx,
+            &self.vals,
+            crate::ThreadPool::max_parallelism(),
+        );
+        let csc = Csc::from_parts(self.n_rows, self.n_cols, ptr, idx, vals);
         crate::invariants::assert_csc(&csc, "Csr::to_csc");
         csc
     }
@@ -226,6 +212,84 @@ impl<T: Scalar> Csr<T> {
             .map(|r| self.row_ptr[r + 1] - self.row_ptr[r])
             .collect()
     }
+}
+
+/// Arrays of a compressed matrix, `(ptr, idx, vals)`.
+pub(crate) type Compressed<T> = (Vec<usize>, Vec<u32>, Vec<T>);
+
+/// Transpose compressed arrays: `ptr`/`idx`/`vals` hold `ptr.len() - 1`
+/// outer slices (CSR rows, or CSC columns) over `n_inner` inner indices;
+/// the result holds `n_inner` outer slices. The one routine behind
+/// [`Csr::transpose`], [`Csr::to_csc`] and [`Csc::to_csr`].
+///
+/// Each of up to `parts` parts owns a contiguous range of output slices
+/// and reads, from every source slice, the sub-span of sorted indices
+/// that falls in its range. Entries land in source-slice order, so the
+/// arrays are the serial counting sort's whatever the part count.
+pub(crate) fn transpose_arrays<T: Scalar>(
+    n_inner: usize,
+    ptr: &[usize],
+    idx: &[u32],
+    vals: &[T],
+    parts: usize,
+) -> Compressed<T> {
+    let ranges = crate::pool::split_range(n_inner, parts);
+    // The source sub-span of each slice whose indices lie in `range`.
+    let spans = move |range: &Range<usize>| {
+        let (start, end) = (range.start, range.end);
+        ptr.windows(2).enumerate().map(move |(outer, w)| {
+            let src = &idx[w[0]..w[1]];
+            let lo = src.partition_point(|&i| (i as usize) < start);
+            let hi = src.partition_point(|&i| (i as usize) < end);
+            (outer, w[0] + lo..w[0] + hi)
+        })
+    };
+    let counts = crate::pool::fork_join(ranges.clone(), |range| {
+        let mut count = vec![0usize; range.len()];
+        for (_, span) in spans(&range) {
+            for &i in &idx[span] {
+                count[i as usize - range.start] += 1;
+            }
+        }
+        count
+    });
+    let mut out_ptr = Vec::with_capacity(n_inner + 1);
+    out_ptr.push(0usize);
+    let mut total = 0;
+    for c in counts.into_iter().flatten() {
+        total += c;
+        out_ptr.push(total);
+    }
+    let mut out_idx = vec![0u32; total];
+    let mut out_vals = vec![T::ZERO; total];
+    // Hand each part the output slots of its range.
+    let mut jobs = Vec::with_capacity(ranges.len());
+    let (mut idx_rest, mut vals_rest) = (&mut out_idx[..], &mut out_vals[..]);
+    for range in ranges {
+        let len = out_ptr[range.end] - out_ptr[range.start];
+        let (idx_part, idx_tail) = idx_rest.split_at_mut(len);
+        let (vals_part, vals_tail) = vals_rest.split_at_mut(len);
+        (idx_rest, vals_rest) = (idx_tail, vals_tail);
+        jobs.push((range, idx_part, vals_part));
+    }
+    crate::pool::fork_join(jobs, |(range, idx_part, vals_part)| {
+        let base = out_ptr[range.start];
+        let mut cursor: Vec<usize> = out_ptr[range.clone()].iter().map(|p| p - base).collect();
+        for (outer, span) in spans(&range) {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "outer < the source's outer dimension <= u32::MAX: every Csr/Csc constructor bounds both dimensions"
+            )]
+            let outer = outer as u32;
+            for (&i, &v) in idx[span.clone()].iter().zip(&vals[span]) {
+                let dst = &mut cursor[i as usize - range.start];
+                idx_part[*dst] = outer;
+                vals_part[*dst] = v;
+                *dst += 1;
+            }
+        }
+    });
+    (out_ptr, out_idx, out_vals)
 }
 
 #[cfg(test)]
@@ -324,6 +388,56 @@ mod tests {
         let mut y = vec![1.0f32; 4];
         m.spmv_serial(&[0.0; 4], &mut y);
         assert_eq!(y, vec![0.0; 4]);
+    }
+
+    /// Arrays with the values as bits, so `-0.0` and `0.0` differ.
+    fn bits(m: Compressed<f64>) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+        (m.0, m.1, m.2.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn transposes_are_bitwise_equal_for_every_part_count() {
+        // 4x6 with an empty row (1), empty columns (1, 4, 5), a signed
+        // zero and a subnormal.
+        let mut coo = Coo::new(4, 6);
+        for (r, c, v) in [
+            (0, 0, 1.5),
+            (0, 3, -0.0),
+            (2, 0, 3.0),
+            (2, 2, f64::MIN_POSITIVE / 2.0),
+            (3, 2, -2.0),
+            (3, 3, 4.0),
+        ] {
+            coo.push(r, c, v);
+        }
+        let csr = coo.to_csr();
+        let csc = coo.to_csc();
+        let csr_arrays = || {
+            let v = csr.vals().to_vec();
+            bits((csr.row_ptr().to_vec(), csr.col_idx().to_vec(), v))
+        };
+        let csc_arrays = || {
+            let v = csc.vals().to_vec();
+            bits((csc.col_ptr().to_vec(), csc.row_idx().to_vec(), v))
+        };
+        for parts in [1, 2, 3, 7] {
+            let t = transpose_arrays(6, csr.row_ptr(), csr.col_idx(), csr.vals(), parts);
+            assert_eq!(bits(t), csc_arrays(), "CSR -> CSC, {parts} parts");
+            let t = transpose_arrays(4, csc.col_ptr(), csc.row_idx(), csc.vals(), parts);
+            assert_eq!(bits(t), csr_arrays(), "CSC -> CSR, {parts} parts");
+        }
+        assert_eq!(csr.to_csc(), csc);
+        assert_eq!(csc.to_csr(), csr);
+        let t = csr.transpose();
+        assert_eq!((t.n_rows(), t.n_cols()), (6, 4));
+        assert_eq!(t.row_ptr(), csc.col_ptr());
+        assert_eq!(t.col_idx(), csc.row_idx());
+        // An all-empty matrix has one part of nothing to move.
+        let empty: Csr<f64> = Coo::new(3, 0).to_csr();
+        for parts in [1, 7] {
+            let t = transpose_arrays(0, empty.row_ptr(), empty.col_idx(), empty.vals(), parts);
+            assert_eq!(t, (vec![0], vec![], vec![]));
+        }
     }
 
     #[test]

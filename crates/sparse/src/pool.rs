@@ -191,6 +191,40 @@ impl Drop for ThreadPool {
     }
 }
 
+/// `0..n` as at most `parts` contiguous, near-equal ranges in order
+/// (one empty range when `n == 0`).
+pub fn split_range(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+    let parts = parts.clamp(1, n.max(1));
+    (0..parts)
+        .map(|k| k * n / parts..(k + 1) * n / parts)
+        .collect()
+}
+
+/// Fork-join for set-up work: run `f` on every part — part 0 on the
+/// calling thread, the others on scoped threads — and return the results
+/// in part order. A panic in any part is re-raised here once all parts
+/// have finished.
+///
+/// Unlike [`ThreadPool::run`], parts own their inputs (e.g. disjoint
+/// `&mut` output slices) and return values, so the callers need no
+/// shared mutable state.
+pub fn fork_join<P: Send, R: Send>(parts: Vec<P>, f: impl Fn(P) -> R + Sync) -> Vec<R> {
+    let f = &f;
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    std::thread::scope(|s| {
+        let rest: Vec<_> = parts.map(|p| s.spawn(move || f(p))).collect();
+        let mut out = Vec::with_capacity(rest.len() + 1);
+        out.push(f(first));
+        for handle in rest {
+            out.push(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        out
+    })
+}
+
 impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
@@ -279,6 +313,42 @@ mod tests {
         let pool = ThreadPool::new(0);
         assert_eq!(pool.n_threads(), 1);
         pool.run(|i| assert_eq!(i, 0));
+    }
+
+    #[test]
+    fn split_range_covers_in_order() {
+        assert_eq!(split_range(7, 3), vec![0..2, 2..4, 4..7]);
+        assert_eq!(split_range(2, 5), vec![0..1, 1..2]);
+        assert_eq!(split_range(0, 4), vec![0..0]);
+        assert_eq!(split_range(5, 0), vec![0..5]);
+    }
+
+    #[test]
+    fn fork_join_returns_results_in_part_order() {
+        let caller = std::thread::current().id();
+        let out = fork_join(split_range(10, 3), |r| {
+            let on_caller = std::thread::current().id() == caller;
+            (r.start == 0, on_caller, r.sum::<usize>())
+        });
+        assert_eq!(
+            out,
+            vec![(true, true, 3), (false, false, 12), (false, false, 30)]
+        );
+        assert!(fork_join(Vec::<usize>::new(), |p| p).is_empty());
+    }
+
+    #[test]
+    fn fork_join_reraises_a_part_panic() {
+        let result = std::panic::catch_unwind(|| {
+            fork_join(vec![0, 1], |p| {
+                if p == 1 {
+                    panic!("part one");
+                }
+                p
+            })
+        });
+        let payload = result.unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"part one"));
     }
 
     #[test]
