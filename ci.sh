@@ -32,8 +32,8 @@
 #                                  under ThreadSanitizer and
 #                                  AddressSanitizer with the vetted
 #                                  suppressions file; deterministic
-#                                  (CSCV_NUMA=0, fixed seeds), needs a
-#                                  nightly toolchain with rust-src
+#                                  (fixed seeds), needs a nightly
+#                                  toolchain with rust-src
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -111,14 +111,12 @@ fi
 if [ "$SANITIZERS" = 1 ]; then
     # Curated concurrency subset: the pool/shared-slice machinery in
     # cscv-sparse and the executors in cscv-core. Deterministic on
-    # purpose — CSCV_NUMA=0 removes topology-dependent placement, and
-    # the lib tests use fixed seeds throughout — so a red sanitizer run
-    # reproduces on any machine. TSan suppressions are the vetted,
+    # purpose — the lib tests use fixed seeds throughout — so a red
+    # sanitizer run reproduces on any machine. TSan suppressions are the vetted,
     # justified list in crates/xtask/sanitizer_suppressions.txt;
     # halt_on_error=1 makes the first report fatal instead of a warning.
     if rustup run nightly cargo --version >/dev/null 2>&1; then
         step "cargo test under ThreadSanitizer (cscv-sparse, cscv-core libs)"
-        CSCV_NUMA=0 \
         TSAN_OPTIONS="suppressions=$PWD/crates/xtask/sanitizer_suppressions.txt halt_on_error=1" \
         RUSTFLAGS="-Zsanitizer=thread" \
             rustup run nightly cargo test -q -Zbuild-std \
@@ -126,7 +124,6 @@ if [ "$SANITIZERS" = 1 ]; then
             -p cscv-sparse -p cscv-core --lib
 
         step "cargo test under AddressSanitizer (cscv-sparse, cscv-core libs)"
-        CSCV_NUMA=0 \
         ASAN_OPTIONS="halt_on_error=1" \
         RUSTFLAGS="-Zsanitizer=address" \
             rustup run nightly cargo test -q -Zbuild-std \

@@ -6,15 +6,13 @@
 //! 1. **VxG depth** — S_VxG ∈ {1, 2, 4, 8} at fixed tile/lane sizes
 //!    (instruction pipelining + index compression vs padding);
 //! 2. **expand path** — CSCV-M with hardware `vexpand` vs forced
-//!    `soft-vexpand` (the paper's SKL-vs-Zen2 single-thread story);
-//! 3. **parallel strategy** — view-group ownership vs the paper's
-//!    private-`y`-copies + reduction.
+//!    `soft-vexpand` (the paper's SKL-vs-Zen2 single-thread story).
 //!
 //! Run: `cargo run --release -p cscv-bench --bin ablation --
 //! [--dataset NAME] [--threads 1,4] [--iters N]`
 
 use cscv_bench::{banner, emit, BenchArgs};
-use cscv_core::{build, CscvExec, CscvParams, ParallelStrategy, Variant};
+use cscv_core::{build, CscvExec, CscvParams, Variant};
 use cscv_harness::suite::prepare;
 use cscv_harness::table::{f, Table};
 use cscv_harness::timing::measure_spmv;
@@ -89,28 +87,4 @@ fn main() {
         t2.add_row(vec![path.to_string(), f(m1.gflops, 2), f(mn.gflops, 2)]);
     }
     emit("Ablation 2: CSCV-M expand path", &t2, &args.csv);
-
-    // 3. Parallel strategy.
-    let mut t3 = Table::new(vec!["variant", "strategy", "threads", "GFLOP/s"]);
-    for variant in [Variant::Z, Variant::M] {
-        let params = match variant {
-            Variant::Z => CscvParams::default_z(),
-            Variant::M => CscvParams::default_m(),
-        };
-        let m = build(&prep.csc, prep.layout, prep.img, params, variant);
-        for strategy in [ParallelStrategy::ViewGroups, ParallelStrategy::LocalCopies] {
-            let exec = CscvExec::with_strategy(m.clone(), strategy);
-            for &threads in &args.threads {
-                let pool = ThreadPool::new(threads);
-                let meas = measure_spmv(&exec, &prep.x, &mut y, &pool, args.warmup, args.iters);
-                t3.add_row(vec![
-                    variant.to_string(),
-                    format!("{strategy:?}"),
-                    threads.to_string(),
-                    f(meas.gflops, 2),
-                ]);
-            }
-        }
-    }
-    emit("Ablation 3: thread-level strategy", &t3, &args.csv);
 }

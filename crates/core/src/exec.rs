@@ -1,20 +1,14 @@
 //! CSCV SpMV executors (the `SpmvExecutor` face of the format).
 //!
-//! Two thread-level strategies are provided:
+//! Each direction has one thread-ownership scheme, at every batch width:
 //!
-//! * [`ParallelStrategy::ViewGroups`] *(default)* — threads own whole
-//!   view groups; their global row ranges are disjoint, so scatters go
-//!   straight into `y` with no reduction. Balanced by per-group nnz
-//!   (near-perfect thanks to paper property P3).
-//! * [`ParallelStrategy::LocalCopies`] — the paper's own scheme: blocks
-//!   are distributed freely, each thread accumulates into a private copy
-//!   of `y`, and copies are reduced in parallel afterwards. Kept for
-//!   fidelity with the paper; it runs only when configured (the
-//!   autotuner includes it in its search).
-//!
-//! The strategy holds at every batch width. The transpose product has
-//! one scheme of its own: threads own whole image tiles, whose column
-//! sets are disjoint.
+//! * Forward: threads own whole view groups. Group row ranges are
+//!   disjoint, so scatters go straight into `y` with no reduction.
+//!   Balanced by per-group nnz (near-perfect thanks to paper property
+//!   P3). This replaces the paper's private-`y` copies plus reduction,
+//!   which at best tied it in an A/B (EXPERIMENTS.md, E-X1).
+//! * Transpose: threads own whole image tiles, whose column sets are
+//!   disjoint.
 //!
 //! Every product — single or batched, forward or transpose — enters
 //! through one `(S_VVec, expand path)` dispatch and runs as compiled
@@ -28,10 +22,8 @@ use crate::layout::{ImageShape, SinoLayout};
 use crate::params::CscvParams;
 use cscv_simd::expand::{select_path, ExpandPath};
 use cscv_simd::{MaskExpand, Scalar};
-use cscv_sparse::numa::NumaTopology;
-use cscv_sparse::shared::{reduce_buffers_into, Scratch, SharedSliceMut};
+use cscv_sparse::shared::{Scratch, SharedSliceMut};
 use cscv_sparse::{partition, Csc, SpmvExecutor, ThreadPool};
-use std::ops::Range;
 
 /// Tally one block-kernel pass into the trace counters (traced builds
 /// only — the `ENABLED` guard makes this whole body dead code
@@ -93,16 +85,6 @@ enum Dir {
     Transpose,
 }
 
-/// Thread-level parallelization scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelStrategy {
-    /// Row-disjoint view-group ownership (no reduction).
-    #[default]
-    ViewGroups,
-    /// Paper's scheme: private `y` copies + parallel reduction.
-    LocalCopies,
-}
-
 /// A complete executor configuration: everything that varies between two
 /// `CscvExec` instances built over the same CSC matrix. This is the unit
 /// the static heuristic produces and the autotuner searches over —
@@ -111,62 +93,42 @@ pub enum ParallelStrategy {
 pub struct ExecConfig {
     pub variant: Variant,
     pub params: CscvParams,
-    pub strategy: ParallelStrategy,
 }
 
 impl ExecConfig {
     /// The static heuristic for a variant: the paper's recommended
-    /// parameter defaults plus the default (ViewGroups) strategy. The
-    /// autotuner always includes this point in its grid, so a tuned
-    /// selection can never lose to it within a search.
+    /// parameter defaults. The autotuner always includes this point in
+    /// its grid, so a tuned selection can never lose to it within a
+    /// search.
     pub fn heuristic(variant: Variant) -> Self {
         let params = match variant {
             Variant::Z => CscvParams::default_z(),
             Variant::M => CscvParams::default_m(),
         };
-        ExecConfig {
-            variant,
-            params,
-            strategy: ParallelStrategy::default(),
-        }
+        ExecConfig { variant, params }
     }
 }
 
 /// Prepared CSCV SpMV executor (Z or M per the matrix's variant).
 pub struct CscvExec<T: Scalar> {
     m: CscvMatrix<T>,
-    strategy: ParallelStrategy,
     path: ExpandPath,
-    /// Per-block nnz prefix (LocalCopies balancing).
-    block_prefix: Vec<usize>,
     /// Blocks grouped by image tile (transpose partitioning: one tile's
     /// blocks touch a fixed column set, so tiles are the row-disjoint
     /// axis of `x = Aᵀy`). Parallel order: tiles sorted by nnz prefix.
     tile_blocks: Vec<Vec<u32>>,
     tile_prefix: Vec<usize>,
     ytil_scratch: Scratch<T>,
-    y_scratch: Scratch<T>,
 }
 
 impl<T: Scalar + MaskExpand> CscvExec<T> {
     pub fn new(m: CscvMatrix<T>) -> Self {
-        Self::with_strategy(m, ParallelStrategy::default())
-    }
-
-    pub fn with_strategy(m: CscvMatrix<T>, strategy: ParallelStrategy) -> Self {
         // The unsafe kernels below assume the full invariant catalog
         // (CSCV-PERM, CSCV-VXG-BOUNDS, …); re-check at executor
         // construction when `check-invariants` is on, since matrices may
         // arrive hand-assembled rather than from the builder.
-        crate::invariants::assert_valid(&m, "CscvExec::with_strategy");
+        crate::invariants::assert_valid(&m, "CscvExec::new");
         let path = available_path::<T>(m.params.s_vvec);
-        let mut block_prefix = Vec::with_capacity(m.blocks.len() + 1);
-        block_prefix.push(0usize);
-        let mut acc = 0;
-        for b in &m.blocks {
-            acc += b.nnz.max(1);
-            block_prefix.push(acc);
-        }
         // Group blocks by tile for the transpose kernels.
         let n_tiles = m
             .blocks
@@ -196,13 +158,10 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         }
         CscvExec {
             m,
-            strategy,
             path,
-            block_prefix,
             tile_blocks,
             tile_prefix,
             ytil_scratch: Scratch::new(),
-            y_scratch: Scratch::new(),
         }
     }
 
@@ -216,7 +175,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         cfg: ExecConfig,
     ) -> Result<Self, BuildError> {
         let m = try_build(csc, layout, img, cfg.params, cfg.variant)?;
-        Ok(Self::with_strategy(m, cfg.strategy))
+        Ok(Self::new(m))
     }
 
     /// The configuration this executor was built with.
@@ -224,37 +183,12 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         ExecConfig {
             variant: self.m.variant,
             params: self.m.params,
-            strategy: self.strategy,
         }
     }
 
     /// The underlying format object (stats, params).
     pub fn matrix(&self) -> &CscvMatrix<T> {
         &self.m
-    }
-
-    /// NUMA-aware placement with auto-detected topology: re-place the
-    /// matrix's value/index buffers partition-aligned with `pool` (first
-    /// touch by the owning thread) and pre-place the per-slot `ỹ` / `y`
-    /// scratch buffers on their threads' nodes. Returns whether any
-    /// placement ran — `false` (and zero work) on uniform topologies or
-    /// 1-slot pools. Results are byte-identical either way; only page
-    /// locality changes.
-    pub fn numa_place(&mut self, pool: &ThreadPool) -> bool {
-        self.numa_place_with(pool, &NumaTopology::detect())
-    }
-
-    /// NUMA-aware placement against an explicit topology (tests inject
-    /// synthetic multi-node layouts here).
-    pub fn numa_place_with(&mut self, pool: &ThreadPool, topo: &NumaTopology) -> bool {
-        if topo.is_uniform() || pool.n_threads() <= 1 {
-            return false;
-        }
-        let _span = cscv_trace::span::enter("numa.place");
-        crate::placement::localize_matrix(&mut self.m, pool, topo);
-        self.ytil_scratch.warm(pool, topo, self.m.max_ytil);
-        self.y_scratch.warm(pool, topo, self.m.n_rows);
-        true
     }
 
     /// Which mask-expansion path CSCV-M kernels use on this machine
@@ -278,10 +212,6 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
             );
         }
         self.path = path;
-    }
-
-    pub fn strategy(&self) -> ParallelStrategy {
-        self.strategy
     }
 
     /// Record one top-level kernel dispatch plus the call's vector
@@ -398,74 +328,29 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         let n = pool.n_threads();
         let n_rows = self.m.n_rows;
         let mut ytil_bufs = self.ytil_scratch.take(n, self.m.max_ytil * K);
-        match self.strategy {
-            ParallelStrategy::ViewGroups => {
-                let weights: Vec<usize> = self.m.groups.iter().map(|g| g.nnz.max(1)).collect();
-                let ranges = partition::split_by_weights(&weights, n);
-                let out = SharedSliceMut::new(y);
-                let bufs = SharedSliceMut::new(&mut ytil_bufs[..]);
-                pool.run(|tid| {
-                    // SAFETY: slot `tid` only.
-                    let ytil = &mut unsafe { bufs.slice_mut(tid..tid + 1) }[0];
-                    for gi in ranges[tid].clone() {
-                        let info = &self.m.groups[gi];
-                        let rr = info.row_range.clone();
-                        let mut dst: [&mut [T]; K] = std::array::from_fn(|kk| {
-                            // SAFETY: group row ranges are pairwise
-                            // disjoint, so each per-RHS copy of them is too.
-                            unsafe { out.slice_mut(kk * n_rows + rr.start..kk * n_rows + rr.end) }
-                        });
-                        for seg in dst.iter_mut() {
-                            seg.fill(T::ZERO);
-                        }
-                        for bi in info.block_range.clone() {
-                            self.run_block::<W, HW, K>(bi, x, ytil, &mut dst, rr.start);
-                        }
-                    }
+        let weights: Vec<usize> = self.m.groups.iter().map(|g| g.nnz.max(1)).collect();
+        let ranges = partition::split_by_weights(&weights, n);
+        let out = SharedSliceMut::new(y);
+        let bufs = SharedSliceMut::new(&mut ytil_bufs[..]);
+        pool.run(|tid| {
+            // SAFETY: slot `tid` only.
+            let ytil = &mut unsafe { bufs.slice_mut(tid..tid + 1) }[0];
+            for gi in ranges[tid].clone() {
+                let info = &self.m.groups[gi];
+                let rr = info.row_range.clone();
+                let mut dst: [&mut [T]; K] = std::array::from_fn(|kk| {
+                    // SAFETY: group row ranges are pairwise
+                    // disjoint, so each per-RHS copy of them is too.
+                    unsafe { out.slice_mut(kk * n_rows + rr.start..kk * n_rows + rr.end) }
                 });
-            }
-            ParallelStrategy::LocalCopies if n == 1 => {
-                // One thread needs no private copy and no reduction.
-                y.fill(T::ZERO);
-                self.run_blocks_into::<W, HW, K>(0..self.m.blocks.len(), x, &mut ytil_bufs[0], y);
-            }
-            ParallelStrategy::LocalCopies => {
-                let ranges = partition::split_by_prefix(&self.block_prefix, n);
-                let mut y_bufs = self.y_scratch.take(n, y.len());
-                {
-                    let ytils = SharedSliceMut::new(&mut ytil_bufs[..]);
-                    let ys = SharedSliceMut::new(&mut y_bufs[..]);
-                    pool.run(|tid| {
-                        // SAFETY: slot `tid` only.
-                        let ytil = &mut unsafe { ytils.slice_mut(tid..tid + 1) }[0];
-                        // SAFETY: slot `tid` only.
-                        let y_local = &mut unsafe { ys.slice_mut(tid..tid + 1) }[0];
-                        self.run_blocks_into::<W, HW, K>(ranges[tid].clone(), x, ytil, y_local);
-                    });
+                for seg in dst.iter_mut() {
+                    seg.fill(T::ZERO);
                 }
-                reduce_buffers_into(pool, &y_bufs[..n], y);
+                for bi in info.block_range.clone() {
+                    self.run_block::<W, HW, K>(bi, x, ytil, &mut dst, rr.start);
+                }
             }
-        }
-    }
-
-    /// Run `blocks` and scatter-add them into `y_full`, which holds all
-    /// `K` column-major outputs (a LocalCopies private copy).
-    fn run_blocks_into<const W: usize, const HW: bool, const K: usize>(
-        &self,
-        blocks: Range<usize>,
-        x: &[T],
-        ytil: &mut [T],
-        y_full: &mut [T],
-    ) {
-        let mut rest = y_full;
-        let mut dst: [&mut [T]; K] = std::array::from_fn(|_| {
-            let (seg, tail) = std::mem::take(&mut rest).split_at_mut(self.m.n_rows);
-            rest = tail;
-            seg
         });
-        for bi in blocks {
-            self.run_block::<W, HW, K>(bi, x, ytil, &mut dst, 0);
-        }
     }
 
     /// One block of the forward product: the kernel with this matrix's
@@ -572,7 +457,7 @@ impl<T: Scalar + MaskExpand> SpmvExecutor<T> for CscvExec<T> {
     }
 
     /// True batched SpMM: one matrix-stream pass per register-tile chunk
-    /// (k split into {8, 4, 2, 1}), under the configured strategy. See
+    /// (k split into {8, 4, 2, 1}), threads owning whole view groups. See
     /// the kernel docs — the batch dimension rides in the accumulator tile,
     /// so matrix (and CSCV-M mask-expansion) traffic is paid once per
     /// chunk rather than once per RHS.
@@ -615,7 +500,7 @@ mod tests {
         (coo.to_csc(), layout, img)
     }
 
-    fn check_all(variant: Variant, strategy: ParallelStrategy) {
+    fn check_all(variant: Variant) {
         let (csc, layout, img) = ct_like(13, 24, 8, 6);
         let x: Vec<f64> = (0..csc.n_cols()).map(|i| (i as f64 * 0.21).cos()).collect();
         let mut y_ref = vec![0.0; csc.n_rows()];
@@ -627,7 +512,7 @@ mod tests {
         ] {
             let m = build(&csc, layout, img, params, variant);
             m.validate();
-            let exec = CscvExec::with_strategy(m, strategy);
+            let exec = CscvExec::new(m);
             for threads in [1, 2, 4, 7] {
                 let pool = ThreadPool::new(threads);
                 let mut y = vec![f64::NAN; csc.n_rows()];
@@ -639,38 +524,12 @@ mod tests {
 
     #[test]
     fn z_view_groups_matches_reference() {
-        check_all(Variant::Z, ParallelStrategy::ViewGroups);
-    }
-
-    #[test]
-    fn z_local_copies_matches_reference() {
-        check_all(Variant::Z, ParallelStrategy::LocalCopies);
+        check_all(Variant::Z);
     }
 
     #[test]
     fn m_view_groups_matches_reference() {
-        check_all(Variant::M, ParallelStrategy::ViewGroups);
-    }
-
-    #[test]
-    fn m_local_copies_matches_reference() {
-        check_all(Variant::M, ParallelStrategy::LocalCopies);
-    }
-
-    #[test]
-    fn strategies_agree_exactly() {
-        let (csc, layout, img) = ct_like(8, 20, 6, 6);
-        let params = CscvParams::new(4, 8, 2);
-        let m = build(&csc, layout, img, params, Variant::Z);
-        let e1 = CscvExec::with_strategy(m.clone(), ParallelStrategy::ViewGroups);
-        let e2 = CscvExec::with_strategy(m, ParallelStrategy::LocalCopies);
-        let x: Vec<f64> = (0..csc.n_cols()).map(|i| i as f64).collect();
-        let pool = ThreadPool::new(3);
-        let mut y1 = vec![0.0; csc.n_rows()];
-        let mut y2 = vec![0.0; csc.n_rows()];
-        e1.spmv(&x, &mut y1, &pool);
-        e2.spmv(&x, &mut y2, &pool);
-        assert_vec_close(&y1, &y2, 1e-12);
+        check_all(Variant::M);
     }
 
     #[test]
@@ -718,8 +577,8 @@ mod tests {
         assert!((lhs - rhs).abs() / lhs.abs().max(1.0) < 1e-12);
     }
 
-    /// Every executor configuration of one matrix shape: Z and M, both
-    /// strategies, soft expand and (where this machine has it) hardware
+    /// Every executor configuration of one matrix shape: Z and M, soft
+    /// expand and (where this machine has it) hardware
     /// `vexpand`.
     fn every_config(
         csc: &Csc<f64>,
@@ -729,16 +588,13 @@ mod tests {
     ) -> Vec<CscvExec<f64>> {
         let mut out = Vec::new();
         for variant in [Variant::Z, Variant::M] {
-            for strategy in [ParallelStrategy::ViewGroups, ParallelStrategy::LocalCopies] {
-                for path in [ExpandPath::Software, ExpandPath::Hardware] {
-                    let m = build(csc, layout, img, params, variant);
-                    let mut exec = CscvExec::with_strategy(m, strategy);
-                    if path == ExpandPath::Hardware && exec.expand_path() != path {
-                        continue;
-                    }
-                    exec.force_expand_path(path);
-                    out.push(exec);
+            for path in [ExpandPath::Software, ExpandPath::Hardware] {
+                let mut exec = CscvExec::new(build(csc, layout, img, params, variant));
+                if path == ExpandPath::Hardware && exec.expand_path() != path {
+                    continue;
                 }
+                exec.force_expand_path(path);
+                out.push(exec);
             }
         }
         out

@@ -50,13 +50,12 @@ pub mod kernels;
 pub mod layout;
 pub mod layout_eff;
 pub mod params;
-pub mod placement;
 
 pub use builder::{
     build, build_with_curves, try_build, try_build_with_curves, BuildError, CurveProvider,
     DataDrivenCurves,
 };
-pub use exec::{CscvExec, ExecConfig, ParallelStrategy};
+pub use exec::{CscvExec, ExecConfig};
 pub use format::{CscvMatrix, CscvStats, Variant};
 pub use invariants::{Invariant, Violation, CATALOG};
 pub use layout::SinoLayout;

@@ -30,19 +30,36 @@ impl CscvParams {
     /// Validated constructor.
     ///
     /// # Panics
-    /// If `s_vvec ∉ {4, 8, 16}`, `s_imgb == 0` or `s_vxg == 0`.
+    /// If `s_vvec ∉ {4, 8, 16}`, `s_imgb == 0` or `s_vxg == 0`; see
+    /// [`try_new`](Self::try_new) for parameters read from outside.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract for literal parameters; untrusted input goes through try_new"
+    )]
     pub fn new(s_imgb: usize, s_vvec: usize, s_vxg: usize) -> Self {
-        assert!(
-            matches!(s_vvec, 4 | 8 | 16),
-            "S_VVec must be 4, 8 or 16 (got {s_vvec})"
-        );
-        assert!(s_imgb >= 1, "S_ImgB must be positive");
-        assert!(s_vxg >= 1, "S_VxG must be positive");
-        CscvParams {
+        match Self::try_new(s_imgb, s_vvec, s_vxg) {
+            Ok(p) => p,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Fallible constructor: the same checks as [`new`](Self::new), as
+    /// an error instead of a panic.
+    pub fn try_new(s_imgb: usize, s_vvec: usize, s_vxg: usize) -> Result<Self, String> {
+        if !matches!(s_vvec, 4 | 8 | 16) {
+            return Err(format!("S_VVec must be 4, 8 or 16 (got {s_vvec})"));
+        }
+        if s_imgb == 0 {
+            return Err("S_ImgB must be positive".into());
+        }
+        if s_vxg == 0 {
+            return Err("S_VxG must be positive".into());
+        }
+        Ok(CscvParams {
             s_imgb,
             s_vvec,
             s_vxg,
-        }
+        })
     }
 
     /// Paper Table III (SKL) choice for CSCV-Z: `S_ImgB=16, S_VVec=16,
@@ -103,6 +120,14 @@ mod tests {
     #[should_panic]
     fn rejects_zero_vxg() {
         CscvParams::new(16, 8, 0);
+    }
+
+    #[test]
+    fn try_new_reports_instead_of_panicking() {
+        assert!(CscvParams::try_new(16, 5, 1).is_err());
+        assert!(CscvParams::try_new(0, 8, 1).is_err());
+        assert!(CscvParams::try_new(16, 8, 0).is_err());
+        assert_eq!(CscvParams::try_new(16, 16, 2), Ok(CscvParams::default_z()));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! rate band, index compression) verified.
 
 use cscv_core::layout::ImageShape;
-use cscv_core::{build, CscvExec, CscvParams, ParallelStrategy, SinoLayout, Variant};
+use cscv_core::{build, CscvExec, CscvParams, SinoLayout, Variant};
 use cscv_ct::system::SystemMatrix;
 use cscv_ct::CtGeometry;
 use cscv_sparse::dense::assert_vec_close;
@@ -46,14 +46,12 @@ fn cscv_matches_csr_on_ct_matrix() {
         ] {
             let m = build(&csc, layout, img, params, variant);
             m.validate();
-            for strategy in [ParallelStrategy::ViewGroups, ParallelStrategy::LocalCopies] {
-                let exec = CscvExec::with_strategy(m.clone(), strategy);
-                for threads in [1, 3] {
-                    let pool = ThreadPool::new(threads);
-                    let mut y = vec![f32::NAN; csc.n_rows()];
-                    exec.spmv(&x, &mut y, &pool);
-                    assert_vec_close(&y, &y_ref, 2e-4);
-                }
+            let exec = CscvExec::new(m);
+            for threads in [1, 3] {
+                let pool = ThreadPool::new(threads);
+                let mut y = vec![f32::NAN; csc.n_rows()];
+                exec.spmv(&x, &mut y, &pool);
+                assert_vec_close(&y, &y_ref, 2e-4);
             }
         }
     }

@@ -36,7 +36,6 @@ pub mod executor;
 pub mod formats;
 pub mod invariants;
 pub mod io;
-pub mod numa;
 pub mod partition;
 #[allow(unsafe_code)]
 pub mod pool;

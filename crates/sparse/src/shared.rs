@@ -284,32 +284,6 @@ impl<T: Scalar> Scratch<T> {
         }
     }
 
-    /// Pre-allocate the first `pool.n_threads()` buffers at `len`
-    /// elements *from inside the pool*, one per slot, so each slot's
-    /// buffer is allocated and first-written by the thread that will use
-    /// it — on NUMA machines the pages land on that thread's node
-    /// (per-socket `ỹ` accumulator placement). Subsequent [`take`] calls
-    /// at the same `len` reuse the placed buffers. A no-op on uniform
-    /// topologies, 1-slot pools and zero-length requests.
-    ///
-    /// [`take`]: Self::take
-    pub fn warm(&self, pool: &ThreadPool, topo: &crate::numa::NumaTopology, len: usize) {
-        let n = pool.n_threads();
-        if topo.is_uniform() || n <= 1 || len == 0 {
-            return;
-        }
-        let mut g = self.bufs.lock().unwrap_or_else(|p| p.into_inner());
-        if g.len() < n {
-            g.resize_with(n, Vec::new);
-        }
-        let ranges: Vec<Range<usize>> = (0..n).map(|i| i..i + 1).collect();
-        run_disjoint_mut(pool, &mut g[..n], &ranges, |_tid, bufs| {
-            let mut fresh = Vec::with_capacity(len);
-            fresh.resize(len, T::ZERO);
-            bufs[0] = fresh;
-        });
-    }
-
     /// Get `n_bufs` zeroed buffers of `len` elements each. The guard keeps
     /// the buffers exclusively borrowed for the duration of the SpMV call.
     pub fn take(&self, n_bufs: usize, len: usize) -> std::sync::MutexGuard<'_, Vec<Vec<T>>> {

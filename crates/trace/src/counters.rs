@@ -66,7 +66,7 @@ pub enum Counter {
     /// trailing active slice swapped into its slot).
     SwapCompactions,
     /// Autotuner candidate configurations benchmarked (one per
-    /// (variant, S_VxG, strategy, threads, k) point actually measured).
+    /// (variant, S_VxG, threads, k) point actually measured).
     TuneCandidates,
     /// Autotuner benchmark samples executed (timed kernel invocations,
     /// warmup excluded). A warm-cache tune run adds exactly zero.

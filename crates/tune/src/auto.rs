@@ -55,12 +55,6 @@ impl<T: Scalar + MaskExpand> TunedExec<T> {
     pub fn spmv_transpose(&self, y: &[T], x: &mut [T], pool: &ThreadPool) {
         self.exec.spmv_transpose(y, x, pool)
     }
-
-    /// NUMA-place the wrapped executor's buffers for `pool` (see
-    /// `CscvExec::numa_place`).
-    pub fn numa_place(&mut self, pool: &ThreadPool) -> bool {
-        self.exec.numa_place(pool)
-    }
 }
 
 impl<T: Scalar + MaskExpand> SpmvExecutor<T> for TunedExec<T> {
@@ -272,6 +266,31 @@ mod tests {
         reference.spmv_multi(&xs, k, &mut ys_r, &pool);
         assert_vec_close(&ys_t, &ys_r, 1e-12);
         assert!(tuned.name().starts_with("tuned("));
+    }
+
+    /// The hash covers only the fingerprint, so a hand-edited config
+    /// with an impossible lane count passes the hash check; load must
+    /// drop it rather than hand it to `CscvParams::new`.
+    #[test]
+    fn hand_edited_cache_entry_is_dropped_and_auto_uses_the_heuristic() {
+        let (csc, layout, img) = case();
+        let path = std::env::temp_dir().join(format!(
+            "cscv-tune-auto-{}-hand-edited.json",
+            std::process::id()
+        ));
+        let mut cache = TuneCache::load(&path);
+        tune(&csc, layout, img, &opts(), &mut cache, &mut ModelBench).unwrap();
+        let s_vvec = cache.entries()[0].config.s_vvec;
+        let text = std::fs::read_to_string(&path).unwrap();
+        let from = format!("\"s_vvec\":{s_vvec}");
+        assert!(text.contains(&from), "{from} not in {text}");
+        std::fs::write(&path, text.replacen(&from, "\"s_vvec\":5", 1)).unwrap();
+
+        let mut loaded = TuneCache::load(&path);
+        assert!(loaded.is_empty(), "the hand-edited entry must be dropped");
+        let exec = CscvExec::auto(&csc, layout, img, Op::Spmv, &mut loaded).unwrap();
+        assert_eq!(exec.config(), ExecConfig::heuristic(Variant::Z));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

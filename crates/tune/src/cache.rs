@@ -17,20 +17,25 @@
 //! * each entry stores its fingerprint's hash next to the fingerprint;
 //!   an entry whose stored fields no longer rehash to `fp_hash`
 //!   (a corrupted or hand-edited file, or a quantization change) is
-//!   dropped at load instead of being applied.
+//!   dropped at load instead of being applied;
+//! * an entry whose integer fields are not exact non-negative integers,
+//!   or whose blocking parameters fail [`CscvParams::try_new`], is
+//!   dropped too: the hash covers only the fingerprint, so a hand-edited
+//!   config would otherwise reach `CscvParams::new` and panic.
 //!
 //! Lookups tally `tune_cache_hits` / `tune_cache_misses` so the warm
 //! path is verifiable from trace counters alone.
 
 use crate::fingerprint::Fingerprint;
 use crate::space::{Op, TunedConfig};
-use cscv_core::{ParallelStrategy, Variant};
+use cscv_core::{CscvParams, Variant};
 use cscv_trace::counters::{add, Counter};
 use cscv_trace::json::Json;
 use std::path::{Path, PathBuf};
 
-/// Cache schema version. v1: initial format (PR 6).
-pub const CACHE_SCHEMA: u64 = 1;
+/// Cache schema version. v1: initial format. v2: the stored config
+/// loses its thread-strategy key.
+pub const CACHE_SCHEMA: u64 = 2;
 
 /// Default fingerprint-distance threshold for near lookups.
 pub const NEAR_THRESHOLD: f64 = 0.25;
@@ -78,8 +83,8 @@ impl TuneCache {
 
     /// Load from `path`. A missing file yields an empty cache bound to
     /// the path; an unparsable file, a schema mismatch, or individual
-    /// hash-mismatched entries are *invalidated* (dropped), never
-    /// applied.
+    /// malformed or hash-mismatched entries are *invalidated* (dropped),
+    /// never applied.
     pub fn load(path: &Path) -> TuneCache {
         let mut cache = TuneCache {
             entries: Vec::new(),
@@ -193,13 +198,6 @@ fn variant_key(v: Variant) -> &'static str {
     }
 }
 
-fn strategy_key(s: ParallelStrategy) -> &'static str {
-    match s {
-        ParallelStrategy::ViewGroups => "view-groups",
-        ParallelStrategy::LocalCopies => "local-copies",
-    }
-}
-
 fn entry_to_json(e: &CacheEntry) -> Json {
     let fp = &e.fp;
     Json::obj(vec![
@@ -230,10 +228,6 @@ fn entry_to_json(e: &CacheEntry) -> Json {
                 ("s_imgb", Json::Num(e.config.s_imgb as f64)),
                 ("s_vvec", Json::Num(e.config.s_vvec as f64)),
                 ("s_vxg", Json::Num(e.config.s_vxg as f64)),
-                (
-                    "strategy",
-                    Json::Str(strategy_key(e.config.strategy).into()),
-                ),
                 ("threads", Json::Num(e.config.threads as f64)),
                 ("k_tile", Json::Num(e.config.k_tile as f64)),
             ]),
@@ -243,11 +237,32 @@ fn entry_to_json(e: &CacheEntry) -> Json {
     ])
 }
 
+/// Field `k` of `o` as an exact non-negative integer; `None` for a
+/// fractional, negative, non-finite or absent value.
+fn usize_of(o: &Json, k: &str) -> Option<usize> {
+    let f = o.get(k).and_then(Json::as_f64)?;
+    // 2^53: the largest range in which f64 holds every integer exactly.
+    if !(0.0..=9_007_199_254_740_992.0).contains(&f) || f.fract() != 0.0 {
+        return None;
+    }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "checked above: an exact integer in [0, 2^53] converts losslessly"
+    )]
+    let n = f as u64;
+    usize::try_from(n).ok()
+}
+
 fn entry_from_json(j: &Json) -> Option<CacheEntry> {
     let num = |o: &Json, k: &str| o.get(k).and_then(Json::as_f64);
     let fp = j.get("fp")?;
     let cfg = j.get("config")?;
-    let usize_of = |o: &Json, k: &str| num(o, k).map(|f| f as usize);
+    let params = CscvParams::try_new(
+        usize_of(cfg, "s_imgb")?,
+        usize_of(cfg, "s_vvec")?,
+        usize_of(cfg, "s_vxg")?,
+    )
+    .ok()?;
     Some(CacheEntry {
         fp: Fingerprint {
             n_rows: usize_of(fp, "n_rows")?,
@@ -270,14 +285,9 @@ fn entry_from_json(j: &Json) -> Option<CacheEntry> {
                 "M" => Variant::M,
                 _ => return None,
             },
-            s_imgb: usize_of(cfg, "s_imgb")?,
-            s_vvec: usize_of(cfg, "s_vvec")?,
-            s_vxg: usize_of(cfg, "s_vxg")?,
-            strategy: match cfg.get("strategy")?.as_str()? {
-                "view-groups" => ParallelStrategy::ViewGroups,
-                "local-copies" => ParallelStrategy::LocalCopies,
-                _ => return None,
-            },
+            s_imgb: params.s_imgb,
+            s_vvec: params.s_vvec,
+            s_vxg: params.s_vxg,
             threads: usize_of(cfg, "threads")?.max(1),
             k_tile: usize_of(cfg, "k_tile")?.max(1),
         },
@@ -408,6 +418,36 @@ mod tests {
         c.save();
         let back = TuneCache::load(&path);
         assert_eq!(back.entries(), &[good], "only the valid entry survives");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Rewrite one `"key":old` occurrence of a saved cache file.
+    fn hand_edit(path: &Path, from: &str, to: &str) {
+        let text = std::fs::read_to_string(path).unwrap();
+        assert!(text.contains(from), "{from} not in {text}");
+        std::fs::write(path, text.replacen(from, to, 1)).unwrap();
+    }
+
+    #[test]
+    fn malformed_config_fields_invalidate_entry() {
+        let path = tmp("malformed.json");
+        let mut e = entry(5000, 0.1, "spmv", "f64");
+        e.config.threads = 3;
+        let s_vvec = format!("\"s_vvec\":{}", e.config.s_vvec);
+        for (from, to) in [
+            (s_vvec.as_str(), "\"s_vvec\":8.5"),
+            ("\"threads\":3", "\"threads\":-3"),
+            ("\"threads\":3", "\"threads\":1e300"),
+        ] {
+            let c = TuneCache {
+                entries: vec![e.clone()],
+                path: Some(path.clone()),
+            };
+            c.save();
+            assert_eq!(TuneCache::load(&path).entries(), &[e.clone()]);
+            hand_edit(&path, from, to);
+            assert!(TuneCache::load(&path).is_empty(), "{to} must be dropped");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -158,6 +158,10 @@ impl Fingerprint {
 
 /// Quantize a (small, non-negative in practice) float to a hashable
 /// integer at 1e-4 resolution.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a hash key, not a value: the float-to-int cast saturates and maps NaN to 0, deterministically"
+)]
 fn quantize(f: f64) -> u64 {
     (f * 1e4).round() as i64 as u64
 }

@@ -1,11 +1,10 @@
 //! Runtime autotuning for the CSCV executor space.
 //!
 //! The CSCV kernels expose a real configuration space — variant (Z vs
-//! M), `S_VxG`, thread-level strategy, thread count, and the multi-RHS
-//! tile width — and the static heuristics in `cscv-core` pick one point
-//! of it from the paper's recommendations. Following the OSKI line of
-//! work, this crate replaces that fixed choice with a small empirical
-//! search:
+//! M), `S_VxG`, thread count, and the multi-RHS tile width — and the
+//! static heuristics in `cscv-core` pick one point of it from the
+//! paper's recommendations. Following the OSKI line of work, this
+//! crate replaces that fixed choice with a small empirical search:
 //!
 //! 1. [`fingerprint`] — a structural profile of the matrix
 //!    (dimensions, nnz, per-column/row nnz dispersion, bandedness)
@@ -32,6 +31,19 @@
 //! `tune_cache_misses` counters, so `cscv-xtask perf-report` can
 //! attribute tuning overhead. A warm-cache run performs zero benchmark
 //! samples by construction.
+
+// Index narrowing and panics are checked per site: a site that is safe
+// by an invariant says so in `#[expect(…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation
+)]
+// Test code narrows freely; clippy.toml exempts its panics the same way.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
 
 pub mod auto;
 pub mod cache;

@@ -1,10 +1,9 @@
 //! The candidate configuration space and its pruning rules.
 //!
 //! A [`TunedConfig`] is everything the tuner may vary: variant,
-//! blocking parameters, thread-level strategy, thread count, and the
-//! multi-RHS tile width. [`candidates`] enumerates a *pruned* grid —
-//! small enough that a search costs a handful of sampled SpMVs, guided
-//! by the fingerprint:
+//! blocking parameters, thread count, and the multi-RHS tile width.
+//! [`candidates`] enumerates a *pruned* grid — small enough that a search
+//! costs a handful of sampled SpMVs, guided by the fingerprint:
 //!
 //! * `S_ImgB` / `S_VVec` stay at the paper's per-variant recommended
 //!   values (Table III): they trade against cache geometry, which the
@@ -12,10 +11,6 @@
 //! * `S_VxG` sweeps {2, 4, 8, 16} (∩ `MAX_VXG`), but unstructured
 //!   matrices (`band_frac > 0.25`) skip 16 — wide VxGs only pay off
 //!   when P1/P2 hold and padding stays low;
-//! * `LocalCopies` is only tried for single-RHS SpMV with > 1 thread:
-//!   the transpose partitions by image tile regardless, at one thread
-//!   the strategies coincide, and batched candidates hold ViewGroups to
-//!   keep the grid small;
 //! * thread counts try {1, max/2, max} rather than every count — the
 //!   scaling curve is monotone in between for these kernels;
 //! * the multi-RHS tile width sweeps {1, 2, 4, 8} ∩ [1, k] for
@@ -27,7 +22,7 @@
 
 use crate::fingerprint::Fingerprint;
 use cscv_core::kernels::MAX_VXG;
-use cscv_core::{CscvParams, ExecConfig, ParallelStrategy, Variant};
+use cscv_core::{CscvParams, ExecConfig, Variant};
 
 /// The operation being tuned for. Winners are cached per operation:
 /// the best single-RHS config is routinely the wrong batched config.
@@ -80,7 +75,6 @@ pub struct TunedConfig {
     pub s_imgb: usize,
     pub s_vvec: usize,
     pub s_vxg: usize,
-    pub strategy: ParallelStrategy,
     /// Pool width the config was selected for.
     pub threads: usize,
     /// Multi-RHS tile width: [`Op::Spmm`] workloads are driven in
@@ -94,13 +88,12 @@ impl TunedConfig {
         ExecConfig {
             variant: self.variant,
             params: CscvParams::new(self.s_imgb, self.s_vvec, self.s_vxg),
-            strategy: self.strategy,
         }
     }
 
     /// Today's static heuristic as a grid point: the paper's CSCV-Z
-    /// defaults under the default strategy, all threads, and the widest
-    /// supported tile for batched workloads.
+    /// defaults, all threads, and the widest supported tile for batched
+    /// workloads.
     pub fn heuristic(op: Op, max_threads: usize) -> TunedConfig {
         let ec = ExecConfig::heuristic(Variant::Z);
         TunedConfig {
@@ -108,7 +101,6 @@ impl TunedConfig {
             s_imgb: ec.params.s_imgb,
             s_vvec: ec.params.s_vvec,
             s_vxg: ec.params.s_vxg,
-            strategy: ec.strategy,
             threads: max_threads.max(1),
             k_tile: op.k().min(8),
         }
@@ -117,15 +109,8 @@ impl TunedConfig {
     /// Compact human-readable form for tables and reports.
     pub fn describe(&self) -> String {
         format!(
-            "{:?} vxg={} {} t={} k={}",
-            self.variant,
-            self.s_vxg,
-            match self.strategy {
-                ParallelStrategy::ViewGroups => "view-groups",
-                ParallelStrategy::LocalCopies => "local-copies",
-            },
-            self.threads,
-            self.k_tile
+            "{:?} vxg={} t={} k={}",
+            self.variant, self.s_vxg, self.threads, self.k_tile
         )
     }
 }
@@ -168,26 +153,17 @@ pub fn candidates(op: Op, fp: &Fingerprint, max_threads: usize) -> Vec<TunedConf
         let base = ExecConfig::heuristic(variant).params;
         for &s_vxg in &vxgs {
             for &threads in &thread_counts {
-                let strategies: &[ParallelStrategy] = match op {
-                    Op::Spmv if threads > 1 => {
-                        &[ParallelStrategy::ViewGroups, ParallelStrategy::LocalCopies]
-                    }
-                    _ => &[ParallelStrategy::ViewGroups],
-                };
-                for &strategy in strategies {
-                    for &k_tile in &k_tiles {
-                        let cand = TunedConfig {
-                            variant,
-                            s_imgb: base.s_imgb,
-                            s_vvec: base.s_vvec,
-                            s_vxg,
-                            strategy,
-                            threads,
-                            k_tile,
-                        };
-                        if !out.contains(&cand) {
-                            out.push(cand);
-                        }
+                for &k_tile in &k_tiles {
+                    let cand = TunedConfig {
+                        variant,
+                        s_imgb: base.s_imgb,
+                        s_vvec: base.s_vvec,
+                        s_vxg,
+                        threads,
+                        k_tile,
+                    };
+                    if !out.contains(&cand) {
+                        out.push(cand);
                     }
                 }
             }
@@ -246,22 +222,6 @@ mod tests {
             "unstructured grid must not sweep vxg=16"
         );
         assert!(unstructured.len() < structured.len());
-    }
-
-    #[test]
-    fn local_copies_only_for_parallel_spmv() {
-        let serial = candidates(Op::Spmv, &fp(0.1), 1);
-        assert!(serial
-            .iter()
-            .all(|c| c.strategy == ParallelStrategy::ViewGroups));
-        let spmm = candidates(Op::Spmm { k: 8 }, &fp(0.1), 4);
-        assert!(spmm
-            .iter()
-            .all(|c| c.strategy == ParallelStrategy::ViewGroups));
-        let spmv = candidates(Op::Spmv, &fp(0.1), 4);
-        assert!(spmv
-            .iter()
-            .any(|c| c.strategy == ParallelStrategy::LocalCopies));
     }
 
     #[test]

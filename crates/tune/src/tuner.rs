@@ -163,10 +163,9 @@ impl<T: Scalar + MaskExpand> CandidateBench<T> for WallClockBench {
 
 /// Deterministic byte-traffic cost model: the paper's memory-
 /// requirement view of SpMV (`M(A)` once per `k_tile`-chunk plus
-/// per-RHS vector traffic), divided by an idealized parallel speedup,
-/// plus a reduction surcharge for `LocalCopies`. Not a performance
-/// oracle — a *repeatable* one, so two tune runs with the same inputs
-/// provably pick the same winner.
+/// per-RHS vector traffic), divided by an idealized parallel speedup.
+/// Not a performance oracle — a *repeatable* one, so two tune runs with
+/// the same inputs provably pick the same winner.
 #[derive(Debug, Default)]
 pub struct ModelBench;
 
@@ -189,13 +188,7 @@ impl<T: Scalar + MaskExpand> CandidateBench<T> for ModelBench {
         // Idealized scaling: sqrt keeps wide pools from dominating the
         // model the way they never do on bandwidth-bound kernels.
         let scale = (cfg.threads as f64).sqrt();
-        let reduction = match cfg.strategy {
-            cscv_core::ParallelStrategy::ViewGroups => 0.0,
-            cscv_core::ParallelStrategy::LocalCopies => {
-                (cfg.threads as f64) * exec.n_rows() as f64 * T::BYTES as f64
-            }
-        };
-        (bytes + reduction) / scale * 1e-9
+        bytes / scale * 1e-9
     }
 }
 
@@ -235,7 +228,7 @@ pub fn tune<T: Scalar + MaskExpand>(
     let grid = candidates(opts.op, &fp, opts.max_threads);
 
     // Candidates share matrix builds: the built format depends only on
-    // (variant, params), not on strategy/threads/k_tile.
+    // (variant, params), not on threads/k_tile.
     let mut built: HashMap<(u8, usize, usize, usize), CscvMatrix<T>> = HashMap::new();
     let mut pools: HashMap<usize, ThreadPool> = HashMap::new();
     let mut best: Option<(TunedConfig, f64)> = None;
@@ -265,7 +258,7 @@ pub fn tune<T: Scalar + MaskExpand>(
             }
         }
         let m = built[&key].clone();
-        let exec = CscvExec::with_strategy(m, cfg.strategy);
+        let exec = CscvExec::new(m);
         let pool = pools
             .entry(cfg.threads)
             .or_insert_with(|| ThreadPool::new(cfg.threads));

@@ -28,9 +28,7 @@
 //! `tests/fuzz_corpus.rs` and every `fuzz --corpus` run.
 
 use cscv_core::layout::ImageShape;
-use cscv_core::{
-    try_build, CscvExec, CscvMatrix, CscvParams, ParallelStrategy, SinoLayout, Variant,
-};
+use cscv_core::{try_build, CscvExec, CscvMatrix, CscvParams, SinoLayout, Variant};
 // The descriptor/generator layer moved to `cscv_harness::gen` so the
 // autotuner corpus shares it; re-exported here to keep `.case` tooling
 // paths stable.
@@ -252,35 +250,32 @@ pub fn run_case(desc: &CaseDesc) -> Result<(), String> {
         if let Err(v) = m.validate_full() {
             return violations_err(&format!("{variant} validate_full"), v);
         }
-        for strategy in [ParallelStrategy::ViewGroups, ParallelStrategy::LocalCopies] {
-            let exec = CscvExec::with_strategy(m.clone(), strategy);
-            let tag = format!("{variant}/{strategy:?}");
-            y.iter_mut().for_each(|v| *v = 0.0);
-            exec.spmv(&x, &mut y, &pool);
-            compare(&format!("{tag} spmv"), &y, &y_ref)?;
+        let exec = CscvExec::new(m);
+        y.iter_mut().for_each(|v| *v = 0.0);
+        exec.spmv(&x, &mut y, &pool);
+        compare(&format!("{variant} spmv"), &y, &y_ref)?;
 
-            ys.iter_mut().for_each(|v| *v = 0.0);
-            exec.spmv_multi(&xs, k, &mut ys, &pool);
-            for i in 0..k {
-                let want = dense_spmv(&coo, &xs[i * coo.n_cols()..(i + 1) * coo.n_cols()]);
-                compare(
-                    &format!("{tag} spmv_multi rhs {i}"),
-                    &ys[i * coo.n_rows()..(i + 1) * coo.n_rows()],
-                    &want,
-                )?;
-            }
-
-            let yt: Vec<f64> = (0..coo.n_rows())
-                .map(|_| rng.range_f64(-1.0, 1.0))
-                .collect();
-            let mut xt = vec![0.0; coo.n_cols()];
-            exec.spmv_transpose(&yt, &mut xt, &pool);
+        ys.iter_mut().for_each(|v| *v = 0.0);
+        exec.spmv_multi(&xs, k, &mut ys, &pool);
+        for i in 0..k {
+            let want = dense_spmv(&coo, &xs[i * coo.n_cols()..(i + 1) * coo.n_cols()]);
             compare(
-                &format!("{tag} spmv_transpose"),
-                &xt,
-                &dense_transpose_spmv(&coo, &yt),
+                &format!("{variant} spmv_multi rhs {i}"),
+                &ys[i * coo.n_rows()..(i + 1) * coo.n_rows()],
+                &want,
             )?;
         }
+
+        let yt: Vec<f64> = (0..coo.n_rows())
+            .map(|_| rng.range_f64(-1.0, 1.0))
+            .collect();
+        let mut xt = vec![0.0; coo.n_cols()];
+        exec.spmv_transpose(&yt, &mut xt, &pool);
+        compare(
+            &format!("{variant} spmv_transpose"),
+            &xt,
+            &dense_transpose_spmv(&coo, &yt),
+        )?;
     }
     Ok(())
 }

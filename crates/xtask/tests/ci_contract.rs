@@ -234,7 +234,6 @@ fn sanitizer_stage_is_deterministic_and_uses_vetted_suppressions() {
         .expect("ci.sh must have a --sanitizers stage");
     let stage = stage.split("\nfi\n").next().unwrap();
     for needle in [
-        "CSCV_NUMA=0",
         "sanitizer_suppressions.txt",
         "halt_on_error=1",
         "-Zsanitizer=thread",
