@@ -148,19 +148,6 @@ if [ "$SHARD_SMOKE" = 1 ]; then
     step "shard smoke: cscv-xtask shard --workers 1,2,4 (process launch)"
     cargo run --release -q -p cscv-xtask -- shard --workers 1,2,4
 
-    # Traced leg: 4 workers with the merged Chrome trace + per-worker
-    # telemetry, gated the same way the CI job gates the artifact.
-    step "shard smoke: traced 4-worker leg (merged trace + telemetry)"
-    SHARD_OUT=$(mktemp -d)
-    cargo run --release -q -p cscv-xtask --features trace -- \
-        shard --workers 4 --solver sirt \
-        --trace-export "$SHARD_OUT/merged.chrome.json" \
-        --telemetry "$SHARD_OUT/telemetry/shard.ndjson"
-    lanes=$(grep -o '"cscv-worker-[0-9]*' "$SHARD_OUT/merged.chrome.json" | sort -u | wc -l)
-    [ "$lanes" -eq 4 ] || { echo "expected 4 worker lanes, got $lanes" >&2; exit 1; }
-    grep -q '"parent_span"' "$SHARD_OUT/merged.chrome.json" \
-        || { echo "no coordinator-parented worker span in merged trace" >&2; exit 1; }
-    rm -rf "$SHARD_OUT"
 fi
 
 if [ "$PERF_SMOKE" = 1 ]; then

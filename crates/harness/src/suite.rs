@@ -149,6 +149,58 @@ mod tests {
         }
     }
 
+    /// No executor may skip work because of the input's values: a `+inf`
+    /// matrix entry in a column whose `x` is zero must turn its row of
+    /// `y` into NaN (`inf · 0`), as the serial CSR product does, for
+    /// every field member at 1 and 2 threads, single and batched.
+    #[test]
+    fn no_executor_skips_a_zero_input_column() {
+        let mut prep = prepare::<f64>(&datasets::tiny());
+        let (n_rows, n_cols) = (prep.csc.n_rows(), prep.csc.n_cols());
+        let c = (0..n_cols)
+            .find(|&c| prep.x[c] == 0.0 && !prep.csc.col(c).0.is_empty())
+            .expect("the phantom has a zero pixel in a covered column");
+        let r = prep.csc.col(c).0[0] as usize;
+        let mut vals = prep.csc.vals().to_vec();
+        vals[prep.csc.col_ptr()[c]] = f64::INFINITY;
+        prep.csc = Csc::from_parts(
+            n_rows,
+            n_cols,
+            prep.csc.col_ptr().to_vec(),
+            prep.csc.row_idx().to_vec(),
+            vals,
+        );
+        prep.csr = prep.csc.to_csr();
+        let mut y_ref = vec![0.0; n_rows];
+        prep.csr.spmv_serial(&prep.x, &mut y_ref);
+        assert!(y_ref[r].is_nan(), "reference row {r}: {}", y_ref[r]);
+
+        const K: usize = 8;
+        let xs = prep.x.repeat(K);
+        for threads in [1, 2] {
+            let pool = ThreadPool::new(threads);
+            for (name, builder) in executor_builders::<f64>() {
+                let exec = builder(&prep, threads);
+                let mut y = vec![0.0; n_rows];
+                exec.spmv(&prep.x, &mut y, &pool);
+                assert!(
+                    y[r].is_nan(),
+                    "{name} at {threads} thread(s), spmv: {}",
+                    y[r]
+                );
+                let mut ys = vec![0.0; K * n_rows];
+                exec.spmv_multi(&xs, K, &mut ys, &pool);
+                for k in 0..K {
+                    let v = ys[k * n_rows + r];
+                    assert!(
+                        v.is_nan(),
+                        "{name} at {threads} thread(s), k = {K}, slice {k}: {v}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn prepared_dataset_shapes() {
         let prep = prepare::<f32>(&datasets::tiny());

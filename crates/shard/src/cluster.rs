@@ -20,31 +20,23 @@
 //! worker processes (`cscv-xtask shard-worker`) against a listening
 //! Unix socket — the mode the `shard-smoke` CI job gates.
 //!
-//! **Distributed tracing (trace builds).** The coordinator allocates a
-//! cluster-wide trace id at [`Cluster::start`] and a fresh dispatch-span
-//! id per collective; workers parent their compute spans to those ids.
-//! At connect time a three-probe clock handshake estimates each worker's
-//! monotonic-epoch offset (NTP style, minimum-RTT sample wins), and the
-//! receive path folds unsolicited [`Msg::Trace`] frames — NDJSON event
-//! chunks plus cumulative counter snapshots — into per-worker telemetry
-//! state as they arrive. [`Cluster::telemetry`] snapshots live health
-//! and [`Cluster::shutdown_full`] returns, besides the final
-//! [`ClusterStats`], one [`ProcessTrace`] per worker ready for
-//! [`cscv_trace::export::chrome_trace_merged`]. A worker that dies
-//! abnormally is reported `degraded`, with its figures recovered from
-//! the last snapshot it streamed rather than dropped. Untraced builds
-//! send zero probe/trace frames and all of this is inert.
+//! **Accounting.** [`Cluster::stats`] asks every worker for its
+//! figures (a `Stats` request, answered by one `StatsOut`) and adds the
+//! coordinator's own: bytes per connection and time spent in
+//! [`tree_reduce`]. A worker that fails the exchange is reported
+//! `degraded`, with the figures of its last good `StatsOut`. In traced
+//! builds the coordinator also records one `shard.dispatch.*` span per
+//! collective; its id rides on the request, and workers parent their
+//! compute spans to it.
 
 use crate::plan::{slice_rows, ColWindow, ShardPlan};
-use crate::protocol::{hello_flags, Msg, Role};
+use crate::protocol::{Msg, Role};
 use crate::wire::Conn;
 use crate::worker;
 use cscv_core::layout::ImageShape;
 use cscv_core::SinoLayout;
 use cscv_sparse::Csr;
-use cscv_trace::clock::{self, ClockSample, OffsetEstimate};
-use cscv_trace::export::ProcessTrace;
-use cscv_trace::span;
+use cscv_trace::{duration_ns, span};
 use std::io;
 use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -80,8 +72,8 @@ pub struct WorkerReport {
     pub spmv_calls: u64,
     pub spmv_t_calls: u64,
     /// The worker died or desynced before final stats could be read;
-    /// `busy_ns`/`*_calls` come from its last streamed counter snapshot
-    /// (zeros if it never flushed one).
+    /// `busy_ns`/`*_calls` come from its last good `StatsOut` (zeros if
+    /// it never answered one).
     pub degraded: bool,
 }
 
@@ -97,58 +89,6 @@ pub struct ClusterStats {
     pub reduce_ns: u64,
     /// Wall-clock covered by the cluster, connect to shutdown.
     pub wall_ns: u64,
-}
-
-/// Live per-worker health, snapshot by [`Cluster::telemetry`]. Traffic
-/// and reply counts are coordinator-side observations (meaningful in
-/// every build); `busy_ns`/`*_calls` mirror the worker's last streamed
-/// counter snapshot and stay zero until the first [`Msg::Trace`] frame
-/// (i.e. always zero in untraced builds).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerHealth {
-    pub shard: usize,
-    /// Worker's OS pid (from [`Msg::MatrixAck`]).
-    pub pid: u64,
-    /// Collective replies this worker has answered.
-    pub requests: u64,
-    /// Bytes the coordinator wrote to this worker's connection.
-    pub bytes_tx: u64,
-    /// Bytes the coordinator read from this worker's connection.
-    pub bytes_rx: u64,
-    pub busy_ns: u64,
-    pub spmv_calls: u64,
-    pub spmv_t_calls: u64,
-    /// Telemetry frames received from this worker.
-    pub trace_frames: u64,
-    /// Telemetry payload bytes received from this worker.
-    pub trace_bytes: u64,
-    /// Nanoseconds since cluster start when the last frame (of any
-    /// kind) arrived from this worker.
-    pub last_seen_ns: u64,
-    /// Estimated worker-epoch minus coordinator-epoch clock offset.
-    pub clock_offset_ns: i64,
-    /// Round-trip time of the winning clock probe.
-    pub clock_rtt_ns: u64,
-    pub degraded: bool,
-}
-
-/// Cluster-wide live-health snapshot ([`Cluster::telemetry`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClusterTelemetry {
-    pub workers: Vec<WorkerHealth>,
-    /// Wall-clock since cluster start at snapshot time.
-    pub wall_ns: u64,
-}
-
-/// Everything [`Cluster::shutdown_full`] hands back: the final stats, a
-/// last telemetry snapshot, and one offset-corrected event stream per
-/// worker for [`cscv_trace::export::chrome_trace_merged`] (empty event
-/// lists in untraced builds).
-#[derive(Debug, Clone)]
-pub struct ShutdownReport {
-    pub stats: ClusterStats,
-    pub telemetry: ClusterTelemetry,
-    pub traces: Vec<ProcessTrace>,
 }
 
 /// Fixed-order pairwise tree reduction: fold `bufs[i + s]` into
@@ -196,8 +136,8 @@ enum Endpoint {
     Process(Child),
 }
 
-/// The worker's last streamed cumulative counter snapshot — the figures
-/// recovered into the final report when a worker dies abnormally.
+/// The figures of a worker's last good [`Msg::StatsOut`] — what its
+/// report row keeps once the worker is degraded.
 #[derive(Debug, Clone, Copy, Default)]
 struct Snapshot {
     busy_ns: u64,
@@ -205,59 +145,11 @@ struct Snapshot {
     spmv_t_calls: u64,
 }
 
-/// Coordinator-side per-worker telemetry accumulator: everything the
-/// receive path learns passively about one worker.
+/// What the coordinator remembers about one worker between collectives.
 #[derive(Debug, Default)]
 struct WorkerState {
-    pid: u64,
-    offset: OffsetEstimate,
-    /// Concatenated NDJSON chunks from every `Trace` frame, parsed into
-    /// an event list at shutdown.
-    ndjson: String,
-    trace_frames: u64,
-    trace_bytes: u64,
-    requests: u64,
-    last_seen_ns: u64,
-    snapshot: Option<Snapshot>,
+    snapshot: Snapshot,
     degraded: bool,
-}
-
-/// Receive the next non-telemetry message, folding any interleaved
-/// [`Msg::Trace`] frames into `st` (event chunks, counter snapshot,
-/// liveness). Every coordinator drain goes through here so periodic
-/// worker flushes can never desync a collective.
-fn recv_folding<S: io::Read + io::Write>(
-    conn: &mut Conn<S>,
-    st: &mut WorkerState,
-    started: &Instant,
-) -> io::Result<Msg> {
-    loop {
-        let msg = Msg::recv(conn)?;
-        st.last_seen_ns = clock::duration_ns(started.elapsed());
-        match msg {
-            Msg::Trace {
-                seq: _,
-                busy_ns,
-                bytes_rx: _,
-                bytes_tx: _,
-                spmv_calls,
-                spmv_t_calls,
-                ndjson,
-            } => {
-                st.trace_frames += 1;
-                // Frame payload: six u64 fields plus the length-prefixed
-                // NDJSON string.
-                st.trace_bytes += 56 + ndjson.len() as u64;
-                st.ndjson.push_str(&ndjson);
-                st.snapshot = Some(Snapshot {
-                    busy_ns,
-                    spmv_calls,
-                    spmv_t_calls,
-                });
-            }
-            m => return Ok(m),
-        }
-    }
 }
 
 /// Open a coordinator dispatch span and return its wire id (0 — and no
@@ -307,9 +199,8 @@ impl Cluster {
     /// `plan.block_rows == layout.n_bins`, and trivially for a one-shard
     /// plan (otherwise that worker uses the CSR pair).
     ///
-    /// Traced builds additionally run the per-worker clock handshake and
-    /// stamp every `Hello` with the cluster trace id; worker build spans
-    /// parent to it.
+    /// Every `Hello` carries the cluster trace id (0 in untraced builds);
+    /// worker build spans parent to it.
     pub fn start(
         csr: &Csr<f64>,
         plan: &ShardPlan,
@@ -323,19 +214,11 @@ impl Cluster {
         assert!(n >= 1, "cluster needs at least one shard");
         let trace_id = span::next_span_id();
         let _s = span::enter_ctx("shard.cluster.start", trace_id, 0);
-        // Process workers own their registry and may stream all of it;
-        // in-process workers share ours and stream only their own serve
-        // thread's buffer (see `hello_flags::STREAM_FULL_REGISTRY`).
-        let flags = match launch {
-            Launch::Process { .. } => hello_flags::STREAM_FULL_REGISTRY,
-            Launch::Threads => 0,
-        };
 
         let (mut conns, endpoints, socket_path) = connect_all(n, launch)?;
         for conn in conns.iter_mut() {
             conn.enforce(Role::Coordinator);
         }
-        let mut states: Vec<WorkerState> = (0..n).map(|_| WorkerState::default()).collect();
         let mut shard_nnz = Vec::with_capacity(n);
         for (i, conn) in conns.iter_mut().enumerate() {
             let range = plan.ranges[i].clone();
@@ -346,10 +229,8 @@ impl Cluster {
                 n_shards: n as u64,
                 threads: threads_per_worker as u64,
                 trace_id,
-                flags,
             }
             .send(conn)?;
-            states[i].offset = clock_handshake(conn)?;
             let view_aligned = layout.n_bins > 0
                 && range.start.is_multiple_of(layout.n_bins)
                 && range.end.is_multiple_of(layout.n_bins);
@@ -373,27 +254,25 @@ impl Cluster {
         }
         let mut windows = Vec::with_capacity(n);
         let mut execs = Vec::with_capacity(n);
-        for (i, conn) in conns.iter_mut().enumerate() {
+        for conn in conns.iter_mut() {
             let Msg::MatrixAck {
                 col_lo,
                 col_hi,
                 exec,
-                pid,
-            } = recv_folding(conn, &mut states[i], &started)?
+            } = Msg::recv(conn)?
             else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "expected MatrixAck",
                 ));
             };
-            states[i].pid = pid;
             windows.push(ColWindow::new(col_lo, col_hi, csr.n_cols())?);
             execs.push(exec);
         }
         Ok(Cluster {
             conns,
             endpoints,
-            states,
+            states: (0..n).map(|_| WorkerState::default()).collect(),
             ranges: plan.ranges.clone(),
             shard_nnz,
             windows,
@@ -437,14 +316,12 @@ impl Cluster {
             .send(conn)?;
         }
         for (i, conn) in self.conns.iter_mut().enumerate() {
-            let Msg::SpmvOut { y: part } = recv_folding(conn, &mut self.states[i], &self.started)?
-            else {
+            let Msg::SpmvOut { y: part } = Msg::recv(conn)? else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "expected SpmvOut",
                 ));
             };
-            self.states[i].requests += 1;
             let range = self.ranges[i].clone();
             if part.len() != range.len() {
                 return Err(io::Error::new(
@@ -472,15 +349,12 @@ impl Cluster {
         }
         let mut partials = Vec::with_capacity(self.conns.len());
         for (i, conn) in self.conns.iter_mut().enumerate() {
-            let Msg::SpmvTOut { col_lo, partial } =
-                recv_folding(conn, &mut self.states[i], &self.started)?
-            else {
+            let Msg::SpmvTOut { col_lo, partial } = Msg::recv(conn)? else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "expected SpmvTOut",
                 ));
             };
-            self.states[i].requests += 1;
             let w = self.windows[i];
             partials.push(w.place(col_lo, &partial, self.n_cols)?);
             span::event(
@@ -495,7 +369,7 @@ impl Cluster {
         }
         let t0 = Instant::now();
         let merged = tree_reduce(partials);
-        self.reduce_ns += clock::duration_ns(t0.elapsed());
+        self.reduce_ns += duration_ns(t0.elapsed());
         x.copy_from_slice(&merged);
         Ok(())
     }
@@ -510,15 +384,12 @@ impl Cluster {
         let mut rows = vec![0.0; self.n_rows];
         let mut partials = Vec::with_capacity(self.conns.len());
         for (i, conn) in self.conns.iter_mut().enumerate() {
-            let Msg::AbsSumsOut { row, col_lo, col } =
-                recv_folding(conn, &mut self.states[i], &self.started)?
-            else {
+            let Msg::AbsSumsOut { row, col_lo, col } = Msg::recv(conn)? else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "expected AbsSumsOut",
                 ));
             };
-            self.states[i].requests += 1;
             let range = self.ranges[i].clone();
             if row.len() != range.len() {
                 return Err(io::Error::new(
@@ -531,48 +402,14 @@ impl Cluster {
         }
         let t0 = Instant::now();
         let cols = tree_reduce(partials);
-        self.reduce_ns += clock::duration_ns(t0.elapsed());
+        self.reduce_ns += duration_ns(t0.elapsed());
         Ok((rows, cols))
     }
 
-    /// Live cluster-health snapshot from coordinator-side state alone —
-    /// no worker round trip, so it is safe to call from another thread's
-    /// cadence between collectives (via the owner) or after a failure.
-    pub fn telemetry(&self) -> ClusterTelemetry {
-        let workers = self
-            .states
-            .iter()
-            .enumerate()
-            .map(|(i, st)| {
-                let snap = st.snapshot.unwrap_or_default();
-                WorkerHealth {
-                    shard: i,
-                    pid: st.pid,
-                    requests: st.requests,
-                    bytes_tx: self.conns[i].bytes_tx,
-                    bytes_rx: self.conns[i].bytes_rx,
-                    busy_ns: snap.busy_ns,
-                    spmv_calls: snap.spmv_calls,
-                    spmv_t_calls: snap.spmv_t_calls,
-                    trace_frames: st.trace_frames,
-                    trace_bytes: st.trace_bytes,
-                    last_seen_ns: st.last_seen_ns,
-                    clock_offset_ns: st.offset.offset_ns,
-                    clock_rtt_ns: st.offset.rtt_ns,
-                    degraded: st.degraded,
-                }
-            })
-            .collect();
-        ClusterTelemetry {
-            workers,
-            wall_ns: clock::duration_ns(self.started.elapsed()),
-        }
-    }
-
     /// Snapshot worker and traffic statistics (workers keep serving). A
-    /// worker that fails the exchange is marked degraded and its report
-    /// row recovered from its last streamed counter snapshot; healthy
-    /// workers are unaffected.
+    /// worker that fails the exchange is marked degraded and keeps the
+    /// figures of its last good `StatsOut`; healthy workers are
+    /// unaffected.
     pub fn stats(&mut self) -> io::Result<ClusterStats> {
         let (sid, _s) = dispatch("shard.dispatch.stats");
         for (i, conn) in self.conns.iter_mut().enumerate() {
@@ -586,35 +423,24 @@ impl Cluster {
         let mut workers = Vec::with_capacity(self.conns.len());
         for (i, conn) in self.conns.iter_mut().enumerate() {
             let st = &mut self.states[i];
-            let fresh = if st.degraded {
-                None
-            } else {
-                match recv_folding(conn, st, &self.started) {
+            if !st.degraded {
+                match Msg::recv(conn) {
                     Ok(Msg::StatsOut {
                         busy_ns,
                         spmv_calls,
                         spmv_t_calls,
                         ..
                     }) => {
-                        st.requests += 1;
-                        Some(Snapshot {
+                        st.snapshot = Snapshot {
                             busy_ns,
                             spmv_calls,
                             spmv_t_calls,
-                        })
+                        }
                     }
-                    _ => {
-                        st.degraded = true;
-                        None
-                    }
+                    _ => st.degraded = true,
                 }
-            };
-            // An authoritative StatsOut supersedes the last periodic
-            // flush; a degraded worker keeps whatever it last streamed.
-            if let Some(s) = fresh {
-                st.snapshot = Some(s);
             }
-            let snap = st.snapshot.unwrap_or_default();
+            let snap = st.snapshot;
             workers.push(WorkerReport {
                 shard: i,
                 rows: self.ranges[i].clone(),
@@ -633,27 +459,16 @@ impl Cluster {
             bytes_tx: self.conns.iter().map(|c| c.bytes_tx).sum(),
             bytes_rx: self.conns.iter().map(|c| c.bytes_rx).sum(),
             reduce_ns: self.reduce_ns,
-            wall_ns: clock::duration_ns(self.started.elapsed()),
+            wall_ns: duration_ns(self.started.elapsed()),
         })
     }
 
     /// Collect final statistics, shut every worker down cleanly, and
-    /// reap the endpoints, keeping only the [`ClusterStats`]. See
-    /// [`Cluster::shutdown_full`] for the telemetry-carrying variant.
-    pub fn shutdown(self) -> io::Result<ClusterStats> {
-        Ok(self.shutdown_full()?.stats)
-    }
-
-    /// Shut the cluster down and return everything it learned: final
-    /// stats, a last telemetry snapshot, and one offset-corrected
-    /// [`ProcessTrace`] per worker (lane pid `shard + 2`, so lanes stay
-    /// distinct even for in-process workers sharing one OS pid;
-    /// coordinator exporters conventionally take pid 1). Workers that
-    /// die during shutdown are reported `degraded`, not errors — their
-    /// last streamed snapshot stands in for final stats. Also publishes
-    /// the `shard.*` trace counters (traced builds), exactly once per
-    /// cluster.
-    pub fn shutdown_full(mut self) -> io::Result<ShutdownReport> {
+    /// reap the endpoints. Workers that die during shutdown are reported
+    /// `degraded`, not errors; their rows keep their last good
+    /// `StatsOut`. Also publishes the `shard.*` trace counters (traced
+    /// builds), exactly once per cluster.
+    pub fn shutdown(mut self) -> io::Result<ClusterStats> {
         let mut stats = self.stats()?;
         let (sid, _s) = dispatch("shard.dispatch.shutdown");
         for (i, conn) in self.conns.iter_mut().enumerate() {
@@ -666,14 +481,8 @@ impl Cluster {
         }
         for (i, conn) in self.conns.iter_mut().enumerate() {
             let st = &mut self.states[i];
-            if st.degraded {
-                continue;
-            }
-            // The worker's final trace flush precedes its ShutdownAck;
-            // recv_folding captures it into the state.
-            match recv_folding(conn, st, &self.started) {
-                Ok(Msg::ShutdownAck) => {}
-                _ => st.degraded = true,
+            if !st.degraded && !matches!(Msg::recv(conn), Ok(Msg::ShutdownAck)) {
+                st.degraded = true;
             }
         }
         for (i, ep) in self.endpoints.drain(..).enumerate() {
@@ -699,7 +508,7 @@ impl Cluster {
         }
         stats.bytes_tx = self.conns.iter().map(|c| c.bytes_tx).sum();
         stats.bytes_rx = self.conns.iter().map(|c| c.bytes_rx).sum();
-        stats.wall_ns = clock::duration_ns(self.started.elapsed());
+        stats.wall_ns = duration_ns(self.started.elapsed());
         if cscv_trace::ENABLED {
             use cscv_trace::counters::{add, Counter};
             add(Counter::ShardBytesTx, stats.bytes_tx);
@@ -709,77 +518,9 @@ impl Cluster {
                 Counter::ShardWorkerBusyNs,
                 stats.workers.iter().map(|w| w.busy_ns).sum(),
             );
-            add(
-                Counter::ShardTraceFrames,
-                self.states.iter().map(|s| s.trace_frames).sum(),
-            );
-            add(
-                Counter::ShardTraceBytes,
-                self.states.iter().map(|s| s.trace_bytes).sum(),
-            );
         }
-        let telemetry = self.telemetry();
-        let traces = self
-            .states
-            .iter()
-            .enumerate()
-            .map(|(i, st)| ProcessTrace {
-                pid: i as u64 + 2,
-                label: format!("cscv-worker-{i} (pid {})", st.pid),
-                offset: st.offset,
-                // A malformed chunk (truncated by a dying worker) loses
-                // that worker's events, never the merge.
-                events: cscv_trace::export::from_ndjson(&st.ndjson).unwrap_or_default(),
-            })
-            .collect();
-        Ok(ShutdownReport {
-            stats,
-            telemetry,
-            traces,
-        })
+        Ok(stats)
     }
-}
-
-/// Run the three-probe clock-offset handshake against a freshly greeted
-/// worker. Untraced builds send nothing and return the identity mapping
-/// (the worker-side echo loop is a passthrough there too).
-fn clock_handshake(conn: &mut Conn<UnixStream>) -> io::Result<OffsetEstimate> {
-    if !cscv_trace::ENABLED {
-        return Ok(OffsetEstimate::default());
-    }
-    let mut samples = Vec::with_capacity(3);
-    for seq in 0..3u64 {
-        let t_send_ns = span::now_ns();
-        Msg::ClockProbe {
-            seq,
-            t_coord_ns: t_send_ns,
-        }
-        .send(conn)?;
-        let Msg::ClockAck {
-            seq: echoed,
-            t_worker_ns,
-            ..
-        } = Msg::recv(conn)?
-        else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "expected ClockAck",
-            ));
-        };
-        let t_recv_ns = span::now_ns();
-        if echoed != seq {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "clock probe sequence mismatch",
-            ));
-        }
-        samples.push(ClockSample {
-            t_send_ns,
-            t_worker_ns,
-            t_recv_ns,
-        });
-    }
-    Ok(clock::estimate(&samples))
 }
 
 impl Drop for Cluster {
@@ -959,36 +700,19 @@ mod tests {
         assert_eq!(cols.len(), 30);
         assert!(rows.iter().all(|&v| v > 0.0));
 
-        let telemetry = cluster.telemetry();
-        assert_eq!(telemetry.workers.len(), 3);
-        for w in &telemetry.workers {
-            // spmv + spmv_t + abs_sums replies, counted coordinator-side.
-            assert_eq!(w.requests, 3);
-            assert!(w.bytes_tx > 0 && w.bytes_rx > 0);
+        // Every worker answered one forward and one adjoint product.
+        let mid = cluster.stats().unwrap();
+        assert_eq!(mid.workers.len(), 3);
+        for w in &mid.workers {
+            assert_eq!((w.spmv_calls, w.spmv_t_calls), (1, 1));
             assert!(!w.degraded);
         }
 
-        let report = cluster.shutdown_full().unwrap();
-        let stats = &report.stats;
+        let stats = cluster.shutdown().unwrap();
         assert_eq!(stats.workers.len(), 3);
-        assert!(stats.bytes_tx > 0 && stats.bytes_rx > 0);
+        assert!(stats.bytes_tx > mid.bytes_tx && stats.bytes_rx > mid.bytes_rx);
         assert_eq!(stats.workers.iter().map(|w| w.spmv_calls).sum::<u64>(), 3);
         assert!(stats.workers.iter().all(|w| !w.degraded));
-        assert_eq!(report.traces.len(), 3);
-        // Lane pids are synthetic and distinct even though in-process
-        // workers share one OS pid.
-        let pids: Vec<u64> = report.traces.iter().map(|t| t.pid).collect();
-        assert_eq!(pids, vec![2, 3, 4]);
-        if cscv_trace::ENABLED {
-            assert!(report.telemetry.workers.iter().all(|w| w.trace_frames >= 1));
-        } else {
-            assert!(report.traces.iter().all(|t| t.events.is_empty()));
-            assert!(report
-                .telemetry
-                .workers
-                .iter()
-                .all(|w| w.trace_frames == 0 && w.trace_bytes == 0));
-        }
     }
 
     #[test]
@@ -1016,7 +740,7 @@ mod tests {
 
     /// A coordinator connection that has sent Hello and Matrix and now
     /// waits for MatrixAck, plus an unchecked peer scripting the worker.
-    fn coordinator_awaiting_ack() -> (Conn<UnixStream>, Conn<UnixStream>, WorkerState) {
+    fn coordinator_awaiting_ack() -> (Conn<UnixStream>, Conn<UnixStream>) {
         let (a, b) = UnixStream::pair().unwrap();
         let mut coord = Conn::new(a);
         coord.enforce(Role::Coordinator);
@@ -1025,7 +749,6 @@ mod tests {
             n_shards: 1,
             threads: 1,
             trace_id: 0,
-            flags: 0,
         }
         .send(&mut coord)
         .unwrap();
@@ -1042,56 +765,21 @@ mod tests {
         }
         .send(&mut coord)
         .unwrap();
-        (coord, Conn::new(b), WorkerState::default())
-    }
-
-    fn trace_frame() -> Msg {
-        Msg::Trace {
-            seq: 1,
-            busy_ns: 5,
-            bytes_rx: 0,
-            bytes_tx: 0,
-            spmv_calls: 0,
-            spmv_t_calls: 0,
-            ndjson: String::new(),
-        }
+        (coord, Conn::new(b))
     }
 
     #[test]
     fn reply_out_of_order_is_invalid_data() {
-        let (mut coord, mut peer, mut st) = coordinator_awaiting_ack();
+        let (mut coord, mut peer) = coordinator_awaiting_ack();
         Msg::SpmvOut { y: vec![1.0] }.send(&mut peer).unwrap();
-        let e = recv_folding(&mut coord, &mut st, &Instant::now()).unwrap_err();
+        let e = Msg::recv(&mut coord).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("MatrixWait"), "{e}");
         assert!(e.to_string().contains("tag 5"), "{e}");
     }
 
-    #[test]
-    fn trace_before_matrix_ack_is_absorbed_but_rejected_in_ready() {
-        let (mut coord, mut peer, mut st) = coordinator_awaiting_ack();
-        trace_frame().send(&mut peer).unwrap();
-        Msg::MatrixAck {
-            col_lo: 0,
-            col_hi: 0,
-            exec: "CSR".into(),
-            pid: 1,
-        }
-        .send(&mut peer)
-        .unwrap();
-        let ack = recv_folding(&mut coord, &mut st, &Instant::now()).unwrap();
-        assert!(matches!(ack, Msg::MatrixAck { .. }));
-        assert_eq!(st.trace_frames, 1);
-        // Nothing is due in Ready, so a Trace there is a protocol error.
-        trace_frame().send(&mut peer).unwrap();
-        let e = Msg::recv(&mut coord).unwrap_err();
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-        assert!(e.to_string().contains("Ready"), "{e}");
-    }
-
-    /// Satellite: abnormal worker death must not lose telemetry — the
-    /// final report folds the worker's last streamed counter snapshot
-    /// and marks it degraded; healthy siblings stay clean.
+    /// A worker that dies keeps the figures of its last good `StatsOut`
+    /// and is marked degraded; healthy siblings stay clean.
     #[test]
     fn dead_worker_is_reported_degraded_with_last_snapshot() {
         let csr = banded_csr(40, 24);
@@ -1106,6 +794,8 @@ mod tests {
         let x = vec![1.0; 24];
         let mut y = vec![0.0; 40];
         cluster.spmv(&x, &mut y).unwrap();
+        let before = cluster.stats().unwrap();
+        assert!(before.workers.iter().all(|w| w.spmv_calls == 1));
 
         // Kill worker 1 out of band: a raw Shutdown makes its serve loop
         // return cleanly from the worker's point of view, after which
@@ -1113,30 +803,12 @@ mod tests {
         Msg::Shutdown { span: 0 }
             .send(&mut cluster.conns[1])
             .unwrap();
-        loop {
-            match recv_folding(
-                &mut cluster.conns[1],
-                &mut cluster.states[1],
-                &cluster.started,
-            )
-            .unwrap()
-            {
-                Msg::ShutdownAck => break,
-                _ => continue,
-            }
-        }
+        assert_eq!(Msg::recv(&mut cluster.conns[1]).unwrap(), Msg::ShutdownAck);
 
-        let report = cluster.shutdown_full().unwrap();
-        assert!(!report.stats.workers[0].degraded);
-        assert!(report.stats.workers[1].degraded);
-        assert!(report.telemetry.workers[1].degraded);
-        assert_eq!(report.stats.workers[0].spmv_calls, 1);
-        if cscv_trace::ENABLED {
-            // The dead worker's final flush rode ahead of its
-            // ShutdownAck, so its snapshot still reports the one spmv it
-            // served before dying.
-            assert_eq!(report.stats.workers[1].spmv_calls, 1);
-            assert!(report.telemetry.workers[1].trace_frames >= 1);
-        }
+        let stats = cluster.shutdown().unwrap();
+        assert!(!stats.workers[0].degraded);
+        assert!(stats.workers[1].degraded);
+        assert_eq!(stats.workers[0].spmv_calls, 1);
+        assert_eq!(stats.workers[1].spmv_calls, 1, "last good StatsOut kept");
     }
 }

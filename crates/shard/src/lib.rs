@@ -50,9 +50,7 @@ pub mod protocol;
 pub mod wire;
 pub mod worker;
 
-pub use cluster::{
-    Cluster, ClusterStats, ClusterTelemetry, Launch, ShutdownReport, WorkerHealth, WorkerReport,
-};
+pub use cluster::{Cluster, ClusterStats, Launch, WorkerReport};
 pub use operator::{LocalOperator, ShardedOperator};
 pub use plan::{slice_rows, ColWindow, PartitionMethod, ShardPlan};
 pub use worker::WorkerStats;

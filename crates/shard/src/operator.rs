@@ -64,27 +64,12 @@ impl ShardedOperator {
         self.cluster().stats()
     }
 
-    /// Live cluster-health snapshot (coordinator-side state only — no
-    /// worker round trip; see [`Cluster::telemetry`]).
-    pub fn telemetry(&self) -> crate::cluster::ClusterTelemetry {
-        self.cluster().telemetry()
-    }
-
     /// Shut the cluster down cleanly and return the final statistics.
     pub fn shutdown(self) -> io::Result<ClusterStats> {
-        self.into_cluster()?.shutdown()
-    }
-
-    /// Shut down and return stats plus telemetry and per-worker trace
-    /// streams (see [`Cluster::shutdown_full`]).
-    pub fn shutdown_full(self) -> io::Result<crate::cluster::ShutdownReport> {
-        self.into_cluster()?.shutdown_full()
-    }
-
-    fn into_cluster(self) -> io::Result<Cluster> {
         self.cluster
             .into_inner()
-            .map_err(|_| io::Error::other("a collective panicked while holding the cluster"))
+            .map_err(|_| io::Error::other("a collective panicked while holding the cluster"))?
+            .shutdown()
     }
 }
 

@@ -7,11 +7,9 @@
 //!
 //! ```text
 //! coordinator                         worker
-//!   Hello{shard,…,trace_id,flags} ──▶
-//!   ClockProbe{seq,t_coord}       ──▶  (trace builds only, ×3)
-//!                                 ◀──  ClockAck{seq,t_coord,t_worker}
+//!   Hello{shard,…,trace_id}       ──▶
 //!   Matrix{shard CSR + layout}    ──▶  builds CscvExec / CSR pair
-//!                                 ◀──  MatrixAck{col window, exec, pid}
+//!                                 ◀──  MatrixAck{col window, exec}
 //!   Spmv{span,x}                  ──▶  y_s = A_s x
 //!                                 ◀──  SpmvOut{y_s}
 //!   SpmvT{span,y_s}               ──▶  x̃_s = A_sᵀ y_s
@@ -21,21 +19,19 @@
 //!   Stats{span}                   ──▶
 //!                                 ◀──  StatsOut{busy ns, bytes, calls}
 //!   Shutdown{span}                ──▶
-//!                                 ◀──  Trace{…}  (trace builds: final flush)
 //!                                 ◀──  ShutdownAck
 //! ```
 //!
-//! **Trace-context propagation.** Every coordinator request carries a
-//! `span` id (0 in untraced builds) naming the dispatch span that caused
-//! it; workers open spans parented to that id, so a merged timeline
-//! draws coordinator→worker causality. Workers in trace builds stream
-//! buffered events and counter snapshots back as unsolicited
-//! [`Msg::Trace`] frames — sent immediately before a reply (periodic
-//! flush) and before `ShutdownAck` (final flush). The coordinator's
-//! receive path treats any number of Trace frames before the actual
-//! reply as telemetry side-channel, never as the reply itself. Untraced
-//! builds send *zero* Trace/ClockProbe/ClockAck frames: the same-binary
-//! invariant means both ends agree on `cscv_trace::ENABLED`.
+//! Strict request/reply: a worker sends nothing it was not asked for,
+//! and each request gets exactly one reply (or an [`Msg::Err`]). What a
+//! worker did is read through `Stats`/`StatsOut`, never streamed.
+//!
+//! **Trace context.** Every coordinator request carries a `span` id (0
+//! in untraced builds) naming the dispatch span that caused it, and
+//! `Hello` carries the cluster's trace id; workers open their spans
+//! parented to those ids. In-process workers (`Launch::Threads`) record
+//! into the coordinator's own registry, so one trace shows dispatch and
+//! compute side by side.
 //!
 //! Layouts are fixed little-endian ([`crate::wire`]); `Msg::encode` /
 //! [`Msg::decode`] are exact inverses (round-trip tested below).
@@ -66,21 +62,7 @@ pub mod tag {
     pub const STATS_OUT: u8 = 11;
     pub const SHUTDOWN: u8 = 12;
     pub const SHUTDOWN_ACK: u8 = 13;
-    pub const CLOCK_PROBE: u8 = 14;
-    pub const CLOCK_ACK: u8 = 15;
-    pub const TRACE: u8 = 16;
     pub const ERR: u8 = 255;
-}
-
-/// Bit flags carried in [`Msg::Hello`]'s `flags` field.
-pub mod hello_flags {
-    /// The worker owns its OS process, so a `Trace` flush may drain the
-    /// *entire* trace registry (serve thread + pool threads). Cleared
-    /// for in-process (`Launch::Threads`) workers, which share one
-    /// registry with the coordinator and every sibling worker and must
-    /// therefore stream only their own serve thread's buffer to avoid
-    /// duplicating events across lanes.
-    pub const STREAM_FULL_REGISTRY: u64 = 1;
 }
 
 /// Which end of a connection a [`Session`] speaks for.
@@ -96,7 +78,6 @@ pub enum Role {
 pub enum State {
     Init,
     Greeted,
-    ClockWait,
     MatrixWait,
     Ready,
     SpmvWait,
@@ -107,17 +88,14 @@ pub enum State {
     Closed,
 }
 
-/// The request/reply transitions, `(tag, sender, from, to)`. Two frames
-/// stand outside the table: [`Msg::Trace`], which the worker may send in
-/// any of [`TRACE_STATES`] without changing state, and [`Msg::Err`],
-/// which either side may send in any state and which closes the session.
+/// The request/reply transitions, `(tag, sender, from, to)`. One frame
+/// stands outside the table: [`Msg::Err`], which either side may send in
+/// any state and which closes the session.
 pub const TRANSITIONS: &[(u8, Role, State, State)] = {
     use Role::{Coordinator as C, Worker as W};
     use State::*;
     &[
         (tag::HELLO, C, Init, Greeted),
-        (tag::CLOCK_PROBE, C, Greeted, ClockWait),
-        (tag::CLOCK_ACK, W, ClockWait, Greeted),
         (tag::MATRIX, C, Greeted, MatrixWait),
         (tag::MATRIX_ACK, W, MatrixWait, Ready),
         (tag::SPMV, C, Ready, SpmvWait),
@@ -132,17 +110,6 @@ pub const TRANSITIONS: &[(u8, Role, State, State)] = {
         (tag::SHUTDOWN_ACK, W, ShutdownWait, Closed),
     ]
 };
-
-/// The wait states in which an unsolicited [`Msg::Trace`] may precede
-/// the reply.
-pub const TRACE_STATES: &[State] = &[
-    State::MatrixWait,
-    State::SpmvWait,
-    State::SpmvTWait,
-    State::AbsSumsWait,
-    State::StatsWait,
-    State::ShutdownWait,
-];
 
 /// One endpoint's view of the session, stepped by every frame it sends
 /// or receives (see [`crate::wire::Conn::enforce`]). A frame the table
@@ -171,8 +138,6 @@ impl Session {
         };
         let next = if t == tag::ERR {
             Some(State::Closed)
-        } else if t == tag::TRACE && sender == Role::Worker && TRACE_STATES.contains(&self.state) {
-            Some(self.state)
         } else {
             TRANSITIONS
                 .iter()
@@ -200,14 +165,13 @@ impl Session {
 /// One protocol message. See the module docs for the exchange order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Coordinator → worker, first frame: identity, pool width, the
-    /// cluster-wide trace id, and capability flags (see [`hello_flags`]).
+    /// Coordinator → worker, first frame: identity, pool width and the
+    /// cluster-wide trace id.
     Hello {
         shard: u64,
         n_shards: u64,
         threads: u64,
         trace_id: u64,
-        flags: u64,
     },
     /// Coordinator → worker: the shard's rows as a rebased CSR, plus
     /// the view-aligned sinogram layout (`n_views = 0` means "not
@@ -224,14 +188,12 @@ pub enum Msg {
         col_idx: Vec<u32>,
         vals: Vec<f64>,
     },
-    /// Worker → coordinator: column support window (the adjoint halo),
-    /// the executor the worker built, and the worker's OS pid (labels
-    /// the process lane in merged traces).
+    /// Worker → coordinator: column support window (the adjoint halo)
+    /// and the executor the worker built.
     MatrixAck {
         col_lo: u64,
         col_hi: u64,
         exec: String,
-        pid: u64,
     },
     /// Coordinator → worker: full input vector for `y_s = A_s x`.
     /// `span` is the dispatch span id the worker parents to (0 = none).
@@ -265,29 +227,6 @@ pub enum Msg {
     Shutdown { span: u64 },
     /// Worker → coordinator: final frame before exit.
     ShutdownAck,
-    /// Coordinator → worker: clock-offset probe carrying the
-    /// coordinator's trace-epoch reading (trace builds only).
-    ClockProbe { seq: u64, t_coord_ns: u64 },
-    /// Worker → coordinator: probe echo plus the worker's own
-    /// trace-epoch reading at answer time.
-    ClockAck {
-        seq: u64,
-        t_coord_ns: u64,
-        t_worker_ns: u64,
-    },
-    /// Worker → coordinator, unsolicited telemetry (trace builds only):
-    /// a monotonically numbered flush carrying the worker's cumulative
-    /// counter snapshot and the NDJSON span/event lines recorded since
-    /// the previous flush.
-    Trace {
-        seq: u64,
-        busy_ns: u64,
-        bytes_rx: u64,
-        bytes_tx: u64,
-        spmv_calls: u64,
-        spmv_t_calls: u64,
-        ndjson: String,
-    },
     /// Either direction: protocol failure with a reason.
     Err { msg: String },
 }
@@ -302,14 +241,12 @@ impl Msg {
                 n_shards,
                 threads,
                 trace_id,
-                flags,
             } => (
                 tag::HELLO,
                 e.u64(*shard)
                     .u64(*n_shards)
                     .u64(*threads)
                     .u64(*trace_id)
-                    .u64(*flags)
                     .finish(),
             ),
             Msg::Matrix {
@@ -339,10 +276,9 @@ impl Msg {
                 col_lo,
                 col_hi,
                 exec,
-                pid,
             } => (
                 tag::MATRIX_ACK,
-                e.u64(*col_lo).u64(*col_hi).str(exec).u64(*pid).finish(),
+                e.u64(*col_lo).u64(*col_hi).str(exec).finish(),
             ),
             Msg::Spmv { span, x } => (tag::SPMV, e.u64(*span).f64s(x).finish()),
             Msg::SpmvOut { y } => (tag::SPMV_OUT, e.f64s(y).finish()),
@@ -373,36 +309,6 @@ impl Msg {
             ),
             Msg::Shutdown { span } => (tag::SHUTDOWN, e.u64(*span).finish()),
             Msg::ShutdownAck => (tag::SHUTDOWN_ACK, e.finish()),
-            Msg::ClockProbe { seq, t_coord_ns } => {
-                (tag::CLOCK_PROBE, e.u64(*seq).u64(*t_coord_ns).finish())
-            }
-            Msg::ClockAck {
-                seq,
-                t_coord_ns,
-                t_worker_ns,
-            } => (
-                tag::CLOCK_ACK,
-                e.u64(*seq).u64(*t_coord_ns).u64(*t_worker_ns).finish(),
-            ),
-            Msg::Trace {
-                seq,
-                busy_ns,
-                bytes_rx,
-                bytes_tx,
-                spmv_calls,
-                spmv_t_calls,
-                ndjson,
-            } => (
-                tag::TRACE,
-                e.u64(*seq)
-                    .u64(*busy_ns)
-                    .u64(*bytes_rx)
-                    .u64(*bytes_tx)
-                    .u64(*spmv_calls)
-                    .u64(*spmv_t_calls)
-                    .str(ndjson)
-                    .finish(),
-            ),
             Msg::Err { msg } => (tag::ERR, e.str(msg).finish()),
         }
     }
@@ -416,7 +322,6 @@ impl Msg {
                 n_shards: d.u64()?,
                 threads: d.u64()?,
                 trace_id: d.u64()?,
-                flags: d.u64()?,
             },
             tag::MATRIX => Msg::Matrix {
                 n_cols: d.u64()?,
@@ -433,7 +338,6 @@ impl Msg {
                 col_lo: d.u64()?,
                 col_hi: d.u64()?,
                 exec: d.str()?,
-                pid: d.u64()?,
             },
             tag::SPMV => Msg::Spmv {
                 span: d.u64()?,
@@ -464,24 +368,6 @@ impl Msg {
             },
             tag::SHUTDOWN => Msg::Shutdown { span: d.u64()? },
             tag::SHUTDOWN_ACK => Msg::ShutdownAck,
-            tag::CLOCK_PROBE => Msg::ClockProbe {
-                seq: d.u64()?,
-                t_coord_ns: d.u64()?,
-            },
-            tag::CLOCK_ACK => Msg::ClockAck {
-                seq: d.u64()?,
-                t_coord_ns: d.u64()?,
-                t_worker_ns: d.u64()?,
-            },
-            tag::TRACE => Msg::Trace {
-                seq: d.u64()?,
-                busy_ns: d.u64()?,
-                bytes_rx: d.u64()?,
-                bytes_tx: d.u64()?,
-                spmv_calls: d.u64()?,
-                spmv_t_calls: d.u64()?,
-                ndjson: d.str()?,
-            },
             tag::ERR => Msg::Err { msg: d.str()? },
             other => {
                 return Err(io::Error::new(
@@ -528,7 +414,6 @@ mod tests {
             n_shards: 4,
             threads: 3,
             trace_id: 0xfeed_beef,
-            flags: super::hello_flags::STREAM_FULL_REGISTRY,
         });
         round_trip(Msg::Matrix {
             n_cols: 9,
@@ -545,7 +430,6 @@ mod tests {
             col_lo: 1,
             col_hi: 9,
             exec: "CSCV-Z".into(),
-            pid: 4242,
         });
         round_trip(Msg::Spmv {
             span: 17,
@@ -576,24 +460,6 @@ mod tests {
         });
         round_trip(Msg::Shutdown { span: 20 });
         round_trip(Msg::ShutdownAck);
-        round_trip(Msg::ClockProbe {
-            seq: 1,
-            t_coord_ns: 123_456,
-        });
-        round_trip(Msg::ClockAck {
-            seq: 1,
-            t_coord_ns: 123_456,
-            t_worker_ns: 99_000,
-        });
-        round_trip(Msg::Trace {
-            seq: 3,
-            busy_ns: 777,
-            bytes_rx: 10,
-            bytes_tx: 20,
-            spmv_calls: 4,
-            spmv_t_calls: 5,
-            ndjson: "{\"type\":\"span\",\"name\":\"w\"}\n".into(),
-        });
         round_trip(Msg::Err { msg: "boom".into() });
     }
 
@@ -605,10 +471,9 @@ mod tests {
         assert!(Msg::decode(t, &payload).is_err());
     }
 
-    const ALL_STATES: [State; 11] = [
+    const ALL_STATES: [State; 10] = [
         State::Init,
         State::Greeted,
-        State::ClockWait,
         State::MatrixWait,
         State::Ready,
         State::SpmvWait,
@@ -643,13 +508,9 @@ mod tests {
         use Role::{Coordinator as C, Worker as W};
         let script = [
             (tag::HELLO, C),
-            (tag::CLOCK_PROBE, C),
-            (tag::CLOCK_ACK, W),
             (tag::MATRIX, C),
-            (tag::TRACE, W),
             (tag::MATRIX_ACK, W),
             (tag::SPMV, C),
-            (tag::TRACE, W),
             (tag::SPMV_OUT, W),
             (tag::SPMV_T, C),
             (tag::SPMV_T_OUT, W),
@@ -658,7 +519,6 @@ mod tests {
             (tag::STATS, C),
             (tag::STATS_OUT, W),
             (tag::SHUTDOWN, C),
-            (tag::TRACE, W),
             (tag::SHUTDOWN_ACK, W),
         ];
         let (mut coord, mut worker) = (Session::new(C), Session::new(W));
@@ -682,20 +542,31 @@ mod tests {
         assert!(Session::new(Role::Worker).step(tag::HELLO, true).is_err());
     }
 
+    /// Strict request/reply: a state that awaits no reply admits no
+    /// worker frame but `Err`, and each wait state admits exactly one.
     #[test]
-    fn trace_only_from_the_worker_and_only_while_a_reply_is_due() {
+    fn a_worker_frame_is_admitted_only_as_the_one_due_reply() {
         for state in ALL_STATES {
-            let mut coord = Session {
-                role: Role::Coordinator,
+            let admitted: Vec<u8> = (0..=u8::MAX)
+                .filter(|&t| t != tag::ERR)
+                .filter(|&t| {
+                    Session {
+                        role: Role::Worker,
+                        state,
+                    }
+                    .step(t, true)
+                    .is_ok()
+                })
+                .collect();
+            let awaits_reply = !matches!(
                 state,
-            };
-            assert_eq!(
-                coord.step(tag::TRACE, false).is_ok(),
-                TRACE_STATES.contains(&state),
-                "{state:?}"
+                State::Init | State::Greeted | State::Ready | State::Closed
             );
-            assert_eq!(coord.state, state, "Trace never moves the session");
-            assert!(coord.step(tag::TRACE, true).is_err(), "{state:?}");
+            assert_eq!(
+                admitted.len(),
+                usize::from(awaits_reply),
+                "{state:?}: {admitted:?}"
+            );
         }
     }
 

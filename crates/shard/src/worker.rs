@@ -19,15 +19,19 @@
 //! serial, so a worker's replies depend only on its inputs — never on
 //! thread scheduling. That is what lets the coordinator's fixed-order
 //! reduction make whole sharded solves reproducible.
+//!
+//! A worker sends nothing unasked: each request gets exactly one reply.
+//! Its figures ([`WorkerStats`] plus its connection's byte counts) go
+//! back only as the [`Msg::StatsOut`] reply to a `Stats` request.
 
 use crate::plan::ColWindow;
-use crate::protocol::{hello_flags, Msg, Role};
+use crate::protocol::{Msg, Role};
 use crate::wire::{Conn, MAX_WORKER_THREADS};
 use cscv_core::layout::ImageShape;
 use cscv_core::{CscvExec, SinoLayout};
 use cscv_sparse::formats::CsrExec;
 use cscv_sparse::{Csr, SpmvExecutor, ThreadPool};
-use cscv_trace::clock::duration_ns;
+use cscv_trace::duration_ns;
 use cscv_tune::{AutoExec, Op, TuneCache};
 use std::io::{self, Read, Write};
 use std::time::Instant;
@@ -153,76 +157,6 @@ fn proto_err(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("protocol: {what}"))
 }
 
-/// Worker-side trace streaming state: which slice of the registry this
-/// worker may drain, the flush cadence, and the flush sequence number.
-///
-/// In-process workers (`Launch::Threads`) share one registry with the
-/// coordinator and every sibling, so they stream only their own serve
-/// thread's buffer; process workers own their registry and stream all of
-/// it (serve thread + pool threads). Entirely inert in untraced builds.
-struct TraceStream {
-    full_registry: bool,
-    seq: u64,
-    cursor: cscv_trace::span::EventCursor,
-    local_cursor: cscv_trace::span::LocalEventCursor,
-    last_flush: Instant,
-    interval: std::time::Duration,
-}
-
-impl TraceStream {
-    fn new(flags: u64) -> TraceStream {
-        // Flush cadence for periodic telemetry during long solves;
-        // override with CSCV_SHARD_FLUSH_MS (0 = flush before every
-        // reply, useful in tests).
-        let ms = std::env::var("CSCV_SHARD_FLUSH_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(250);
-        TraceStream {
-            full_registry: flags & hello_flags::STREAM_FULL_REGISTRY != 0,
-            seq: 0,
-            cursor: cscv_trace::span::EventCursor::default(),
-            local_cursor: cscv_trace::span::LocalEventCursor::default(),
-            last_flush: Instant::now(),
-            interval: std::time::Duration::from_millis(ms),
-        }
-    }
-
-    fn due(&self) -> bool {
-        cscv_trace::ENABLED && self.last_flush.elapsed() >= self.interval
-    }
-
-    /// Send one [`Msg::Trace`] frame: the cumulative counter snapshot
-    /// plus the NDJSON span/event lines recorded since the last flush.
-    /// No-op (zero frames on the wire) in untraced builds.
-    fn flush<S: Read + Write>(
-        &mut self,
-        conn: &mut Conn<S>,
-        stats: &WorkerStats,
-    ) -> io::Result<()> {
-        if !cscv_trace::ENABLED {
-            return Ok(());
-        }
-        let events = if self.full_registry {
-            cscv_trace::span::events_since(&mut self.cursor)
-        } else {
-            cscv_trace::span::local_events_since(&mut self.local_cursor)
-        };
-        self.seq += 1;
-        self.last_flush = Instant::now();
-        Msg::Trace {
-            seq: self.seq,
-            busy_ns: stats.busy_ns,
-            bytes_rx: conn.bytes_rx,
-            bytes_tx: conn.bytes_tx,
-            spmv_calls: stats.spmv_calls,
-            spmv_t_calls: stats.spmv_t_calls,
-            ndjson: cscv_trace::emit::events_ndjson(&events),
-        }
-        .send(conn)
-    }
-}
-
 /// Decode and validate a [`Msg::Matrix`] payload into a CSR plus the
 /// optional view-aligned layout.
 fn decode_matrix(m: Msg) -> io::Result<(Csr<f64>, Option<SinoLayout>, ImageShape)> {
@@ -313,10 +247,7 @@ fn serve_session<S: Read + Write>(
     cache: &mut TuneCache,
 ) -> io::Result<WorkerStats> {
     let Msg::Hello {
-        threads,
-        trace_id,
-        flags,
-        ..
+        threads, trace_id, ..
     } = Msg::recv(conn)?
     else {
         return Err(proto_err("expected Hello"));
@@ -329,23 +260,7 @@ fn serve_session<S: Read + Write>(
         )));
     }
     let threads = wire_usize(threads, "threads")?;
-    let mut trace = TraceStream::new(flags);
-    // Clock-offset handshake: echo probes until the Matrix arrives. The
-    // coordinator only sends probes in trace builds, so this loop is a
-    // straight passthrough when tracing is off.
-    let matrix = loop {
-        match Msg::recv(conn)? {
-            Msg::ClockProbe { seq, t_coord_ns } => {
-                Msg::ClockAck {
-                    seq,
-                    t_coord_ns,
-                    t_worker_ns: cscv_trace::span::now_ns(),
-                }
-                .send(conn)?;
-            }
-            m => break m,
-        }
-    };
+    let matrix = Msg::recv(conn)?;
     let t0 = Instant::now();
     let (csr, layout, img) = decode_matrix(matrix)?;
     let mut stats = WorkerStats::default();
@@ -358,7 +273,6 @@ fn serve_session<S: Read + Write>(
         col_lo: backend.window.lo as u64,
         col_hi: backend.window.hi as u64,
         exec: backend.exec_name(),
-        pid: std::process::id() as u64,
     }
     .send(conn)?;
 
@@ -375,9 +289,6 @@ fn serve_session<S: Read + Write>(
                 };
                 stats.busy_ns += duration_ns(t0.elapsed());
                 stats.spmv_calls += 1;
-                if trace.due() {
-                    trace.flush(conn, &stats)?;
-                }
                 Msg::SpmvOut { y }.send(conn)?;
             }
             Msg::SpmvT { span, y } => {
@@ -391,9 +302,6 @@ fn serve_session<S: Read + Write>(
                 };
                 stats.busy_ns += duration_ns(t0.elapsed());
                 stats.spmv_t_calls += 1;
-                if trace.due() {
-                    trace.flush(conn, &stats)?;
-                }
                 Msg::SpmvTOut {
                     col_lo: backend.window.lo as u64,
                     partial: backend.window.trim(&x).to_vec(),
@@ -407,9 +315,6 @@ fn serve_session<S: Read + Write>(
                     backend.abs_sums()
                 };
                 stats.busy_ns += duration_ns(t0.elapsed());
-                if trace.due() {
-                    trace.flush(conn, &stats)?;
-                }
                 Msg::AbsSumsOut {
                     row,
                     col_lo: backend.window.lo as u64,
@@ -428,9 +333,6 @@ fn serve_session<S: Read + Write>(
                 .send(conn)?;
             }
             Msg::Shutdown { span: _ } => {
-                // Final flush: everything recorded since the last
-                // periodic frame, so the coordinator's merge is complete.
-                trace.flush(conn, &stats)?;
                 Msg::ShutdownAck.send(conn)?;
                 return Ok(stats);
             }
@@ -514,17 +416,14 @@ mod tests {
         assert_eq!(cs[4], 4.0);
     }
 
-    /// Receive the next *reply*, skipping any interleaved periodic
-    /// Trace flushes (trace builds may emit them before a reply).
-    fn recv_reply<S: Read + Write>(conn: &mut Conn<S>) -> Msg {
-        loop {
-            match Msg::recv(conn).unwrap() {
-                Msg::Trace { .. } => continue,
-                m => return m,
-            }
-        }
+    /// Send one request and read the one frame that answers it.
+    fn ask<S: Read + Write>(conn: &mut Conn<S>, m: Msg) -> Msg {
+        m.send(conn).unwrap();
+        Msg::recv(conn).unwrap()
     }
 
+    /// A full session is strict request/reply: each request is answered
+    /// by exactly its reply, and nothing follows `ShutdownAck`.
     #[test]
     fn serve_answers_a_full_session() {
         use std::os::unix::net::UnixStream;
@@ -541,12 +440,11 @@ mod tests {
             n_shards: 1,
             threads: 1,
             trace_id: 0,
-            flags: 0,
         }
         .send(&mut conn)
         .unwrap();
         let csr = toy_csr();
-        Msg::Matrix {
+        let matrix = Msg::Matrix {
             n_cols: 6,
             row0: 0,
             n_views: 0,
@@ -556,52 +454,59 @@ mod tests {
             row_ptr: csr.row_ptr().iter().map(|&p| p as u64).collect(),
             col_idx: csr.col_idx().to_vec(),
             vals: csr.vals().to_vec(),
-        }
-        .send(&mut conn)
-        .unwrap();
-        let Msg::MatrixAck { col_lo, col_hi, .. } = recv_reply(&mut conn) else {
+        };
+        let Msg::MatrixAck { col_lo, col_hi, .. } = ask(&mut conn, matrix) else {
             panic!("expected MatrixAck");
         };
         assert_eq!((col_lo, col_hi), (1, 5));
 
-        Msg::Spmv {
+        let spmv = Msg::Spmv {
             span: 0,
             x: vec![1.0; 6],
-        }
-        .send(&mut conn)
-        .unwrap();
-        let Msg::SpmvOut { y } = recv_reply(&mut conn) else {
-            panic!("expected SpmvOut");
         };
-        assert_eq!(y, vec![2.0, -1.0, 3.5, 1.0]);
+        assert_eq!(
+            ask(&mut conn, spmv),
+            Msg::SpmvOut {
+                y: vec![2.0, -1.0, 3.5, 1.0]
+            }
+        );
 
-        Msg::SpmvT {
+        let spmv_t = Msg::SpmvT {
             span: 0,
             y: vec![1.0; 4],
-        }
-        .send(&mut conn)
-        .unwrap();
-        let Msg::SpmvTOut { col_lo, partial } = recv_reply(&mut conn) else {
-            panic!("expected SpmvTOut");
         };
-        assert_eq!(col_lo, 1);
-        assert_eq!(partial, vec![2.5, -1.0, 0.0, 4.0]);
+        assert_eq!(
+            ask(&mut conn, spmv_t),
+            Msg::SpmvTOut {
+                col_lo: 1,
+                partial: vec![2.5, -1.0, 0.0, 4.0]
+            }
+        );
 
-        Msg::Stats { span: 0 }.send(&mut conn).unwrap();
+        let Msg::AbsSumsOut { row, col_lo, .. } = ask(&mut conn, Msg::AbsSums { span: 0 }) else {
+            panic!("expected AbsSumsOut");
+        };
+        assert_eq!((row, col_lo), (vec![2.0, 1.0, 3.5, 1.0], 1));
+
         let Msg::StatsOut {
             spmv_calls,
             spmv_t_calls,
             ..
-        } = recv_reply(&mut conn)
+        } = ask(&mut conn, Msg::Stats { span: 0 })
         else {
             panic!("expected StatsOut");
         };
         assert_eq!((spmv_calls, spmv_t_calls), (1, 1));
 
-        Msg::Shutdown { span: 0 }.send(&mut conn).unwrap();
-        assert!(matches!(recv_reply(&mut conn), Msg::ShutdownAck));
+        assert_eq!(ask(&mut conn, Msg::Shutdown { span: 0 }), Msg::ShutdownAck);
         let stats = worker.join().unwrap();
         assert_eq!(stats.spmv_calls, 1);
+        let e = conn.recv().unwrap_err();
+        assert_eq!(
+            e.kind(),
+            io::ErrorKind::UnexpectedEof,
+            "a frame followed ShutdownAck"
+        );
     }
 
     #[test]
@@ -618,7 +523,6 @@ mod tests {
             n_shards: 1,
             threads: 1,
             trace_id: 0,
-            flags: 0,
         }
         .send(&mut conn)
         .unwrap();
@@ -680,7 +584,6 @@ mod tests {
                 n_shards: 1,
                 threads,
                 trace_id: 0,
-                flags: 0,
             }
             .send(&mut conn)
             .unwrap();

@@ -1,74 +1,20 @@
-//! Wire-level contract for the `[tag=Trace]` telemetry channel.
+//! Wire-level contract: the coordinator↔worker socket carries no trace
+//! traffic, in any build.
 //!
-//! Three guarantees, one per test:
-//!
-//! * a `Trace` frame survives a real socketpair round trip **bit-exactly**
-//!   (the coordinator folds these unsolicited, so any re-encode drift
-//!   would silently corrupt merged traces);
-//! * with the `trace` feature off, a full worker session carries **zero**
-//!   trace-related frames (`ClockProbe`/`ClockAck`/`Trace`) — the
-//!   observability channel must cost nothing when compiled out;
-//! * with the feature on, a two-worker cluster's merged Chrome trace
-//!   validates against the same schema the single-process exporter is
-//!   held to (every row has `name`/`ph`/`pid`/`tid`; one process lane
-//!   per participant; worker compute spans parented by coordinator
-//!   dispatch spans, with matching flow arrows).
+//! A worker reports its figures only as the `StatsOut` reply to a
+//! `Stats` request; spans stay in the process that records them. So a
+//! full session over a real socketpair, with or without the `trace`
+//! feature, carries exactly one reply frame per request and nothing else.
 
 use cscv_shard::protocol::{tag as tags, Msg};
 use cscv_shard::wire::Conn;
+use cscv_tune::TuneCache;
 use std::os::unix::net::UnixStream;
 
-/// A representative telemetry flush: counters plus an NDJSON chunk with
-/// every byte class the emitter produces (escapes, floats, unicode).
-fn sample_trace_frame() -> Msg {
-    Msg::Trace {
-        seq: 7,
-        busy_ns: 123_456_789,
-        bytes_rx: 4096,
-        bytes_tx: 8192,
-        spmv_calls: 12,
-        spmv_t_calls: 11,
-        ndjson: concat!(
-            r#"{"type":"span","thread":"cscv-shard-serve-0","name":"shard.worker.spmv","#,
-            r#""depth":0,"t_ns":100,"dur_ns":900,"parent":42}"#,
-            "\n",
-            r#"{"type":"event","thread":"cscv-shard-serve-0","name":"mark \"q\" µ","t_ns":1500}"#,
-            "\n",
-        )
-        .to_string(),
-    }
-}
-
-#[test]
-fn trace_frame_round_trips_bit_exactly_over_socketpair() {
-    let msg = sample_trace_frame();
-    let (tag, sent_payload) = msg.encode();
-    assert_eq!(tag, tags::TRACE);
-
-    let (a, b) = UnixStream::pair().unwrap();
-    let mut tx = Conn::new(a);
-    let mut rx = Conn::new(b);
-    msg.send(&mut tx).unwrap();
-    let (got_tag, got_payload) = rx.recv().unwrap();
-
-    assert_eq!(got_tag, tags::TRACE);
-    assert_eq!(got_payload, sent_payload, "payload must be bit-exact");
-    assert_eq!(Msg::decode(got_tag, &got_payload).unwrap(), msg);
-
-    // Decode → encode is also byte-stable (idempotent framing).
-    let (tag2, payload2) = Msg::decode(got_tag, &got_payload).unwrap().encode();
-    assert_eq!((tag2, payload2), (got_tag, got_payload));
-}
-
 /// Drive one full worker session from a scripted coordinator and tally
-/// every tag the worker puts on the wire. Untraced builds must never
-/// emit `ClockAck` or `Trace` (and this coordinator sends no probes,
-/// matching the real one, which only probes under the feature).
-#[cfg(not(feature = "trace"))]
+/// every tag the worker puts on the wire.
 #[test]
 fn untraced_session_carries_zero_trace_frames() {
-    use cscv_tune::TuneCache;
-
     let (coord_end, worker_end) = UnixStream::pair().unwrap();
     let server = std::thread::spawn(move || {
         let mut conn = Conn::new(worker_end);
@@ -90,7 +36,6 @@ fn untraced_session_carries_zero_trace_frames() {
         n_shards: 1,
         threads: 1,
         trace_id: 0,
-        flags: 0,
     }
     .send(&mut conn)
     .unwrap();
@@ -141,150 +86,11 @@ fn untraced_session_carries_zero_trace_frames() {
             tags::STATS_OUT,
             tags::SHUTDOWN_ACK,
         ],
-        "untraced wire must carry exactly the request/reply frames"
+        "the wire must carry exactly the request/reply frames"
     );
-    assert!(
-        !seen
-            .iter()
-            .any(|t| [tags::CLOCK_PROBE, tags::CLOCK_ACK, tags::TRACE].contains(t)),
-        "trace-off build leaked telemetry frames: {seen:?}"
-    );
-}
-
-/// End-to-end merged-trace schema: two thread-launched workers, one
-/// solve's worth of collectives, shutdown with trace capture, then the
-/// combined coordinator + worker document is validated row by row.
-#[cfg(feature = "trace")]
-#[test]
-fn merged_chrome_trace_from_two_worker_cluster_validates() {
-    use cscv_core::layout::ImageShape;
-    use cscv_core::SinoLayout;
-    use cscv_shard::{Cluster, Launch, PartitionMethod, ShardPlan};
-    use cscv_sparse::Coo;
-    use cscv_trace::json::Json;
-
-    let mut coo = Coo::new(10, 6);
-    for r in 0..10usize {
-        coo.push(r, r % 6, 1.0 + r as f64);
-        coo.push(r, (r + 2) % 6, -0.5);
-    }
-    let csr = coo.to_csr();
-    let row_nnz: Vec<usize> = (0..10).map(|r| csr.row(r).0.len()).collect();
-    let plan = ShardPlan::new(&row_nnz, 2, 1, PartitionMethod::Bisect);
-    let layout = SinoLayout {
-        n_views: 0,
-        n_bins: 0,
-    };
-    let img = ImageShape { nx: 3, ny: 2 };
-    let mut cluster = Cluster::start(&csr, &plan, layout, img, 1, &Launch::Threads).unwrap();
-
-    let x = vec![1.0; 6];
-    let mut y = vec![0.0; 10];
-    cluster.spmv(&x, &mut y).unwrap();
-    let mut xt = vec![0.0; 6];
-    cluster.spmv_t(&y, &mut xt).unwrap();
-    let report = cluster.shutdown_full().unwrap();
-    assert_eq!(report.traces.len(), 2);
-
-    // Coordinator lane: this process's own registry, minus the worker
-    // serve threads (their events arrive via the streamed lanes).
-    let coord_events: Vec<_> = cscv_trace::export::snapshot()
-        .into_iter()
-        .filter(|e| !e.thread.starts_with("cscv-shard-serve-"))
-        .collect();
-    let mut procs = vec![cscv_trace::export::ProcessTrace {
-        pid: 1,
-        label: "cscv-coordinator".to_string(),
-        offset: cscv_trace::clock::OffsetEstimate::default(),
-        events: coord_events,
-    }];
-    procs.extend(report.traces);
-    let doc = Json::parse(&cscv_trace::export::chrome_trace_merged(&procs).to_string()).unwrap();
-    let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
-
-    // Schema: every row carries the four mandatory keys (PR 4 contract).
-    for e in events {
-        for key in ["name", "ph", "pid", "tid"] {
-            assert!(e.get(key).is_some(), "row missing {key}: {e:?}");
-        }
-    }
-
-    // Exactly one process lane per participant, on distinct pids.
-    let lanes: Vec<(f64, String)> = events
-        .iter()
-        .filter(|e| e.get("name").and_then(Json::as_str) == Some("process_name"))
-        .map(|e| {
-            (
-                e.get("pid").and_then(Json::as_f64).unwrap(),
-                e.get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .to_string(),
-            )
-        })
-        .collect();
-    assert_eq!(lanes.len(), 3, "coordinator + 2 workers: {lanes:?}");
     assert_eq!(
-        lanes.iter().map(|(p, _)| *p as u64).collect::<Vec<_>>(),
-        vec![1, 2, 3]
-    );
-    assert!(lanes[1].1.starts_with("cscv-worker-0"));
-    assert!(lanes[2].1.starts_with("cscv-worker-1"));
-
-    // Dispatch spans own ids; worker compute spans reference them.
-    let dispatch_ids: Vec<f64> = events
-        .iter()
-        .filter(|e| e.get("name").and_then(Json::as_str) == Some("shard.dispatch.spmv"))
-        .map(|e| {
-            e.get("args")
-                .and_then(|a| a.get("span_id"))
-                .and_then(Json::as_f64)
-                .expect("dispatch span carries span_id")
-        })
-        .collect();
-    assert!(!dispatch_ids.is_empty(), "no coordinator dispatch span");
-    let parented_worker_spans = events
-        .iter()
-        .filter(|e| {
-            e.get("name").and_then(Json::as_str) == Some("shard.worker.spmv")
-                && e.get("pid")
-                    .and_then(Json::as_f64)
-                    .is_some_and(|p| p >= 2.0)
-        })
-        .filter(|e| {
-            e.get("args")
-                .and_then(|a| a.get("parent_span"))
-                .and_then(Json::as_f64)
-                .is_some_and(|p| dispatch_ids.contains(&p))
-        })
-        .count();
-    assert_eq!(
-        parented_worker_spans, 2,
-        "each worker's spmv span must parent to the coordinator dispatch"
-    );
-
-    // Flow arrows: a start on the coordinator for each dispatch id and a
-    // finish on each worker lane binding back to it.
-    let flow = |ph: &str| {
-        events
-            .iter()
-            .filter(|e| {
-                e.get("name").and_then(Json::as_str) == Some("shard.flow")
-                    && e.get("ph").and_then(Json::as_str) == Some(ph)
-                    && e.get("cat").and_then(Json::as_str) == Some("shard")
-            })
-            .count()
-    };
-    assert!(flow("s") >= 1, "missing flow starts");
-    assert!(flow("f") >= 2, "missing flow finishes on worker lanes");
-
-    // Reduction markers from the adjoint merge land as instants.
-    assert!(
-        events.iter().any(
-            |e| e.get("name").and_then(Json::as_str) == Some("shard.reduce.step")
-                && e.get("ph").and_then(Json::as_str) == Some("i")
-        ),
-        "tree-reduction instants missing from coordinator lane"
+        conn.recv().unwrap_err().kind(),
+        std::io::ErrorKind::UnexpectedEof,
+        "a frame followed ShutdownAck"
     );
 }

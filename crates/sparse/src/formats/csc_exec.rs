@@ -91,9 +91,6 @@ impl<T: Scalar> CscParallelExec<T> {
                 for c in ranges[tid].clone() {
                     let (rows, vals) = csc.col(c);
                     let xc: [T; K] = std::array::from_fn(|k| x[k * n_cols + c]);
-                    if xc.iter().all(|&v| v == T::ZERO) {
-                        continue;
-                    }
                     for (r, v) in rows.iter().zip(vals) {
                         let ri = *r as usize;
                         for k in 0..K {
@@ -145,9 +142,6 @@ impl<T: Scalar> SpmvExecutor<T> for CscParallelExec<T> {
                 for c in ranges[tid].clone() {
                     let (rows, vals) = csc.col(c);
                     let xc = x[c];
-                    if xc == T::ZERO {
-                        continue;
-                    }
                     for (r, v) in rows.iter().zip(vals) {
                         buf[*r as usize] = v.mul_add(xc, buf[*r as usize]);
                     }
@@ -253,6 +247,8 @@ mod tests {
         }
     }
 
+    /// A zero input overwrites a stale `y` with zeros: the private copies
+    /// start cleared, and every column's products add only zeros.
     #[test]
     fn zero_x_short_circuits() {
         let (csc, _, _) = sample(16);

@@ -128,7 +128,7 @@ impl ThreadPool {
             f(tid);
             cscv_trace::counters::add(
                 cscv_trace::counters::Counter::PoolBusyNs,
-                cscv_trace::clock::duration_ns(t0.elapsed()),
+                cscv_trace::duration_ns(t0.elapsed()),
             );
             cscv_trace::counters::add(cscv_trace::counters::Counter::PoolTasks, 1);
         };

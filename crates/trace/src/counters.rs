@@ -93,18 +93,10 @@ pub enum Counter {
     /// executors (summed over workers; divide by the coordinator's
     /// request wall time for the busy fraction).
     ShardWorkerBusyNs,
-    /// `Trace` telemetry frames the shard coordinator received from
-    /// workers (periodic flushes plus one final flush per worker; zero
-    /// in untraced builds, where the wire carries no Trace frames).
-    ShardTraceFrames,
-    /// Payload bytes of received `Trace` frames (the NDJSON event
-    /// chunks plus counter snapshots) — the telemetry overhead the
-    /// distributed tracing layer itself puts on the wire.
-    ShardTraceBytes,
 }
 
 /// Number of counters in [`Counter`].
-pub const N_COUNTERS: usize = 26;
+pub const N_COUNTERS: usize = 24;
 
 /// Every counter, in declaration order (emit order).
 pub const ALL: [Counter; N_COUNTERS] = [
@@ -132,8 +124,6 @@ pub const ALL: [Counter; N_COUNTERS] = [
     Counter::ShardBytesRx,
     Counter::ShardReduceNs,
     Counter::ShardWorkerBusyNs,
-    Counter::ShardTraceFrames,
-    Counter::ShardTraceBytes,
 ];
 
 impl Counter {
@@ -164,8 +154,6 @@ impl Counter {
             Counter::ShardBytesRx => "shard_bytes_rx",
             Counter::ShardReduceNs => "shard_reduce_ns",
             Counter::ShardWorkerBusyNs => "shard_worker_busy_ns",
-            Counter::ShardTraceFrames => "shard_trace_frames",
-            Counter::ShardTraceBytes => "shard_trace_bytes",
         }
     }
 }

@@ -64,11 +64,9 @@ pub fn ndjson() -> String {
     out
 }
 
-/// Render span/event NDJSON lines for `events` alone — the chunk format
-/// shard workers stream back to the coordinator inside `Trace` frames.
-/// Identical to the span/event lines of [`ndjson`], so
-/// [`crate::export::from_ndjson`] parses both.
-pub fn events_ndjson(events: &[(String, span::Event)]) -> String {
+/// Render the span/event lines of [`ndjson`], the ones
+/// [`crate::export::from_ndjson`] parses back.
+fn events_ndjson(events: &[(String, span::Event)]) -> String {
     let mut out = String::new();
     for (thread, e) in events {
         let mut line = vec![
@@ -460,7 +458,7 @@ mod tests {
             let _d = span::enter_ctx("chunk.dispatch", id, 0);
             let _w = span::enter_ctx("chunk.compute", 0, id);
         }
-        let chunk = ndjson_chunk_for_test();
+        let chunk = events_ndjson(&span::events());
         // Context ids appear exactly on the spans that carry them, and
         // the chunk re-parses through the exporter.
         let evs = crate::export::from_ndjson(&chunk).unwrap();
@@ -472,11 +470,6 @@ mod tests {
         let plain_line = chunk.lines().find(|l| l.contains("chunk.compute")).unwrap();
         assert!(!plain_line.contains("\"span_id\""));
         assert!(plain_line.contains("\"parent\""));
-    }
-
-    #[cfg(feature = "trace")]
-    fn ndjson_chunk_for_test() -> String {
-        events_ndjson(&span::events())
     }
 
     #[cfg(feature = "trace")]

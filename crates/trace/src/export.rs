@@ -92,10 +92,11 @@ pub fn from_ndjson(text: &str) -> Result<Vec<ExportEvent>, String> {
                 .map(str::to_string)
                 .ok_or_else(|| format!("line {}: missing {k:?}", lineno + 1))
         };
-        let num_field = |k: &str, required: bool| match v.get(k).and_then(Json::as_f64) {
-            Some(n) => Ok(n),
-            None if !required => Ok(0.0),
+        let bad = |k: &str| format!("line {}: bad {k:?}", lineno + 1);
+        let int_field = |k: &str, required: bool| match v.get(k) {
+            None if !required => Ok(0),
             None => Err(format!("line {}: missing {k:?}", lineno + 1)),
+            Some(n) => n.as_u64().ok_or_else(|| bad(k)),
         };
         let fields = v
             .as_obj()
@@ -107,12 +108,12 @@ pub fn from_ndjson(text: &str) -> Result<Vec<ExportEvent>, String> {
         out.push(ExportEvent {
             thread: str_field("thread")?,
             name: str_field("name")?,
-            depth: num_field("depth", true)? as u16,
-            t_ns: num_field("t_ns", true)? as u64,
-            dur_ns: num_field("dur_ns", is_span)? as u64,
+            depth: u16::try_from(int_field("depth", true)?).map_err(|_| bad("depth"))?,
+            t_ns: int_field("t_ns", true)?,
+            dur_ns: int_field("dur_ns", is_span)?,
             is_span,
-            span_id: num_field("span_id", false)? as u64,
-            parent: num_field("parent", false)? as u64,
+            span_id: int_field("span_id", false)?,
+            parent: int_field("parent", false)?,
             fields,
         });
     }
@@ -132,125 +133,92 @@ fn thread_order(events: &[ExportEvent]) -> Vec<&str> {
     order
 }
 
-/// One process's lane set in a merged multi-process trace.
-#[derive(Debug, Clone)]
-pub struct ProcessTrace {
-    /// Chrome `pid` for this process's lanes (must be unique per lane
-    /// set; real OS pids work, as do synthetic ones for in-process
-    /// workers that share an OS pid).
-    pub pid: u64,
-    /// Human label for the process row, e.g. `"cscv-worker-2"`.
-    pub label: String,
-    /// Clock mapping from this process's trace epoch onto the
-    /// coordinator timeline (identity for the coordinator itself).
-    pub offset: crate::clock::OffsetEstimate,
-    /// This process's recorded events (its own epoch clock).
-    pub events: Vec<ExportEvent>,
-}
-
 /// Build a Chrome trace-event JSON document from `events`.
 ///
 /// Timestamps are microseconds (`f64`, the format's native unit); span
 /// durations keep nanosecond resolution as fractional µs. Numeric
 /// payload fields ride in `args`, so Perfetto surfaces `iter`,
-/// `residual`, `iter_ms`, … in the selection panel.
+/// `residual`, `iter_ms`, … in the selection panel. Spans carrying
+/// trace-context ids also emit flow events (`ph:"s"` at a span that owns
+/// an id, `ph:"f"` at a span parented to one), so Perfetto draws arrows
+/// from a shard dispatch span to the worker spans it caused; the ids
+/// also ride in `args` (`span_id` / `parent_span`).
 pub fn chrome_trace(events: &[ExportEvent]) -> Json {
-    chrome_trace_merged(&[ProcessTrace {
-        pid: 0,
-        label: "cscv-trace".to_string(),
-        offset: crate::clock::OffsetEstimate::default(),
-        events: events.to_vec(),
-    }])
-}
-
-/// Build one Chrome trace-event document spanning several processes:
-/// a `process_name` metadata row and a lane per thread for each entry,
-/// timestamps mapped onto the coordinator timeline through each
-/// process's clock offset. Spans carrying trace-context ids additionally
-/// emit flow events (`ph:"s"` at a span that owns an id, `ph:"f"` at a
-/// span parented to one), so Perfetto draws arrows from coordinator
-/// dispatch spans to the worker spans they caused; the ids also ride in
-/// `args` (`span_id` / `parent_span`) for text-level assertions.
-pub fn chrome_trace_merged(procs: &[ProcessTrace]) -> Json {
-    let mut trace_events: Vec<Json> = Vec::new();
-    for p in procs {
-        let threads = thread_order(&p.events);
-        let tid_of = |name: &str| threads.iter().position(|t| *t == name).unwrap_or(0) + 1;
+    // One process lane (pid 0); tid 0 carries the process name.
+    const PID: u64 = 0;
+    let threads = thread_order(events);
+    let tid_of = |name: &str| threads.iter().position(|t| *t == name).unwrap_or(0) + 1;
+    let mut trace_events: Vec<Json> = vec![Json::obj(vec![
+        ("name", Json::from("process_name")),
+        ("ph", Json::from("M")),
+        ("pid", Json::from(PID)),
+        ("tid", Json::from(0u64)),
+        ("args", Json::obj(vec![("name", Json::from("cscv-trace"))])),
+    ])];
+    for t in &threads {
         trace_events.push(Json::obj(vec![
-            ("name", Json::from("process_name")),
+            ("name", Json::from("thread_name")),
             ("ph", Json::from("M")),
-            ("pid", Json::from(p.pid)),
-            ("tid", Json::from(0u64)),
-            (
-                "args",
-                Json::obj(vec![("name", Json::from(p.label.as_str()))]),
-            ),
+            ("pid", Json::from(PID)),
+            ("tid", Json::from(tid_of(t))),
+            ("args", Json::obj(vec![("name", Json::from(*t))])),
         ]));
-        for t in &threads {
+    }
+    for e in events {
+        let ts_us = e.t_ns as f64 / 1e3;
+        let tid = tid_of(&e.thread);
+        let mut obj = vec![
+            ("name", Json::from(e.name.as_str())),
+            ("ph", Json::from(if e.is_span { "X" } else { "i" })),
+            ("ts", Json::Num(ts_us)),
+            ("pid", Json::from(PID)),
+            ("tid", Json::from(tid)),
+        ];
+        if e.is_span {
+            obj.push(("dur", Json::Num(e.dur_ns as f64 / 1e3)));
+        } else {
+            // Thread-scoped instant: renders as a marker on its lane.
+            obj.push(("s", Json::from("t")));
+        }
+        let mut args: Vec<(String, Json)> = e
+            .fields
+            .iter()
+            .map(|(k, v)| (k.clone(), Json::Num(*v)))
+            .collect();
+        if e.span_id != 0 {
+            args.push(("span_id".to_string(), Json::from(e.span_id)));
+        }
+        if e.parent != 0 {
+            args.push(("parent_span".to_string(), Json::from(e.parent)));
+        }
+        if !args.is_empty() {
+            obj.push(("args", Json::Obj(args)));
+        }
+        trace_events.push(Json::obj(obj));
+        // Flow arrows: matched by (cat, id); the start binds to the
+        // slice enclosing its ts, the finish (`bp:"e"`) likewise.
+        if e.is_span && e.span_id != 0 {
             trace_events.push(Json::obj(vec![
-                ("name", Json::from("thread_name")),
-                ("ph", Json::from("M")),
-                ("pid", Json::from(p.pid)),
-                ("tid", Json::from(tid_of(t))),
-                ("args", Json::obj(vec![("name", Json::from(*t))])),
+                ("name", Json::from("shard.flow")),
+                ("cat", Json::from("shard")),
+                ("ph", Json::from("s")),
+                ("id", Json::from(e.span_id)),
+                ("ts", Json::Num(ts_us)),
+                ("pid", Json::from(PID)),
+                ("tid", Json::from(tid)),
             ]));
         }
-        for e in &p.events {
-            let ts_us = p.offset.to_coordinator_ns(e.t_ns) as f64 / 1e3;
-            let tid = tid_of(&e.thread);
-            let mut obj = vec![
-                ("name", Json::from(e.name.as_str())),
-                ("ph", Json::from(if e.is_span { "X" } else { "i" })),
+        if e.is_span && e.parent != 0 {
+            trace_events.push(Json::obj(vec![
+                ("name", Json::from("shard.flow")),
+                ("cat", Json::from("shard")),
+                ("ph", Json::from("f")),
+                ("bp", Json::from("e")),
+                ("id", Json::from(e.parent)),
                 ("ts", Json::Num(ts_us)),
-                ("pid", Json::from(p.pid)),
+                ("pid", Json::from(PID)),
                 ("tid", Json::from(tid)),
-            ];
-            if e.is_span {
-                obj.push(("dur", Json::Num(e.dur_ns as f64 / 1e3)));
-            } else {
-                // Thread-scoped instant: renders as a marker on its lane.
-                obj.push(("s", Json::from("t")));
-            }
-            let mut args: Vec<(String, Json)> = e
-                .fields
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                .collect();
-            if e.span_id != 0 {
-                args.push(("span_id".to_string(), Json::from(e.span_id)));
-            }
-            if e.parent != 0 {
-                args.push(("parent_span".to_string(), Json::from(e.parent)));
-            }
-            if !args.is_empty() {
-                obj.push(("args", Json::Obj(args)));
-            }
-            trace_events.push(Json::obj(obj));
-            // Flow arrows: matched by (cat, id); the start binds to the
-            // slice enclosing its ts, the finish (`bp:"e"`) likewise.
-            if e.is_span && e.span_id != 0 {
-                trace_events.push(Json::obj(vec![
-                    ("name", Json::from("shard.flow")),
-                    ("cat", Json::from("shard")),
-                    ("ph", Json::from("s")),
-                    ("id", Json::from(e.span_id)),
-                    ("ts", Json::Num(ts_us)),
-                    ("pid", Json::from(p.pid)),
-                    ("tid", Json::from(tid)),
-                ]));
-            }
-            if e.is_span && e.parent != 0 {
-                trace_events.push(Json::obj(vec![
-                    ("name", Json::from("shard.flow")),
-                    ("cat", Json::from("shard")),
-                    ("ph", Json::from("f")),
-                    ("bp", Json::from("e")),
-                    ("id", Json::from(e.parent)),
-                    ("ts", Json::Num(ts_us)),
-                    ("pid", Json::from(p.pid)),
-                    ("tid", Json::from(tid)),
-                ]));
-            }
+            ]));
         }
     }
     Json::obj(vec![
@@ -293,7 +261,9 @@ pub fn collapsed_stacks(events: &[ExportEvent]) -> String {
 
         let mut stack: Vec<Frame> = Vec::new();
         let pop = |stack: &mut Vec<Frame>, weights: &mut BTreeMap<String, u64>| {
-            let frame = stack.pop().expect("pop on non-empty stack");
+            let Some(frame) = stack.pop() else {
+                return;
+            };
             let mut key = String::from(thread);
             for f in stack.iter() {
                 key.push(';');
@@ -417,6 +387,49 @@ mod tests {
         assert_ne!(tids[0], tids[1]);
     }
 
+    /// A sharded run under `Launch::Threads` records coordinator and
+    /// worker spans in one registry, so one `chrome_trace` document holds
+    /// both: the worker span sits on its own lane, keeps its timestamp
+    /// (one clock, no per-process offset), and is joined to its dispatch
+    /// span by the trace-context ids.
+    #[test]
+    fn merged_trace_lanes_offsets_and_flows() {
+        // Trace-context ids: a dispatch span owning id 7 and a worker
+        // span parented to it ride in `args` and are joined by a flow
+        // arrow, an `s` on the dispatch lane and an `f` on the worker's.
+        let mut dispatch = span("main", "shard.dispatch.spmv", 0, 2_000, 5_000);
+        dispatch.span_id = 7;
+        let mut compute = span("cscv-shard-serve-0", "shard.worker.spmv", 0, 2_500, 2_000);
+        compute.parent = 7;
+        let doc = Json::parse(&chrome_trace(&[dispatch, compute]).to_string()).unwrap();
+        let evs = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        for e in evs {
+            for key in ["name", "ph", "pid", "tid"] {
+                assert!(e.get(key).is_some(), "every event has {key}");
+            }
+        }
+        let arg = |name: &str, key: &str| {
+            evs.iter()
+                .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .and_then(|e| e.get("args"))
+                .and_then(|a| a.get(key))
+                .and_then(Json::as_f64)
+        };
+        assert_eq!(arg("shard.dispatch.spmv", "span_id"), Some(7.0));
+        assert_eq!(arg("shard.worker.spmv", "parent_span"), Some(7.0));
+        let flow = |ph: &str| {
+            evs.iter()
+                .find(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
+                .unwrap()
+        };
+        let (flow_s, flow_f) = (flow("s"), flow("f"));
+        assert_eq!(flow_s.get("id").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(flow_f.get("id").and_then(Json::as_f64), Some(7.0));
+        assert_ne!(flow_s.get("tid"), flow_f.get("tid"));
+        assert_eq!(flow_f.get("bp").and_then(Json::as_str), Some("e"));
+        assert_eq!(flow_f.get("ts").and_then(Json::as_f64), Some(2.5));
+    }
+
     #[test]
     fn collapsed_stacks_self_time() {
         let out = collapsed_stacks(&sample_events());
@@ -476,92 +489,20 @@ mod tests {
             "{\"type\":\"span\",\"name\":\"x\",\"thread\":\"t\",\"depth\":0,\"t_ns\":1}"
         )
         .is_err());
-    }
-
-    #[test]
-    fn merged_trace_lanes_offsets_and_flows() {
-        use crate::clock::OffsetEstimate;
-        // Coordinator dispatch span owns id 7; the worker span in a
-        // second process is parented to it, on a clock 1 µs ahead.
-        let mut dispatch = span("main", "shard.dispatch.spmv", 0, 2_000, 5_000);
-        dispatch.span_id = 7;
-        let mut compute = span("shard-worker", "shard.worker.spmv", 0, 3_500, 2_000);
-        compute.parent = 7;
-        let doc = chrome_trace_merged(&[
-            ProcessTrace {
-                pid: 1,
-                label: "cscv-coordinator".into(),
-                offset: OffsetEstimate::default(),
-                events: vec![dispatch],
-            },
-            ProcessTrace {
-                pid: 2,
-                label: "cscv-worker-0".into(),
-                offset: OffsetEstimate {
-                    offset_ns: 1_000,
-                    rtt_ns: 50,
-                    samples: 3,
-                },
-                events: vec![compute],
-            },
-        ]);
-        let back = Json::parse(&doc.to_string()).unwrap();
-        let evs = back.get("traceEvents").unwrap().as_arr().unwrap();
-        // Chrome schema: every row has name/ph/pid/tid (the PR 4 gate).
-        for e in evs {
-            for key in ["name", "ph", "pid", "tid"] {
-                assert!(e.get(key).is_some(), "every event has {key}");
-            }
+        // An integer field that is negative, fractional or out of range
+        // is a typed error naming the key, never a silent cast.
+        for (bad, key) in [
+            ("\"depth\":0,\"t_ns\":-5", "t_ns"),
+            ("\"depth\":70000,\"t_ns\":1", "depth"),
+            ("\"depth\":0,\"t_ns\":1.5", "t_ns"),
+        ] {
+            let line = format!("{{\"type\":\"event\",\"name\":\"x\",\"thread\":\"t\",{bad}}}");
+            assert_eq!(
+                from_ndjson(&line).unwrap_err(),
+                format!("line 1: bad {key:?}"),
+                "{line}"
+            );
         }
-        // One process_name row per lane set, with distinct pids.
-        let procs: Vec<(f64, String)> = evs
-            .iter()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some("process_name"))
-            .map(|e| {
-                (
-                    e.get("pid").and_then(Json::as_f64).unwrap(),
-                    e.get("args")
-                        .unwrap()
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .unwrap()
-                        .to_string(),
-                )
-            })
-            .collect();
-        assert_eq!(procs.len(), 2);
-        assert_ne!(procs[0].0, procs[1].0);
-        assert!(procs.iter().any(|(_, n)| n == "cscv-worker-0"));
-        // The worker span's timestamp is mapped onto the coordinator
-        // clock: 3500 ns on a +1000 ns clock → 2500 ns = 2.5 µs.
-        let worker = evs
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("shard.worker.spmv"))
-            .unwrap();
-        assert_eq!(worker.get("ts").and_then(Json::as_f64), Some(2.5));
-        assert_eq!(
-            worker
-                .get("args")
-                .unwrap()
-                .get("parent_span")
-                .and_then(Json::as_f64),
-            Some(7.0)
-        );
-        // Flow arrow: an `s` on the dispatch lane and an `f` on the
-        // worker lane, joined by id 7.
-        let flow_s = evs
-            .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("s"))
-            .unwrap();
-        let flow_f = evs
-            .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("f"))
-            .unwrap();
-        assert_eq!(flow_s.get("id").and_then(Json::as_f64), Some(7.0));
-        assert_eq!(flow_f.get("id").and_then(Json::as_f64), Some(7.0));
-        assert_eq!(flow_s.get("pid").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(flow_f.get("pid").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(flow_f.get("bp").and_then(Json::as_str), Some("e"));
     }
 
     #[test]

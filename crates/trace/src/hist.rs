@@ -56,6 +56,10 @@ impl Histogram {
         h
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "callers pass finite positive v, so log2(v) * 16 lies in [-17184, 16384]"
+    )]
     fn index(v: f64) -> i32 {
         // log2 is monotone and exact enough: the bucket edge cases a ULP
         // off only move a sample to an adjacent 4.4%-wide bucket.
@@ -131,6 +135,10 @@ impl Histogram {
         if self.count == 0 {
             return 0.0;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the cast saturates and the rank is clamped to count next"
+        )]
         let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         let rank = rank.min(self.count);
         if rank == self.count {
@@ -204,6 +212,11 @@ impl Histogram {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("histogram: missing numeric field {k:?}"))
         };
+        let count = |k: &str| {
+            v.get(k)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("histogram: {k:?} is not a count"))
+        };
         let mut buckets = BTreeMap::new();
         for pair in v
             .get("buckets")
@@ -215,17 +228,18 @@ impl Histogram {
                 .filter(|p| p.len() == 2)
                 .ok_or_else(|| "histogram: bucket is not a pair".to_string())?;
             let idx = p[0]
-                .as_f64()
-                .ok_or_else(|| "histogram: bucket index".to_string())? as i32;
+                .as_i64()
+                .and_then(|i| i32::try_from(i).ok())
+                .ok_or_else(|| "histogram: bucket index".to_string())?;
             let n = p[1]
-                .as_f64()
-                .ok_or_else(|| "histogram: bucket count".to_string())? as u64;
+                .as_u64()
+                .ok_or_else(|| "histogram: bucket count".to_string())?;
             buckets.insert(idx, n);
         }
         Ok(Histogram {
             buckets,
-            count: num("count")? as u64,
-            rejected: num("rejected")? as u64,
+            count: count("count")?,
+            rejected: count("rejected")?,
             min: num("min")?,
             max: num("max")?,
             sum: num("sum")?,
@@ -241,6 +255,10 @@ pub fn exact_percentile(sorted: &[f64], p: f64) -> f64 {
         return 0.0;
     }
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input sorted");
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the cast saturates and the rank is clamped to the length next"
+    )]
     let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
     sorted[rank.min(sorted.len()) - 1]
 }
@@ -342,6 +360,22 @@ mod tests {
         // Malformed inputs are rejected, not panicked on.
         assert!(Histogram::from_json(&Json::parse("{}").unwrap()).is_err());
         assert!(Histogram::from_json(&Json::parse(r#"{"count":1}"#).unwrap()).is_err());
+        // Counts and bucket indices are exact integers in range, never
+        // silently cast.
+        for bad in [
+            r#""count":1.5,"buckets":[[0,1]]"#,
+            r#""count":1,"buckets":[[0,-1]]"#,
+            r#""count":1,"buckets":[[3000000000,1]]"#,
+            r#""count":1,"buckets":[[0.5,1]]"#,
+        ] {
+            let doc = format!(r#"{{"rejected":0,"min":1,"max":1,"sum":1,{bad}}}"#);
+            assert!(
+                Histogram::from_json(&Json::parse(&doc).unwrap()).is_err(),
+                "{doc}"
+            );
+        }
+        let good = r#"{"rejected":0,"min":1,"max":1,"sum":1,"count":1,"buckets":[[0,1]]}"#;
+        assert!(Histogram::from_json(&Json::parse(good).unwrap()).is_ok());
     }
 
     #[test]

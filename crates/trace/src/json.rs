@@ -38,6 +38,38 @@ impl Json {
         }
     }
 
+    /// The number as an exact `u64`: `None` for a non-number, or for a
+    /// value that is negative, fractional, non-finite or not below 2^64.
+    pub fn as_u64(&self) -> Option<u64> {
+        let v = self.as_f64()?;
+        if !(0.0..18_446_744_073_709_551_616.0).contains(&v) || v.fract() != 0.0 {
+            return None;
+        }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "checked above: an integral f64 in [0, 2^64) converts exactly"
+        )]
+        let n = v as u64;
+        Some(n)
+    }
+
+    /// The number as an exact `i64`: `None` for a non-number, or for a
+    /// value that is fractional, non-finite or outside [-2^63, 2^63).
+    pub fn as_i64(&self) -> Option<i64> {
+        let v = self.as_f64()?;
+        if !(-9_223_372_036_854_775_808.0..9_223_372_036_854_775_808.0).contains(&v)
+            || v.fract() != 0.0
+        {
+            return None;
+        }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "checked above: an integral f64 in [-2^63, 2^63) converts exactly"
+        )]
+        let n = v as i64;
+        Some(n)
+    }
+
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -152,7 +184,12 @@ fn write_num(n: f64, out: &mut String) {
         // JSON has no NaN/Inf; null is the conventional degradation.
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9e15 {
-        out.push_str(&format!("{}", n as i64));
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "an integral value below 9e15 in magnitude fits an i64 exactly"
+        )]
+        let i = n as i64;
+        out.push_str(&format!("{i}"));
     } else {
         out.push_str(&format!("{n}"));
     }

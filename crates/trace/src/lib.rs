@@ -37,16 +37,27 @@
 //! are trivially dead and compile to nothing. Instrumented kernels are
 //! byte-for-byte the uninstrumented kernels unless the feature is on.
 //!
-//! The [`json`], [`hist`], [`clock`], and [`export`] modules (the
-//! minimal JSON parser/writer, log-bucketed latency histograms, the
-//! cross-process clock-offset estimator, and the Chrome trace-event /
-//! collapsed-stack exporters) are always compiled:
+//! The [`json`], [`hist`], and [`export`] modules (the minimal JSON
+//! parser/writer, log-bucketed latency histograms, and the Chrome
+//! trace-event / collapsed-stack exporters) are always compiled:
 //! manifests, histograms, and trace conversion operate on *recorded*
 //! evidence, not hot-path instrumentation, and stay available in
 //! default builds — `cscv-xtask perf-report` uses them to analyze
 //! archived traces without carrying live instrumentation itself.
 
-pub mod clock;
+// Index narrowing and panics are checked per site: a site that is safe
+// by an invariant says so in `#[expect(…, reason = "…")]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation
+)]
+// Test code narrows freely; clippy.toml exempts its panics the same way.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
+
 pub mod counters;
 pub mod emit;
 pub mod export;
@@ -64,3 +75,20 @@ pub use span::SpanGuard;
 /// A `const`, so `if cscv_trace::ENABLED { … }` blocks vanish entirely
 /// from untraced builds.
 pub const ENABLED: bool = cfg!(feature = "trace");
+
+/// `d` in whole nanoseconds, saturating at `u64::MAX` (about 584 years).
+pub fn duration_ns(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn duration_ns_saturates() {
+        use std::time::Duration;
+        assert_eq!(duration_ns(Duration::from_micros(3)), 3_000);
+        assert_eq!(duration_ns(Duration::MAX), u64::MAX);
+    }
+}

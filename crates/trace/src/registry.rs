@@ -88,45 +88,8 @@ pub(crate) fn collect_events() -> Vec<(String, Event)> {
     out
 }
 
-// Counts registry resets so incremental cursors can
-// detect that buffers were cleared behind them; a Relaxed bump/load is
-// enough because drains already serialize on the slot mutexes.
-static RESET_GEN: AtomicU64 = AtomicU64::new(0);
-
-/// Incremental snapshot: events appended since the previous call with
-/// the same cursor (per-slot offsets, registration order). A [`reset`]
-/// between drains bumps the generation counter, which restarts the
-/// cursor from the cleared buffers; offsets are additionally clamped to
-/// the buffer length as a belt-and-braces guard.
-pub(crate) fn collect_events_since(
-    generation: &mut u64,
-    cursor: &mut Vec<usize>,
-) -> Vec<(String, Event)> {
-    let gen_now = RESET_GEN.load(Ordering::Relaxed);
-    if *generation != gen_now {
-        cursor.clear();
-        *generation = gen_now;
-    }
-    let mut out = Vec::new();
-    for (i, slot) in slots().iter().enumerate() {
-        if cursor.len() <= i {
-            cursor.push(0);
-        }
-        let buf = slot.events.lock().unwrap_or_else(|p| p.into_inner());
-        let start = cursor[i].min(buf.len());
-        cursor[i] = buf.len();
-        out.extend(
-            buf[start..]
-                .iter()
-                .map(|e| (slot.thread.clone(), e.clone())),
-        );
-    }
-    out
-}
-
 /// Zero all shards and clear all event buffers.
 pub(crate) fn reset() {
-    RESET_GEN.fetch_add(1, Ordering::Relaxed);
     for slot in slots().iter() {
         for a in slot.counters.iter() {
             a.store(0, Ordering::Relaxed);
@@ -142,7 +105,7 @@ pub(crate) fn reset() {
 /// (the common time base of every span and event).
 pub(crate) fn epoch_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    crate::clock::duration_ns(EPOCH.get_or_init(Instant::now).elapsed())
+    crate::duration_ns(EPOCH.get_or_init(Instant::now).elapsed())
 }
 
 /// Serialize tests that assert on the (global) counter state.

@@ -63,14 +63,6 @@ mod imp {
         NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Monotonic nanoseconds on the trace epoch clock — the time base of
-    /// every recorded span. Public so the shard clock-offset handshake
-    /// can exchange timestamps on the same clock the spans use.
-    #[inline]
-    pub fn now_ns() -> u64 {
-        registry::epoch_ns()
-    }
-
     /// Open a span on the calling thread.
     #[inline]
     pub fn enter(name: &'static str) -> SpanGuard {
@@ -149,31 +141,6 @@ mod imp {
         out.sort_by_key(|(_, e)| e.t_ns);
         out
     }
-
-    /// Incremental drain: events recorded since the last call with the
-    /// same cursor (see [`crate::registry::collect_events_since`]).
-    pub fn events_since(cursor: &mut super::EventCursor) -> Vec<(String, Event)> {
-        let mut out = registry::collect_events_since(&mut cursor.generation, &mut cursor.offsets);
-        out.sort_by_key(|(_, e)| e.t_ns);
-        out
-    }
-
-    /// Incremental drain of the *calling thread's* buffer only.
-    pub fn local_events_since(cursor: &mut super::LocalEventCursor) -> Vec<(String, Event)> {
-        let thread = std::thread::current()
-            .name()
-            .map(str::to_string)
-            .unwrap_or_else(|| "thread".to_string());
-        registry::with_local(|l| {
-            let buf = l.events.lock().unwrap_or_else(|p| p.into_inner());
-            let start = cursor.offset.min(buf.len());
-            cursor.offset = buf.len();
-            buf[start..]
-                .iter()
-                .map(|e| (thread.clone(), e.clone()))
-                .collect()
-        })
-    }
 }
 
 #[cfg(not(feature = "trace"))]
@@ -201,52 +168,15 @@ mod imp {
     }
 
     #[inline(always)]
-    pub fn now_ns() -> u64 {
-        0
-    }
-
-    #[inline(always)]
     pub fn event(_name: &'static str, _fields: &[(&'static str, f64)]) {}
 
     #[inline(always)]
     pub fn events() -> Vec<(String, Event)> {
         Vec::new()
     }
-
-    #[inline(always)]
-    pub fn events_since(_cursor: &mut super::EventCursor) -> Vec<(String, Event)> {
-        Vec::new()
-    }
-
-    #[inline(always)]
-    pub fn local_events_since(_cursor: &mut super::LocalEventCursor) -> Vec<(String, Event)> {
-        Vec::new()
-    }
 }
 
-/// Cursor for [`events_since`]: remembers how far into each registered
-/// thread's buffer the previous drain reached. A fresh (default) cursor
-/// drains everything recorded so far.
-#[derive(Debug, Default, Clone)]
-pub struct EventCursor {
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    generation: u64,
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    offsets: Vec<usize>,
-}
-
-/// Cursor for [`local_events_since`]: position within the calling
-/// thread's own event buffer.
-#[derive(Debug, Default, Clone)]
-pub struct LocalEventCursor {
-    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
-    offset: usize,
-}
-
-pub use imp::{
-    enter, enter_ctx, event, events, events_since, local_events_since, next_span_id, now_ns,
-    SpanGuard,
-};
+pub use imp::{enter, enter_ctx, event, events, next_span_id, SpanGuard};
 
 #[cfg(test)]
 mod tests {
@@ -262,12 +192,7 @@ mod tests {
         assert!(events().is_empty());
         // The distributed-trace surface is equally inert.
         assert_eq!(next_span_id(), 0);
-        assert_eq!(now_ns(), 0);
         let _c = enter_ctx("ctx", 1, 2);
-        let mut cur = EventCursor::default();
-        assert!(events_since(&mut cur).is_empty());
-        let mut lcur = LocalEventCursor::default();
-        assert!(local_events_since(&mut lcur).is_empty());
     }
 
     #[cfg(feature = "trace")]
@@ -324,55 +249,6 @@ mod tests {
         assert_eq!((compute.span_id, compute.parent), (0, a));
         let (_, plain) = find("plain");
         assert_eq!((plain.span_id, plain.parent), (0, 0));
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn cursor_drains_are_incremental() {
-        let _guard = crate::registry::test_lock();
-        crate::counters::reset();
-        let mut cur = EventCursor::default();
-        let mut lcur = LocalEventCursor::default();
-        {
-            let _a = enter("cursor.a");
-        }
-        let first = events_since(&mut cur);
-        assert!(first.iter().any(|(_, e)| e.name == "cursor.a"));
-        assert!(
-            events_since(&mut cur).is_empty(),
-            "nothing new since last drain"
-        );
-        // The thread-local drain sees only this thread's buffer.
-        let lfirst = local_events_since(&mut lcur);
-        assert!(lfirst.iter().any(|(_, e)| e.name == "cursor.a"));
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _b = enter("cursor.other-thread");
-            });
-        });
-        let second = events_since(&mut cur);
-        assert!(second.iter().any(|(_, e)| e.name == "cursor.other-thread"));
-        assert!(
-            local_events_since(&mut lcur).is_empty(),
-            "other threads' events are not in the local buffer"
-        );
-        // A reset between drains restarts cleanly instead of panicking.
-        crate::counters::reset();
-        {
-            let _c = enter("cursor.post-reset");
-        }
-        let third = events_since(&mut cur);
-        assert!(third.iter().any(|(_, e)| e.name == "cursor.post-reset"));
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn now_ns_is_monotonic_nonzero_epoch_clock() {
-        let t0 = now_ns();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let t1 = now_ns();
-        assert!(t1 > t0);
-        assert!(t1 - t0 >= 1_000_000, "slept ≥ 1 ms");
     }
 
     #[cfg(feature = "trace")]

@@ -11,7 +11,6 @@
 //! cscv-xtask shard [--case FILE] [--workers LIST] [--solver NAME|all]
 //!                  [--iters N] [--method stripe|bisect] [--threads N]
 //!                  [--launch process|threads] [--tol F]
-//!                  [--trace-export FILE] [--telemetry FILE]
 //!                  [--format table|ndjson]
 //! cscv-xtask shard-worker --socket PATH   (internal: worker process)
 //! ```
@@ -36,7 +35,7 @@ fn usage() -> ExitCode {
          \x20      cscv-xtask perf-report DIR [--format table|ndjson] [--peak-gbs F] [--export-dir DIR]\n\
          \x20      cscv-xtask perf-report --diff DIR_A DIR_B [--threshold F] [--format table|ndjson]\n\
          \x20      cscv-xtask tune [DIR] [--cache FILE] [--format table|ndjson] [--reps N] [--warmup N] [--threads N] [--model]\n\
-         \x20      cscv-xtask shard [--case FILE] [--workers LIST] [--solver NAME|all] [--iters N] [--method stripe|bisect] [--threads N] [--launch process|threads] [--tol F] [--trace-export FILE] [--telemetry FILE] [--format table|ndjson]\n\n\
+         \x20      cscv-xtask shard [--case FILE] [--workers LIST] [--solver NAME|all] [--iters N] [--method stripe|bisect] [--threads N] [--launch process|threads] [--tol F] [--format table|ndjson]\n\n\
          fuzz        structure-aware differential fuzzing: random CT geometries and\n\
          \x20           degenerate matrices round-tripped through every format with\n\
          \x20           invariant validation and executor-vs-dense checks; failures\n\
@@ -61,12 +60,7 @@ fn usage() -> ExitCode {
          \x20           runs each solver sharded and single-process, and compares —\n\
          \x20           --workers 1 must match bit for bit, more must stay within\n\
          \x20           --tol (default 1e-10) per residual-trajectory entry; exits 1\n\
-         \x20           on any equivalence failure. Under --features trace,\n\
-         \x20           --trace-export FILE writes one merged Chrome trace (a lane\n\
-         \x20           per process, coordinator dispatch spans parenting worker\n\
-         \x20           spans, Perfetto-loadable) and --telemetry FILE writes\n\
-         \x20           per-worker health rows (type \"telemetry\" NDJSON) that\n\
-         \x20           perf-report joins into its tables."
+         \x20           on any equivalence failure."
     );
     ExitCode::from(2)
 }
@@ -191,8 +185,6 @@ fn perf_report(
             print!("{}", perf::render_table(&loaded, &report));
             let traces = perf::load_trace_counters(dir)?;
             print!("{}", perf::render_trace_section(&traces));
-            let telemetry = perf::load_telemetry(dir)?;
-            print!("{}", perf::render_telemetry_section(&telemetry));
         }
         Format::Ndjson => print!("{}", perf::render_ndjson(&loaded, &report)),
     }
@@ -341,14 +333,6 @@ fn shard_cli(args: &[String]) -> ExitCode {
             "--tol" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(t) if t > 0.0 => cfg.tol = t,
                 _ => return usage(),
-            },
-            "--trace-export" => match it.next() {
-                Some(p) => cfg.trace_export = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--telemetry" => match it.next() {
-                Some(p) => cfg.telemetry_out = Some(PathBuf::from(p)),
-                None => return usage(),
             },
             "--format" => match parse_format(it.next().map(String::as_str)) {
                 Some(f) => format = f,

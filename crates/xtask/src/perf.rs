@@ -519,144 +519,14 @@ pub fn render_trace_section(traces: &[TraceCounters]) -> String {
         if shard_traffic > 0.0 {
             let _ = writeln!(
                 out,
-                "{}: shard tx {} B, rx {} B, reduce {:.3} ms, worker-busy {:.3} ms, \
-                 telemetry {} frame(s) / {} B",
+                "{}: shard tx {} B, rx {} B, reduce {:.3} ms, worker-busy {:.3} ms",
                 t.file,
                 t.get("shard_bytes_tx") as u64,
                 t.get("shard_bytes_rx") as u64,
                 t.get("shard_reduce_ns") / 1e6,
                 t.get("shard_worker_busy_ns") / 1e6,
-                t.get("shard_trace_frames") as u64,
-                t.get("shard_trace_bytes") as u64,
             );
         }
-    }
-    out
-}
-
-/// One per-worker health row (`type: "telemetry"` NDJSON, written by
-/// `cscv-xtask shard --telemetry`).
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryRow {
-    pub file: String,
-    pub solver: String,
-    pub workers: u64,
-    pub shard: u64,
-    pub pid: u64,
-    pub requests: u64,
-    pub bytes_tx: u64,
-    pub bytes_rx: u64,
-    pub busy_ns: u64,
-    pub spmv_calls: u64,
-    pub spmv_t_calls: u64,
-    pub trace_frames: u64,
-    pub last_seen_ns: u64,
-    pub clock_offset_ns: f64,
-    pub degraded: bool,
-}
-
-/// Load per-worker telemetry rows from every NDJSON file under
-/// `<dir>/trace/` and `<dir>/telemetry/`. Both directories are optional
-/// — result is empty when neither exists or no file carries telemetry.
-pub fn load_telemetry(dir: &Path) -> Result<Vec<TelemetryRow>, String> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    for sub in ["trace", "telemetry"] {
-        let d = dir.join(sub);
-        if !d.is_dir() {
-            continue;
-        }
-        files.extend(
-            std::fs::read_dir(&d)
-                .map_err(|e| format!("{}: {e}", d.display()))?
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.extension().is_some_and(|x| x == "ndjson")),
-        );
-    }
-    files.sort();
-    let mut out = Vec::new();
-    for path in files {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let file = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        for line in text.lines() {
-            let Ok(v) = Json::parse(line) else { continue };
-            if v.get("type").and_then(Json::as_str) != Some("telemetry") {
-                continue;
-            }
-            let num = |k: &str| v.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-            out.push(TelemetryRow {
-                file: file.clone(),
-                solver: v
-                    .get("solver")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                workers: num("workers") as u64,
-                shard: num("shard") as u64,
-                pid: num("pid") as u64,
-                requests: num("requests") as u64,
-                bytes_tx: num("bytes_tx") as u64,
-                bytes_rx: num("bytes_rx") as u64,
-                busy_ns: num("busy_ns") as u64,
-                spmv_calls: num("spmv_calls") as u64,
-                spmv_t_calls: num("spmv_t_calls") as u64,
-                trace_frames: num("trace_frames") as u64,
-                last_seen_ns: num("last_seen_ns") as u64,
-                clock_offset_ns: num("clock_offset_ns"),
-                degraded: v.get("degraded") == Some(&Json::Bool(true)),
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Render the per-worker telemetry join: one row per (run, shard) with
-/// the coordinator-observed traffic and the worker's streamed counters.
-pub fn render_telemetry_section(rows: &[TelemetryRow]) -> String {
-    if rows.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from("\n== worker telemetry ==\n");
-    let _ = writeln!(
-        out,
-        "{:<18} {:<10} {:>7} {:>5} {:>7} {:>4} {:>10} {:>10} {:>9} {:>5} {:>6} {:>7} {:>10} {:>8}",
-        "file",
-        "solver",
-        "workers",
-        "shard",
-        "pid",
-        "reqs",
-        "tx-bytes",
-        "rx-bytes",
-        "busy-ms",
-        "spmv",
-        "spmv_t",
-        "frames",
-        "offset-us",
-        "state"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<18} {:<10} {:>7} {:>5} {:>7} {:>4} {:>10} {:>10} {:>9.3} {:>5} {:>6} {:>7} {:>10.1} {:>8}",
-            r.file,
-            r.solver,
-            r.workers,
-            r.shard,
-            r.pid,
-            r.requests,
-            r.bytes_tx,
-            r.bytes_rx,
-            r.busy_ns as f64 / 1e6,
-            r.spmv_calls,
-            r.spmv_t_calls,
-            r.trace_frames,
-            r.clock_offset_ns / 1e3,
-            if r.degraded { "DEGRADED" } else { "ok" },
-        );
     }
     out
 }
@@ -1183,8 +1053,6 @@ mod tests {
                 ("shard_bytes_rx", 500.0),
                 ("shard_reduce_ns", 2_000_000.0),
                 ("shard_worker_busy_ns", 8_000_000.0),
-                ("shard_trace_frames", 4.0),
-                ("shard_trace_bytes", 256.0),
             ]
             .into_iter()
             .map(|(k, v)| (k.to_string(), v))
@@ -1192,11 +1060,7 @@ mod tests {
         };
         let section = render_trace_section(&[t]);
         assert!(
-            section.contains("shard tx 1000 B, rx 500 B, reduce 2.000 ms"),
-            "{section}"
-        );
-        assert!(
-            section.contains("telemetry 4 frame(s) / 256 B"),
+            section.contains("shard tx 1000 B, rx 500 B, reduce 2.000 ms, worker-busy 8.000 ms\n"),
             "{section}"
         );
         // No shard line for traces without shard traffic.
@@ -1205,41 +1069,6 @@ mod tests {
             counters: BTreeMap::new(),
         };
         assert!(!render_trace_section(&[plain]).contains("shard tx"));
-    }
-
-    #[test]
-    fn telemetry_rows_load_and_render() {
-        let s = Scratch::new("telemetry");
-        let tdir = s.0.join("telemetry");
-        std::fs::create_dir_all(&tdir).unwrap();
-        std::fs::write(
-            tdir.join("shard.ndjson"),
-            concat!(
-                "{\"type\":\"telemetry\",\"solver\":\"sirt\",\"workers\":2,\"shard\":0,",
-                "\"pid\":101,\"requests\":26,\"bytes_tx\":1000,\"bytes_rx\":500,",
-                "\"busy_ns\":3000000,\"spmv_calls\":12,\"spmv_t_calls\":12,",
-                "\"trace_frames\":2,\"last_seen_ns\":9000000,",
-                "\"clock_offset_ns\":-4500.0,\"degraded\":false}\n",
-                "{\"type\":\"telemetry\",\"solver\":\"sirt\",\"workers\":2,\"shard\":1,",
-                "\"pid\":102,\"requests\":25,\"degraded\":true}\n",
-                "{\"type\":\"shard\",\"solver\":\"sirt\"}\n",
-            ),
-        )
-        .unwrap();
-        let rows = load_telemetry(&s.0).unwrap();
-        assert_eq!(rows.len(), 2, "non-telemetry rows are skipped");
-        assert_eq!(rows[0].pid, 101);
-        assert_eq!(rows[0].clock_offset_ns, -4500.0);
-        assert!(rows[1].degraded);
-        let section = render_telemetry_section(&rows);
-        assert!(section.contains("== worker telemetry =="), "{section}");
-        assert!(section.contains("DEGRADED"), "{section}");
-        assert!(section.contains("101"), "{section}");
-        // Empty input renders nothing (no stray header in reports).
-        assert_eq!(render_telemetry_section(&[]), "");
-        assert!(load_telemetry(&Scratch::new("telemetry-none").0)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

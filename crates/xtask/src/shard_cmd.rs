@@ -64,12 +64,6 @@ pub struct ShardCmdConfig {
     pub threads_launch: bool,
     /// Relative per-iteration trajectory tolerance for `workers > 1`.
     pub tol: f64,
-    /// Write a merged multi-process Chrome trace (coordinator lane plus
-    /// one lane per worker of the **last** run) to this path.
-    pub trace_export: Option<PathBuf>,
-    /// Write per-worker telemetry NDJSON (`type: "telemetry"`, one row
-    /// per worker per run) to this path.
-    pub telemetry_out: Option<PathBuf>,
 }
 
 impl Default for ShardCmdConfig {
@@ -83,8 +77,6 @@ impl Default for ShardCmdConfig {
             threads: 1,
             threads_launch: false,
             tol: 1e-10,
-            trace_export: None,
-            telemetry_out: None,
         }
     }
 }
@@ -166,11 +158,8 @@ pub struct ShardRun {
     pub reduce_ns: u64,
     pub worker_busy_ns: u64,
     pub wall_ns: u64,
-    /// Telemetry frames the coordinator received from workers (0 in
-    /// untraced builds).
-    pub trace_frames: u64,
-    /// Workers whose final stats had to be recovered from their last
-    /// streamed snapshot (abnormal death / desync).
+    /// Workers that died or desynced; their figures are those of their
+    /// last good `StatsOut`.
     pub degraded_workers: u64,
     pub execs: String,
 }
@@ -262,7 +251,6 @@ impl ShardOutcome {
                 ("reduce_ns", r.reduce_ns.into()),
                 ("worker_busy_ns", r.worker_busy_ns.into()),
                 ("wall_ns", r.wall_ns.into()),
-                ("trace_frames", r.trace_frames.into()),
                 ("degraded_workers", r.degraded_workers.into()),
                 ("execs", r.execs.as_str().into()),
             ]);
@@ -322,13 +310,6 @@ pub fn run(cfg: &ShardCmdConfig) -> Result<ShardOutcome, String> {
     };
 
     let mut runs = Vec::new();
-    let mut telemetry_lines = String::new();
-    // Worker lanes for the merged Chrome trace: each run starts a fresh
-    // cluster (its own workers and clock offsets), so the export keeps
-    // the last run's lanes — with one solver and one worker count (the
-    // traced CI leg) that is simply "the run".
-    let mut last_traces: Vec<cscv_trace::export::ProcessTrace> = Vec::new();
-    let mut last_traces_workers = 0usize;
     for &solver in &cfg.solvers {
         let iters = cfg.iters.unwrap_or_else(|| default_iters(solver));
         let t0 = std::time::Instant::now();
@@ -344,37 +325,9 @@ pub fn run(cfg: &ShardCmdConfig) -> Result<ShardOutcome, String> {
             let t0 = std::time::Instant::now();
             let result = run_solver(solver, &sharded, &sino, iters, &pool);
             let secs = t0.elapsed().as_secs_f64();
-            let report = sharded
-                .shutdown_full()
+            let stats = sharded
+                .shutdown()
                 .map_err(|e| format!("cluster shutdown ({w} workers): {e}"))?;
-            let stats = report.stats;
-            for wh in &report.telemetry.workers {
-                let row = Json::obj(vec![
-                    ("type", "telemetry".into()),
-                    ("case", case.name.as_str().into()),
-                    ("solver", solver.name().into()),
-                    ("workers", (w as u64).into()),
-                    ("shard", (wh.shard as u64).into()),
-                    ("pid", wh.pid.into()),
-                    ("requests", wh.requests.into()),
-                    ("bytes_tx", wh.bytes_tx.into()),
-                    ("bytes_rx", wh.bytes_rx.into()),
-                    ("busy_ns", wh.busy_ns.into()),
-                    ("spmv_calls", wh.spmv_calls.into()),
-                    ("spmv_t_calls", wh.spmv_t_calls.into()),
-                    ("trace_frames", wh.trace_frames.into()),
-                    ("trace_bytes", wh.trace_bytes.into()),
-                    ("last_seen_ns", wh.last_seen_ns.into()),
-                    ("clock_offset_ns", Json::Num(wh.clock_offset_ns as f64)),
-                    ("clock_rtt_ns", wh.clock_rtt_ns.into()),
-                    ("degraded", wh.degraded.into()),
-                ]);
-                telemetry_lines.push_str(&row.to_string());
-                telemetry_lines.push('\n');
-            }
-            last_traces = report.traces;
-            last_traces_workers = w;
-            let telemetry = report.telemetry;
 
             let max_rel_diff =
                 trajectory_max_rel_diff(&reference.residual_history, &result.residual_history);
@@ -398,7 +351,6 @@ pub fn run(cfg: &ShardCmdConfig) -> Result<ShardOutcome, String> {
                 reduce_ns: stats.reduce_ns,
                 worker_busy_ns: stats.workers.iter().map(|x| x.busy_ns).sum(),
                 wall_ns: stats.wall_ns,
-                trace_frames: telemetry.workers.iter().map(|x| x.trace_frames).sum(),
                 degraded_workers: stats.workers.iter().filter(|x| x.degraded).count() as u64,
                 execs,
             };
@@ -420,60 +372,11 @@ pub fn run(cfg: &ShardCmdConfig) -> Result<ShardOutcome, String> {
             runs.push(run);
         }
     }
-    if let Some(path) = &cfg.telemetry_out {
-        write_out(path, &telemetry_lines)?;
-    }
-    if let Some(path) = &cfg.trace_export {
-        let doc = merged_chrome_trace(last_traces, last_traces_workers);
-        write_out(path, &doc.to_string())?;
-        if !cscv_trace::ENABLED {
-            eprintln!(
-                "cscv-xtask shard: note: built without --features trace, \
-                 {} contains empty lanes",
-                path.display()
-            );
-        }
-    }
     Ok(ShardOutcome {
         case,
         method: cfg.method,
         runs,
     })
-}
-
-/// Assemble the merged multi-process Chrome trace: the coordinator's own
-/// registry snapshot as pid 1 plus the last run's worker lanes (pids
-/// `shard + 2`). With `--launch threads` the workers' serve threads live
-/// in the coordinator's registry too — those events already stream back
-/// through the worker lanes, so they are filtered out of the coordinator
-/// lane rather than drawn twice.
-fn merged_chrome_trace(
-    worker_traces: Vec<cscv_trace::export::ProcessTrace>,
-    workers: usize,
-) -> Json {
-    let coord_events: Vec<_> = cscv_trace::export::snapshot()
-        .into_iter()
-        .filter(|e| !e.thread.starts_with("cscv-shard-serve-"))
-        .collect();
-    let mut procs = vec![cscv_trace::export::ProcessTrace {
-        pid: 1,
-        label: format!("cscv-coordinator (pid {})", std::process::id()),
-        offset: cscv_trace::clock::OffsetEstimate::default(),
-        events: coord_events,
-    }];
-    procs.extend(worker_traces);
-    debug_assert_eq!(procs.len(), workers + 1);
-    cscv_trace::export::chrome_trace_merged(&procs)
-}
-
-/// Write `text` to `path`, creating parent directories.
-fn write_out(path: &PathBuf, text: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(path, text).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -535,66 +438,6 @@ mod tests {
         let first = Json::parse(ndjson.lines().next().unwrap()).unwrap();
         assert_eq!(first.get("type").and_then(Json::as_str), Some("shard"));
         assert_eq!(first.get("bitwise"), Some(&Json::Bool(true)));
-    }
-
-    /// `--telemetry` / `--trace-export` write per-worker health rows and
-    /// one merged Chrome trace with a lane per process. With the `trace`
-    /// feature off the files still appear (valid, empty-ish) so scripts
-    /// need not branch on the build.
-    #[test]
-    fn telemetry_and_trace_export_write_files() {
-        let dir = std::env::temp_dir().join(format!("cscv-shard-telem-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = ShardCmdConfig {
-            workers: vec![2],
-            solvers: vec![Solver::Sirt],
-            iters: Some(3),
-            threads_launch: true,
-            telemetry_out: Some(dir.join("telemetry").join("shard.ndjson")),
-            trace_export: Some(dir.join("merged.chrome.json")),
-            ..ShardCmdConfig::default()
-        };
-        let outcome = run(&cfg).unwrap();
-        assert!(outcome.failures().is_empty(), "{}", outcome.render_table());
-
-        let telem = std::fs::read_to_string(dir.join("telemetry").join("shard.ndjson")).unwrap();
-        let rows: Vec<Json> = telem.lines().map(|l| Json::parse(l).unwrap()).collect();
-        assert_eq!(rows.len(), 2, "one row per worker: {telem}");
-        for (shard, row) in rows.iter().enumerate() {
-            assert_eq!(row.get("type").and_then(Json::as_str), Some("telemetry"));
-            assert_eq!(row.get("shard").and_then(Json::as_f64), Some(shard as f64));
-            assert_eq!(row.get("degraded"), Some(&Json::Bool(false)));
-            // Matrix + AbsSums + forward/adjoint per iteration + Stats.
-            assert!(row.get("requests").and_then(Json::as_f64).unwrap() >= 3.0);
-        }
-
-        let merged = std::fs::read_to_string(dir.join("merged.chrome.json")).unwrap();
-        let doc = Json::parse(&merged).unwrap();
-        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let lane = |label: &str| {
-            events.iter().any(|e| {
-                e.get("name").and_then(Json::as_str) == Some("process_name")
-                    && e.get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(Json::as_str)
-                        .is_some_and(|n| n.starts_with(label))
-            })
-        };
-        assert!(lane("cscv-coordinator"), "coordinator lane missing");
-        assert!(
-            lane("cscv-worker-0") && lane("cscv-worker-1"),
-            "worker lanes missing"
-        );
-        if cscv_trace::ENABLED {
-            // Worker compute spans parented by coordinator dispatch spans.
-            assert!(
-                events.iter().any(|e| {
-                    e.get("name").and_then(Json::as_str) == Some("shard.worker.spmv")
-                        && e.get("args").and_then(|a| a.get("parent_span")).is_some()
-                }),
-                "no parented worker span in merged trace"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(outcome.runs.iter().all(|r| r.degraded_workers == 0));
     }
 }

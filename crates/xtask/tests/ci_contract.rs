@@ -89,7 +89,7 @@ fn index_crates_deny_panics_and_narrowing_casts() {
     // The clippy gates above only hold these crates to the per-site
     // discipline while their `lib.rs` denies the lints; a deny that is
     // commented out or loses a lint must fail here, not pass silently.
-    for krate in ["core", "sparse", "simd", "shard", "ct"] {
+    for krate in ["core", "sparse", "simd", "shard", "ct", "trace"] {
         let path = repo_root().join("crates").join(krate).join("src/lib.rs");
         let lines = lexer::analyze(&std::fs::read_to_string(&path).unwrap());
         let start = lines

@@ -183,6 +183,12 @@ fn usage_errors_exit_two() {
     // Unknown solver.
     let (code, _, _) = run(&["shard", "--solver", "jacobi"], &[]);
     assert_eq!(code, 2);
+    // Trace export and telemetry are not shard options.
+    for flag in ["--trace-export", "--telemetry"] {
+        let (code, _, stderr) = run(&["shard", flag, "x"], &[]);
+        assert_eq!(code, 2, "{flag}");
+        assert!(stderr.contains("usage:"), "{flag}: {stderr}");
+    }
     // Missing case file is an I/O error (also 2 by the contract).
     let (code, _, stderr) = run(&["shard", "--case", "/nonexistent.case"], &[]);
     assert_eq!(code, 2);
