@@ -70,9 +70,6 @@ cargo clippy --workspace --all-targets --features trace -- -D warnings
 step "cscv-xtask fuzz (regression corpus replay)"
 cargo run -q -p cscv-xtask -- fuzz --iters 0 --corpus crates/xtask/fuzz_corpus
 
-step "cscv-xtask tune (deterministic-model batch tune over the corpus)"
-cargo run -q -p cscv-xtask -- tune crates/tune/tune_corpus --model --reps 1 --warmup 0
-
 step "cargo build --release"
 cargo build --release --workspace
 

@@ -5,7 +5,8 @@
 //! then reports per implementation on one dataset: `M_Rit`, best
 //! GFLOP/s at the top thread count, achieved bandwidth and
 //! `R_EM = M_Rit/(T·M_PBw)`. Default dataset ct256 (scaled analog of
-//! the paper's 1024² study).
+//! the paper's 1024² study). A row with `R_EM > 1` read its matrix from
+//! cache and is marked as such.
 //!
 //! Run: `cargo run --release -p cscv-bench --bin fig11_membw --
 //! [--dataset NAME] [--iters N] [--csv PATH]`
@@ -18,12 +19,15 @@ use cscv_harness::timing::measure_spmv;
 use cscv_simd::MaskExpand;
 use cscv_sparse::{Scalar, ThreadPool};
 
+/// Adds one row per implementation; returns whether any was
+/// cache-resident.
 fn run_precision<T: Scalar + MaskExpand>(
     args: &BenchArgs,
     pool: &ThreadPool,
     peak: f64,
     table: &mut Table,
-) {
+) -> bool {
+    let mut any_cached = false;
     let ds = args.datasets[0];
     let prep = prepare::<T>(&ds);
     let mut y = vec![T::ZERO; prep.csr.n_rows()];
@@ -37,16 +41,23 @@ fn run_precision<T: Scalar + MaskExpand>(
             args.warmup,
             args.iters,
         );
+        let cached = m.cache_resident(peak);
+        any_cached |= cached;
         table.add_row(vec![
             T::NAME.to_string(),
             name.to_string(),
             mib(m.mem_requirement),
             f(m.gflops, 2),
             f(m.eff_bandwidth_gbs, 2),
-            format!("{:.1}%", m.r_em(peak) * 100.0),
+            format!(
+                "{:.1}%{}",
+                m.r_em(peak) * 100.0,
+                if cached { " (cache)" } else { "" }
+            ),
             f(m.r_nnze, 3),
         ]);
     }
+    any_cached
 }
 
 fn main() {
@@ -76,11 +87,16 @@ fn main() {
         "R_EM",
         "R_nnzE",
     ]);
-    run_precision::<f32>(&args, &pool, bw.read_bytes_per_sec, &mut table);
-    run_precision::<f64>(&args, &pool, bw.read_bytes_per_sec, &mut table);
+    let cached_f32 = run_precision::<f32>(&args, &pool, bw.read_bytes_per_sec, &mut table);
+    let cached_f64 = run_precision::<f64>(&args, &pool, bw.read_bytes_per_sec, &mut table);
     emit(
         "Fig. 11 analog: memory requirements, performance and bandwidth usage",
         &table,
         &args.csv,
     );
+    if cached_f32 || cached_f64 {
+        println!(
+            "(cache): R_EM > 1, so the matrix came from cache; that R_EM is not a DRAM-bandwidth fraction"
+        );
+    }
 }

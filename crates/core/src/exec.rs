@@ -87,8 +87,7 @@ enum Dir {
 
 /// A complete executor configuration: everything that varies between two
 /// `CscvExec` instances built over the same CSC matrix. This is the unit
-/// the static heuristic produces and the autotuner searches over —
-/// `cscv-tune` persists it verbatim in the tuning cache.
+/// the static heuristic produces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     pub variant: Variant,
@@ -97,9 +96,8 @@ pub struct ExecConfig {
 
 impl ExecConfig {
     /// The static heuristic for a variant: the paper's recommended
-    /// parameter defaults. The autotuner always includes this point in
-    /// its grid, so a tuned selection can never lose to it within a
-    /// search.
+    /// parameter defaults. The paper's per-dataset search is the
+    /// `table3_params` driver over `cscv_bench::sweep`.
     pub fn heuristic(variant: Variant) -> Self {
         let params = match variant {
             Variant::Z => CscvParams::default_z(),
@@ -166,8 +164,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
     }
 
     /// Build the CSCV matrix described by `cfg` and wrap it in an
-    /// executor — the one-call construction path used by the autotuner
-    /// and the `auto` entry points in `cscv-tune`.
+    /// executor — the one-call construction path the shard workers use.
     pub fn from_csc(
         csc: &Csc<T>,
         layout: SinoLayout,

@@ -4,10 +4,9 @@
 //! blocking parameters and a PRNG seed — fully determines a matrix: the
 //! same descriptor always builds the same triplets, with zero external
 //! dependencies. The differential fuzzer (`cscv-xtask fuzz`) uses this
-//! for shrinkable reproducers and its committed `.case` corpus; the
-//! autotuner (`cscv-tune`) reuses the same descriptors as a portable
-//! corpus format so tuning inputs are replayable text lines rather than
-//! committed binary matrices.
+//! for shrinkable reproducers and its committed `.case` corpus, so
+//! failing inputs are replayable text lines rather than committed
+//! binary matrices.
 //!
 //! The one-line form is order-insensitive `key=value` pairs:
 //!

@@ -12,6 +12,17 @@
 //! driver in `cscv-bench` is a short loop; [`table`] renders aligned
 //! text tables and CSV.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation
+)]
+// Test code narrows freely; clippy.toml exempts its panics the same way.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
+
 pub mod gen;
 pub mod manifest;
 pub mod membw;

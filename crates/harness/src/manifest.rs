@@ -189,33 +189,6 @@ pub fn record_spmm(m: &SpmmMeasurement) {
     append(&Json::obj(rec));
 }
 
-/// Record one autotuner search outcome: what was chosen for which
-/// (operation, scalar) pair, the sampled-benchmark seconds of the
-/// winner vs the static heuristic, and how much searching it cost.
-/// Written by `cscv-tune` on every cold search; warm cache hits do not
-/// produce a record (they run no benchmark).
-pub fn record_tune(
-    op: &str,
-    scalar: &str,
-    config: &str,
-    tuned_secs: f64,
-    heuristic_secs: f64,
-    candidates: usize,
-    samples: usize,
-) {
-    let mut rec = header("tune");
-    rec.extend([
-        ("op", op.into()),
-        ("scalar", scalar.into()),
-        ("config", config.into()),
-        ("secs_min", tuned_secs.into()),
-        ("heuristic_secs", heuristic_secs.into()),
-        ("candidates", (candidates as u64).into()),
-        ("samples", (samples as u64).into()),
-    ]);
-    append(&Json::obj(rec));
-}
-
 /// One sharded-solve outcome for `record_shard`: the equivalence
 /// verdict and the traffic/merge costs behind it. Written by the
 /// `cscv-xtask shard` driver, one line per (solver, worker-count) run;

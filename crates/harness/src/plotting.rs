@@ -20,6 +20,10 @@ pub fn bar_chart(items: &[(String, f64)], width: usize) -> String {
     let label_w = items.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
     let mut out = String::new();
     for (label, v) in items {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "clamped to [0, width], a usize, just before the cast"
+        )]
         let filled = ((v / max) * width as f64).round().clamp(0.0, width as f64) as usize;
         out.push_str(&format!(
             "{label:<label_w$}  |{}{}| {v:.2}\n",
@@ -43,6 +47,10 @@ pub fn sparkline(values: &[f64]) -> String {
     values
         .iter()
         .map(|v| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "clamped to [0, 7], a LEVELS index, just before the cast"
+            )]
             let t = ((v - lo) / span * 7.0).round().clamp(0.0, 7.0) as usize;
             LEVELS[t]
         })

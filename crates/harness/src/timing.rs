@@ -20,31 +20,30 @@ pub struct LatencySummary {
 /// same bucketing `perf-report` uses when pooling runs, so numbers
 /// agree between a manifest line and an aggregated report.
 pub fn summarize_samples(samples: &[f64]) -> LatencySummary {
-    if samples.is_empty() {
+    if samples.len() > 256 {
+        let h = Histogram::from_samples(samples);
+        return LatencySummary {
+            p50: h.percentile(50.0),
+            p90: h.percentile(90.0),
+            p99: h.percentile(99.0),
+            max: h.max(),
+        };
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let Some(&max) = sorted.last() else {
         return LatencySummary {
             p50: 0.0,
             p90: 0.0,
             p99: 0.0,
             max: 0.0,
         };
-    }
-    if samples.len() <= 256 {
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        LatencySummary {
-            p50: exact_percentile(&sorted, 50.0),
-            p90: exact_percentile(&sorted, 90.0),
-            p99: exact_percentile(&sorted, 99.0),
-            max: *sorted.last().unwrap(),
-        }
-    } else {
-        let h = Histogram::from_samples(samples);
-        LatencySummary {
-            p50: h.percentile(50.0),
-            p90: h.percentile(90.0),
-            p99: h.percentile(99.0),
-            max: h.max(),
-        }
+    };
+    LatencySummary {
+        p50: exact_percentile(&sorted, 50.0),
+        p90: exact_percentile(&sorted, 90.0),
+        p99: exact_percentile(&sorted, 99.0),
+        max,
     }
 }
 
@@ -76,6 +75,13 @@ impl SpmvMeasurement {
             return 0.0;
         }
         self.mem_requirement as f64 / (self.secs_min * peak_bytes_per_sec)
+    }
+
+    /// `R_EM > 1`: the run moved `M_Rit` faster than the DRAM read
+    /// peak allows, so the matrix came from cache and `R_EM` is not a
+    /// DRAM-bandwidth fraction.
+    pub fn cache_resident(&self, peak_bytes_per_sec: f64) -> bool {
+        self.r_em(peak_bytes_per_sec) > 1.0
     }
 
     /// Percentile summary of the per-rep samples.
@@ -294,7 +300,13 @@ mod tests {
         };
         // 100 bytes in 0.5 s against a 400 B/s peak = 50% usage.
         assert!((m.r_em(400.0) - 0.5).abs() < 1e-12);
+        assert!(!m.cache_resident(400.0));
         assert_eq!(m.r_em(0.0), 0.0);
+        assert!(!m.cache_resident(0.0));
+        // Against a 100 B/s peak the same run moved 2x the DRAM rate:
+        // the matrix came from cache.
+        assert!((m.r_em(100.0) - 2.0).abs() < 1e-12);
+        assert!(m.cache_resident(100.0));
     }
 
     #[test]

@@ -26,6 +26,17 @@
 //! * [`driver`] — a solver selector plus the trajectory/bitwise
 //!   comparison predicates the sharded-equivalence gates run on.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::cast_possible_truncation
+)]
+// Test code narrows freely; clippy.toml exempts its panics the same way.
+#![cfg_attr(test, allow(clippy::cast_possible_truncation))]
+
 pub mod art;
 pub mod batch;
 pub mod cgls;

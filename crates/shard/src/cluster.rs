@@ -562,10 +562,9 @@ fn connect_all(
                     .name(format!("cscv-shard-serve-{i}"))
                     .spawn(move || {
                         let mut conn = Conn::new(theirs);
-                        let mut cache = worker::env_cache();
                         // Errors surface on the coordinator side as broken
                         // frames; the thread itself just stops serving.
-                        worker::serve(&mut conn, &mut cache).is_ok()
+                        worker::serve(&mut conn).is_ok()
                     })?;
                 endpoints.push(Endpoint::Thread(handle));
                 conns.push(Conn::new(ours));
@@ -725,8 +724,7 @@ mod tests {
             n_bins: 0,
         };
         let mut cluster = Cluster::start(&csr, &plan, layout, img, 1, &Launch::Threads).unwrap();
-        let mut cache = cscv_tune::TuneCache::in_memory();
-        let backend = crate::worker::ShardBackend::build(csr, None, img, 1, &mut cache);
+        let backend = crate::worker::ShardBackend::build(csr, None, img, 1);
 
         let y: Vec<f64> = (0..32).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut xt = vec![0.0; 20];

@@ -6,7 +6,7 @@
 //! hands each shard to a worker *process* over a framed Unix-socket
 //! protocol ([`wire`], [`protocol`]), and the workers execute their
 //! shard through the existing executor stack — a [`cscv_core::CscvExec`]
-//! autotuned via `CscvExec::auto` when the shard is view-aligned, the
+//! built from the static heuristic when the shard is view-aligned, the
 //! tuned CSR pair otherwise ([`worker`]).
 //!
 //! Data flow per solver iteration (row decomposition, as in the

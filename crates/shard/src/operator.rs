@@ -19,7 +19,6 @@ use crate::worker::ShardBackend;
 use cscv_core::layout::ImageShape;
 use cscv_recon::LinearOperator;
 use cscv_sparse::{Csr, ThreadPool};
-use cscv_tune::TuneCache;
 use std::io;
 use std::sync::{Mutex, MutexGuard};
 
@@ -117,15 +116,18 @@ pub struct LocalOperator {
 impl LocalOperator {
     /// Build from the full matrix. `layout` as in
     /// [`ShardBackend::build`]: `Some` view-aligned layout selects the
-    /// CSCV executor, `None` the CSR pair.
+    /// CSCV executor, `None` the CSR pair. The last parameter is a
+    /// no-op, kept only for the benchmark's shard-sirt call site
+    /// (`cscv-benchmark/src/workloads.rs`), which passes
+    /// [`crate::worker::env_cache`]'s `()`.
     pub fn new(
         csr: Csr<f64>,
         layout: Option<cscv_core::SinoLayout>,
         img: ImageShape,
         threads: usize,
-        cache: &mut TuneCache,
+        _: &mut (),
     ) -> LocalOperator {
-        let backend = ShardBackend::build(csr, layout, img, threads, cache);
+        let backend = ShardBackend::build(csr, layout, img, threads);
         let (abs_row, abs_col) = backend.abs_sums();
         LocalOperator {
             backend,
@@ -190,8 +192,7 @@ mod tests {
         };
         let cluster = Cluster::start(&csr, &plan, layout, img, 1, &Launch::Threads).unwrap();
         let sharded = ShardedOperator::new(cluster).unwrap();
-        let mut cache = TuneCache::in_memory();
-        let local = LocalOperator::new(csr, None, img, 1, &mut cache);
+        let local = LocalOperator::new(csr, None, img, 1, &mut ());
         let pool = ThreadPool::new(1);
 
         assert_eq!(sharded.n_rows(), local.n_rows());

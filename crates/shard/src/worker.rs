@@ -6,10 +6,9 @@
 //!
 //! * **View-aligned shard** (`n_views > 0` in the Matrix message, i.e.
 //!   the shard's rows are whole sinogram views): convert to CSC and
-//!   build a [`CscvExec`] through `CscvExec::auto` — the consult-only
-//!   tuned path from `cscv-tune`, which reuses any persisted tuning
-//!   cache (`CSCV_TUNE_CACHE`) and degrades to the static heuristic on
-//!   a miss. Forward and adjoint both run the CSCV kernels.
+//!   build a [`CscvExec`] from the static heuristic,
+//!   `ExecConfig::heuristic(Variant::Z)`. Forward and adjoint both run
+//!   the CSCV kernels.
 //! * **Anything else** (non-aligned boundaries, empty shards): the
 //!   tuned CSR executor for the forward product and a serial
 //!   scatter loop for the adjoint.
@@ -28,11 +27,10 @@ use crate::plan::ColWindow;
 use crate::protocol::{Msg, Role};
 use crate::wire::{Conn, MAX_WORKER_THREADS};
 use cscv_core::layout::ImageShape;
-use cscv_core::{CscvExec, SinoLayout};
+use cscv_core::{CscvExec, ExecConfig, SinoLayout, Variant};
 use cscv_sparse::formats::CsrExec;
 use cscv_sparse::{Csr, SpmvExecutor, ThreadPool};
 use cscv_trace::duration_ns;
-use cscv_tune::{AutoExec, Op, TuneCache};
 use std::io::{self, Read, Write};
 use std::time::Instant;
 
@@ -74,7 +72,6 @@ impl ShardBackend {
         layout: Option<SinoLayout>,
         img: ImageShape,
         threads: usize,
-        cache: &mut TuneCache,
     ) -> ShardBackend {
         let pool = ThreadPool::new(threads.max(1));
         let window = ColWindow::of(&csr);
@@ -86,9 +83,10 @@ impl ShardBackend {
                     && img.nx.checked_mul(img.ny) == Some(csr.n_cols())
                     && csr.nnz() > 0 =>
             {
-                // A shard no CSCV configuration builds for (odd layout)
+                // A shard the heuristic does not build for (odd layout)
                 // degrades to the CSR pair.
-                match CscvExec::auto(&csr.to_csc(), l, img, Op::Spmv, cache) {
+                let cfg = ExecConfig::heuristic(Variant::Z);
+                match CscvExec::from_csc(&csr.to_csc(), l, img, cfg) {
                     Ok(exec) => Exec::Cscv(Box::new(exec)),
                     Err(_) => Exec::Csr(CsrExec::new(csr.clone())),
                 }
@@ -227,12 +225,9 @@ fn wire_usize(v: u64, what: &str) -> io::Result<usize> {
 /// stats on clean shutdown. Every frame is held to the session table
 /// ([`crate::protocol::TRANSITIONS`]); a malformed or out-of-order frame
 /// ends the session with an [`Msg::Err`] naming the violation.
-pub fn serve<S: Read + Write>(
-    conn: &mut Conn<S>,
-    cache: &mut TuneCache,
-) -> io::Result<WorkerStats> {
+pub fn serve<S: Read + Write>(conn: &mut Conn<S>) -> io::Result<WorkerStats> {
     conn.enforce(Role::Worker);
-    let result = serve_session(conn, cache);
+    let result = serve_session(conn);
     if let Err(e) = &result {
         if e.kind() == io::ErrorKind::InvalidData {
             // Best effort: the coordinator may already be gone.
@@ -242,10 +237,7 @@ pub fn serve<S: Read + Write>(
     result
 }
 
-fn serve_session<S: Read + Write>(
-    conn: &mut Conn<S>,
-    cache: &mut TuneCache,
-) -> io::Result<WorkerStats> {
+fn serve_session<S: Read + Write>(conn: &mut Conn<S>) -> io::Result<WorkerStats> {
     let Msg::Hello {
         threads, trace_id, ..
     } = Msg::recv(conn)?
@@ -266,7 +258,7 @@ fn serve_session<S: Read + Write>(
     let mut stats = WorkerStats::default();
     let backend = {
         let _s = cscv_trace::span::enter_ctx("shard.worker.build", 0, trace_id);
-        ShardBackend::build(csr, layout, img, threads, cache)
+        ShardBackend::build(csr, layout, img, threads)
     };
     stats.busy_ns += duration_ns(t0.elapsed());
     Msg::MatrixAck {
@@ -343,15 +335,10 @@ fn serve_session<S: Read + Write>(
     }
 }
 
-/// The tuning cache workers consult: `CSCV_TUNE_CACHE` when set (shared
-/// with the coordinator so every process resolves the same config —
-/// part of the `workers = 1` byte-identity story), else in-memory.
-pub fn env_cache() -> TuneCache {
-    match std::env::var_os("CSCV_TUNE_CACHE") {
-        Some(p) => TuneCache::load(std::path::Path::new(&p)),
-        None => TuneCache::in_memory(),
-    }
-}
+/// A no-op, kept only so the benchmark's shard-sirt reference call
+/// site (`cscv-benchmark/src/workloads.rs`) still compiles; workers
+/// read no per-process configuration.
+pub fn env_cache() {}
 
 /// Worker-process entry point: connect to the coordinator's Unix socket
 /// and serve until shutdown. This is what
@@ -359,8 +346,7 @@ pub fn env_cache() -> TuneCache {
 pub fn run_process(socket: &str) -> io::Result<()> {
     let stream = std::os::unix::net::UnixStream::connect(socket)?;
     let mut conn = Conn::new(stream);
-    let mut cache = env_cache();
-    serve(&mut conn, &mut cache)?;
+    serve(&mut conn)?;
     Ok(())
 }
 
@@ -390,8 +376,7 @@ mod tests {
     fn csr_backend_products_match_reference() {
         let csr = toy_csr();
         let img = ImageShape { nx: 3, ny: 2 };
-        let mut cache = TuneCache::in_memory();
-        let b = ShardBackend::build(csr.clone(), None, img, 2, &mut cache);
+        let b = ShardBackend::build(csr.clone(), None, img, 2);
         assert_eq!(b.exec_name(), "MKL-CSR(analog)");
 
         let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
@@ -430,8 +415,7 @@ mod tests {
         let (a, b) = UnixStream::pair().unwrap();
         let worker = std::thread::spawn(move || {
             let mut conn = Conn::new(b);
-            let mut cache = TuneCache::in_memory();
-            serve(&mut conn, &mut cache).unwrap()
+            serve(&mut conn).unwrap()
         });
 
         let mut conn = Conn::new(a);
@@ -515,7 +499,7 @@ mod tests {
         let (a, b) = UnixStream::pair().unwrap();
         let worker = std::thread::spawn(move || {
             let mut conn = Conn::new(b);
-            serve(&mut conn, &mut TuneCache::in_memory())
+            serve(&mut conn)
         });
         let mut conn = Conn::new(a);
         Msg::Hello {
@@ -576,7 +560,7 @@ mod tests {
             let (a, b) = UnixStream::pair().unwrap();
             let worker = std::thread::spawn(move || {
                 let mut conn = Conn::new(b);
-                serve(&mut conn, &mut TuneCache::in_memory())
+                serve(&mut conn)
             });
             let mut conn = Conn::new(a);
             Msg::Hello {

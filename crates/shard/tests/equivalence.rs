@@ -116,8 +116,7 @@ fn one_shard_solver_runs_are_bitwise_identical() {
         let row_nnz: Vec<usize> = (0..csr.n_rows()).map(|r| csr.row(r).0.len()).collect();
         let b = dense(csr.n_rows(), seed ^ 0x55AA);
 
-        let mut cache = cscv_shard::worker::env_cache();
-        let local = LocalOperator::new(csr.clone(), Some(layout), img, 1, &mut cache);
+        let local = LocalOperator::new(csr.clone(), Some(layout), img, 1, &mut ());
         for solver in [Solver::Sirt, Solver::Cgls, Solver::Landweber] {
             let reference = run_solver(solver, &local, &b, 5, &pool);
             let plan = ShardPlan::new(&row_nnz, 1, 1, PartitionMethod::Stripe);
@@ -145,8 +144,7 @@ fn multi_shard_trajectories_stay_within_gate_tolerance() {
         let row_nnz: Vec<usize> = (0..csr.n_rows()).map(|r| csr.row(r).0.len()).collect();
         let b = dense(csr.n_rows(), seed ^ 0x77EE);
 
-        let mut cache = cscv_shard::worker::env_cache();
-        let local = LocalOperator::new(csr.clone(), Some(layout), img, 1, &mut cache);
+        let local = LocalOperator::new(csr.clone(), Some(layout), img, 1, &mut ());
         // Smoke-gate depth: stationary solvers don't amplify the
         // reduction perturbation; CGLS does (~10²×/iter), so it runs
         // shallower — same policy as `cscv-xtask shard`.

@@ -8,7 +8,6 @@
 
 use cscv_shard::protocol::{tag as tags, Msg};
 use cscv_shard::wire::Conn;
-use cscv_tune::TuneCache;
 use std::os::unix::net::UnixStream;
 
 /// Drive one full worker session from a scripted coordinator and tally
@@ -18,8 +17,7 @@ fn untraced_session_carries_zero_trace_frames() {
     let (coord_end, worker_end) = UnixStream::pair().unwrap();
     let server = std::thread::spawn(move || {
         let mut conn = Conn::new(worker_end);
-        let mut cache = TuneCache::in_memory();
-        cscv_shard::worker::serve(&mut conn, &mut cache).unwrap()
+        cscv_shard::worker::serve(&mut conn).unwrap()
     });
 
     let mut conn = Conn::new(coord_end);

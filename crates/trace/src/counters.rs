@@ -65,18 +65,6 @@ pub enum Counter {
     /// Batch swap-compaction events (a converged slice retired and the
     /// trailing active slice swapped into its slot).
     SwapCompactions,
-    /// Autotuner candidate configurations benchmarked (one per
-    /// (variant, S_VxG, threads, k) point actually measured).
-    TuneCandidates,
-    /// Autotuner benchmark samples executed (timed kernel invocations,
-    /// warmup excluded). A warm-cache tune run adds exactly zero.
-    TuneSamples,
-    /// Tuning-cache lookups answered from a persisted entry (exact
-    /// fingerprint-hash match or within the distance fallback).
-    TuneCacheHits,
-    /// Tuning-cache lookups that fell through to a fresh search (or to
-    /// the static heuristic when searching is not allowed).
-    TuneCacheMisses,
     /// Bytes the shard coordinator wrote to worker sockets (frame
     /// headers included). One forward SpMV broadcast adds roughly
     /// `n_shards · M(x)` plus framing.
@@ -96,7 +84,7 @@ pub enum Counter {
 }
 
 /// Number of counters in [`Counter`].
-pub const N_COUNTERS: usize = 24;
+pub const N_COUNTERS: usize = 20;
 
 /// Every counter, in declaration order (emit order).
 pub const ALL: [Counter; N_COUNTERS] = [
@@ -116,10 +104,6 @@ pub const ALL: [Counter; N_COUNTERS] = [
     Counter::PoolBusyNs,
     Counter::SolverIters,
     Counter::SwapCompactions,
-    Counter::TuneCandidates,
-    Counter::TuneSamples,
-    Counter::TuneCacheHits,
-    Counter::TuneCacheMisses,
     Counter::ShardBytesTx,
     Counter::ShardBytesRx,
     Counter::ShardReduceNs,
@@ -146,10 +130,6 @@ impl Counter {
             Counter::PoolBusyNs => "pool_busy_ns",
             Counter::SolverIters => "solver_iters",
             Counter::SwapCompactions => "swap_compactions",
-            Counter::TuneCandidates => "tune_candidates",
-            Counter::TuneSamples => "tune_samples",
-            Counter::TuneCacheHits => "tune_cache_hits",
-            Counter::TuneCacheMisses => "tune_cache_misses",
             Counter::ShardBytesTx => "shard_bytes_tx",
             Counter::ShardBytesRx => "shard_bytes_rx",
             Counter::ShardReduceNs => "shard_reduce_ns",

@@ -29,9 +29,9 @@
 
 use cscv_core::layout::ImageShape;
 use cscv_core::{try_build, CscvExec, CscvMatrix, CscvParams, SinoLayout, Variant};
-// The descriptor/generator layer moved to `cscv_harness::gen` so the
-// autotuner corpus shares it; re-exported here to keep `.case` tooling
-// paths stable.
+// The descriptor/generator layer lives in `cscv_harness::gen`, where
+// integration tests reach it too; re-exported here to keep `.case`
+// tooling paths stable.
 pub use cscv_harness::gen::{generate, random_desc, CaseDesc, GenKind};
 use cscv_simd::rng::XorShift64;
 use cscv_sparse::formats::csc_exec::{CscParallelExec, CscSerialExec};

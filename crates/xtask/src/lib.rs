@@ -24,15 +24,9 @@
 //!   classification per kernel), exports archived traces to Chrome
 //!   trace-event JSON and collapsed flamegraph stacks, and diffs two
 //!   result directories with noise-aware min-of-reps comparison.
-//! * [`tune_cmd`] — the `tune` subcommand: batch-runs the `cscv-tune`
-//!   autotuner over a corpus of case descriptors, re-measures the
-//!   chosen configs against the static heuristic on the full matrices,
-//!   and reports speedups (exit 1 when a tuned config is slower than
-//!   the heuristic beyond the noise band).
 
 pub mod fuzz;
 pub mod lexer;
 pub mod perf;
 pub mod sched;
 pub mod shard_cmd;
-pub mod tune_cmd;

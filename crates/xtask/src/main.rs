@@ -6,8 +6,6 @@
 //!                            [--export-dir DIR]
 //! cscv-xtask perf-report --diff DIR_A DIR_B [--threshold F]
 //!                            [--format table|ndjson]
-//! cscv-xtask tune [DIR] [--cache FILE] [--format table|ndjson]
-//!                 [--reps N] [--warmup N] [--threads N] [--model]
 //! cscv-xtask shard [--case FILE] [--workers LIST] [--solver NAME|all]
 //!                  [--iters N] [--method stripe|bisect] [--threads N]
 //!                  [--launch process|threads] [--tol F]
@@ -15,11 +13,11 @@
 //! cscv-xtask shard-worker --socket PATH   (internal: worker process)
 //! ```
 //!
-//! Exit codes: 0 = clean, 1 = perf regressions / tune or shard
+//! Exit codes: 0 = clean, 1 = perf regressions / shard
 //! equivalence failures / fuzz failures, 2 = usage or IO error, or a
 //! perf diff of two different builds.
 
-use cscv_xtask::{fuzz, perf, shard_cmd, tune_cmd};
+use cscv_xtask::{fuzz, perf, shard_cmd};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -34,7 +32,6 @@ fn usage() -> ExitCode {
         "usage: cscv-xtask fuzz [--iters N] [--seed S] [--corpus DIR]\n\
          \x20      cscv-xtask perf-report DIR [--format table|ndjson] [--peak-gbs F] [--export-dir DIR]\n\
          \x20      cscv-xtask perf-report --diff DIR_A DIR_B [--threshold F] [--format table|ndjson]\n\
-         \x20      cscv-xtask tune [DIR] [--cache FILE] [--format table|ndjson] [--reps N] [--warmup N] [--threads N] [--model]\n\
          \x20      cscv-xtask shard [--case FILE] [--workers LIST] [--solver NAME|all] [--iters N] [--method stripe|bisect] [--threads N] [--launch process|threads] [--tol F] [--format table|ndjson]\n\n\
          fuzz        structure-aware differential fuzzing: random CT geometries and\n\
          \x20           degenerate matrices round-tripped through every format with\n\
@@ -47,13 +44,6 @@ fn usage() -> ExitCode {
          \x20           compares two directories (min-of-reps, relative threshold)\n\
          \x20           and exits 1 on regressions, 2 when the two come from\n\
          \x20           different builds.\n\
-         tune        batch-runs the cscv-tune autotuner over a corpus of case\n\
-         \x20           descriptors (default crates/tune/tune_corpus), re-measures the\n\
-         \x20           chosen configs vs the static heuristic on the full matrices,\n\
-         \x20           and reports speedups; --cache persists selections so repeat\n\
-         \x20           runs skip the search, --model uses the deterministic cost\n\
-         \x20           model; exits 1 if a tuned config is slower than the heuristic\n\
-         \x20           beyond the noise band.\n\
          shard       sharded multi-process reconstruction gate: assembles the case's\n\
          \x20           system matrix, partitions it into row shards, launches one\n\
          \x20           worker per shard (processes over Unix sockets by default),\n\
@@ -70,7 +60,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("fuzz") => fuzz_cmd(&args[1..]),
         Some("perf-report") => perf_cmd(&args[1..]),
-        Some("tune") => tune_cli(&args[1..]),
         Some("shard") => shard_cli(&args[1..]),
         Some("shard-worker") => shard_worker_cmd(&args[1..]),
         _ => usage(),
@@ -226,56 +215,6 @@ fn perf_diff(
     } else {
         ExitCode::SUCCESS
     })
-}
-
-fn tune_cli(args: &[String]) -> ExitCode {
-    let mut cfg = tune_cmd::TuneCmdConfig::default();
-    let mut format = Format::Table;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cache" => match it.next() {
-                Some(p) => cfg.cache = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--format" => match parse_format(it.next().map(String::as_str)) {
-                Some(f) => format = f,
-                None => return usage(),
-            },
-            "--reps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.reps = n,
-                None => return usage(),
-            },
-            "--warmup" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.warmup = n,
-                None => return usage(),
-            },
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.threads = n,
-                None => return usage(),
-            },
-            "--model" => cfg.model = true,
-            s if !s.starts_with('-') => cfg.corpus = PathBuf::from(s),
-            _ => return usage(),
-        }
-    }
-    match tune_cmd::run(&cfg) {
-        Ok(outcome) => {
-            match format {
-                Format::Table => print!("{}", outcome.render_table()),
-                Format::Ndjson => print!("{}", outcome.render_ndjson()),
-            }
-            if outcome.regressions().is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(e) => {
-            eprintln!("cscv-xtask tune: {e}");
-            ExitCode::from(2)
-        }
-    }
 }
 
 fn shard_cli(args: &[String]) -> ExitCode {

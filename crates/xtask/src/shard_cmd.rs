@@ -291,9 +291,8 @@ pub fn run(cfg: &ShardCmdConfig) -> Result<ShardOutcome, String> {
     csr.spmv_serial(&truth, &mut sino);
 
     // Single-process reference: the same backend code path the workers
-    // run, same tuning-cache source — byte-identity's other half.
-    let mut cache = cscv_shard::worker::env_cache();
-    let local = LocalOperator::new(csr.clone(), Some(layout), img, cfg.threads, &mut cache);
+    // run — byte-identity's other half.
+    let local = LocalOperator::new(csr.clone(), Some(layout), img, cfg.threads, &mut ());
     let pool = ThreadPool::new(1); // operators ignore it; see cscv-shard
     let row_nnz: Vec<usize> = (0..csr.n_rows()).map(|r| csr.row(r).0.len()).collect();
 

@@ -89,7 +89,9 @@ fn index_crates_deny_panics_and_narrowing_casts() {
     // The clippy gates above only hold these crates to the per-site
     // discipline while their `lib.rs` denies the lints; a deny that is
     // commented out or loses a lint must fail here, not pass silently.
-    for krate in ["core", "sparse", "simd", "shard", "ct", "trace"] {
+    for krate in [
+        "core", "sparse", "simd", "shard", "ct", "trace", "harness", "recon",
+    ] {
         let path = repo_root().join("crates").join(krate).join("src/lib.rs");
         let lines = lexer::analyze(&std::fs::read_to_string(&path).unwrap());
         let start = lines
@@ -125,7 +127,9 @@ fn ci_gates_name_only_subcommands_that_exist() {
     // `lint`, `audit` and `analyze` gave way to compiler and clippy
     // lints plus tests/layering.rs; neither the script nor the workflow
     // may call them or name the analyze baseline, and the analyze
-    // result cache (`--no-cache`) and `--protocol-dot` are gone.
+    // result cache (`--no-cache`) and `--protocol-dot` are gone. The
+    // autotuner gave way to the static heuristic, so `tune` and its
+    // corpus are gone too.
     let sh = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
     let yml = std::fs::read_to_string(repo_root().join(".github/workflows/ci.yml")).unwrap();
     for text in [&sh, &yml] {
@@ -136,6 +140,8 @@ fn ci_gates_name_only_subcommands_that_exist() {
             "analyze_baseline.json",
             "--no-cache",
             "--protocol-dot",
+            "cscv-xtask -- tune",
+            "tune_corpus",
         ] {
             assert!(!text.contains(gone), "CI still invokes `{gone}`");
         }

@@ -5,11 +5,11 @@
 
 use std::path::Path;
 
-const ALL: &str = "trace simd sparse core ct recon harness tune shard";
+const ALL: &str = "trace simd sparse core ct recon harness shard";
 
 /// Each crate and the internal crates (without the `cscv-` prefix) it
 /// may depend on: trace/simd at the bottom, sparse → core → ct/recon →
-/// harness → bench on top; tune and shard above harness and recon;
+/// harness → bench on top; shard above harness and recon;
 /// xtask and the umbrella crate are leaves. Listed bottom-up.
 const DAG: &[(&str, &str)] = &[
     ("cscv-trace", ""),
@@ -20,8 +20,7 @@ const DAG: &[(&str, &str)] = &[
     ("cscv-recon", "trace simd sparse core ct"),
     ("cscv-harness", "trace simd sparse core ct recon"),
     ("cscv-bench", "trace simd sparse core ct recon harness"),
-    ("cscv-tune", "trace simd sparse core harness"),
-    ("cscv-shard", "trace simd sparse core ct recon harness tune"),
+    ("cscv-shard", "trace simd sparse core ct recon harness"),
     ("cscv-xtask", ALL),
     ("cscv-repro", ALL),
 ];

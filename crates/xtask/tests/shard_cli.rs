@@ -199,4 +199,8 @@ fn usage_errors_exit_two() {
     // Worker mode with a dead socket path: connection refused → 2.
     let (code, _, _) = run(&["shard-worker", "--socket", "/nonexistent.sock"], &[]);
     assert_eq!(code, 2);
+    // The retired `tune` subcommand falls through to the usage text.
+    let (code, _, stderr) = run(&["tune"], &[]);
+    assert_eq!(code, 2);
+    assert!(stderr.contains("usage:"), "{stderr}");
 }

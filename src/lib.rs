@@ -14,9 +14,7 @@
 //! * [`ct`] — 2-D parallel-beam CT system-matrix generator and phantoms;
 //! * [`core`] — **CSCV** itself: IOBLR, CSCVEs, VxGs, the Z/M kernels;
 //! * [`recon`] — SIRT/ART/CGLS/Landweber iterative reconstruction;
-//! * [`harness`] — minimum-time measurement, bandwidth meter, tables;
-//! * [`tune`] — runtime autotuner: structural fingerprints, candidate
-//!   search, persisted tuning cache, tuned executors.
+//! * [`harness`] — minimum-time measurement, bandwidth meter, tables.
 //!
 //! ## Quickstart
 //!
@@ -48,7 +46,6 @@ pub use cscv_recon as recon;
 pub use cscv_simd as simd;
 pub use cscv_sparse as sparse;
 pub use cscv_trace as trace;
-pub use cscv_tune as tune;
 
 /// The commonly used names in one import.
 pub mod prelude {

@@ -9,8 +9,12 @@
 //! (the workspace carries no external test-dependency), ~48 cases per
 //! property, mirroring the original property-test configuration.
 
+use cscv_repro::core::ExecConfig;
+use cscv_repro::harness::gen::{generate, CaseDesc, GenKind};
 use cscv_repro::prelude::*;
 use cscv_repro::simd::rng::XorShift64;
+use cscv_repro::simd::MaskExpand;
+use cscv_repro::sparse::dense::assert_vec_close;
 
 /// Random general sparse matrix via triplets (duplicates get summed).
 fn random_coo(rng: &mut XorShift64, max_rows: usize, max_cols: usize) -> Coo<f64> {
@@ -129,6 +133,93 @@ fn cscv_matches_reference_on_trajectory_matrices() {
             assert!(err < 1e-10, "{variant} {params} err {err}");
         }
     }
+}
+
+/// One descriptor per generator family (minus the oversize-reject
+/// probe, which builds nothing), cast to the scalar under test.
+fn family_cases<T: Scalar>() -> Vec<(Csc<T>, SinoLayout, ImageShape)> {
+    GenKind::ALL
+        .iter()
+        .filter(|k| **k != GenKind::OversizeReject)
+        .map(|k| {
+            let desc = CaseDesc::parse(&format!(
+                "kind={} views=12 bins=12 nx=6 ny=6 imgb=4 vvec=8 vxg=4 seed=42",
+                k.name()
+            ))
+            .unwrap();
+            let csc = generate(&desc).to_csc();
+            let csc = Csc::from_parts(
+                csc.n_rows(),
+                csc.n_cols(),
+                csc.col_ptr().to_vec(),
+                csc.row_idx().to_vec(),
+                csc.vals().iter().map(|&v| T::from_f64(v)).collect(),
+            );
+            let layout = SinoLayout {
+                n_views: desc.n_views,
+                n_bins: desc.n_bins,
+            };
+            let img = ImageShape {
+                nx: desc.nx,
+                ny: desc.ny,
+            };
+            (csc, layout, img)
+        })
+        .collect()
+}
+
+/// Both heuristic executors against the serial references on every
+/// generator family, through `spmv`, `spmv_multi` (k = 3) and
+/// `spmv_transpose`.
+fn check_family<T: Scalar + MaskExpand>(tol: f64) {
+    let pool = ThreadPool::new(2);
+    let k = 3usize;
+    for (csc, layout, img) in family_cases::<T>() {
+        let reference = |x: &[T]| {
+            let mut y = vec![T::ZERO; csc.n_rows()];
+            csc.spmv_serial(x, &mut y);
+            y
+        };
+        for variant in [Variant::Z, Variant::M] {
+            let exec = CscvExec::from_csc(&csc, layout, img, ExecConfig::heuristic(variant))
+                .expect("the heuristic builds for every generator family");
+
+            let x: Vec<T> = (0..csc.n_cols())
+                .map(|i| T::from_f64(0.25 + (i % 13) as f64 * 0.5 - 3.0))
+                .collect();
+            let mut y = vec![T::from_f64(f64::NAN); csc.n_rows()];
+            exec.spmv(&x, &mut y, &pool);
+            assert_vec_close(&y, &reference(&x), tol);
+
+            let xs: Vec<T> = (0..k * csc.n_cols())
+                .map(|i| T::from_f64((i % 9) as f64 * 0.75 - 2.0))
+                .collect();
+            let mut ys = vec![T::from_f64(f64::NAN); k * csc.n_rows()];
+            exec.spmv_multi(&xs, k, &mut ys, &pool);
+            for (xi, yi) in xs.chunks(csc.n_cols()).zip(ys.chunks(csc.n_rows())) {
+                assert_vec_close(yi, &reference(xi), tol);
+            }
+
+            let yt: Vec<T> = (0..csc.n_rows())
+                .map(|i| T::from_f64((i % 11) as f64 * 0.25 - 1.0))
+                .collect();
+            let mut xt = vec![T::from_f64(f64::NAN); csc.n_cols()];
+            exec.spmv_transpose(&yt, &mut xt, &pool);
+            let mut xt_ref = vec![T::ZERO; csc.n_cols()];
+            csc.spmv_transpose_serial(&yt, &mut xt_ref);
+            assert_vec_close(&xt, &xt_ref, tol);
+        }
+    }
+}
+
+#[test]
+fn heuristic_configs_match_reference_f64() {
+    check_family::<f64>(1e-12);
+}
+
+#[test]
+fn heuristic_configs_match_reference_f32() {
+    check_family::<f32>(1e-5);
 }
 
 #[test]
