@@ -13,13 +13,19 @@
 //! * the memory-model prediction `k·M_Rit(1)/M_Rit(k)` — the
 //!   bandwidth-bound ceiling of the amortization.
 //!
+//! CSCV-Z and CSCV-M also get transpose rows, `CSCV-Z-T` and `CSCV-M-T`:
+//! `spmv_transpose_multi` on the forward projection of the phantom,
+//! against `k` single transposes. They are recorded in the manifests
+//! under those names, so the perf gate covers the back-projection too.
+//!
 //! Run: `cargo run --release -p cscv-bench --bin batched_spmm --
 //! [--dataset NAME] [--threads a,b,c] [--iters N] [--k a,b,c] [--csv PATH]`
 
 use cscv_bench::{banner, emit, BenchArgs};
-use cscv_harness::suite::{executor_builders, prepare, PreparedDataset};
+use cscv_core::{ExecConfig, Variant};
+use cscv_harness::suite::{cscv_exec, executor_builders, prepare};
 use cscv_harness::table::{f, Table};
-use cscv_harness::timing::{measure_spmm, measure_spmv, modeled_batch_speedup};
+use cscv_harness::timing::{measure_batched, measure_spmm, measure_spmv, modeled_batch_speedup};
 use cscv_simd::MaskExpand;
 use cscv_sparse::{Scalar, SpmvExecutor, ThreadPool};
 
@@ -27,17 +33,72 @@ use cscv_sparse::{Scalar, SpmvExecutor, ThreadPool};
 /// loop-of-singles default and would only measure noise).
 const BATCHED: &[&str] = &["CSCV-Z", "CSCV-M", "MKL-CSR(analog)", "MKL-CSC(analog)"];
 
-fn batch_input<T: Scalar>(prep: &PreparedDataset<T>, k: usize) -> Vec<T> {
-    // RHS 0 is the phantom; the rest are deterministic reshuffles of it
-    // so every slice has the same value distribution but distinct data.
-    let n = prep.x.len();
+/// Transpose rows: the CSCV variants under their manifest names.
+const TRANSPOSED: [(&str, Variant); 2] = [("CSCV-Z-T", Variant::Z), ("CSCV-M-T", Variant::M)];
+
+fn batch_input<T: Scalar>(base: &[T], k: usize) -> Vec<T> {
+    // RHS 0 is `base`; the rest are deterministic reshuffles of it so
+    // every slice has the same value distribution but distinct data.
+    let n = base.len();
     let mut x = vec![T::ZERO; k * n];
     for kk in 0..k {
         for j in 0..n {
-            x[kk * n + j] = prep.x[(j + kk * 257) % n];
+            x[kk * n + j] = base[(j + kk * 257) % n];
         }
     }
     x
+}
+
+/// Interleave the k sweep over several rounds, keeping the per-k minimum
+/// across rounds: slow drift on a shared machine (CPU steal) then hits
+/// every batch width alike instead of whichever k was being timed at that
+/// moment. `single(warmup, iters)` and `batch(ki, warmup, iters)` each
+/// time one measurement and return its minimum; the result is the
+/// single-RHS minimum and the per-k minima.
+fn sweep(
+    args: &BenchArgs,
+    ks: &[usize],
+    mut single: impl FnMut(usize, usize) -> f64,
+    mut batch: impl FnMut(usize, usize, usize) -> f64,
+) -> (f64, Vec<f64>) {
+    let rounds = 4usize;
+    let iters = args.iters.div_ceil(rounds).max(5);
+    let mut one = f64::INFINITY;
+    let mut best: Vec<f64> = vec![f64::INFINITY; ks.len()];
+    for round in 0..rounds {
+        let warmup = if round == 0 { args.warmup } else { 0 };
+        one = one.min(single(warmup, iters));
+        for (ki, b) in best.iter_mut().enumerate() {
+            *b = b.min(batch(ki, warmup, iters));
+        }
+    }
+    (one, best)
+}
+
+/// One table row per batch width of one implementation; `label` is the
+/// row's leading `[dataset, implementation, threads]` cells.
+fn add_rows<T: Scalar>(
+    table: &mut Table,
+    label: [&str; 3],
+    ks: &[usize],
+    exec: &dyn SpmvExecutor<T>,
+    single: f64,
+    best: &[f64],
+) {
+    let [dataset, name, threads] = label;
+    for (&k, &secs) in ks.iter().zip(best) {
+        let gflops = k as f64 * exec.flops() / secs / 1e9;
+        table.add_row(vec![
+            dataset.to_string(),
+            T::NAME.to_string(),
+            name.to_string(),
+            threads.to_string(),
+            k.to_string(),
+            f(gflops, 3),
+            f(k as f64 * single / secs, 2),
+            f(modeled_batch_speedup(exec, k), 2),
+        ]);
+    }
 }
 
 fn run_precision<T: Scalar + MaskExpand>(args: &BenchArgs, ks: &[usize], table: &mut Table) {
@@ -45,56 +106,61 @@ fn run_precision<T: Scalar + MaskExpand>(args: &BenchArgs, ks: &[usize], table: 
         let prep = prepare::<T>(ds);
         for &threads in &args.threads {
             let pool = ThreadPool::new(threads);
+            let t = threads.to_string();
             for (name, builder) in executor_builders::<T>() {
                 if !BATCHED.contains(&name) {
                     continue;
                 }
                 let exec = builder(&prep, threads);
                 let exec: &dyn SpmvExecutor<T> = exec.as_ref();
-                let mut y1 = vec![T::ZERO; exec.n_rows()];
-                let mut single = f64::INFINITY;
-                // Interleave the k sweep over several rounds, keeping the
-                // per-k minimum across rounds: slow drift on a shared
-                // machine (CPU steal) then hits every batch width alike
-                // instead of whichever k was being timed at that moment.
-                let rounds = 4usize;
-                let iters = args.iters.div_ceil(rounds).max(5);
-                let mut best: Vec<f64> = vec![f64::INFINITY; ks.len()];
-                let xs_packed: Vec<Vec<T>> = ks.iter().map(|&k| batch_input(&prep, k)).collect();
+                let xs: Vec<Vec<T>> = ks.iter().map(|&k| batch_input(&prep.x, k)).collect();
                 let mut ys: Vec<Vec<T>> = ks
                     .iter()
                     .map(|&k| vec![T::ZERO; k * exec.n_rows()])
                     .collect();
-                for round in 0..rounds {
-                    let warmup = if round == 0 { args.warmup } else { 0 };
-                    let s = measure_spmv(exec, &prep.x, &mut y1, &pool, warmup, iters);
-                    single = single.min(s.secs_min);
-                    for (ki, &k) in ks.iter().enumerate() {
-                        let m = measure_spmm(
-                            exec,
-                            &xs_packed[ki],
-                            k,
-                            &mut ys[ki],
-                            &pool,
-                            warmup,
-                            iters,
-                        );
-                        best[ki] = best[ki].min(m.secs_min);
-                    }
-                }
-                for (ki, &k) in ks.iter().enumerate() {
-                    let gflops = k as f64 * exec.flops() / best[ki] / 1e9;
-                    table.add_row(vec![
-                        ds.name.to_string(),
-                        T::NAME.to_string(),
-                        name.to_string(),
-                        threads.to_string(),
-                        k.to_string(),
-                        f(gflops, 3),
-                        f(k as f64 * single / best[ki], 2),
-                        f(modeled_batch_speedup(exec, k), 2),
-                    ]);
-                }
+                let mut y1 = vec![T::ZERO; exec.n_rows()];
+                let (single, best) = sweep(
+                    args,
+                    ks,
+                    |warmup, iters| {
+                        measure_spmv(exec, &prep.x, &mut y1, &pool, warmup, iters).secs_min
+                    },
+                    |ki, warmup, iters| {
+                        measure_spmm(exec, &xs[ki], ks[ki], &mut ys[ki], &pool, warmup, iters)
+                            .secs_min
+                    },
+                );
+                add_rows(table, [ds.name, name, &t], ks, exec, single, &best);
+            }
+            for (name, variant) in TRANSPOSED {
+                let cfg = ExecConfig::heuristic(variant);
+                let exec = cscv_exec(&prep, cfg.params, cfg.variant);
+                let mut sino = vec![T::ZERO; exec.n_rows()];
+                exec.spmv(&prep.x, &mut sino, &pool);
+                let ys: Vec<Vec<T>> = ks.iter().map(|&k| batch_input(&sino, k)).collect();
+                let mut xs: Vec<Vec<T>> = ks
+                    .iter()
+                    .map(|&k| vec![T::ZERO; k * exec.n_cols()])
+                    .collect();
+                let mut x1 = vec![T::ZERO; exec.n_cols()];
+                let (single, best) = sweep(
+                    args,
+                    ks,
+                    |warmup, iters| {
+                        measure_batched(name, &exec, 1, warmup, iters, threads, || {
+                            exec.spmv_transpose(&sino, &mut x1, &pool)
+                        })
+                        .secs_min
+                    },
+                    |ki, warmup, iters| {
+                        let (k, x) = (ks[ki], &mut xs[ki]);
+                        measure_batched(name, &exec, k, warmup, iters, threads, || {
+                            exec.spmv_transpose_multi(&ys[ki], k, x, &pool)
+                        })
+                        .secs_min
+                    },
+                );
+                add_rows(table, [ds.name, name, &t], ks, &exec, single, &best);
             }
         }
     }

@@ -17,7 +17,9 @@
 
 use crate::builder::{try_build, BuildError};
 use crate::format::{Block, CscvMatrix, Variant};
-use crate::kernels::{forward_block, gather, scatter_add, transpose_block, MLanes, ZLanes};
+use crate::kernels::{
+    forward_block, gather, scatter_add, transpose_block, MLanes, ZLanes, MAX_TILE_BYTES,
+};
 use crate::layout::{ImageShape, SinoLayout};
 use crate::params::CscvParams;
 use cscv_simd::expand::{select_path, ExpandPath};
@@ -68,13 +70,6 @@ fn available_path<T: MaskExpand>(s_vvec: usize) -> ExpandPath {
         _ => unreachable!("validated by CscvParams"),
     }
 }
-
-/// Largest forward register tile (`K·W` lanes) a batch chunk may use:
-/// 16 of the 32 256-bit vector registers of an AVX-512 core, which
-/// leaves room for the lane block and the broadcast `x` scalars. Past
-/// it the tile spills (OSKI's rule: a register block pays only while it
-/// stays in registers).
-const MAX_TILE_BYTES: usize = 512;
 
 /// Direction of a product.
 #[derive(Clone, Copy)]
@@ -283,18 +278,12 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         pool: &ThreadPool,
     ) {
         let (src_len, dst_len) = (src.len() / k, dst.len() / k);
-        let widths: &[usize] = match dir {
-            // The forward tile of `K·W` lanes must stay in registers: a
-            // K = 8 tile above `MAX_TILE_BYTES` spills inside the FMA loop
-            // and runs slower than two K = 4 passes (f64 at W = 16).
-            Dir::Forward if 8 * W * T::BYTES <= MAX_TILE_BYTES => &[8, 4, 2, 1],
-            Dir::Forward => &[4, 2, 1],
-            // The transpose holds `S_VxG + 1` tiles (one accumulator per
-            // member plus the ỹ tile). At K = 8 they no longer fit, and
-            // on ct128 with the Table III parameters every (precision,
-            // variant) pair measures at or below its K = 4 rate: f32
-            // CSCV-Z 2.1 against 10.2 GFLOP/s.
-            Dir::Transpose => &[4, 2, 1],
+        // One rule for both directions: the `K`×`W` register tile must
+        // stay in registers (`MAX_TILE_BYTES`).
+        let widths: &[usize] = if 8 * W * T::BYTES <= MAX_TILE_BYTES {
+            &[8, 4, 2, 1]
+        } else {
+            &[4, 2, 1]
         };
         let mut done = 0usize;
         for chunk in partition::batch_chunks(k, widths) {
@@ -305,6 +294,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                 (Dir::Forward, 4) => self.forward::<W, HW, 4>(s, d, pool),
                 (Dir::Forward, 2) => self.forward::<W, HW, 2>(s, d, pool),
                 (Dir::Forward, _) => self.forward::<W, HW, 1>(s, d, pool),
+                (Dir::Transpose, 8) => self.transpose::<W, HW, 8>(s, d, pool),
                 (Dir::Transpose, 4) => self.transpose::<W, HW, 4>(s, d, pool),
                 (Dir::Transpose, 2) => self.transpose::<W, HW, 2>(s, d, pool),
                 (Dir::Transpose, _) => self.transpose::<W, HW, 1>(s, d, pool),
@@ -375,6 +365,9 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
     /// One compiled-width chunk of the transpose product. Threads own
     /// whole image tiles (column-disjoint); the sink lands each member
     /// column's `K` partial sums in the `K` column-major `x` copies.
+    /// Each thread's scratch holds its batched ỹ and, for CSCV-M, one
+    /// VxG's expanded lane blocks (at most `S_VxG · max_ytil` values: a
+    /// VxG spans at most its block's ỹ).
     fn transpose<const W: usize, const HW: bool, const K: usize>(
         &self,
         y: &[T],
@@ -384,9 +377,14 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         let n = pool.n_threads();
         let (n_cols, n_rows, s_vxg) = (self.m.n_cols, self.m.n_rows, self.m.params.s_vxg);
         let tile_ranges = partition::split_by_prefix(&self.tile_prefix, n);
-        let mut ytil_bufs = self.ytil_scratch.take(n, self.m.max_ytil * K);
+        let ytil_len = self.m.max_ytil * K;
+        let lanes_len = match self.m.variant {
+            Variant::Z => 0,
+            Variant::M => s_vxg * self.m.max_ytil,
+        };
+        let mut scratch_bufs = self.ytil_scratch.take(n, ytil_len + lanes_len);
         let out = SharedSliceMut::new(x);
-        let bufs = SharedSliceMut::new(&mut ytil_bufs[..]);
+        let bufs = SharedSliceMut::new(&mut scratch_bufs[..]);
         let zero_ranges = partition::even_chunks(out.len(), n);
         pool.run(|tid| {
             // SAFETY: disjoint zero ranges (separate dispatch = barrier).
@@ -399,7 +397,9 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         out.claims_barrier();
         pool.run(|tid| {
             // SAFETY: slot `tid` only.
-            let ytil = &mut unsafe { bufs.slice_mut(tid..tid + 1) }[0];
+            let buf = &mut unsafe { bufs.slice_mut(tid..tid + 1) }[0];
+            let (ytil, lanes) = buf.split_at_mut(ytil_len);
+            let (lanes, _) = lanes.as_chunks_mut::<W>();
             let mut sink = |c: usize, sums: &[T; K]| {
                 for (kk, &v) in sums.iter().enumerate() {
                     // SAFETY: threads own whole tiles with pairwise
@@ -413,12 +413,12 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
                     trace_block_pass(&self.m, blk, K as u64);
                     gather::<T, W, K>(blk, y, n_rows, ytil);
                     match self.m.variant {
-                        Variant::Z => {
-                            transpose_block::<T, ZLanes<T>, W, K>(blk, s_vxg, ytil, &mut sink)
-                        }
-                        Variant::M => {
-                            transpose_block::<T, MLanes<T, HW>, W, K>(blk, s_vxg, ytil, &mut sink)
-                        }
+                        Variant::Z => transpose_block::<T, ZLanes<T>, W, K>(
+                            blk, s_vxg, ytil, lanes, &mut sink,
+                        ),
+                        Variant::M => transpose_block::<T, MLanes<T, HW>, W, K>(
+                            blk, s_vxg, ytil, lanes, &mut sink,
+                        ),
                     }
                 }
             }
@@ -472,12 +472,12 @@ mod tests {
     use cscv_sparse::dense::assert_vec_close;
     use cscv_sparse::{Coo, Csc};
 
-    fn ct_like(
+    fn ct_like<T: Scalar>(
         n_views: usize,
         n_bins: usize,
         nx: usize,
         ny: usize,
-    ) -> (Csc<f64>, SinoLayout, ImageShape) {
+    ) -> (Csc<T>, SinoLayout, ImageShape) {
         let layout = SinoLayout { n_views, n_bins };
         let img = ImageShape { nx, ny };
         let mut coo = Coo::new(layout.n_rows(), img.n_pixels());
@@ -487,10 +487,11 @@ mod tests {
                 // Sinusoid-ish trajectory.
                 let phase = (v as f64 * 0.4 + ix as f64 * 0.3 - iy as f64 * 0.2).sin();
                 let base = ((phase + 1.2) * (n_bins as f64 - 4.0) / 2.4) as usize;
-                coo.push(layout.row_index(v, base), col, 1.0 + (col % 7) as f64 * 0.1);
-                coo.push(layout.row_index(v, base + 1), col, 0.7);
+                let val = 1.0 + (col % 7) as f64 * 0.1;
+                coo.push(layout.row_index(v, base), col, T::from_f64(val));
+                coo.push(layout.row_index(v, base + 1), col, T::from_f64(0.7));
                 if (v + col) % 3 == 0 {
-                    coo.push(layout.row_index(v, base + 2), col, 0.2);
+                    coo.push(layout.row_index(v, base + 2), col, T::from_f64(0.2));
                 }
             }
         }
@@ -498,7 +499,7 @@ mod tests {
     }
 
     fn check_all(variant: Variant) {
-        let (csc, layout, img) = ct_like(13, 24, 8, 6);
+        let (csc, layout, img) = ct_like::<f64>(13, 24, 8, 6);
         let x: Vec<f64> = (0..csc.n_cols()).map(|i| (i as f64 * 0.21).cos()).collect();
         let mut y_ref = vec![0.0; csc.n_rows()];
         csc.spmv_serial(&x, &mut y_ref);
@@ -531,15 +532,17 @@ mod tests {
 
     #[test]
     fn transpose_matches_csc_transpose_reference() {
-        let (csc, layout, img) = ct_like(13, 24, 8, 6);
+        let (csc, layout, img) = ct_like::<f64>(13, 24, 8, 6);
         let y: Vec<f64> = (0..csc.n_rows()).map(|i| (i as f64 * 0.11).sin()).collect();
         let mut x_ref = vec![0.0; csc.n_cols()];
         csc.spmv_transpose_serial(&y, &mut x_ref);
         for variant in [Variant::Z, Variant::M] {
+            // S_VxG = 5 runs a 4-member and a 1-member transpose pass.
             for params in [
                 CscvParams::new(4, 4, 2),
                 CscvParams::new(8, 8, 3),
                 CscvParams::new(3, 16, 1),
+                CscvParams::new(4, 4, 5),
             ] {
                 let exec = CscvExec::new(build(&csc, layout, img, params, variant));
                 for threads in [1, 2, 5] {
@@ -554,7 +557,7 @@ mod tests {
 
     #[test]
     fn forward_transpose_adjoint_identity() {
-        let (csc, layout, img) = ct_like(10, 20, 5, 5);
+        let (csc, layout, img) = ct_like::<f64>(10, 20, 5, 5);
         let exec = CscvExec::new(build(
             &csc,
             layout,
@@ -577,12 +580,12 @@ mod tests {
     /// Every executor configuration of one matrix shape: Z and M, soft
     /// expand and (where this machine has it) hardware
     /// `vexpand`.
-    fn every_config(
-        csc: &Csc<f64>,
+    fn every_config<T: Scalar + MaskExpand>(
+        csc: &Csc<T>,
         layout: SinoLayout,
         img: ImageShape,
         params: CscvParams,
-    ) -> Vec<CscvExec<f64>> {
+    ) -> Vec<CscvExec<T>> {
         let mut out = Vec::new();
         for variant in [Variant::Z, Variant::M] {
             for path in [ExpandPath::Software, ExpandPath::Hardware] {
@@ -601,7 +604,7 @@ mod tests {
     /// same FMA and scatter order as a lone product of that column.
     #[test]
     fn spmv_multi_matches_k_independent_spmvs() {
-        let (csc, layout, img) = ct_like(13, 24, 8, 6);
+        let (csc, layout, img) = ct_like::<f64>(13, 24, 8, 6);
         let (nc, nr) = (csc.n_cols(), csc.n_rows());
         let pools = [ThreadPool::new(1), ThreadPool::new(3)];
         for params in [CscvParams::new(4, 4, 2), CscvParams::new(8, 8, 3)] {
@@ -629,40 +632,63 @@ mod tests {
         }
     }
 
-    /// The transpose counterpart of the bitwise batch test above.
-    #[test]
-    fn spmv_transpose_multi_matches_k_independent_transposes() {
-        let (csc, layout, img) = ct_like(13, 24, 8, 6);
+    /// Every configuration of `params` over `csc`: each RHS of a
+    /// `k`-wide transpose equals a lone transpose of it, bitwise.
+    fn check_transpose_multi<T: Scalar + MaskExpand>(
+        csc: &Csc<T>,
+        layout: SinoLayout,
+        img: ImageShape,
+        params: CscvParams,
+        ks: &[usize],
+    ) {
         let (nc, nr) = (csc.n_cols(), csc.n_rows());
         let pools = [ThreadPool::new(1), ThreadPool::new(3)];
-        for params in [CscvParams::new(4, 8, 2), CscvParams::new(3, 16, 1)] {
-            for exec in every_config(&csc, layout, img, params) {
-                for k in [1usize, 2, 3, 5, 7, 8] {
-                    let y: Vec<f64> = (0..k * nr).map(|i| (i as f64 * 0.07).cos()).collect();
-                    for pool in &pools {
-                        let mut x_multi = vec![f64::NAN; k * nc];
-                        exec.spmv_transpose_multi(&y, k, &mut x_multi, pool);
-                        for kk in 0..k {
-                            let mut x_one = vec![f64::NAN; nc];
-                            exec.spmv_transpose(&y[kk * nr..(kk + 1) * nr], &mut x_one, pool);
-                            assert_eq!(
-                                &x_multi[kk * nc..(kk + 1) * nc],
-                                x_one.as_slice(),
-                                "{:?} k={k} column {kk} threads={}",
-                                exec.config(),
-                                pool.n_threads()
-                            );
-                        }
+        for exec in every_config(csc, layout, img, params) {
+            for &k in ks {
+                let y: Vec<T> = (0..k * nr)
+                    .map(|i| T::from_f64((i as f64 * 0.07).cos()))
+                    .collect();
+                for pool in &pools {
+                    let mut x_multi = vec![T::from_f64(f64::NAN); k * nc];
+                    exec.spmv_transpose_multi(&y, k, &mut x_multi, pool);
+                    for kk in 0..k {
+                        let mut x_one = vec![T::from_f64(f64::NAN); nc];
+                        exec.spmv_transpose(&y[kk * nr..(kk + 1) * nr], &mut x_one, pool);
+                        assert_eq!(
+                            &x_multi[kk * nc..(kk + 1) * nc],
+                            x_one.as_slice(),
+                            "{:?} k={k} column {kk} threads={}",
+                            exec.config(),
+                            pool.n_threads()
+                        );
                     }
                 }
             }
         }
     }
 
+    /// The transpose counterpart of the bitwise batch test above. f32 at
+    /// `S_VVec = 16` is the widest configuration with `K = 8` chunks
+    /// (`8·16·4 B = MAX_TILE_BYTES`); k = 9 and 16 add a `K = 1` tail
+    /// and a second `K = 8` pass.
+    #[test]
+    fn spmv_transpose_multi_matches_k_independent_transposes() {
+        let (csc, layout, img) = ct_like::<f64>(13, 24, 8, 6);
+        for params in [
+            CscvParams::new(4, 8, 2),
+            CscvParams::new(3, 16, 1),
+            CscvParams::new(4, 4, 5),
+        ] {
+            check_transpose_multi(&csc, layout, img, params, &[1, 2, 3, 5, 7, 8]);
+        }
+        let (csc, layout, img) = ct_like::<f32>(13, 24, 8, 6);
+        check_transpose_multi(&csc, layout, img, CscvParams::new(4, 16, 2), &[8, 9, 16]);
+    }
+
     #[test]
     fn batched_adjoint_identity_per_column() {
         // ⟨A·X, Y⟩ = ⟨X, Aᵀ·Y⟩ must hold column by column of the batch.
-        let (csc, layout, img) = ct_like(10, 20, 5, 5);
+        let (csc, layout, img) = ct_like::<f64>(10, 20, 5, 5);
         let (nc, nr) = (csc.n_cols(), csc.n_rows());
         let exec = CscvExec::new(build(
             &csc,
@@ -699,7 +725,7 @@ mod tests {
 
     #[test]
     fn metadata_and_names() {
-        let (csc, layout, img) = ct_like(8, 20, 4, 4);
+        let (csc, layout, img) = ct_like::<f64>(8, 20, 4, 4);
         let nnz = csc.nnz();
         let z = CscvExec::new(build(
             &csc,

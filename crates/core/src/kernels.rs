@@ -20,19 +20,21 @@
 //! all `S_VxG` members of a curve offset. Vectorized along `K`, which
 //! LLVM does when `K·size_of::<T>()` is exactly one vector unless
 //! [`fma_tile`] keeps `K` innermost, every tile column becomes a strided
-//! gather and scatter on a stack copy. The executor caps `K` so the
-//! forward tile fits in registers. The batched ỹ is interleaved by
-//! lane block: slot `at` of the single-RHS layout becomes base `at·K`,
-//! with RHS `k`'s `W` lanes at `at·K + k·W`, so the `K` accumulator
-//! tiles of one curve offset are contiguous. At `K = 1` this is the
-//! single-RHS layout and algorithm, op for op.
+//! gather and scatter on a stack copy. The transpose mirrors the loop
+//! order: member-outer, one tile per VxG member held in registers across
+//! all its curve offsets. In both directions the executor caps `K` so
+//! the tile fits in registers ([`MAX_TILE_BYTES`]). The batched ỹ is
+//! interleaved by lane block: slot `at` of the single-RHS layout becomes
+//! base `at·K`, with RHS `k`'s `W` lanes at `at·K + k·W`, so the `K`
+//! accumulator tiles of one curve offset are contiguous. At `K = 1` this
+//! is the single-RHS layout and algorithm, op for op.
 //!
 //! RHS vectors are packed column-major: RHS `k` occupies
 //! `x[k·n_cols .. (k+1)·n_cols]` and `y[k·n_rows .. (k+1)·n_rows]`.
 
 use crate::format::Block;
 use cscv_simd::expand::expand_soft;
-use cscv_simd::lanes::{fma_tile, hsum, load_tile, store_tile};
+use cscv_simd::lanes::{fma_tile, fma_tile_rows, hsum, load_tile, store_tile};
 use cscv_simd::{MaskExpand, Scalar};
 
 /// Upper bound on `S_VxG` (x-value gather buffer size).
@@ -46,6 +48,20 @@ pub trait LaneSource<'a, T: Scalar, const W: usize> {
     fn pos(&self) -> usize;
     /// The next lane block, with padding lanes zero.
     fn next(&mut self) -> [T; W];
+
+    /// The next `n` lane blocks as one slice, readable by index. The
+    /// default decompresses them into `scratch` (at least `n` long).
+    #[inline(always)]
+    fn take<'s>(&mut self, n: usize, scratch: &'s mut [[T; W]]) -> &'s [[T; W]]
+    where
+        'a: 's,
+    {
+        let out = &mut scratch[..n];
+        for lanes in out.iter_mut() {
+            *lanes = self.next();
+        }
+        out
+    }
 }
 
 /// CSCV-Z lane source: padding zeros are stored, so each lane block is
@@ -78,6 +94,17 @@ impl<'a, T: Scalar, const W: usize> LaneSource<'a, T, W> for ZLanes<'a, T> {
         let lanes = unsafe { *(self.vals.as_ptr().add(self.p) as *const [T; W]) };
         self.p += W;
         lanes
+    }
+
+    /// The stream itself: no copy, `scratch` unused.
+    #[inline(always)]
+    fn take<'s>(&mut self, n: usize, _scratch: &'s mut [[T; W]]) -> &'s [[T; W]]
+    where
+        'a: 's,
+    {
+        let (lane_blocks, _) = self.vals[self.p..self.p + n * W].as_chunks::<W>();
+        self.p += n * W;
+        lane_blocks
     }
 }
 
@@ -196,52 +223,102 @@ pub fn forward_block<'a, T, S, const W: usize, const K: usize>(
     debug_assert_eq!(lanes.pos(), blk.vals.len());
 }
 
+/// Largest register tile (`K·W` lanes, or `G` member tiles of one
+/// transpose pass) a kernel may hold: 16 of the 32 256-bit vector
+/// registers of an AVX-512 core, which leaves room for the lane block and
+/// the `x` or `ỹ` operands. Past it the tile spills (OSKI's rule: a
+/// register block pays only while it stays in registers).
+pub const MAX_TILE_BYTES: usize = 512;
+
 /// Transpose block kernel: `x_k[cols] += blockᵀ · ỹ_k` for `K`
 /// right-hand sides in one value-stream pass (the paper's future-work
 /// `x = Aᵀy` back-projection, here implemented). `ytil` must hold the
-/// gathered batch (see [`gather`]); per member column the kernel
-/// accumulates `K` `W`-lane dot products and hands the sink their `K`
-/// horizontal sums at once.
+/// gathered batch (see [`gather`]).
+///
+/// The mirror image of [`forward_block`]: member-outer. Each member of
+/// a VxG gets one `K`×`W` accumulator tile, held in registers across all
+/// the VxG's curve offsets, which folds lane block `ci·S_VxG + s` against
+/// the `ỹ` tile of offset `ci` (re-read from L1 per pass). A pass takes
+/// as many consecutive members as `MAX_TILE_BYTES` holds tiles, so at
+/// small `K` one pass covers the VxG and reads its lane blocks in
+/// storage order. Passes read lane blocks by index: CSCV-Z in place,
+/// CSCV-M from `scratch`, into which each VxG is expanded once (at least
+/// `count·S_VxG` lane blocks; CSCV-Z ignores it). The sink receives each
+/// member's `K` horizontal sums.
 // Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
 pub fn transpose_block<'a, T, S, const W: usize, const K: usize>(
     blk: &'a Block<T>,
     s_vxg: usize,
     ytil: &[T],
+    scratch: &mut [[T; W]],
     sink: &mut impl FnMut(usize, &[T; K]),
 ) where
     T: Scalar,
     S: LaneSource<'a, T, W>,
 {
+    let group = MAX_TILE_BYTES / (K * W * T::BYTES);
     let mut lanes = S::open(blk);
-    // One accumulator array for the whole block: each VxG resets only
-    // its `s_vxg` members, not all `MAX_VXG`.
-    let mut accs = [[[T::ZERO; W]; K]; MAX_VXG];
-    let accs = &mut accs[..s_vxg];
+    let mut tiles = [[[T::ZERO; W]; K]; MAX_VXG];
+    let tiles = &mut tiles[..s_vxg];
     for i in 0..blk.n_vxgs() {
         debug_assert_eq!(lanes.pos(), blk.val_ptr[i] as usize);
         let q = blk.vxg_q[i] as usize;
         let count = blk.vxg_count[i] as usize;
         let cols = &blk.cols[i * s_vxg..(i + 1) * s_vxg];
-        accs.fill([[T::ZERO; W]; K]);
-        for ci in 0..count {
-            let yt: [[T; W]; K] = load_tile(ytil, (q + ci * W) * K);
-            for acc in accs.iter_mut() {
-                let v = lanes.next();
-                for k in 0..K {
-                    for l in 0..W {
-                        acc[k][l] = v[l].mul_add(yt[k][l], acc[k][l]);
-                    }
-                }
-            }
+        let lane_blocks = lanes.take(count * s_vxg, scratch);
+        let yts = &ytil[q * K..(q + count * W) * K];
+        let mut s = 0;
+        while s < s_vxg {
+            let (left, out) = (s_vxg - s, &mut tiles[s..]);
+            s += if group >= 4 && left >= 4 {
+                member_tiles::<T, W, K, 4>(lane_blocks, s_vxg, s, yts, out)
+            } else if group >= 2 && left >= 2 {
+                member_tiles::<T, W, K, 2>(lane_blocks, s_vxg, s, yts, out)
+            } else {
+                member_tiles::<T, W, K, 1>(lane_blocks, s_vxg, s, yts, out)
+            };
         }
-        for (s, &c) in cols.iter().enumerate() {
+        for (tile, &c) in tiles.iter().zip(cols) {
             // Padded members repeat a real column with all-zero values,
             // so the unconditional add is safe.
-            let sums: [T; K] = std::array::from_fn(|k| hsum(&accs[s][k]));
+            let sums: [T; K] = std::array::from_fn(|k| hsum(&tile[k]));
             sink(c as usize, &sums);
         }
     }
     debug_assert_eq!(lanes.pos(), blk.vals.len());
+}
+
+/// One transpose pass over a VxG's lane blocks for members
+/// `first..first + G`: their `G` accumulator tiles stay in registers
+/// across every curve offset and land in `out[..G]`. Returns `G`.
+///
+/// Two codegen facts shape it. It stores whole tiles and leaves the
+/// horizontal sums to the caller: an `hsum` straight off the live
+/// accumulators made LLVM split each tile into 2-lane pieces to match
+/// the reduction tree (f32, `W = 16`, `K = 1`). And it is out of line:
+/// inlined into [`transpose_block`], LLVM regrouped the `G` tiles into
+/// mixed zmm, ymm and scalar FMAs (f64, `W = 16`, `K = 1`); on its own
+/// every tile row is whole vector FMAs. The call costs once per pass,
+/// not per curve offset.
+#[inline(never)]
+// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
+fn member_tiles<T: Scalar, const W: usize, const K: usize, const G: usize>(
+    lane_blocks: &[[T; W]],
+    s_vxg: usize,
+    first: usize,
+    yts: &[T],
+    out: &mut [[[T; W]; K]],
+) -> usize {
+    let mut accs = [[[T::ZERO; W]; K]; G];
+    for (ci, yt) in yts.chunks_exact(K * W).enumerate() {
+        let yt: [[T; W]; K] = load_tile(yt, 0);
+        let members = &lane_blocks[ci * s_vxg + first..][..G];
+        for (acc, v) in accs.iter_mut().zip(members) {
+            fma_tile_rows(acc, v, &yt);
+        }
+    }
+    out[..G].copy_from_slice(&accs);
+    G
 }
 
 /// Scatter-add a batched `ỹ` into `K` output segments (paper Alg. 3
@@ -463,18 +540,22 @@ mod tests {
                 }
             }
         }
+        // The executor's bound: a VxG spans at most the block's ỹ.
+        let mut scratch = vec![[f64::NAN; 4]; s_vxg * z.ytil_len() / 4];
         let mut runs = vec![vec![0.0; n_cols * K]; 2];
         let (rz, rm) = runs.split_at_mut(1);
         transpose_block::<f64, ZLanes<f64>, 4, K>(
             z,
             s_vxg,
             &ytil,
+            &mut scratch,
             &mut add_into(&mut rz[0], n_cols),
         );
         transpose_block::<f64, MLanes<f64, false>, 4, K>(
             m,
             s_vxg,
             &ytil,
+            &mut scratch,
             &mut add_into(&mut rm[0], n_cols),
         );
         if <f64 as MaskExpand>::hw_available::<4>() {
@@ -483,6 +564,7 @@ mod tests {
                 m,
                 s_vxg,
                 &ytil,
+                &mut scratch,
                 &mut add_into(&mut hw, n_cols),
             );
             runs.push(hw);
@@ -710,13 +792,14 @@ mod tests {
         }
     }
 
-    /// The transpose kernel reuses one accumulator array across a
-    /// block's VxGs: each VxG must start from zero, whatever the count
-    /// of the VxG before it.
+    /// The transpose kernel reuses one tile array across a block's
+    /// VxGs: each member must start from zero, whatever the count of the
+    /// VxG before it. `K = 8` is the widest compiled batch chunk.
     #[test]
     fn multi_vxg_block_matches_dense_image() {
         check_multi_vxg_block::<1>();
         check_multi_vxg_block::<3>();
+        check_multi_vxg_block::<8>();
     }
 
     /// The batched transpose kernel, every lane source, against the

@@ -35,6 +35,6 @@ pub mod timing;
 pub use roofline::{classify, model_point, Bound, RooflinePoint};
 pub use suite::{executor_field, prepare, PreparedDataset};
 pub use timing::{
-    measure_spmm, measure_spmv, modeled_batch_speedup, summarize_samples, LatencySummary,
-    SpmmMeasurement, SpmvMeasurement,
+    measure_batched, measure_spmm, measure_spmv, modeled_batch_speedup, summarize_samples,
+    LatencySummary, SpmmMeasurement, SpmvMeasurement,
 };

@@ -199,26 +199,48 @@ pub fn measure_spmm<T: Scalar>(
     warmup: usize,
     iters: usize,
 ) -> SpmmMeasurement {
+    measure_batched(
+        &exec.name(),
+        exec,
+        k,
+        warmup,
+        iters,
+        pool.n_threads(),
+        || {
+            exec.spmv_multi(x, k, y, pool);
+            std::hint::black_box(&y[..]);
+        },
+    )
+}
+
+/// Measure any `k`-wide product of `exec`'s matrix (`product` runs one)
+/// and record it under `name`: how the transpose `X = Aᵀ·Y` gets its
+/// own manifest rows (e.g. `CSCV-Z-T`) next to the forward ones. Flops
+/// and `M_Rit(k)` are the forward product's, which the transpose shares.
+pub fn measure_batched<T: Scalar>(
+    name: &str,
+    exec: &dyn SpmvExecutor<T>,
+    k: usize,
+    warmup: usize,
+    iters: usize,
+    threads: usize,
+    mut product: impl FnMut(),
+) -> SpmmMeasurement {
     assert!(iters >= 1);
     for _ in 0..warmup {
-        exec.spmv_multi(x, k, y, pool);
+        product();
     }
-    let mut best = f64::INFINITY;
     let mut samples = Vec::with_capacity(iters);
     for _ in 0..iters {
         let t0 = Instant::now();
-        exec.spmv_multi(x, k, y, pool);
-        let dt = t0.elapsed().as_secs_f64();
-        std::hint::black_box(&y[..]);
-        samples.push(dt);
-        if dt < best {
-            best = dt;
-        }
+        product();
+        samples.push(t0.elapsed().as_secs_f64());
     }
+    let best = samples.iter().copied().fold(f64::INFINITY, f64::min);
     let mem = exec.memory_requirement_multi(k);
     let m = SpmmMeasurement {
-        name: exec.name(),
-        threads: pool.n_threads(),
+        name: name.to_string(),
+        threads,
         k,
         secs_min: best,
         gflops: k as f64 * exec.flops() / best / 1e9,

@@ -53,10 +53,11 @@ impl CpuFeatures {
     /// elements of `bytes`-wide floats.
     ///
     /// * f32: W=16 needs `avx512f`; W=8/W=4 need `avx512f + avx512vl`.
-    /// * f64: W=8 needs `avx512f`; W=4/W=2 need `avx512f + avx512vl`.
+    /// * f64: W=16 (two 8-lane expansions) and W=8 need `avx512f`;
+    ///   W=4/W=2 need `avx512f + avx512vl`.
     pub fn hw_expand_available(&self, bytes: usize, w: usize) -> bool {
         match (bytes, w) {
-            (4, 16) | (8, 8) => self.avx512f,
+            (4, 16) | (8, 16) | (8, 8) => self.avx512f,
             (4, 8) | (4, 4) | (8, 4) | (8, 2) => self.avx512f && self.avx512vl,
             _ => false,
         }
@@ -128,7 +129,9 @@ mod tests {
         // No hardware path for unsupported widths.
         assert!(!f.hw_expand_available(4, 32));
         assert!(!f.hw_expand_available(2, 8));
-        assert!(!f.hw_expand_available(8, 16));
+        assert!(!f.hw_expand_available(8, 32));
+        // f64 ×16 is two ×8 expansions: available exactly when ×8 is.
+        assert_eq!(f.hw_expand_available(8, 16), f.hw_expand_available(8, 8));
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! nonzeros into a full `W`-lane vector before the FMA:
 //!
 //! * **hardware path**: AVX-512 `vexpandps`/`vexpandpd` (zmm with
-//!   `avx512f`, ymm/xmm with `avx512vl`) — the *only* intrinsic the whole
+//!   `avx512f`, ymm/xmm with `avx512vl`; f64 ×16 is two zmm
+//!   expansions) — the *only* intrinsic the whole
 //!   suite uses, mirroring the paper's single exception to
 //!   compiler-assisted vectorization;
 //! * **software path** (`soft-vexpand`): a portable per-lane scatter loop.
@@ -253,6 +254,18 @@ impl MaskExpand for f64 {
         #[cfg(target_arch = "x86_64")]
         {
             match W {
+                16 => {
+                    // Two 8-lane expansions; the high half's values
+                    // follow the low half's popcount(mask & 0xFF), so
+                    // together they read exactly popcount(mask) values.
+                    let lo = x86::expand_f64x8(mask as u8, src);
+                    let hi_src = src.add((mask & 0xFF).count_ones() as usize);
+                    let hi = x86::expand_f64x8((mask >> 8) as u8, hi_src);
+                    let mut out = [0.0f64; 16];
+                    out[..8].copy_from_slice(&lo);
+                    out[8..].copy_from_slice(&hi);
+                    write_out::<f64, W, 16>(out)
+                }
                 8 => write_out::<f64, W, 8>(x86::expand_f64x8(mask as u8, src)),
                 4 => write_out::<f64, W, 4>(x86::expand_f64x4(mask as u8, src)),
                 2 => write_out::<f64, W, 2>(x86::expand_f64x2(mask as u8, src)),
@@ -337,6 +350,25 @@ mod tests {
         hw_soft_agree::<f64, 8>(&values);
     }
 
+    /// f64 ×16 is two ×8 expansions stitched at popcount(mask & 0xFF):
+    /// equal to `expand_soft` over random masks.
+    #[test]
+    fn hw_matches_soft_f64x16_random_masks() {
+        if !f64::hw_available::<16>() {
+            return;
+        }
+        let mut rng = crate::rng::XorShift64::new(16);
+        let values: Vec<f64> = (1..=16).map(|i| i as f64 * 0.375 - 2.0).collect();
+        for _ in 0..4096 {
+            let mask = (rng.next_u64() & 0xFFFF) as u32;
+            let src = &values[..mask.count_ones() as usize];
+            let soft: [f64; 16] = expand_soft(mask, src);
+            let hard: [f64; 16] = expand_with(ExpandPath::Hardware, mask, src);
+            assert_eq!(soft, hard, "mask {mask:#018b}");
+        }
+        hw_soft_agree::<f64, 16>(&values);
+    }
+
     #[test]
     fn select_path_consistent_with_detection() {
         let p = select_path::<f32, 16>();
@@ -345,8 +377,9 @@ mod tests {
         } else {
             assert_eq!(p, ExpandPath::Software);
         }
+        assert_eq!(select_path::<f64, 16>(), p);
         // Widths with no hardware variant always fall back to software.
-        assert_eq!(select_path::<f64, 16>(), ExpandPath::Software);
+        assert_eq!(select_path::<f64, 32>(), ExpandPath::Software);
     }
 
     #[test]

@@ -54,6 +54,26 @@ pub fn fma_tile<T: Scalar, const W: usize, const K: usize>(
     }
 }
 
+/// `K`×`W` register-tile FMA of the transpose: fold one matrix lane
+/// block into `K` accumulators, row `k` against RHS `k`'s own `W`-lane
+/// `ỹ` row: `accs[k][l] = vals[l]·ys[k][l] + accs[k][l]`.
+///
+/// `K` innermost for the reason given at [`fma_tile`]: every row stays
+/// whole vector FMAs along `W`.
+#[inline(always)]
+// Checked indexing guards the lane window — callers present exactly W (or len-bounded) elements; panicking on a malformed offset beats UB.
+pub fn fma_tile_rows<T: Scalar, const W: usize, const K: usize>(
+    accs: &mut [[T; W]; K],
+    vals: &[T; W],
+    ys: &[[T; W]; K],
+) {
+    for l in 0..W {
+        for k in 0..K {
+            accs[k][l] = vals[l].mul_add(ys[k][l], accs[k][l]);
+        }
+    }
+}
+
 /// Load a `K`×`W` tile from `K` consecutive `W`-blocks starting at `at`
 /// — the interleaved multi-RHS `ỹ` layout, where RHS `k`'s segment for
 /// a lane block sits at `base + k·W`.
