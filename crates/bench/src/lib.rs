@@ -124,9 +124,10 @@ pub fn trace_report() -> TraceReport {
 pub fn banner() {
     let feats = cscv_simd::cpu_features();
     println!(
-        "machine: {} hw threads, simd: {}",
+        "machine: {} hw threads, simd: {}, {}",
         ThreadPool::max_parallelism(),
-        feats.summary()
+        feats.summary(),
+        cscv_harness::CacheSizes::detect()
     );
 }
 

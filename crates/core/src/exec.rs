@@ -4,9 +4,10 @@
 //!
 //! * Forward: threads own whole view groups. Group row ranges are
 //!   disjoint, so scatters go straight into `y` with no reduction.
-//!   Balanced by per-group nnz (near-perfect thanks to paper property
-//!   P3). This replaces the paper's private-`y` copies plus reduction,
-//!   which at best tied it in an A/B (EXPERIMENTS.md, E-X1).
+//!   Split by per-group nnz into the contiguous ranges whose heaviest
+//!   is lightest (`partition::split_by_prefix`). This replaces the
+//!   paper's private-`y` copies plus reduction, which at best tied it
+//!   in an A/B (EXPERIMENTS.md, E-X1).
 //! * Transpose: threads own whole image tiles, whose column sets are
 //!   disjoint.
 //!
@@ -61,6 +62,18 @@ fn trace_block_pass<T: Scalar>(m: &CscvMatrix<T>, blk: &Block<T>, k: u64) {
     }
 }
 
+/// Running sum of per-item nonzeros, each counted as at least 1 — the
+/// prefix `partition::split_by_prefix` cuts into thread ranges.
+fn nnz_prefix(nnz: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut acc = 0usize;
+    std::iter::once(0)
+        .chain(nnz.map(|w| {
+            acc += w.max(1);
+            acc
+        }))
+        .collect()
+}
+
 /// The expand path this machine offers CSCV-M at lane width `s_vvec`.
 fn available_path<T: MaskExpand>(s_vvec: usize) -> ExpandPath {
     match s_vvec {
@@ -108,8 +121,12 @@ pub struct CscvExec<T: Scalar> {
     path: ExpandPath,
     /// Blocks grouped by image tile (transpose partitioning: one tile's
     /// blocks touch a fixed column set, so tiles are the row-disjoint
-    /// axis of `x = Aᵀy`). Parallel order: tiles sorted by nnz prefix.
+    /// axis of `x = Aᵀy`), in tile order.
     tile_blocks: Vec<Vec<u32>>,
+    /// Nonzero prefixes the two directions split across threads: over
+    /// view groups (forward) and over `tile_blocks` (transpose). Every
+    /// item weighs at least 1, so empty ones still spread out.
+    group_prefix: Vec<usize>,
     tile_prefix: Vec<usize>,
     ytil_scratch: Scratch<T>,
 }
@@ -138,21 +155,17 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
             let bi = u32::try_from(bi).expect("block index fits u32 (CSCV-U32-FIT)");
             tile_blocks[b.tile as usize].push(bi);
         }
-        let mut tile_prefix = Vec::with_capacity(n_tiles + 1);
-        tile_prefix.push(0usize);
-        let mut acc = 0usize;
-        for blocks in &tile_blocks {
-            acc += blocks
+        let group_prefix = nnz_prefix(m.groups.iter().map(|g| g.nnz));
+        let tile_prefix = nnz_prefix(
+            tile_blocks
                 .iter()
-                .map(|&bi| m.blocks[bi as usize].nnz)
-                .sum::<usize>()
-                .max(1);
-            tile_prefix.push(acc);
-        }
+                .map(|blocks| blocks.iter().map(|&bi| m.blocks[bi as usize].nnz).sum()),
+        );
         CscvExec {
             m,
             path,
             tile_blocks,
+            group_prefix,
             tile_prefix,
             ytil_scratch: Scratch::new(),
         }
@@ -315,8 +328,7 @@ impl<T: Scalar + MaskExpand> CscvExec<T> {
         let n = pool.n_threads();
         let n_rows = self.m.n_rows;
         let mut ytil_bufs = self.ytil_scratch.take(n, self.m.max_ytil * K);
-        let weights: Vec<usize> = self.m.groups.iter().map(|g| g.nnz.max(1)).collect();
-        let ranges = partition::split_by_weights(&weights, n);
+        let ranges = partition::split_by_prefix(&self.group_prefix, n);
         let out = SharedSliceMut::new(y);
         let bufs = SharedSliceMut::new(&mut ytil_bufs[..]);
         pool.run(|tid| {
@@ -683,6 +695,40 @@ mod tests {
         }
         let (csc, layout, img) = ct_like::<f32>(13, 24, 8, 6);
         check_transpose_multi(&csc, layout, img, CscvParams::new(4, 16, 2), &[8, 9, 16]);
+    }
+
+    /// Threads own disjoint rows (forward) or columns (transpose), so
+    /// no thread split changes a summation order: 2 and 3 threads
+    /// give the 1-thread bits for every product.
+    #[test]
+    fn products_are_bitwise_equal_at_every_thread_count() {
+        let (csc, layout, img) = ct_like::<f64>(13, 24, 8, 6);
+        let (nc, nr) = (csc.n_cols(), csc.n_rows());
+        let pools = [ThreadPool::new(1), ThreadPool::new(2), ThreadPool::new(3)];
+        for params in [CscvParams::new(4, 4, 2), CscvParams::new(2, 8, 3)] {
+            for exec in every_config(&csc, layout, img, params) {
+                for k in [1usize, 3] {
+                    let x: Vec<f64> = (0..k * nc).map(|i| (i as f64 * 0.13).sin()).collect();
+                    let y: Vec<f64> = (0..k * nr).map(|i| (i as f64 * 0.07).cos()).collect();
+                    let run = |pool: &ThreadPool| {
+                        let mut ax = vec![f64::NAN; k * nr];
+                        exec.spmv_multi(&x, k, &mut ax, pool);
+                        let mut aty = vec![f64::NAN; k * nc];
+                        exec.spmv_transpose_multi(&y, k, &mut aty, pool);
+                        (ax, aty)
+                    };
+                    let serial = run(&pools[0]);
+                    for pool in &pools[1..] {
+                        assert!(
+                            run(pool) == serial,
+                            "{:?} k={k} threads={}",
+                            exec.config(),
+                            pool.n_threads()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

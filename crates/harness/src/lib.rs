@@ -23,6 +23,7 @@
 // Test code narrows freely; clippy.toml exempts its panics the same way.
 #![cfg_attr(test, allow(clippy::cast_possible_truncation))]
 
+pub mod cache;
 pub mod gen;
 pub mod manifest;
 pub mod membw;
@@ -32,6 +33,7 @@ pub mod suite;
 pub mod table;
 pub mod timing;
 
+pub use cache::CacheSizes;
 pub use roofline::{classify, model_point, Bound, RooflinePoint};
 pub use suite::{executor_field, prepare, PreparedDataset};
 pub use timing::{

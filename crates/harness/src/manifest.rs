@@ -14,6 +14,7 @@
 //! best-effort: a benchmark run never fails because a manifest could not
 //! be written.
 
+use crate::cache::CacheSizes;
 use crate::timing::{LatencySummary, SpmmMeasurement, SpmvMeasurement};
 use cscv_trace::json::Json;
 use std::io::Write;
@@ -33,13 +34,16 @@ use std::sync::atomic::{AtomicI64, Ordering};
 /// * **v3**: every record carries `target_features`, the build's
 ///   compile-time `fma`/`avx2`/`avx512f`, so a
 ///   scalar-call build can never be compared against a packed-FMA one.
+/// * **v4**: every record carries `cache`, the machine's
+///   `{"l2_bytes":…,"l3_bytes":…}` from sysfs (0 when unreadable).
+///   `perf-report --diff` does not compare them.
 ///
 /// The consumer (`cscv-xtask perf-report`) keys off field presence,
 /// not the version number, so v1 files keep parsing:
 /// a line without `samples` is treated as a single-sample distribution
 /// at `secs_min`, and a line without `target_features` as a build that
 /// did not record them.
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// The build's compile-time target features that decide how the kernels
 /// were lowered, as a JSON object `{"fma":…,"avx2":…,"avx512f":…}`.
@@ -52,13 +56,24 @@ fn target_features() -> Json {
     ])
 }
 
-/// The fields every record starts with: type, schema, driver and build.
+/// The machine's cache sizes as `{"l2_bytes":…,"l3_bytes":…}`.
+fn cache() -> Json {
+    let c = CacheSizes::detect();
+    Json::obj(vec![
+        ("l2_bytes", c.l2_bytes.into()),
+        ("l3_bytes", c.l3_bytes.into()),
+    ])
+}
+
+/// The fields every record starts with: type, schema, driver, build
+/// and caches.
 fn header(kind: &str) -> Vec<(&'static str, Json)> {
     vec![
         ("type", kind.into()),
         ("schema", SCHEMA_VERSION.into()),
         ("driver", driver_name().into()),
         ("target_features", target_features()),
+        ("cache", cache()),
     ]
 }
 
@@ -347,7 +362,16 @@ mod tests {
     #[test]
     fn every_record_header_carries_the_build() {
         let back = Json::parse(&Json::obj(header("membw")).to_string()).unwrap();
-        assert_eq!(back.get("schema").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(back.get("schema").and_then(Json::as_f64), Some(4.0));
+        let cache = back.get("cache").expect("v4 records the caches");
+        let sizes = CacheSizes::detect();
+        for (name, bytes) in [("l2_bytes", sizes.l2_bytes), ("l3_bytes", sizes.l3_bytes)] {
+            assert_eq!(
+                cache.get(name).and_then(Json::as_f64),
+                Some(bytes as f64),
+                "{name}"
+            );
+        }
         let tf = back.get("target_features").expect("v3 records the build");
         let built = cscv_simd::build_features();
         for (name, on) in [

@@ -5,19 +5,20 @@
 //! can rebuild a valid [`cscv_core::SinoLayout`] for its slice). Two
 //! balancers over per-row nonzero counts:
 //!
-//! * [`PartitionMethod::Stripe`] — contiguous striping: one
-//!   prefix-balanced sweep ([`cscv_sparse::partition::split_by_prefix`]),
-//!   the same scheme the thread pool uses intra-shard.
+//! * [`PartitionMethod::Stripe`] — the contiguous split whose heaviest
+//!   shard is as light as possible
+//!   ([`cscv_sparse::partition::split_by_prefix`]), the same rule the
+//!   thread pool uses intra-shard.
 //! * [`PartitionMethod::Bisect`] — recursive bisection: split the block
 //!   range at the boundary closest to the weighted midpoint, recurse on
-//!   both halves. For skewed distributions the local boundary search
-//!   gives tighter per-shard bounds than a single striping sweep.
+//!   both halves. Its heaviest shard is never lighter than stripe's.
 //!
 //! Both methods guarantee exact coverage and disjointness (contiguous
 //! ranges by construction) and the balance bound
 //! `max shard nnz ≤ mean + w_max·⌈log₂ k⌉`, where `w_max` is the
 //! heaviest indivisible block — verified over the fuzz families in
-//! `tests/partition.rs`.
+//! `tests/partition.rs`, along with stripe never being worse than
+//! bisect.
 
 use cscv_simd::Scalar;
 use cscv_sparse::partition::split_by_prefix;
@@ -88,7 +89,7 @@ impl ColWindow {
 /// How shard boundaries are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionMethod {
-    /// Contiguous striping balanced by one prefix sweep.
+    /// The contiguous split whose heaviest shard is lightest.
     #[default]
     Stripe,
     /// Recursive bisection over block weights.

@@ -9,7 +9,9 @@
 //! * **nnz conservation** — per-shard nonzero counts sum to the total;
 //! * **the documented balance bound** — `max shard nnz ≤ mean +
 //!   w_max·⌈log₂ k⌉` with `w_max` the heaviest indivisible block (see
-//!   `cscv_shard::plan` module docs).
+//!   `cscv_shard::plan` module docs);
+//! * **stripe ≤ bisect** — stripe's heaviest shard is never heavier
+//!   than bisect's.
 
 use cscv_harness::gen::{generate, random_desc, CaseDesc};
 use cscv_shard::{slice_rows, PartitionMethod, ShardPlan};
@@ -92,6 +94,32 @@ fn balance_bound_holds_for_both_methods() {
                     );
                     assert!(plan.imbalance(&row_nnz) >= 1.0 - 1e-12);
                 }
+            }
+        }
+    }
+}
+
+/// Stripe returns the contiguous split whose heaviest shard is
+/// lightest, and bisect returns some contiguous split: stripe's heaviest
+/// shard is never heavier.
+#[test]
+fn stripe_is_never_worse_than_bisect() {
+    for seed in 0..150u64 {
+        let (desc, _, row_nnz) = family_rows(seed);
+        for block_rows in block_sizes(&desc, row_nnz.len()) {
+            for k in [2usize, 3, 4, 7, 16] {
+                let heaviest = |method| {
+                    let plan = ShardPlan::new(&row_nnz, k, block_rows, method);
+                    plan.shard_nnz(&row_nnz).into_iter().max().unwrap()
+                };
+                let (stripe, bisect) = (
+                    heaviest(PartitionMethod::Stripe),
+                    heaviest(PartitionMethod::Bisect),
+                );
+                assert!(
+                    stripe <= bisect,
+                    "seed {seed} k={k} block={block_rows}: stripe {stripe} > bisect {bisect}"
+                );
             }
         }
     }

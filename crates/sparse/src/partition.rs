@@ -1,11 +1,12 @@
 //! Work partitioning helpers.
 //!
 //! Thread-level SpMV parallelism in the suite is contiguous-range based:
-//! rows (or columns, or CSCV view-groups) are split into one range per
-//! thread, balanced by nonzero count. The paper's property P3 (integral
-//! operators give near-uniform column densities) makes contiguous
-//! partitions near-optimal, but the helpers balance by exact weight anyway
-//! so general matrices stay fair.
+//! rows (or columns, or CSCV view groups and tiles) are split into one
+//! range per thread by nonzero count. [`split_by_prefix`] returns the
+//! contiguous split whose heaviest range is the lightest possible. That
+//! matters when the items are few and coarse: a 512² CT matrix has just
+//! two CSCV-Z view groups, and a rule that cuts at the first boundary
+//! past `t·total/k` would hand both to one thread.
 
 use std::ops::Range;
 
@@ -25,33 +26,55 @@ pub fn even_chunks(n: usize, k: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Split `0..prefix.len()-1` items into `k` contiguous ranges with
-/// near-equal weight, where `prefix` is the cumulative weight array
-/// (e.g. a CSR `row_ptr`): item `i` weighs `prefix[i+1] - prefix[i]`.
+/// Split `0..prefix.len()-1` items into `k` contiguous ranges, where
+/// `prefix` is the cumulative weight array (e.g. a CSR `row_ptr`): item
+/// `i` weighs `prefix[i+1] - prefix[i]`.
 ///
-/// Returns exactly `k` ranges covering all items in order.
+/// Returns the contiguous split whose heaviest range is as light as
+/// possible: the smallest cap `B` under which a greedy left-to-right
+/// cut covers every item in `k` ranges, found by binary search over
+/// `[⌈total/k⌉, total]`. No cap below the heaviest item covers it, so
+/// the search clears that lower bound too without a pass over the
+/// items; the cost is `O(k · log n · log total)`.
+///
+/// Returns exactly `k` ranges covering all items in order; trailing
+/// ones may be empty.
 pub fn split_by_prefix(prefix: &[usize], k: usize) -> Vec<Range<usize>> {
     assert!(k >= 1);
     assert!(!prefix.is_empty(), "prefix must have at least one element");
     let n = prefix.len() - 1;
     let total = prefix[n] - prefix[0];
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0usize;
-    for t in 1..=k {
-        let target = prefix[0] + (total as u128 * t as u128 / k as u128) as usize;
-        // First boundary with cumulative weight >= target, not before start.
-        let mut end = prefix.partition_point(|&w| w < target);
-        end = end.clamp(start, n);
-        if t == k {
-            end = n;
+    let covers = |cap| greedy_cuts(prefix, k, cap).last().map(|r| r.end) == Some(n);
+    // `cap = total` always covers, so the search ends on a cap that does.
+    let (mut lo, mut hi) = (total.div_ceil(k), total);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if covers(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
         }
-        out.push(start..end);
-        start = end;
     }
-    out
+    greedy_cuts(prefix, k, lo).collect()
 }
 
-/// Convenience: balanced split of explicit per-item weights.
+/// `k` ranges cut left to right, each taking items while its weight
+/// stays `≤ cap` (one `partition_point` on the prefix per cut). They
+/// cover every item exactly when some split of heaviest range `≤ cap`
+/// exists.
+fn greedy_cuts(prefix: &[usize], k: usize, cap: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut start = 0usize;
+    (0..k).map(move |_| {
+        let limit = prefix[start].saturating_add(cap);
+        // `prefix[start] ≤ limit`, so the cut never falls before `start`.
+        let end = prefix.partition_point(|&p| p <= limit) - 1;
+        let r = start..end;
+        start = end;
+        r
+    })
+}
+
+/// Convenience: [`split_by_prefix`] over explicit per-item weights.
 pub fn split_by_weights(weights: &[usize], k: usize) -> Vec<Range<usize>> {
     let mut prefix = Vec::with_capacity(weights.len() + 1);
     prefix.push(0usize);
@@ -154,6 +177,29 @@ mod tests {
             vec![0..3, 3..6, 6..9, 9..12],
             "uniform weights give even chunks"
         );
+    }
+
+    /// The view-group nonzeros of the 512² CT matrix at the static
+    /// heuristic parameters. CSCV-Z has two groups, the lighter first:
+    /// each thread gets one. CSCV-M's four split two and two.
+    #[test]
+    fn ct512_view_groups_split_evenly_across_two_threads() {
+        assert_eq!(
+            split_by_weights(&[8_808_536, 9_495_152], 2),
+            vec![0..1, 1..2]
+        );
+        assert_eq!(
+            split_by_weights(&[4_304_998, 4_503_538, 4_675_674, 4_819_478], 2),
+            vec![0..2, 2..4]
+        );
+    }
+
+    /// Cutting where the prefix first reaches `t·total/k` would give
+    /// `[0..2, 2..2]` (max 11) and `[0..1, 1..4, 4..4]` (max 12).
+    #[test]
+    fn heaviest_range_is_the_lightest_possible() {
+        assert_eq!(split_by_weights(&[1, 10], 2), vec![0..1, 1..2]);
+        assert_eq!(split_by_weights(&[10, 1, 1, 10], 3), vec![0..1, 1..3, 3..4]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! bench_results/smoke/
-//!   manifests/*.ndjson   # measurement records (schema v1 to v3)
+//!   manifests/*.ndjson   # measurement records (schema v1 to v4)
 //!   trace/*.ndjson       # optional cscv-trace dumps (CSCV_TRACE_OUT)
 //! ```
 //!

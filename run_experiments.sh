@@ -77,7 +77,7 @@ if [ "$SMOKE" = 1 ]; then
     runt fig8     $R fig8_param_sweep    -- --dataset ct128                       > $OUT/fig8.txt    2>&1
     runt fig9     $R fig9_param_perf     -- --dataset ct128 --threads 1 --iters 2 > $OUT/fig9.txt    2>&1
     runt table3   $R table3_params       -- --dataset ct128 --threads 1 --iters 2 > $OUT/table3.txt  2>&1
-    runt fig10    $R fig10_scalability   -- --dataset ct128 --threads 1 --iters 2 > $OUT/fig10.txt   2>&1
+    runt fig10    $R fig10_scalability   -- --dataset ct128 --threads 1,2 --iters 2 > $OUT/fig10.txt  2>&1
     runt fig11    $R fig11_membw         -- --dataset ct128 --threads 1 --iters 2 > $OUT/fig11.txt   2>&1
     runt table4   $R table4_best_perf    -- --dataset ct128 --threads 1 --iters 2 > $OUT/table4.txt  2>&1
     runt ablation $R ablation            -- --dataset ct128 --threads 1 --iters 2 > $OUT/ablation.txt 2>&1
