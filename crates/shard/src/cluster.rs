@@ -29,7 +29,7 @@
 //! collective; its id rides on the request, and workers parent their
 //! compute spans to it.
 
-use crate::plan::{slice_rows, ColWindow, ShardPlan};
+use crate::plan::{ColWindow, ShardPlan};
 use crate::protocol::{Msg, Role};
 use crate::wire::Conn;
 use crate::worker;
@@ -63,7 +63,7 @@ pub struct WorkerReport {
     pub shard: usize,
     pub rows: Range<usize>,
     pub nnz: usize,
-    /// Executor the worker built ("CSCV-Z", "MKL-CSR(analog)", …).
+    /// Executor the worker built ("CSCV-M", "MKL-CSR(analog)", …).
     pub exec: String,
     /// Column-support (halo) window.
     pub col_lo: usize,
@@ -222,8 +222,11 @@ impl Cluster {
         let mut shard_nnz = Vec::with_capacity(n);
         for (i, conn) in conns.iter_mut().enumerate() {
             let range = plan.ranges[i].clone();
-            let shard = slice_rows(csr, range.clone());
-            shard_nnz.push(shard.nnz());
+            // The shard's rows go from `csr` straight into the message,
+            // with no intermediate shard matrix in between.
+            let row_ptr = &csr.row_ptr()[range.start..=range.end];
+            let (lo, hi) = (row_ptr[0], row_ptr[range.len()]);
+            shard_nnz.push(hi - lo);
             Msg::Hello {
                 shard: i as u64,
                 n_shards: n as u64,
@@ -246,9 +249,9 @@ impl Cluster {
                 n_bins: n_bins as u64,
                 nx: img.nx as u64,
                 ny: img.ny as u64,
-                row_ptr: shard.row_ptr().iter().map(|&p| p as u64).collect(),
-                col_idx: shard.col_idx().to_vec(),
-                vals: shard.vals().to_vec(),
+                row_ptr: row_ptr.iter().map(|&p| (p - lo) as u64).collect(),
+                col_idx: csr.col_idx()[lo..hi].to_vec(),
+                vals: csr.vals()[lo..hi].to_vec(),
             }
             .send(conn)?;
         }

@@ -1,13 +1,13 @@
-//! Sharded multi-process CT reconstruction (ROADMAP item 1).
+//! Sharded multi-process CT reconstruction.
 //!
 //! The paper's CSCV SpMV is the *intra-node* kernel; this crate is the
 //! first inter-process layer on top of it. An assembled system matrix is
 //! partitioned into contiguous **row shards** ([`plan`]), a coordinator
 //! hands each shard to a worker *process* over a framed Unix-socket
 //! protocol ([`wire`], [`protocol`]), and the workers execute their
-//! shard through the existing executor stack — a [`cscv_core::CscvExec`]
-//! built from the static heuristic when the shard is view-aligned, the
-//! tuned CSR pair otherwise ([`worker`]).
+//! shard through the existing executor stack — a CSCV-M
+//! [`cscv_core::CscvExec`] built from the static heuristic when the
+//! shard is view-aligned, the CSR pair otherwise ([`worker`]).
 //!
 //! Data flow per solver iteration (row decomposition, as in the
 //! MLEM/LAIK row-block scheme):

@@ -429,7 +429,7 @@ mod tests {
         round_trip(Msg::MatrixAck {
             col_lo: 1,
             col_hi: 9,
-            exec: "CSCV-Z".into(),
+            exec: "CSCV-M".into(),
         });
         round_trip(Msg::Spmv {
             span: 17,

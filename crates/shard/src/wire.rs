@@ -139,32 +139,29 @@ impl Enc {
         self
     }
 
+    /// A length-prefixed array of `N`-byte elements: the bytes are
+    /// reserved once, then written in one pass.
+    fn array<T: Copy, const N: usize>(&mut self, vs: &[T], le: impl Fn(T) -> [u8; N]) -> &mut Enc {
+        self.u64(vs.len() as u64);
+        self.buf.reserve(std::mem::size_of_val(vs));
+        self.buf.extend(vs.iter().flat_map(|&v| le(v)));
+        self
+    }
+
     /// A `[u64]` slice, length-prefixed.
     pub fn u64s(&mut self, vs: &[u64]) -> &mut Enc {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        self
+        self.array(vs, u64::to_le_bytes)
     }
 
     /// A `[u32]` slice, length-prefixed.
     pub fn u32s(&mut self, vs: &[u32]) -> &mut Enc {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-        self
+        self.array(vs, u32::to_le_bytes)
     }
 
     /// An `[f64]` slice, length-prefixed. Bit-exact: values round-trip
-    /// through `to_bits`, so NaN payloads and signed zeros survive.
+    /// through their bits, so NaN payloads and signed zeros survive.
     pub fn f64s(&mut self, vs: &[f64]) -> &mut Enc {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        self
+        self.array(vs, f64::to_le_bytes)
     }
 
     /// A UTF-8 string, length-prefixed.
@@ -219,35 +216,39 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take_array()?))
     }
 
-    fn len_prefix(&mut self, elem_bytes: usize) -> io::Result<usize> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| bad("length overflows usize"))?;
-        if n.checked_mul(elem_bytes).is_none_or(|b| b > self.buf.len()) {
-            return Err(bad("array length exceeds payload"));
+    /// The bytes of a length-prefixed run of `elem_bytes`-byte
+    /// elements, checked against the payload before anything is sized
+    /// from the length.
+    fn prefixed(&mut self, elem_bytes: usize) -> io::Result<&'a [u8]> {
+        let n = usize::try_from(self.u64()?).map_err(|_| bad("length overflows usize"))?;
+        match n.checked_mul(elem_bytes) {
+            Some(bytes) if bytes <= self.buf.len() => self.take(bytes),
+            _ => Err(bad("array length exceeds payload")),
         }
-        Ok(n)
+    }
+
+    /// A length-prefixed array of `N`-byte elements: its bytes are
+    /// taken once and converted in one pass.
+    fn array<T, const N: usize>(&mut self, from_le: impl Fn([u8; N]) -> T) -> io::Result<Vec<T>> {
+        let (elems, _) = self.prefixed(N)?.as_chunks::<N>();
+        Ok(elems.iter().map(|&b| from_le(b)).collect())
     }
 
     pub fn u64s(&mut self) -> io::Result<Vec<u64>> {
-        let n = self.len_prefix(8)?;
-        (0..n).map(|_| self.u64()).collect()
+        self.array(u64::from_le_bytes)
     }
 
     pub fn u32s(&mut self) -> io::Result<Vec<u32>> {
-        let n = self.len_prefix(4)?;
-        (0..n)
-            .map(|_| Ok(u32::from_le_bytes(self.take_array()?)))
-            .collect()
+        self.array(u32::from_le_bytes)
     }
 
+    /// Bit-exact inverse of [`Enc::f64s`].
     pub fn f64s(&mut self) -> io::Result<Vec<f64>> {
-        let n = self.len_prefix(8)?;
-        (0..n).map(|_| Ok(f64::from_bits(self.u64()?))).collect()
+        self.array(f64::from_le_bytes)
     }
 
     pub fn str(&mut self) -> io::Result<String> {
-        let n = self.len_prefix(1)?;
-        let b = self.take(n)?;
+        let b = self.prefixed(1)?;
         String::from_utf8(b.to_vec()).map_err(|_| bad("non-UTF-8 string"))
     }
 
@@ -316,12 +317,112 @@ mod tests {
         d.finish().unwrap();
     }
 
+    /// Arrays the size of a shard's matrix round-trip bit for bit,
+    /// every awkward f64 included.
+    #[test]
+    fn large_arrays_round_trip_bit_exact() {
+        const N: usize = 1 << 20;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let u64s: Vec<u64> = (0..N)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            })
+            .collect();
+        let u32s: Vec<u32> = u64s.iter().map(|&v| (v >> 17) as u32).collect();
+        let special = [
+            -0.0,
+            0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7FF0_0000_0000_0001), // signalling NaN
+            f64::from_bits(0xFFF8_DEAD_BEEF_0001), // NaN with a payload
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            f64::MAX,
+        ];
+        let f64s: Vec<f64> = u64s
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| special.get(i % 64).copied().unwrap_or(f64::from_bits(v)))
+            .collect();
+        let payload = Enc::new().u64s(&u64s).u32s(&u32s).f64s(&f64s).finish();
+        assert_eq!(payload.len(), 3 * 8 + N * (8 + 4 + 8));
+        let mut d = Dec::new(&payload);
+        assert_eq!(d.u64s().unwrap(), u64s);
+        assert_eq!(d.u32s().unwrap(), u32s);
+        let back = d.f64s().unwrap();
+        d.finish().unwrap();
+        assert_eq!(back.len(), N);
+        for (i, (a, b)) in back.iter().zip(&f64s).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "f64 {i}");
+        }
+    }
+
+    /// The wire layout, pinned byte for byte: each array is a `u64`
+    /// length and then its elements, all little-endian.
+    #[test]
+    fn payload_layout_is_pinned() {
+        let payload = Enc::new()
+            .u64(0x0102_0304_0506_0708)
+            .u64s(&[0x1122_3344_5566_7788])
+            .u32s(&[0xAABB_CCDD, 1])
+            .f64s(&[-0.0, 1.5])
+            .str("ok")
+            .finish();
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            8, 7, 6, 5, 4, 3, 2, 1,
+            1, 0, 0, 0, 0, 0, 0, 0, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+            2, 0, 0, 0, 0, 0, 0, 0, 0xDD, 0xCC, 0xBB, 0xAA, 1, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0xF8, 0x3F,
+            2, 0, 0, 0, 0, 0, 0, 0, b'o', b'k',
+        ];
+        assert_eq!(payload, want);
+    }
+
+    /// Every array decoder turns a cut-short or lying payload into a
+    /// typed `InvalidData` error, never a panic or an allocation the
+    /// payload does not back.
     #[test]
     fn decoder_rejects_lying_lengths() {
-        // Claims 1000 f64s but carries none.
-        let payload = Enc::new().u64(1000).finish();
-        let mut d = Dec::new(&payload);
-        assert!(d.f64s().is_err());
+        type Decode = fn(&mut Dec<'_>) -> io::Result<()>;
+        let cases: [(&str, Vec<u8>, Decode); 3] = [
+            ("u64s", Enc::new().u64s(&[1, 2, 3]).finish(), |d| {
+                d.u64s().map(drop)
+            }),
+            ("u32s", Enc::new().u32s(&[1, 2, 3]).finish(), |d| {
+                d.u32s().map(drop)
+            }),
+            ("f64s", Enc::new().f64s(&[1.0, 2.0, 3.0]).finish(), |d| {
+                d.f64s().map(drop)
+            }),
+        ];
+        for (name, full, decode) in cases {
+            decode(&mut Dec::new(&full)).unwrap();
+            for cut in 0..full.len() {
+                let e = decode(&mut Dec::new(&full[..cut])).unwrap_err();
+                assert_eq!(
+                    e.kind(),
+                    io::ErrorKind::InvalidData,
+                    "{name} cut {cut}: {e}"
+                );
+            }
+            for lie in [4, 1000, u64::MAX / 4 + 1, 1 << 40, u64::MAX] {
+                let mut payload = full.clone();
+                payload[..8].copy_from_slice(&lie.to_le_bytes());
+                let e = decode(&mut Dec::new(&payload)).unwrap_err();
+                assert_eq!(
+                    e.kind(),
+                    io::ErrorKind::InvalidData,
+                    "{name} claims {lie}: {e}"
+                );
+                assert!(e.to_string().contains("malformed frame"), "{e}");
+            }
+        }
         // Trailing garbage is caught by finish().
         let payload = Enc::new().u64(1).u64(7).finish();
         let mut d = Dec::new(&payload);

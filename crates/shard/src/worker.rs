@@ -6,12 +6,15 @@
 //!
 //! * **View-aligned shard** (`n_views > 0` in the Matrix message, i.e.
 //!   the shard's rows are whole sinogram views): convert to CSC and
-//!   build a [`CscvExec`] from the static heuristic,
-//!   `ExecConfig::heuristic(Variant::Z)`. Forward and adjoint both run
-//!   the CSCV kernels.
-//! * **Anything else** (non-aligned boundaries, empty shards): the
-//!   tuned CSR executor for the forward product and a serial
-//!   scatter loop for the adjoint.
+//!   build a CSCV-M [`CscvExec`] from the static heuristic,
+//!   `ExecConfig::heuristic(Variant::M)`. Forward and adjoint both run
+//!   the CSCV kernels. A worker's product is one f64 thread streaming
+//!   its whole shard, which is bandwidth-bound: the case for which the
+//!   paper prescribes CSCV-M, whose value stream carries no padding
+//!   zeros.
+//! * **Anything else** (non-aligned boundaries, empty shards, a layout
+//!   the CSCV build rejects): the CSR executor for the forward product
+//!   and a serial scatter loop for the adjoint.
 //!
 //! Determinism: the CSCV adjoint is tile-disjoint (each column written
 //! by exactly one thread, fixed in-tile order) and the CSR adjoint is
@@ -53,8 +56,9 @@ enum Exec {
     Csr(CsrExec<f64>),
 }
 
-/// One shard's compute state: the executor, the retained CSR (adjoint
-/// fallback and |A| sums), and the column-support window.
+/// One shard's compute state: the executor (CSCV-M for a view-aligned
+/// shard, the CSR pair otherwise; see the module docs), the retained
+/// CSR (adjoint fallback and |A| sums), and the column-support window.
 pub struct ShardBackend {
     csr: Csr<f64>,
     exec: Exec,
@@ -66,7 +70,9 @@ pub struct ShardBackend {
 impl ShardBackend {
     /// Build the backend for a shard. `layout`/`img` describe the
     /// shard's sinogram slice and the image; pass `None` for layout when
-    /// the shard is not view-aligned to force the CSR pair.
+    /// the shard is not view-aligned to force the CSR pair. A layout
+    /// that matches the shard builds CSCV-M; one that does not, or that
+    /// the CSCV build rejects, falls back to the CSR pair.
     pub fn build(
         csr: Csr<f64>,
         layout: Option<SinoLayout>,
@@ -85,7 +91,7 @@ impl ShardBackend {
             {
                 // A shard the heuristic does not build for (odd layout)
                 // degrades to the CSR pair.
-                let cfg = ExecConfig::heuristic(Variant::Z);
+                let cfg = ExecConfig::heuristic(Variant::M);
                 match CscvExec::from_csc(&csr.to_csc(), l, img, cfg) {
                     Ok(exec) => Exec::Cscv(Box::new(exec)),
                     Err(_) => Exec::Csr(CsrExec::new(csr.clone())),
@@ -101,7 +107,7 @@ impl ShardBackend {
         }
     }
 
-    /// Executor name for reports ("CSCV-Z", "MKL-CSR(analog)", …).
+    /// Executor name for reports ("CSCV-M", "MKL-CSR(analog)", …).
     pub fn exec_name(&self) -> String {
         match &self.exec {
             Exec::Cscv(e) => e.name(),
@@ -399,6 +405,61 @@ mod tests {
         assert_eq!(rs, vec![2.0, 1.0, 3.5, 1.0]);
         assert_eq!(cs[1], 2.5);
         assert_eq!(cs[4], 4.0);
+    }
+
+    /// Rows `views` of the tiny CT system matrix, rebased: a
+    /// view-aligned shard as the planner cuts one.
+    fn ct_shard(views: std::ops::Range<usize>) -> (Csr<f64>, SinoLayout, ImageShape) {
+        let ds = cscv_ct::datasets::tiny();
+        let csr = cscv_ct::system::SystemMatrix::assemble_csc::<f64>(&ds.geometry()).to_csr();
+        let rows = views.start * ds.n_bins..views.end * ds.n_bins;
+        let layout = SinoLayout {
+            n_views: views.len(),
+            n_bins: ds.n_bins,
+        };
+        let img = ImageShape {
+            nx: ds.img,
+            ny: ds.img,
+        };
+        (crate::plan::slice_rows(&csr, rows), layout, img)
+    }
+
+    fn assert_close(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0),
+                "{what}[{i}]: {a} vs {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn view_aligned_shard_runs_cscv_m_and_odd_layouts_fall_back_to_csr() {
+        let (csr, layout, img) = ct_shard(5..17);
+        assert!(csr.nnz() > 0);
+        let b = ShardBackend::build(csr.clone(), Some(layout), img, 1);
+        assert_eq!(b.exec_name(), "CSCV-M");
+
+        let x: Vec<f64> = (0..csr.n_cols()).map(|i| (i % 7) as f64 - 2.5).collect();
+        let mut y_ref = vec![0.0; csr.n_rows()];
+        csr.spmv_serial(&x, &mut y_ref);
+        assert_close(&b.spmv(&x), &y_ref, "forward");
+
+        let y: Vec<f64> = (0..csr.n_rows())
+            .map(|i| (i % 5) as f64 * 0.75 - 1.0)
+            .collect();
+        let csr_pair = ShardBackend::build(csr.clone(), None, img, 1);
+        assert_eq!(csr_pair.exec_name(), "MKL-CSR(analog)");
+        assert_close(&b.spmv_t(&y), &csr_pair.spmv_t(&y), "adjoint");
+
+        // A layout that does not tile the shard's rows is an odd layout.
+        let odd = SinoLayout {
+            n_views: layout.n_views + 1,
+            ..layout
+        };
+        let b = ShardBackend::build(csr, Some(odd), img, 1);
+        assert_eq!(b.exec_name(), "MKL-CSR(analog)");
     }
 
     /// Send one request and read the one frame that answers it.

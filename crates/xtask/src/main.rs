@@ -15,7 +15,7 @@
 //!
 //! Exit codes: 0 = clean, 1 = perf regressions / shard
 //! equivalence failures / fuzz failures, 2 = usage or IO error, or a
-//! perf diff of two different builds.
+//! perf diff of two different builds or of hosts with different caches.
 
 use cscv_xtask::{fuzz, perf, shard_cmd};
 use std::path::PathBuf;
@@ -43,7 +43,7 @@ fn usage() -> ExitCode {
          \x20           exporting Chrome traces + flamegraph stacks; with --diff it\n\
          \x20           compares two directories (min-of-reps, relative threshold)\n\
          \x20           and exits 1 on regressions, 2 when the two come from\n\
-         \x20           different builds.\n\
+         \x20           different builds or hosts with different caches.\n\
          shard       sharded multi-process reconstruction gate: assembles the case's\n\
          \x20           system matrix, partitions it into row shards, launches one\n\
          \x20           worker per shard (processes over Unix sockets by default),\n\
@@ -193,12 +193,7 @@ fn perf_diff(
 ) -> Result<ExitCode, String> {
     let la = perf::load_dir(a)?;
     let lb = perf::load_dir(b)?;
-    perf::same_build(&la.builds, &lb.builds).map_err(|why| {
-        format!(
-            "refusing to compare: {why}; rebuild both sides with one \
-             configuration (.cargo/config.toml, RUSTFLAGS)"
-        )
-    })?;
+    perf::comparable(&la, &lb).map_err(|why| format!("refusing to compare: {why}"))?;
     let rows = perf::diff(&la, &lb, threshold);
     match format {
         Format::Table => {

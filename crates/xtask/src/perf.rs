@@ -27,10 +27,13 @@
 //! reps is immune to scheduler noise in a way means are not — and only
 //! flags a regression when the slowdown exceeds the relative threshold.
 //! It refuses to compare two directories whose records come from
-//! different builds (the schema-v3 `target_features`), or a directory
-//! that mixes builds: a kernel built without `fma` is several times
-//! slower on the same CPU, so such a diff would measure the build, not
-//! the change.
+//! different builds (the schema-v3 `target_features`) or from hosts
+//! with different caches (the schema-v4 `cache`), or a directory that
+//! mixes either: a kernel built without `fma` is several times slower
+//! on the same CPU, and a matrix that fits one host's L3 is DRAM-bound
+//! on another, so such a diff would measure the build or the host, not
+//! the change. Nothing else a record carries has to agree, so two
+//! revisions of the code (the point of a diff) always compare.
 
 use cscv_harness::roofline::{self, RooflinePoint};
 use cscv_harness::{summarize_samples, LatencySummary};
@@ -100,6 +103,9 @@ pub struct LoadedDir {
     /// The distinct `target_features` of the kernel records, as JSON
     /// text; `None` for records that do not carry them (schema v1/v2).
     pub builds: BTreeSet<Option<String>>,
+    /// The distinct `cache` sizes of the kernel records, as JSON text;
+    /// `None` for records that do not carry them (schema v1 to v3).
+    pub caches: BTreeSet<Option<String>>,
 }
 
 /// Where the bandwidth ceiling came from.
@@ -166,7 +172,7 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
 
     let mut by_key: BTreeMap<String, KernelAgg> = BTreeMap::new();
     let mut membw: Option<f64> = None;
-    let mut builds = BTreeSet::new();
+    let (mut builds, mut caches) = (BTreeSet::new(), BTreeSet::new());
     let (mut n_records, mut n_v1, mut n_skipped) = (0usize, 0usize, 0usize);
     for path in &files {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -193,7 +199,8 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
                         n_skipped += 1;
                         continue;
                     };
-                    builds.insert(build_of(&v));
+                    builds.insert(recorded(&v, "target_features"));
+                    caches.insert(recorded(&v, "cache"));
                     let driver = v
                         .get("driver")
                         .and_then(Json::as_str)
@@ -247,46 +254,55 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
         n_v1,
         n_skipped,
         builds,
+        caches,
     })
 }
 
-/// The `target_features` of a manifest record as JSON text; `None`
-/// where they were not recorded (schema v1/v2).
-fn build_of(v: &Json) -> Option<String> {
-    v.get("target_features").map(Json::to_string)
+/// A provenance field of a manifest record (`target_features`,
+/// `cache`) as JSON text; `None` where the record does not carry it.
+fn recorded(v: &Json, field: &str) -> Option<String> {
+    v.get(field).map(Json::to_string)
 }
 
-fn show(build: &Option<String>) -> &str {
-    build.as_deref().unwrap_or("(not recorded)")
+fn show(value: &Option<String>) -> &str {
+    value.as_deref().unwrap_or("(not recorded)")
 }
 
-/// The one build all records of a directory came from, or why there is
-/// none.
-pub fn one_build(builds: &BTreeSet<Option<String>>) -> Result<Option<String>, String> {
-    match builds.len() {
-        0 | 1 => Ok(builds.first().cloned().flatten()),
+/// The one value of `field` all records of a directory carry, or why
+/// there is none.
+fn one_value(field: &str, values: &BTreeSet<Option<String>>) -> Result<Option<String>, String> {
+    match values.len() {
+        0 | 1 => Ok(values.first().cloned().flatten()),
         _ => Err(format!(
-            "the manifests mix builds with target features {}",
-            builds.iter().map(show).collect::<Vec<_>>().join(" and ")
+            "the manifests mix {field} {}",
+            values.iter().map(show).collect::<Vec<_>>().join(" and ")
         )),
     }
 }
 
-/// `Ok` when A and B each come from one build, and the same one.
-pub fn same_build(
+/// `Ok` when A and B each record one value of `field`, and the same one.
+fn same_value(
+    field: &str,
     a: &BTreeSet<Option<String>>,
     b: &BTreeSet<Option<String>>,
 ) -> Result<(), String> {
-    let (a, b) = (one_build(a)?, one_build(b)?);
+    let (a, b) = (one_value(field, a)?, one_value(field, b)?);
     if a == b {
         Ok(())
     } else {
-        Err(format!(
-            "A was built with target features {} but B with {}",
-            show(&a),
-            show(&b)
-        ))
+        Err(format!("A records {field} {} but B {}", show(&a), show(&b)))
     }
+}
+
+/// `Ok` when a diff of A and B would measure the code alone: both come
+/// from one build, run on hosts with the same caches. The error says
+/// what differs and how to rerun.
+pub fn comparable(a: &LoadedDir, b: &LoadedDir) -> Result<(), String> {
+    same_value("target_features", &a.builds, &b.builds).map_err(|why| {
+        format!("{why}; rebuild both sides with one configuration (.cargo/config.toml, RUSTFLAGS)")
+    })?;
+    same_value("cache", &a.caches, &b.caches)
+        .map_err(|why| format!("{why}; run both sides on one host"))
 }
 
 /// Pick the bandwidth ceiling: flag > membw record > observed proxy.
@@ -708,12 +724,14 @@ pub fn render_diff_table(a: &LoadedDir, b: &LoadedDir, rows: &[DiffRow], thresho
         threshold * 100.0
     );
     for (side, l) in [("A", a), ("B", b)] {
-        let build = one_build(&l.builds).unwrap_or_else(Some);
+        let build = one_value("target_features", &l.builds).unwrap_or_else(Some);
+        let cache = one_value("cache", &l.caches).unwrap_or_else(Some);
         let _ = writeln!(
             out,
-            "{side}: {} records, target_features {}",
+            "{side}: {} records, target_features {}, cache {}",
             l.n_records,
-            show(&build)
+            show(&build),
+            show(&cache)
         );
     }
     let key_w = rows.iter().map(|r| r.key.len()).max().unwrap_or(3).max(3);
@@ -974,11 +992,12 @@ mod tests {
 
     fn build(fma: bool) -> Option<String> {
         let v = Json::parse(&format!(r#"{{"target_features":{{"fma":{fma}}}}}"#)).unwrap();
-        build_of(&v)
+        recorded(&v, "target_features")
     }
 
     #[test]
     fn refuses_to_compare_different_builds() {
+        let same_build = |a: &BTreeSet<_>, b: &BTreeSet<_>| same_value("target_features", a, b);
         let (native, portable) = (build(true), build(false));
         let set = |b: &[&Option<String>]| b.iter().map(|&b| b.clone()).collect::<BTreeSet<_>>();
         assert_eq!(same_build(&set(&[&native]), &set(&[&native])), Ok(()));
@@ -1000,7 +1019,7 @@ mod tests {
         assert!(same_build(&mixed, &set(&[&native]))
             .unwrap_err()
             .contains("mix"));
-        assert!(one_build(&mixed).is_err());
+        assert!(one_value("target_features", &mixed).is_err());
         // v1/v2 manifests on both sides still compare.
         assert_eq!(same_build(&set(&[&None]), &set(&[&None])), Ok(()));
     }

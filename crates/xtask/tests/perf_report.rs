@@ -175,6 +175,56 @@ fn diff_refuses_manifests_from_different_builds() {
 }
 
 #[test]
+fn diff_refuses_manifests_from_hosts_with_different_caches() {
+    // One build (schema v4) on a host whose L3 reads 105 MiB and on one
+    // whose L3 reads 300 MiB, each at some git revision.
+    let line = |l3_mib: u64, rev: &str| {
+        spmv_line("kern", 0.010, &[0.010]).replacen(
+            '{',
+            &format!(
+                r#"{{"target_features":{{"fma":true,"avx2":true,"avx512f":true}},"cache":{{"l2_bytes":2097152,"l3_bytes":{}}},"revision":"{rev}","#,
+                l3_mib << 20
+            ),
+            1,
+        )
+    };
+    let (small, small_next, large) = (
+        Scratch::new("cache-105"),
+        Scratch::new("cache-105-next"),
+        Scratch::new("cache-300"),
+    );
+    small.manifest("m.ndjson", &[line(105, "cef5955")]);
+    small_next.manifest("m.ndjson", &[line(105, "0a1b2c3")]);
+    large.manifest("m.ndjson", &[line(300, "cef5955")]);
+
+    // Only the revision differs: that is what a diff is for.
+    let (code, stdout, stderr) =
+        run(&["perf-report", "--diff", path(&small.0), path(&small_next.0)]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.contains(r#"cache {"l2_bytes":2097152,"l3_bytes":110100480}"#),
+        "{stdout}"
+    );
+
+    for (a, b) in [(&small, &large), (&large, &small)] {
+        let (code, stdout, stderr) = run(&["perf-report", "--diff", path(&a.0), path(&b.0)]);
+        assert_eq!(code, 2, "{stdout}");
+        assert!(stderr.contains("refusing to compare"), "{stderr}");
+        assert!(stderr.contains("cache"), "{stderr}");
+        assert!(stdout.is_empty(), "no verdict for a refused pair: {stdout}");
+    }
+
+    // A directory whose records come from two hosts compares with
+    // nothing, itself included.
+    let mixed = Scratch::new("cache-mixed");
+    mixed.manifest("a.ndjson", &[line(105, "cef5955")]);
+    mixed.manifest("b.ndjson", &[line(300, "cef5955")]);
+    let (code, _, stderr) = run(&["perf-report", "--diff", path(&mixed.0), path(&mixed.0)]);
+    assert_eq!(code, 2);
+    assert!(stderr.contains("mix cache"), "{stderr}");
+}
+
+#[test]
 fn missing_directory_is_a_usage_error() {
     let s = Scratch::new("missing");
     let bogus = s.0.join("does-not-exist");
