@@ -1,12 +1,11 @@
 //! Microbenchmarks: SpMV across all implementations (ct128, single
 //! precision, one thread) plus the mask-expansion primitives.
 //!
-//! Gated behind the off-by-default `criterion` feature so the default
-//! build graph stays free of bench targets; the measurement itself uses
-//! the suite's own min-time harness (no external crates), reporting the
-//! paper's estimator (minimum over N iterations) per kernel.
+//! A plain `main` (no external crates): the suite's own min-time
+//! harness reports the paper's estimator (minimum over N iterations) per
+//! kernel.
 //!
-//! Run: `cargo bench -p cscv-bench --features criterion`
+//! Run: `cargo bench -p cscv-bench`
 
 use cscv_ct::datasets;
 use cscv_harness::suite::{executor_builders, prepare};

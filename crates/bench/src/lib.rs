@@ -124,10 +124,11 @@ pub fn trace_report() -> TraceReport {
 pub fn banner() {
     let feats = cscv_simd::cpu_features();
     println!(
-        "machine: {} hw threads, simd: {}, {}",
+        "machine: {} hw threads, simd: {}, {}, profile {}",
         ThreadPool::max_parallelism(),
         feats.summary(),
-        cscv_harness::CacheSizes::detect()
+        cscv_harness::CacheSizes::detect(),
+        cscv_harness::manifest::build_profile()
     );
 }
 

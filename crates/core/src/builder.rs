@@ -315,7 +315,7 @@ fn build_in_parts<T: Scalar>(
         stats,
         max_ytil,
     };
-    // Catalog postcondition (no-op unless `check-invariants` is on).
+    // Catalog postcondition (no-op in release builds).
     crate::invariants::assert_valid(&matrix, "builder::try_build_with_curves");
     Ok(matrix)
 }

@@ -134,9 +134,9 @@ pub struct CscvExec<T: Scalar> {
 impl<T: Scalar + MaskExpand> CscvExec<T> {
     pub fn new(m: CscvMatrix<T>) -> Self {
         // The unsafe kernels below assume the full invariant catalog
-        // (CSCV-PERM, CSCV-VXG-BOUNDS, …); re-check at executor
-        // construction when `check-invariants` is on, since matrices may
-        // arrive hand-assembled rather than from the builder.
+        // (CSCV-PERM, CSCV-VXG-BOUNDS, …); debug builds re-check at
+        // executor construction, since matrices may arrive
+        // hand-assembled rather than from the builder.
         crate::invariants::assert_valid(&m, "CscvExec::new");
         let path = available_path::<T>(m.params.s_vvec);
         // Group blocks by tile for the transpose kernels.

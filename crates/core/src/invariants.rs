@@ -9,10 +9,10 @@
 //! * [`CscvMatrix::validate_full`] runs every checker and returns the
 //!   full violation list (tests, the `cscv-xtask fuzz` differential
 //!   fuzzer, and debugging);
-//! * [`assert_valid`] is the feature-gated hook the builder calls at the
-//!   end of every construction when `check-invariants` is on (it
-//!   compiles to an empty inlined body otherwise, so release builds are
-//!   byte-identical — same discipline as the `trace` feature);
+//! * [`assert_valid`] is the hook the builder calls at the end of every
+//!   construction; it checks in every build with debug assertions
+//!   (`cargo test` included) and reduces to an empty body in release
+//!   builds, so they carry no checking cost;
 //! * SAFETY comments in `kernels.rs`/`exec.rs` cite IDs from this table
 //!   instead of restating the argument;
 //! * docs (DESIGN.md "Correctness tooling") render the table.
@@ -202,27 +202,22 @@ impl<T: Scalar> CscvMatrix<T> {
 }
 
 /// Builder/conversion-boundary hook: panic with the full violation list
-/// if the matrix breaks any catalog invariant. No-op without the
-/// `check-invariants` feature.
-#[cfg(feature = "check-invariants")]
+/// if the matrix breaks any catalog invariant. No-op in release builds.
 #[expect(
     clippy::panic,
     reason = "this is the validation boundary: a malformed matrix must stop the run with the full violation list"
 )]
 pub fn assert_valid<T: Scalar>(m: &CscvMatrix<T>, boundary: &str) {
-    if let Err(violations) = m.validate_full() {
-        let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-        panic!(
-            "CSCV invariant violation after {boundary}:\n{}",
-            rendered.join("\n")
-        );
+    if cfg!(debug_assertions) {
+        if let Err(violations) = m.validate_full() {
+            let rendered: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+            panic!(
+                "CSCV invariant violation after {boundary}:\n{}",
+                rendered.join("\n")
+            );
+        }
     }
 }
-
-/// Builder/conversion-boundary hook (disabled: `check-invariants` off).
-#[cfg(not(feature = "check-invariants"))]
-#[inline(always)]
-pub fn assert_valid<T: Scalar>(_m: &CscvMatrix<T>, _boundary: &str) {}
 
 /// The catalog. Order is the order violations are reported in.
 pub const CATALOG: &[Invariant] = &[

@@ -69,13 +69,14 @@ impl RefCurve {
         // Postcondition feeding invariant CSCV-PERM: the curve must
         // reproduce every defined view's minimum bin exactly, or the
         // offset re-addressing downstream shifts whole columns.
-        #[cfg(feature = "check-invariants")]
-        for (v, mb) in min_bins.iter().enumerate() {
-            if let Some(b) = mb {
-                assert_eq!(
-                    bins[v], *b as i64,
-                    "RefCurve::from_min_bins: defined view {v} not mapped exactly"
-                );
+        if cfg!(debug_assertions) {
+            for (v, mb) in min_bins.iter().enumerate() {
+                if let Some(b) = mb {
+                    assert_eq!(
+                        bins[v], *b as i64,
+                        "RefCurve::from_min_bins: defined view {v} not mapped exactly"
+                    );
+                }
             }
         }
         Some(RefCurve { bins })

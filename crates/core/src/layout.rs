@@ -101,8 +101,7 @@ pub fn tiles(img: &ImageShape, s_imgb: usize) -> Vec<Tile> {
     // Postcondition feeding invariant CSCV-GROUPS: the tiles must cover
     // every pixel exactly once (blocks would otherwise drop or
     // double-count columns).
-    #[cfg(feature = "check-invariants")]
-    {
+    if cfg!(debug_assertions) {
         let mut seen = vec![false; img.n_pixels()];
         for t in &out {
             for c in t.cols(img) {
@@ -126,8 +125,7 @@ pub fn view_groups(n_views: usize, s_vvec: usize) -> Vec<std::ops::Range<usize>>
         .collect();
     // Postcondition feeding invariant CSCV-GROUPS: groups must be a
     // contiguous non-empty partition of 0..n_views.
-    #[cfg(feature = "check-invariants")]
-    {
+    if cfg!(debug_assertions) {
         let mut next = 0usize;
         for g in &out {
             assert_eq!(g.start, next, "view_groups(): gap before view {next}");

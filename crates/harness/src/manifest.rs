@@ -36,14 +36,28 @@ use std::sync::atomic::{AtomicI64, Ordering};
 ///   scalar-call build can never be compared against a packed-FMA one.
 /// * **v4**: every record carries `cache`, the machine's
 ///   `{"l2_bytes":…,"l3_bytes":…}` from sysfs (0 when unreadable).
-///   `perf-report --diff` does not compare them.
+///   `perf-report --diff` refuses to compare differing ones.
+/// * **v5**: every record carries `profile`, `"debug"` or `"release"`
+///   (see [`build_profile`]); `perf-report --diff` refuses to compare
+///   differing ones.
 ///
 /// The consumer (`cscv-xtask perf-report`) keys off field presence,
 /// not the version number, so v1 files keep parsing:
 /// a line without `samples` is treated as a single-sample distribution
 /// at `secs_min`, and a line without `target_features` as a build that
 /// did not record them.
-pub const SCHEMA_VERSION: u64 = 4;
+pub const SCHEMA_VERSION: u64 = 5;
+
+/// The build profile, `"debug"` or `"release"`. A debug build runs the
+/// aliasing detector and the invariant hooks, so its timings say nothing
+/// about a release build's.
+pub fn build_profile() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+}
 
 /// The build's compile-time target features that decide how the kernels
 /// were lowered, as a JSON object `{"fma":…,"avx2":…,"avx512f":…}`.
@@ -65,14 +79,15 @@ fn cache() -> Json {
     ])
 }
 
-/// The fields every record starts with: type, schema, driver, build
-/// and caches.
+/// The fields every record starts with: type, schema, driver, build,
+/// profile and caches.
 fn header(kind: &str) -> Vec<(&'static str, Json)> {
     vec![
         ("type", kind.into()),
         ("schema", SCHEMA_VERSION.into()),
         ("driver", driver_name().into()),
         ("target_features", target_features()),
+        ("profile", build_profile().into()),
         ("cache", cache()),
     ]
 }
@@ -362,7 +377,12 @@ mod tests {
     #[test]
     fn every_record_header_carries_the_build() {
         let back = Json::parse(&Json::obj(header("membw")).to_string()).unwrap();
-        assert_eq!(back.get("schema").and_then(Json::as_f64), Some(4.0));
+        assert_eq!(back.get("schema").and_then(Json::as_f64), Some(5.0));
+        assert_eq!(
+            back.get("profile").and_then(Json::as_str),
+            Some(build_profile()),
+            "v5 records the profile"
+        );
         let cache = back.get("cache").expect("v4 records the caches");
         let sizes = CacheSizes::detect();
         for (name, bytes) in [("l2_bytes", sizes.l2_bytes), ("l3_bytes", sizes.l3_bytes)] {

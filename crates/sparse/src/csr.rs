@@ -381,6 +381,23 @@ mod tests {
         let _ = Csr::from_parts(2, 2, vec![0, 3, 1], vec![0], vec![1.0f32]);
     }
 
+    /// A conversion that emits a malformed CSR stops at its boundary:
+    /// `from_sorted_coo` skips `from_parts`' checks, so `Coo::to_csr`'s
+    /// hook is what would catch a column index out of bounds.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "invariant violation in Csr after Coo::to_csr:\n[CSR-IDX] row 0")]
+    fn conversion_hook_names_boundary_and_invariant() {
+        let corrupted = Csr {
+            n_rows: 2,
+            n_cols: 2,
+            row_ptr: vec![0, 1, 1],
+            col_idx: vec![5],
+            vals: vec![1.0f32],
+        };
+        crate::invariants::assert_csr(&corrupted, "Coo::to_csr");
+    }
+
     #[test]
     fn empty_rows_and_matrix() {
         let m: Csr<f32> = Coo::new(4, 4).to_csr();

@@ -3,9 +3,10 @@
 //! The `from_parts` constructors already assert their input shape; this
 //! module is the *conversion-boundary* counterpart: every format
 //! conversion (`Coo::to_csr`, `Csr::to_csc`, `Csr::transpose`, …)
-//! re-validates its **output** when the `check-invariants` feature is on,
-//! so a bug in a conversion routine is caught at the boundary where it
-//! was introduced instead of ten layers later as a wrong SpMV result.
+//! re-validates its **output** in every build with debug assertions
+//! (`cargo test` included), so a bug in a conversion routine is caught
+//! at the boundary where it was introduced instead of ten layers later
+//! as a wrong SpMV result.
 //!
 //! Each invariant carries a stable ID. The IDs are shared with the CSCV
 //! catalog in `cscv-core::invariants` (which builds on these formats) and
@@ -21,9 +22,9 @@
 //! | `COO-BOUNDS`| every triplet's indices are in bounds                  |
 //! | `IDX-U32`   | dimensions fit the `u32` index compression             |
 //!
-//! With the feature off, [`assert_csr`]/[`assert_csc`]/[`assert_coo`]
-//! compile to empty inlined bodies — release conversions carry zero
-//! checking cost (same discipline as the `trace` feature).
+//! In a release build [`assert_csr`]/[`assert_csc`]/[`assert_coo`]
+//! reduce to empty bodies — release conversions carry zero checking
+//! cost.
 
 use crate::coo::Coo;
 use crate::csc::Csc;
@@ -217,7 +218,6 @@ pub fn validate_coo<T: Scalar>(m: &Coo<T>) -> Vec<Violation> {
     out
 }
 
-#[cfg(feature = "check-invariants")]
 #[expect(
     clippy::panic,
     reason = "this is the validation boundary: a malformed matrix must stop the run with the full violation list"
@@ -231,51 +231,39 @@ fn panic_violations(what: &str, boundary: &str, violations: &[Violation]) -> ! {
 }
 
 /// Conversion-boundary hook: panic (naming the boundary) if the CSR
-/// output of a conversion violates any invariant. No-op without the
-/// `check-invariants` feature.
-#[cfg(feature = "check-invariants")]
+/// output of a conversion violates any invariant. No-op in release
+/// builds.
 pub fn assert_csr<T: Scalar>(m: &Csr<T>, boundary: &str) {
-    let v = validate_csr(m);
-    if !v.is_empty() {
-        panic_violations("Csr", boundary, &v);
+    if cfg!(debug_assertions) {
+        let v = validate_csr(m);
+        if !v.is_empty() {
+            panic_violations("Csr", boundary, &v);
+        }
     }
 }
-
-/// Conversion-boundary hook (disabled: `check-invariants` is off).
-#[cfg(not(feature = "check-invariants"))]
-#[inline(always)]
-pub fn assert_csr<T: Scalar>(_m: &Csr<T>, _boundary: &str) {}
 
 /// Conversion-boundary hook: panic (naming the boundary) if the CSC
-/// output of a conversion violates any invariant. No-op without the
-/// `check-invariants` feature.
-#[cfg(feature = "check-invariants")]
+/// output of a conversion violates any invariant. No-op in release
+/// builds.
 pub fn assert_csc<T: Scalar>(m: &Csc<T>, boundary: &str) {
-    let v = validate_csc(m);
-    if !v.is_empty() {
-        panic_violations("Csc", boundary, &v);
+    if cfg!(debug_assertions) {
+        let v = validate_csc(m);
+        if !v.is_empty() {
+            panic_violations("Csc", boundary, &v);
+        }
     }
 }
-
-/// Conversion-boundary hook (disabled: `check-invariants` is off).
-#[cfg(not(feature = "check-invariants"))]
-#[inline(always)]
-pub fn assert_csc<T: Scalar>(_m: &Csc<T>, _boundary: &str) {}
 
 /// Conversion-boundary hook: panic (naming the boundary) if a COO
-/// violates any invariant. No-op without the `check-invariants` feature.
-#[cfg(feature = "check-invariants")]
+/// violates any invariant. No-op in release builds.
 pub fn assert_coo<T: Scalar>(m: &Coo<T>, boundary: &str) {
-    let v = validate_coo(m);
-    if !v.is_empty() {
-        panic_violations("Coo", boundary, &v);
+    if cfg!(debug_assertions) {
+        let v = validate_coo(m);
+        if !v.is_empty() {
+            panic_violations("Coo", boundary, &v);
+        }
     }
 }
-
-/// Conversion-boundary hook (disabled: `check-invariants` is off).
-#[cfg(not(feature = "check-invariants"))]
-#[inline(always)]
-pub fn assert_coo<T: Scalar>(_m: &Coo<T>, _boundary: &str) {}
 
 #[cfg(test)]
 mod tests {

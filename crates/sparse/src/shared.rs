@@ -1,13 +1,14 @@
 //! Shared plumbing for parallel executors (used by this crate's baseline
 //! formats and by the CSCV executors in `cscv-core`).
 //!
-//! # Aliasing detection (`check-aliasing` feature)
+//! # Aliasing detection (debug builds)
 //!
 //! Every executor's speed rests on one manual invariant: ranges of the
 //! shared output handed to concurrent pool workers are pairwise
-//! disjoint. With the `check-aliasing` feature (enabled by this crate's
-//! own tests, off in release builds), [`SharedSliceMut`] machine-checks
-//! that invariant at runtime: [`slice_mut`](SharedSliceMut::slice_mut)
+//! disjoint. In every build with debug assertions (`cargo test`, Miri,
+//! the sanitizers, `cargo run` without `--release`; compiled out of
+//! release builds), [`SharedSliceMut`] machine-checks that invariant at
+//! runtime: [`slice_mut`](SharedSliceMut::slice_mut)
 //! and [`get_raw`](SharedSliceMut::get_raw) register the claimed index
 //! range in a per-buffer interval set, and any overlap between claims
 //! from *different* threads panics naming both claim sites (file:line of
@@ -26,9 +27,9 @@ use cscv_simd::Scalar;
 use std::ops::Range;
 use std::sync::Mutex;
 
-#[cfg(feature = "check-aliasing")]
+#[cfg(debug_assertions)]
 mod claims {
-    //! The interval set behind the `check-aliasing` detector.
+    //! The interval set behind the debug-build aliasing detector.
     use std::panic::Location;
     use std::sync::Mutex;
     use std::thread::ThreadId;
@@ -123,12 +124,11 @@ mod claims {
 /// Soundness contract: callers hand each worker a range, and ranges given
 /// out concurrently must be pairwise disjoint. All executors in the suite
 /// derive the ranges from a partition of `0..len`, which guarantees that —
-/// and the `check-aliasing` feature (see the module docs) verifies it at
-/// runtime in test builds.
+/// and debug builds verify it at runtime (see the module docs).
 pub struct SharedSliceMut<T> {
     ptr: *mut T,
     len: usize,
-    #[cfg(feature = "check-aliasing")]
+    #[cfg(debug_assertions)]
     claims: claims::ClaimSet,
 }
 
@@ -147,7 +147,7 @@ impl<T> SharedSliceMut<T> {
         SharedSliceMut {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
-            #[cfg(feature = "check-aliasing")]
+            #[cfg(debug_assertions)]
             claims: claims::ClaimSet::new(),
         }
     }
@@ -168,18 +168,14 @@ impl<T> SharedSliceMut<T> {
     #[allow(clippy::mut_from_ref)]
     #[track_caller]
     pub unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [T] {
-        #[cfg(feature = "check-aliasing")]
-        {
-            assert!(
-                range.start <= range.end && range.end <= self.len,
-                "SharedSliceMut::slice_mut out of bounds: {range:?} of len {}",
-                self.len
-            );
-            self.claims
-                .claim(range.start, range.end, std::panic::Location::caller());
-        }
-        debug_assert!(range.start <= range.end);
-        debug_assert!(range.end <= self.len);
+        debug_assert!(
+            range.start <= range.end && range.end <= self.len,
+            "SharedSliceMut::slice_mut out of bounds: {range:?} of len {}",
+            self.len
+        );
+        #[cfg(debug_assertions)]
+        self.claims
+            .claim(range.start, range.end, std::panic::Location::caller());
         std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.end - range.start)
     }
 
@@ -191,28 +187,25 @@ impl<T> SharedSliceMut<T> {
     /// threads access the same index concurrently.
     #[track_caller]
     pub unsafe fn get_raw(&self, idx: usize) -> *mut T {
-        #[cfg(feature = "check-aliasing")]
-        {
-            assert!(
-                idx < self.len,
-                "SharedSliceMut::get_raw out of bounds: {idx} of len {}",
-                self.len
-            );
-            self.claims
-                .claim(idx, idx + 1, std::panic::Location::caller());
-        }
-        debug_assert!(idx < self.len);
+        debug_assert!(
+            idx < self.len,
+            "SharedSliceMut::get_raw out of bounds: {idx} of len {}",
+            self.len
+        );
+        #[cfg(debug_assertions)]
+        self.claims
+            .claim(idx, idx + 1, std::panic::Location::caller());
         self.ptr.add(idx)
     }
 
-    /// Declare a synchronization point: all outstanding `check-aliasing`
-    /// range claims are released. Call between two `pool.run` dispatches
-    /// over the same buffer — the dispatch barrier guarantees the earlier
-    /// claims can no longer race with later ones. No-op (and fully
-    /// compiled out) without the `check-aliasing` feature.
+    /// Declare a synchronization point: all outstanding range claims are
+    /// released. Call between two `pool.run` dispatches over the same
+    /// buffer — the dispatch barrier guarantees the earlier claims can no
+    /// longer race with later ones. No-op (and fully compiled out) in
+    /// release builds.
     #[inline]
     pub fn claims_barrier(&self) {
-        #[cfg(feature = "check-aliasing")]
+        #[cfg(debug_assertions)]
         self.claims.clear();
     }
 }
@@ -406,7 +399,7 @@ mod tests {
         assert_eq!(data, vec![1.0, 1.0, 6.0, 1.0]);
     }
 
-    #[cfg(feature = "check-aliasing")]
+    #[cfg(debug_assertions)]
     mod aliasing {
         use super::super::*;
 
@@ -489,7 +482,7 @@ mod tests {
         fn out_of_bounds_claim_panics() {
             let mut data = vec![0u8; 4];
             let shared = SharedSliceMut::new(&mut data);
-            // SAFETY: deliberately out of bounds — the checked build
+            // SAFETY: deliberately out of bounds — the debug build
             // must abort before the slice is materialized.
             unsafe {
                 let _ = shared.slice_mut(2..5);

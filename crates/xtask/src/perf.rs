@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! bench_results/smoke/
-//!   manifests/*.ndjson   # measurement records (schema v1 to v4)
+//!   manifests/*.ndjson   # measurement records (schema v1 to v5)
 //!   trace/*.ndjson       # optional cscv-trace dumps (CSCV_TRACE_OUT)
 //! ```
 //!
@@ -27,13 +27,17 @@
 //! reps is immune to scheduler noise in a way means are not — and only
 //! flags a regression when the slowdown exceeds the relative threshold.
 //! It refuses to compare two directories whose records come from
-//! different builds (the schema-v3 `target_features`) or from hosts
-//! with different caches (the schema-v4 `cache`), or a directory that
-//! mixes either: a kernel built without `fma` is several times slower
-//! on the same CPU, and a matrix that fits one host's L3 is DRAM-bound
-//! on another, so such a diff would measure the build or the host, not
-//! the change. Nothing else a record carries has to agree, so two
-//! revisions of the code (the point of a diff) always compare.
+//! different builds (the schema-v3 `target_features`), from hosts with
+//! different caches (the schema-v4 `cache`) or from different profiles
+//! (the schema-v5 `profile`), or a directory that mixes any of them: a
+//! kernel built without `fma` is several times slower on the same CPU,
+//! a matrix that fits one host's L3 is DRAM-bound on another, and a
+//! debug build runs the aliasing detector and the invariant hooks, so
+//! such a diff would measure the build or the host, not the change.
+//! Records from before v5 carry no profile and compare with either, so
+//! the A/B gate still runs across the schema change. Nothing else a
+//! record carries has to agree, so two revisions of the code (the point
+//! of a diff) always compare.
 
 use cscv_harness::roofline::{self, RooflinePoint};
 use cscv_harness::{summarize_samples, LatencySummary};
@@ -106,6 +110,9 @@ pub struct LoadedDir {
     /// The distinct `cache` sizes of the kernel records, as JSON text;
     /// `None` for records that do not carry them (schema v1 to v3).
     pub caches: BTreeSet<Option<String>>,
+    /// The distinct `profile`s of the kernel records that carry one
+    /// (schema v5), as JSON text.
+    pub profiles: BTreeSet<Option<String>>,
 }
 
 /// Where the bandwidth ceiling came from.
@@ -172,7 +179,8 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
 
     let mut by_key: BTreeMap<String, KernelAgg> = BTreeMap::new();
     let mut membw: Option<f64> = None;
-    let (mut builds, mut caches) = (BTreeSet::new(), BTreeSet::new());
+    let (mut builds, mut caches, mut profiles) =
+        (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
     let (mut n_records, mut n_v1, mut n_skipped) = (0usize, 0usize, 0usize);
     for path in &files {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -201,6 +209,7 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
                     };
                     builds.insert(recorded(&v, "target_features"));
                     caches.insert(recorded(&v, "cache"));
+                    profiles.extend(recorded(&v, "profile").map(Some));
                     let driver = v
                         .get("driver")
                         .and_then(Json::as_str)
@@ -255,11 +264,13 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
         n_skipped,
         builds,
         caches,
+        profiles,
     })
 }
 
 /// A provenance field of a manifest record (`target_features`,
-/// `cache`) as JSON text; `None` where the record does not carry it.
+/// `cache`, `profile`) as JSON text; `None` where the record does not
+/// carry it.
 fn recorded(v: &Json, field: &str) -> Option<String> {
     v.get(field).map(Json::to_string)
 }
@@ -295,14 +306,22 @@ fn same_value(
 }
 
 /// `Ok` when a diff of A and B would measure the code alone: both come
-/// from one build, run on hosts with the same caches. The error says
-/// what differs and how to rerun.
+/// from one build and one profile, run on hosts with the same caches.
+/// The error says what differs and how to rerun.
 pub fn comparable(a: &LoadedDir, b: &LoadedDir) -> Result<(), String> {
     same_value("target_features", &a.builds, &b.builds).map_err(|why| {
         format!("{why}; rebuild both sides with one configuration (.cargo/config.toml, RUSTFLAGS)")
     })?;
     same_value("cache", &a.caches, &b.caches)
-        .map_err(|why| format!("{why}; run both sides on one host"))
+        .map_err(|why| format!("{why}; run both sides on one host"))?;
+    match (
+        one_value("profile", &a.profiles)?,
+        one_value("profile", &b.profiles)?,
+    ) {
+        (Some(_), Some(_)) => same_value("profile", &a.profiles, &b.profiles)
+            .map_err(|why| format!("{why}; build both sides with --release")),
+        _ => Ok(()), // a pre-v5 side
+    }
 }
 
 /// Pick the bandwidth ceiling: flag > membw record > observed proxy.
@@ -726,12 +745,14 @@ pub fn render_diff_table(a: &LoadedDir, b: &LoadedDir, rows: &[DiffRow], thresho
     for (side, l) in [("A", a), ("B", b)] {
         let build = one_value("target_features", &l.builds).unwrap_or_else(Some);
         let cache = one_value("cache", &l.caches).unwrap_or_else(Some);
+        let profile = one_value("profile", &l.profiles).unwrap_or_else(Some);
         let _ = writeln!(
             out,
-            "{side}: {} records, target_features {}, cache {}",
+            "{side}: {} records, target_features {}, cache {}, profile {}",
             l.n_records,
             show(&build),
-            show(&cache)
+            show(&cache),
+            show(&profile)
         );
     }
     let key_w = rows.iter().map(|r| r.key.len()).max().unwrap_or(3).max(3);

@@ -129,7 +129,8 @@ fn ci_gates_name_only_subcommands_that_exist() {
     // may call them or name the analyze baseline, and the analyze
     // result cache (`--no-cache`) and `--protocol-dot` are gone. The
     // autotuner gave way to the static heuristic, so `tune` and its
-    // corpus are gone too.
+    // corpus are gone too. The aliasing detector and the invariant hooks
+    // follow the build profile, so their feature flags are gone.
     let sh = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
     let yml = std::fs::read_to_string(repo_root().join(".github/workflows/ci.yml")).unwrap();
     for text in [&sh, &yml] {
@@ -142,6 +143,8 @@ fn ci_gates_name_only_subcommands_that_exist() {
             "--protocol-dot",
             "cscv-xtask -- tune",
             "tune_corpus",
+            "check-aliasing",
+            "check-invariants",
         ] {
             assert!(!text.contains(gone), "CI still invokes `{gone}`");
         }

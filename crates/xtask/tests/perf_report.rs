@@ -225,6 +225,67 @@ fn diff_refuses_manifests_from_hosts_with_different_caches() {
 }
 
 #[test]
+fn diff_refuses_manifests_from_different_profiles() {
+    // One build (schema v5) with and without debug assertions, each at
+    // some git revision; `None` is a record from before v5.
+    let line = |profile: Option<&str>, rev: &str| {
+        let profile = profile.map_or(String::new(), |p| format!(r#""profile":"{p}","#));
+        spmv_line("kern", 0.010, &[0.010]).replacen(
+            '{',
+            &format!(
+                r#"{{"target_features":{{"fma":true,"avx2":true,"avx512f":true}},{profile}"revision":"{rev}","#
+            ),
+            1,
+        )
+    };
+    let (release, release_next, debug, pre_v5) = (
+        Scratch::new("profile-release"),
+        Scratch::new("profile-release-next"),
+        Scratch::new("profile-debug"),
+        Scratch::new("profile-pre-v5"),
+    );
+    release.manifest("m.ndjson", &[line(Some("release"), "cef5955")]);
+    release_next.manifest("m.ndjson", &[line(Some("release"), "0a1b2c3")]);
+    debug.manifest("m.ndjson", &[line(Some("debug"), "cef5955")]);
+    pre_v5.manifest("m.ndjson", &[line(None, "cded528")]);
+
+    // Only the revision differs: that is what a diff is for.
+    let (code, stdout, stderr) = run(&[
+        "perf-report",
+        "--diff",
+        path(&release.0),
+        path(&release_next.0),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains(r#"profile "release""#), "{stdout}");
+
+    // A parent from before v5 records no profile and still compares.
+    for (a, b) in [(&pre_v5, &release), (&release, &pre_v5)] {
+        let (code, _, stderr) = run(&["perf-report", "--diff", path(&a.0), path(&b.0)]);
+        assert_eq!(code, 0, "{stderr}");
+    }
+
+    for (a, b) in [(&release, &debug), (&debug, &release)] {
+        let (code, stdout, stderr) = run(&["perf-report", "--diff", path(&a.0), path(&b.0)]);
+        assert_eq!(code, 2, "{stdout}");
+        assert!(stderr.contains("refusing to compare"), "{stderr}");
+        assert!(stderr.contains("profile"), "{stderr}");
+        assert!(stdout.is_empty(), "no verdict for a refused pair: {stdout}");
+    }
+
+    // A directory whose records come from both profiles compares with
+    // nothing: itself, and a side that records no profile.
+    let mixed = Scratch::new("profile-mixed");
+    mixed.manifest("a.ndjson", &[line(Some("release"), "cef5955")]);
+    mixed.manifest("b.ndjson", &[line(Some("debug"), "cef5955")]);
+    for other in [&mixed, &pre_v5] {
+        let (code, _, stderr) = run(&["perf-report", "--diff", path(&mixed.0), path(&other.0)]);
+        assert_eq!(code, 2);
+        assert!(stderr.contains("mix profile"), "{stderr}");
+    }
+}
+
+#[test]
 fn missing_directory_is_a_usage_error() {
     let s = Scratch::new("missing");
     let bogus = s.0.join("does-not-exist");

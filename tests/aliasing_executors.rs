@@ -1,14 +1,13 @@
 //! The aliasing detector run over every shipped executor path.
 //!
-//! With `check-aliasing` on (the default under `cargo test`, via the
-//! workspace's self-dev-dependency trick), every `slice_mut`/`get_raw`
-//! on a shared output registers its range and cross-thread overlaps
-//! panic. These tests drive the full executor field — every baseline
+//! In a build with debug assertions (`cargo test`), every
+//! `slice_mut`/`get_raw` on a shared output registers its range and
+//! cross-thread overlaps panic. These tests drive the full executor field — every baseline
 //! plus CSCV-Z/M, single and batched, forward and transpose, f32 and
 //! f64, serial and pooled — and assert the opposite: the shipped
 //! partitioning protocols never make a conflicting claim, so everything
 //! runs to completion with finite results.
-#![cfg(feature = "check-aliasing")]
+#![cfg(debug_assertions)]
 
 use cscv_repro::harness::suite::{cscv_exec, executor_builders, prepare, PreparedDataset};
 use cscv_repro::prelude::*;
