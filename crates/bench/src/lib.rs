@@ -124,11 +124,12 @@ pub fn trace_report() -> TraceReport {
 pub fn banner() {
     let feats = cscv_simd::cpu_features();
     println!(
-        "machine: {} hw threads, simd: {}, {}, profile {}",
+        "machine: {} hw threads, simd: {}, {}, profile {}, revision {}",
         ThreadPool::max_parallelism(),
         feats.summary(),
         cscv_harness::CacheSizes::detect(),
-        cscv_harness::manifest::build_profile()
+        cscv_harness::manifest::build_profile(),
+        cscv_harness::manifest::git_revision()
     );
 }
 

@@ -2,7 +2,8 @@
 //!
 //! For every (tile × view group) block:
 //!
-//! 1. slice each tile column's nonzeros for the group's views;
+//! 1. read each tile column's nonzeros for the group's views, resuming
+//!    where the tile's previous group stopped;
 //! 2. derive the IOBLR reference curve from the tile-center column (data
 //!    driven; falls back to the first non-empty column);
 //! 3. re-address nonzeros as (curve offset, local view) and densify each
@@ -14,9 +15,10 @@
 //!    CSCV-M) and the block's ỹ scatter map.
 //!
 //! Blocks do not depend on each other, so the builder splits the
-//! (group, tile) sequence into contiguous parts, builds them on every
-//! core and concatenates the parts in order: the matrix does not depend
-//! on the part count.
+//! tile-major (tile, group) sequence into contiguous parts and builds
+//! them on every core. A part walks each tile's columns once, front to
+//! back, for all of the tile's view groups. The blocks are then put in
+//! (group, tile) order: the matrix does not depend on the part count.
 
 use crate::format::{Block, CscvMatrix, CscvStats, GroupInfo, Variant};
 use crate::ioblr::{min_bin_per_view, RefCurve};
@@ -225,8 +227,13 @@ pub fn try_build_with_curves<T: Scalar>(
 }
 
 /// The blocks of [`try_build_with_curves`], built over at most `parts`
-/// contiguous ranges of the (group, tile) sequence and merged in that
-/// order, so neither the matrix nor the first error depends on `parts`.
+/// contiguous ranges of the tile-major (tile, group) sequence and put
+/// back in (group, tile) order, so neither the matrix nor the first error
+/// in that order depends on `parts`.
+///
+/// Tile-major order lets a part read each tile column front to back once
+/// for all the tile's view groups: [`BlockScratch::gather`] resumes every
+/// column where the previous group stopped.
 #[expect(
     clippy::cast_possible_truncation,
     reason = "group count <= n_views <= n_rows <= i32::MAX and tile count <= n_pixels <= u32::MAX, the ceilings try_build_with_curves established"
@@ -242,40 +249,59 @@ fn build_in_parts<T: Scalar>(
 ) -> Result<CscvMatrix<T>, BuildError> {
     let tile_list = tiles(&img, params.s_imgb);
     let vgroups = view_groups(layout.n_views, params.s_vvec);
-    let n_tiles = tile_list.len();
+    let n_groups = vgroups.len();
 
-    let built = fork_join(split_range(vgroups.len() * n_tiles, parts), |range| {
+    let built = fork_join(split_range(tile_list.len() * n_groups, parts), |range| {
         let mut scratch = BlockScratch::default();
         let mut stats = CscvStats::default();
         let mut blocks = Vec::new();
-        for k in range {
-            let (gi, ti) = (k / n_tiles, k % n_tiles);
-            let block = build_block(
+        // The error with the smallest (group, tile) key so far: later
+        // blocks of this part may still come before it in that order.
+        let mut first_err: Option<((u32, u32), BuildError)> = None;
+        for k in range.clone() {
+            let (ti, gi) = (k / n_groups, k % n_groups);
+            let views = &vgroups[gi];
+            if k == range.start || gi == 0 {
+                scratch.enter_tile(csc, &tile_list[ti].cols(&img), views.start * layout.n_bins);
+            }
+            scratch.gather(csc, &layout, views);
+            let key = (gi as u32, ti as u32);
+            if first_err.as_ref().is_some_and(|(at, _)| *at < key) {
+                continue;
+            }
+            match build_block(
                 csc,
                 &layout,
                 &img,
                 &tile_list[ti],
-                &vgroups[gi],
-                gi as u32,
-                ti as u32,
+                views,
+                key,
                 params,
                 variant,
                 curves,
                 &mut stats,
                 &mut scratch,
-            )?;
-            blocks.extend(block);
+            ) {
+                Ok(block) => blocks.extend(block),
+                Err(e) => first_err = Some((key, e)),
+            }
         }
-        Ok((blocks, stats))
+        match first_err {
+            Some(err) => Err(err),
+            None => Ok((blocks, stats)),
+        }
     });
 
     let mut stats = CscvStats {
         nnz_orig: csc.nnz(),
         ..CscvStats::default()
     };
+    let first_err = built.iter().filter_map(|part| part.as_ref().err());
+    if let Some((_, e)) = first_err.min_by_key(|(at, _)| *at) {
+        return Err(e.clone());
+    }
     let mut blocks = Vec::new();
-    for part in built {
-        let (part_blocks, s) = part?;
+    for (part_blocks, s) in built.into_iter().flatten() {
         stats.lane_slots += s.lane_slots;
         stats.ioblr_padding += s.ioblr_padding;
         stats.vxg_padding += s.vxg_padding;
@@ -286,7 +312,8 @@ fn build_in_parts<T: Scalar>(
     index_fit(blocks.len(), "block count")?;
     stats.n_blocks = blocks.len();
 
-    // Blocks come in group order; each group owns a contiguous run.
+    // Blocks in (group, tile) order; each group owns a contiguous run.
+    blocks.sort_unstable_by_key(|b| (b.group, b.tile));
     let mut groups = Vec::with_capacity(vgroups.len());
     let mut start = 0;
     for (gi, views) in vgroups.iter().enumerate() {
@@ -335,6 +362,10 @@ struct ColData {
 /// Working buffers of [`build_block`], reused by every block of a part.
 #[derive(Default)]
 struct BlockScratch<T> {
+    /// The current tile's columns and, per column, the position in
+    /// [`Csc::col`] of its next unread nonzero.
+    tile_cols: Vec<u32>,
+    cursors: Vec<usize>,
     /// `(local view, bin, value)` of the tile's columns, column after
     /// column.
     entries: Vec<(u32, u32, T)>,
@@ -345,26 +376,59 @@ struct BlockScratch<T> {
     grid: Vec<T>,
 }
 
-/// Append one column's nonzeros for a view range to `out` as
-/// `(local view, bin, val)`.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "local view < S_VVec <= 16 and bin < n_bins <= n_rows <= i32::MAX, the ceilings try_build_with_curves established"
-)]
-fn col_block_entries<T: Scalar>(
-    csc: &Csc<T>,
-    layout: &SinoLayout,
-    col: usize,
-    views: &Range<usize>,
-    out: &mut Vec<(u32, u32, T)>,
-) {
-    let (rows, vals) = csc.col(col);
-    let lo = rows.partition_point(|&r| (r as usize) < views.start * layout.n_bins);
-    let hi = rows.partition_point(|&r| (r as usize) < views.end * layout.n_bins);
-    out.extend(rows[lo..hi].iter().zip(&vals[lo..hi]).map(|(&r, &v)| {
-        let (view, bin) = layout.ray_of_row(r as usize);
-        ((view - views.start) as u32, bin as u32, v)
-    }));
+impl<T: Scalar> BlockScratch<T> {
+    /// Point the cursors at the first nonzero of each tile column at or
+    /// past `start_row`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "col < n_pixels <= u32::MAX, the ceiling try_build_with_curves established"
+    )]
+    fn enter_tile(&mut self, csc: &Csc<T>, cols: &[usize], start_row: usize) {
+        self.tile_cols.clear();
+        self.cursors.clear();
+        for &col in cols {
+            let (rows, _) = csc.col(col);
+            self.tile_cols.push(col as u32);
+            self.cursors.push(match start_row {
+                0 => 0,
+                _ => rows.partition_point(|&r| (r as usize) < start_row),
+            });
+        }
+    }
+
+    /// Read the tile columns' nonzeros of `views` into `entries` and
+    /// `spans`, from the cursors forward, and leave each cursor at the
+    /// column's first row past the group. The cursors must sit at the
+    /// group's first row.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "local view < S_VVec <= 16 and bin < n_bins <= n_rows <= i32::MAX, the ceilings try_build_with_curves established"
+    )]
+    fn gather(&mut self, csc: &Csc<T>, layout: &SinoLayout, views: &Range<usize>) {
+        let (start_row, end_row) = (views.start * layout.n_bins, views.end * layout.n_bins);
+        self.entries.clear();
+        self.spans.clear();
+        for (&col, cursor) in self.tile_cols.iter().zip(&mut self.cursors) {
+            let (rows, vals) = csc.col(col as usize);
+            let start = self.entries.len();
+            // Step the view boundary instead of dividing every row.
+            let (mut view, mut view_start) = (0u32, start_row);
+            let mut at = *cursor;
+            while let Some(&r) = rows.get(at).filter(|&&r| (r as usize) < end_row) {
+                let r = r as usize;
+                while r >= view_start + layout.n_bins {
+                    view += 1;
+                    view_start += layout.n_bins;
+                }
+                self.entries.push((view, (r - view_start) as u32, vals[at]));
+                at += 1;
+            }
+            *cursor = at;
+            if self.entries.len() > start {
+                self.spans.push((col, start..self.entries.len()));
+            }
+        }
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -378,8 +442,7 @@ fn build_block<T: Scalar>(
     img: &ImageShape,
     tile: &Tile,
     views: &Range<usize>,
-    group: u32,
-    tile_idx: u32,
+    (group, tile_idx): (u32, u32),
     params: CscvParams,
     variant: Variant,
     curves: &dyn CurveProvider,
@@ -393,18 +456,10 @@ fn build_block<T: Scalar>(
         spans,
         cols: cdata,
         grid,
+        ..
     } = scratch;
 
-    // 1. Extract per-column entries.
-    entries.clear();
-    spans.clear();
-    for col in tile.cols(img) {
-        let start = entries.len();
-        col_block_entries(csc, layout, col, views, entries);
-        if entries.len() > start {
-            spans.push((col as u32, start..entries.len()));
-        }
-    }
+    // 1. Per-column entries: gathered by the caller.
     let block_nnz = entries.len();
     let Some(&(first_col, _)) = spans.first() else {
         return Ok(None);
@@ -505,16 +560,18 @@ fn build_block<T: Scalar>(
     let mut vxg_count = Vec::with_capacity(descs.len());
     let mut out_cols = Vec::with_capacity(descs.len() * g);
     let mut val_ptr = Vec::with_capacity(descs.len() + 1);
-    // Exact sizes: Z stores every lane slot, M every nonzero and one
-    // mask per lane block.
+    // Z stores every lane slot, M every nonzero and one mask per lane
+    // block. M writes whole lanes and keeps the nonzero ones, so its
+    // stream has room for one lane past its last nonzero.
     let block_lane_slots: usize = descs.iter().map(|d| d.count * g * w).sum();
     let (mut vals, mut masks) = match variant {
         Variant::Z => (Vec::with_capacity(block_lane_slots), Vec::new()),
         Variant::M => (
-            Vec::with_capacity(nonzero_vals),
+            vec![T::ZERO; nonzero_vals + w],
             Vec::with_capacity(block_lane_slots / w * mask_bytes),
         ),
     };
+    let mut n_vals = 0usize;
     val_ptr.push(0u32);
     let mut lane = vec![T::ZERO; w];
     for d in &descs {
@@ -543,14 +600,20 @@ fn build_block<T: Scalar>(
                     }
                 }
                 match variant {
-                    Variant::Z => vals.extend_from_slice(&lane),
+                    Variant::Z => {
+                        vals.extend_from_slice(&lane);
+                        n_vals += w;
+                    }
                     Variant::M => {
+                        // Every lane is written; only a nonzero one
+                        // advances the stream, so no branch follows
+                        // the data.
                         let mut mask = 0u32;
                         for (l, &v) in lane.iter().enumerate() {
-                            if v != T::ZERO {
-                                mask |= 1u32 << l;
-                                vals.push(v);
-                            }
+                            let keep = v != T::ZERO;
+                            vals[n_vals] = v;
+                            n_vals += usize::from(keep);
+                            mask |= u32::from(keep) << l;
                         }
                         masks.push((mask & 0xFF) as u8);
                         if mask_bytes == 2 {
@@ -560,8 +623,9 @@ fn build_block<T: Scalar>(
                 }
             }
         }
-        val_ptr.push(index_fit(vals.len(), "block value stream length")?);
+        val_ptr.push(index_fit(n_vals, "block value stream length")?);
     }
+    vals.truncate(n_vals);
 
     // 6. ỹ scatter map.
     let wl = views.len();
@@ -877,6 +941,11 @@ mod tests {
             csc: &syn,
             layout: syn_layout,
         };
+        // Every part count up to one block per part, so every part
+        // boundary inside a tile seeds its cursors mid-column.
+        let n_blocks = |layout: SinoLayout, img: ImageShape, params: CscvParams| {
+            tiles(&img, params.s_imgb).len() * view_groups(layout.n_views, params.s_vvec).len()
+        };
         for variant in [Variant::Z, Variant::M] {
             for params in [CscvParams::new(4, 4, 2), CscvParams::new(3, 8, 3)] {
                 let ct_runs: [&dyn CurveProvider; 2] = [&data, &geo];
@@ -885,7 +954,7 @@ mod tests {
                         build_in_parts(&ct_csc, ct_layout, ct_img, params, variant, curves, 1)
                             .unwrap();
                     one.validate();
-                    for parts in [2, 3, 7] {
+                    for parts in 2..=n_blocks(ct_layout, ct_img, params) {
                         let m = build_in_parts(
                             &ct_csc, ct_layout, ct_img, params, variant, curves, parts,
                         )
@@ -898,7 +967,7 @@ mod tests {
                 }
                 let one = build_in_parts(&syn, syn_layout, syn_img, params, variant, &syn_data, 1)
                     .unwrap();
-                for parts in [2, 3, 7] {
+                for parts in 2..=n_blocks(syn_layout, syn_img, params) {
                     let m = build_in_parts(
                         &syn, syn_layout, syn_img, params, variant, &syn_data, parts,
                     )
@@ -912,7 +981,7 @@ mod tests {
     }
 
     /// Data-driven curves, except that a few (group, tile) blocks get a
-    /// curve whose odd views jump by `70_000 + 10·tile` bins: their
+    /// curve whose odd views jump by `70_000 + 100·tile` bins: their
     /// columns span more offsets than a VxG's u16 count holds.
     struct Jumping<'a> {
         data: DataDrivenCurves<'a, f64>,
@@ -926,7 +995,7 @@ mod tests {
             if !self.bad.contains(&(group, tile)) {
                 return self.data.curve(ref_col, views);
             }
-            let jump = 70_000 + 10 * tile as i64;
+            let jump = 70_000 + 100 * tile as i64;
             Some(RefCurve::from_bins(
                 (0..views.len())
                     .map(|v| if v % 2 == 1 { -jump } else { 0 })
@@ -937,27 +1006,120 @@ mod tests {
 
     #[test]
     fn the_first_error_in_group_tile_order_wins_for_every_part_count() {
-        // 2 view groups × 16 one-pixel tiles = 32 blocks; the bad ones
-        // are blocks 18, 23 and 28, which 7 parts put in parts 4, 5, 6.
+        // 16 one-pixel tiles × 2 view groups = 32 blocks, built tile-major
+        // (block 2·tile + group). The first set's bad blocks all sit in
+        // group 1 (blocks 25, 5 and 15); in the second, tile-major order
+        // meets (group 1, tile 1) at block 3 before (group 0, tile 2) at
+        // block 4, but (group 0, tile 2) comes first in (group, tile)
+        // order. Tile 2's error must win either way.
         let (csc, layout, img) = synthetic(8, 12, 4, 4);
         let params = CscvParams::new(1, 4, 1);
-        let curves = Jumping {
-            data: DataDrivenCurves { csc: &csc, layout },
-            bad: &[(1, 12), (1, 2), (1, 7)],
-        };
-        let first = build_in_parts(&csc, layout, img, params, Variant::Z, &curves, 1).unwrap_err();
-        let BuildError::BlockExceedsIndexRange { what, value } = first.clone() else {
-            panic!("unexpected error {first:?}");
-        };
-        assert_eq!(what, "VxG offset count");
-        // Tile 2's jump, not tile 7's or 12's.
-        assert!((70_020..70_070).contains(&value), "count {value}");
-        for parts in [2, 3, 7] {
-            for variant in [Variant::Z, Variant::M] {
-                let err =
-                    build_in_parts(&csc, layout, img, params, variant, &curves, parts).unwrap_err();
-                assert_eq!(err, first, "{variant}, {parts} parts");
+        let bad_sets: [&[(usize, usize)]; 2] = [&[(1, 12), (1, 2), (1, 7)], &[(1, 1), (0, 2)]];
+        for bad in bad_sets {
+            let curves = Jumping {
+                data: DataDrivenCurves { csc: &csc, layout },
+                bad,
+            };
+            let first =
+                build_in_parts(&csc, layout, img, params, Variant::Z, &curves, 1).unwrap_err();
+            let BuildError::BlockExceedsIndexRange { what, value } = first.clone() else {
+                panic!("unexpected error {first:?}");
+            };
+            assert_eq!(what, "VxG offset count");
+            // Tile 2's jump, not another bad tile's.
+            assert!((70_150..70_250).contains(&value), "{bad:?}: count {value}");
+            for parts in 1..=32 {
+                for variant in [Variant::Z, Variant::M] {
+                    let err = build_in_parts(&csc, layout, img, params, variant, &curves, parts)
+                        .unwrap_err();
+                    assert_eq!(err, first, "{bad:?}, {variant}, {parts} parts");
+                }
             }
+        }
+    }
+
+    /// FNV-1a over [`bits`]: one number for everything a build produces.
+    fn fingerprint<T: Scalar>(m: &CscvMatrix<T>) -> u64 {
+        bits(m).bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn ct_builds_match_their_pinned_fingerprints() {
+        // Fingerprints of the group-major builder that preceded the
+        // tile-major one: a change to the builder's output fails here
+        // even when every part count agrees with every other.
+        const PINNED: [(Variant, [usize; 3], u64, u64); 8] = [
+            (
+                Variant::Z,
+                [4, 4, 2],
+                0x6e50cec6d9f1376b,
+                0x96707de82641cf95,
+            ),
+            (
+                Variant::Z,
+                [3, 8, 3],
+                0x2a9137cad9c6292d,
+                0xb23d9dabbe46e24b,
+            ),
+            (
+                Variant::Z,
+                [16, 16, 2],
+                0x1f5714f27e25092b,
+                0x29c192a78d3c7b4b,
+            ),
+            (
+                Variant::Z,
+                [32, 8, 4],
+                0x53bb7ba6ba3a74d4,
+                0x1594ef674c5afdd4,
+            ),
+            (
+                Variant::M,
+                [4, 4, 2],
+                0xa95e0ddf5eac2c39,
+                0xad3be1c45172bd83,
+            ),
+            (
+                Variant::M,
+                [3, 8, 3],
+                0x7f7b9b344f8494e7,
+                0x9d289e53ad32b387,
+            ),
+            (
+                Variant::M,
+                [16, 16, 2],
+                0x5e540848334bac77,
+                0x96457963cd71dddf,
+            ),
+            (
+                Variant::M,
+                [32, 8, 4],
+                0xa160fda935e31fa6,
+                0xb38e5e0cf5dc9fa4,
+            ),
+        ];
+        let ct = cscv_ct::CtGeometry::standard(16, 24, 10, 3.0, 18.0);
+        let layout = SinoLayout {
+            n_views: 10,
+            n_bins: 24,
+        };
+        let img = ImageShape { nx: 16, ny: 16 };
+        let f32_csc = cscv_ct::system::SystemMatrix::assemble_csc::<f32>(&ct);
+        let f64_csc = cscv_ct::system::SystemMatrix::assemble_csc::<f64>(&ct);
+        for (variant, [s_imgb, s_vvec, s_vxg], want_f32, want_f64) in PINNED {
+            let params = CscvParams::new(s_imgb, s_vvec, s_vxg);
+            let got_f32 = fingerprint(&try_build(&f32_csc, layout, img, params, variant).unwrap());
+            let got_f64 = fingerprint(&try_build(&f64_csc, layout, img, params, variant).unwrap());
+            assert_eq!(
+                got_f32, want_f32,
+                "f32 {variant} {params:?}: {got_f32:#018x}"
+            );
+            assert_eq!(
+                got_f64, want_f64,
+                "f64 {variant} {params:?}: {got_f64:#018x}"
+            );
         }
     }
 

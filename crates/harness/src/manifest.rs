@@ -40,13 +40,18 @@ use std::sync::atomic::{AtomicI64, Ordering};
 /// * **v5**: every record carries `profile`, `"debug"` or `"release"`
 ///   (see [`build_profile`]); `perf-report --diff` refuses to compare
 ///   differing ones.
+/// * **v6**: every record carries `revision`, the git commit of the
+///   build (see [`git_revision`]), and `table2_datasets` writes `setup`
+///   records (see [`record_setup`]). `perf-report --diff` prints the
+///   revisions but compares any two: a diff exists to compare two
+///   revisions.
 ///
 /// The consumer (`cscv-xtask perf-report`) keys off field presence,
 /// not the version number, so v1 files keep parsing:
 /// a line without `samples` is treated as a single-sample distribution
 /// at `secs_min`, and a line without `target_features` as a build that
 /// did not record them.
-pub const SCHEMA_VERSION: u64 = 5;
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// The build profile, `"debug"` or `"release"`. A debug build runs the
 /// aliasing detector and the invariant hooks, so its timings say nothing
@@ -57,6 +62,13 @@ pub fn build_profile() -> &'static str {
     } else {
         "release"
     }
+}
+
+/// The git commit the build was made from (12 hex digits), or
+/// `"unknown"` when it was built outside a git checkout. Uncommitted
+/// edits are not marked.
+pub fn git_revision() -> &'static str {
+    env!("CSCV_GIT_REVISION")
 }
 
 /// The build's compile-time target features that decide how the kernels
@@ -80,7 +92,7 @@ fn cache() -> Json {
 }
 
 /// The fields every record starts with: type, schema, driver, build,
-/// profile and caches.
+/// profile, revision and caches.
 fn header(kind: &str) -> Vec<(&'static str, Json)> {
     vec![
         ("type", kind.into()),
@@ -88,6 +100,7 @@ fn header(kind: &str) -> Vec<(&'static str, Json)> {
         ("driver", driver_name().into()),
         ("target_features", target_features()),
         ("profile", build_profile().into()),
+        ("revision", git_revision().into()),
         ("cache", cache()),
     ]
 }
@@ -271,6 +284,28 @@ pub fn record_shard(r: &ShardRunRecord) {
     append(&Json::obj(rec));
 }
 
+/// Record the set-up cost of one dataset (`type: "setup"`): the best
+/// wall time in seconds of each stage, such as assembly or a format
+/// build, run on `threads` threads. `perf-report --diff` compares each
+/// stage like a kernel.
+pub fn record_setup(dataset: &str, threads: usize, stages: &[(&str, f64)]) {
+    let mut rec = header("setup");
+    rec.extend([
+        ("dataset", dataset.into()),
+        ("threads", threads.into()),
+        (
+            "stages",
+            Json::obj(
+                stages
+                    .iter()
+                    .map(|&(name, secs)| (name, secs.into()))
+                    .collect(),
+            ),
+        ),
+    ]);
+    append(&Json::obj(rec));
+}
+
 /// Record a measured memory-bandwidth ceiling (the roofline input);
 /// written whenever [`crate::membw::measure`] runs under
 /// `CSCV_MANIFEST_DIR`, so `perf-report` finds the machine's ceiling
@@ -377,7 +412,16 @@ mod tests {
     #[test]
     fn every_record_header_carries_the_build() {
         let back = Json::parse(&Json::obj(header("membw")).to_string()).unwrap();
-        assert_eq!(back.get("schema").and_then(Json::as_f64), Some(5.0));
+        assert_eq!(back.get("schema").and_then(Json::as_f64), Some(6.0));
+        let revision = back.get("revision").and_then(Json::as_str);
+        assert_eq!(revision, Some(git_revision()), "v6 records the revision");
+        assert!(
+            git_revision() == "unknown"
+                || (git_revision().len() == 12
+                    && git_revision().bytes().all(|b| b.is_ascii_hexdigit())),
+            "{}",
+            git_revision()
+        );
         assert_eq!(
             back.get("profile").and_then(Json::as_str),
             Some(build_profile()),

@@ -112,18 +112,45 @@ impl<T: Scalar> Csr<T> {
         (&self.col_idx[lo..hi], &self.vals[lo..hi])
     }
 
-    /// Row and column sums of `|A|` (the SIRT weights), accumulated in
-    /// storage order.
+    /// Row and column sums of `|A|` (the SIRT weights), on every core.
     pub fn abs_sums(&self) -> (Vec<T>, Vec<T>) {
+        self.abs_sums_in_parts(crate::ThreadPool::max_parallelism())
+    }
+
+    /// [`abs_sums`](Self::abs_sums) over at most `parts` parts, each
+    /// owning a range of rows and a range of columns. A row sums in
+    /// storage order and a column in ascending row order, as a serial
+    /// pass over the rows adds them, so the sums do not depend on
+    /// `parts`.
+    fn abs_sums_in_parts(&self, parts: usize) -> (Vec<T>, Vec<T>) {
         let mut row_sums = vec![T::ZERO; self.n_rows];
         let mut col_sums = vec![T::ZERO; self.n_cols];
-        for (r, row_sum) in row_sums.iter_mut().enumerate() {
-            let (cols, vals) = self.row(r);
-            for (c, v) in cols.iter().zip(vals) {
-                *row_sum += v.abs();
-                col_sums[*c as usize] += v.abs();
-            }
+        // One part count that both splits reach.
+        let parts = parts.min(self.n_rows.max(1)).min(self.n_cols.max(1));
+        let mut jobs = Vec::with_capacity(parts);
+        let (mut rows_rest, mut cols_rest) = (&mut row_sums[..], &mut col_sums[..]);
+        for (rows, cols) in crate::pool::split_range(self.n_rows, parts)
+            .into_iter()
+            .zip(crate::pool::split_range(self.n_cols, parts))
+        {
+            let (row_part, row_tail) = rows_rest.split_at_mut(rows.len());
+            let (col_part, col_tail) = cols_rest.split_at_mut(cols.len());
+            (rows_rest, cols_rest) = (row_tail, col_tail);
+            jobs.push((rows, row_part, cols, col_part));
         }
+        crate::pool::fork_join(jobs, |(rows, row_part, cols, col_part)| {
+            for (r, row_sum) in rows.zip(row_part) {
+                *row_sum = self.row(r).1.iter().fold(T::ZERO, |acc, v| acc + v.abs());
+            }
+            for r in 0..self.n_rows {
+                let (idx, vals) = self.row(r);
+                let lo = idx.partition_point(|&c| (c as usize) < cols.start);
+                let hi = idx.partition_point(|&c| (c as usize) < cols.end);
+                for (&c, v) in idx[lo..hi].iter().zip(&vals[lo..hi]) {
+                    col_part[c as usize - cols.start] += v.abs();
+                }
+            }
+        });
         (row_sums, col_sums)
     }
 
@@ -323,6 +350,54 @@ mod tests {
         let mut y = vec![0.0; 3];
         m.spmv_serial(&x, &mut y);
         assert_eq!(y, vec![7.0, 0.0, 11.0]);
+    }
+
+    /// The serial pass [`Csr::abs_sums`] must equal bit for bit.
+    fn serial_abs_sums(m: &Csr<f32>) -> (Vec<f32>, Vec<f32>) {
+        let mut row_sums = vec![0.0f32; m.n_rows()];
+        let mut col_sums = vec![0.0f32; m.n_cols()];
+        for (r, row_sum) in row_sums.iter_mut().enumerate() {
+            let (cols, vals) = m.row(r);
+            for (c, v) in cols.iter().zip(vals) {
+                *row_sum += v.abs();
+                col_sums[*c as usize] += v.abs();
+            }
+        }
+        (row_sums, col_sums)
+    }
+
+    #[test]
+    fn abs_sums_equal_the_serial_pass_bitwise_for_every_part_count() {
+        // A pixel-driven parallel-beam CT matrix (12×12 image, 9 views
+        // of 20 bins, linear interpolation between the two nearest
+        // bins), and a matrix with empty rows and columns.
+        let (n, n_views, n_bins) = (12usize, 9usize, 20usize);
+        let mut ct = Coo::new(n_views * n_bins, n * n);
+        for v in 0..n_views {
+            let (sin, cos) = (v as f32 * 0.35).sin_cos();
+            for px in 0..n * n {
+                let (x, y) = ((px % n) as f32 - 5.5, (px / n) as f32 - 5.5);
+                let t = x * cos + y * sin + n_bins as f32 / 2.0 - 0.5;
+                let (bin, frac) = (t.floor() as usize, t - t.floor());
+                ct.push(v * n_bins + bin, px, 1.0 - frac);
+                ct.push(v * n_bins + bin + 1, px, frac);
+            }
+        }
+        let mut sparse = Coo::new(40, 30);
+        for (r, c) in [(0, 3), (0, 29), (5, 3), (17, 11), (39, 0), (39, 29)] {
+            sparse.push(r, c, 1.0 / (1 + r + c) as f32);
+        }
+        for m in [ct.to_csr(), sparse.to_csr(), Coo::new(0, 5).to_csr()] {
+            let bits = |(a, b): (Vec<f32>, Vec<f32>)| {
+                let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                (bits(a), bits(b))
+            };
+            let want = bits(serial_abs_sums(&m));
+            for parts in [1, 2, 3, 7] {
+                assert_eq!(bits(m.abs_sums_in_parts(parts)), want, "{parts} parts");
+            }
+            assert_eq!(bits(m.abs_sums()), want);
+        }
     }
 
     #[test]

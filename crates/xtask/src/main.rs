@@ -41,8 +41,9 @@ fn usage() -> ExitCode {
          \x20           optional trace/*.ndjson) into a roofline report classifying\n\
          \x20           each kernel as latency- or bandwidth-bound, optionally\n\
          \x20           exporting Chrome traces + flamegraph stacks; with --diff it\n\
-         \x20           compares two directories (min-of-reps, relative threshold)\n\
-         \x20           and exits 1 on regressions, 2 when the two come from\n\
+         \x20           compares two directories (min-of-reps kernels and set-up\n\
+         \x20           stages, relative threshold) and exits 1 on regressions,\n\
+         \x20           2 when the two come from\n\
          \x20           different builds or hosts with different caches.\n\
          shard       sharded multi-process reconstruction gate: assembles the case's\n\
          \x20           system matrix, partitions it into row shards, launches one\n\

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! bench_results/smoke/
-//!   manifests/*.ndjson   # measurement records (schema v1 to v5)
+//!   manifests/*.ndjson   # measurement records (schema v1 to v6)
 //!   trace/*.ndjson       # optional cscv-trace dumps (CSCV_TRACE_OUT)
 //! ```
 //!
@@ -15,7 +15,8 @@
 //! `driver/name/tN/kN`; the representative record per key is the one
 //! with the best GFLOP/s, and per-rep `samples` arrays are pooled across
 //! records. Schema-v1 lines (no `samples`) degrade to a single-sample
-//! distribution at `secs_min`.
+//! distribution at `secs_min`. Each stage of a `setup` record (v6) is
+//! kept under `driver/setup/dataset/stage` at its best time.
 //!
 //! The roofline section joins each kernel with a bandwidth ceiling,
 //! resolved in order: an explicit `--peak-gbs` flag, the best `membw`
@@ -37,7 +38,9 @@
 //! Records from before v5 carry no profile and compare with either, so
 //! the A/B gate still runs across the schema change. Nothing else a
 //! record carries has to agree, so two revisions of the code (the point
-//! of a diff) always compare.
+//! of a diff) always compare: the v6 `revision` is printed, never
+//! checked. Set-up stages are diffed like kernels, so a change that
+//! doubles a format build fails the gate as a slower kernel does.
 
 use cscv_harness::roofline::{self, RooflinePoint};
 use cscv_harness::{summarize_samples, LatencySummary};
@@ -113,6 +116,12 @@ pub struct LoadedDir {
     /// The distinct `profile`s of the kernel records that carry one
     /// (schema v5), as JSON text.
     pub profiles: BTreeSet<Option<String>>,
+    /// The distinct `revision`s of the records, as JSON text; `None`
+    /// for records that do not carry one (schema v1 to v5).
+    pub revisions: BTreeSet<Option<String>>,
+    /// Best seconds of each set-up stage, keyed
+    /// `driver/setup/dataset/stage`.
+    pub stages: BTreeMap<String, f64>,
 }
 
 /// Where the bandwidth ceiling came from.
@@ -179,8 +188,13 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
 
     let mut by_key: BTreeMap<String, KernelAgg> = BTreeMap::new();
     let mut membw: Option<f64> = None;
-    let (mut builds, mut caches, mut profiles) =
-        (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+    let (mut builds, mut caches, mut profiles, mut revisions) = (
+        BTreeSet::new(),
+        BTreeSet::new(),
+        BTreeSet::new(),
+        BTreeSet::new(),
+    );
+    let mut stages: BTreeMap<String, f64> = BTreeMap::new();
     let (mut n_records, mut n_v1, mut n_skipped) = (0usize, 0usize, 0usize);
     for path in &files {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -190,11 +204,41 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
                 continue;
             };
             let num = |k: &str| v.get(k).and_then(Json::as_f64);
+            let driver = v
+                .get("driver")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown")
+                .to_string();
+            let mut provenance = || {
+                builds.insert(recorded(&v, "target_features"));
+                caches.insert(recorded(&v, "cache"));
+                profiles.extend(recorded(&v, "profile").map(Some));
+                revisions.insert(recorded(&v, "revision"));
+            };
             match v.get("type").and_then(Json::as_str) {
                 Some("membw") => {
                     n_records += 1;
                     if let Some(r) = num("read_gbs") {
                         membw = Some(membw.map_or(r, |m: f64| m.max(r)));
+                    }
+                }
+                Some("setup") => {
+                    n_records += 1;
+                    let (Some(dataset), Some(timed)) = (
+                        v.get("dataset").and_then(Json::as_str),
+                        v.get("stages").and_then(Json::as_obj),
+                    ) else {
+                        n_skipped += 1;
+                        continue;
+                    };
+                    provenance();
+                    for (stage, secs) in timed {
+                        if let Some(secs) = secs.as_f64() {
+                            let best = stages
+                                .entry(format!("{driver}/setup/{dataset}/{stage}"))
+                                .or_insert(secs);
+                            *best = best.min(secs);
+                        }
                     }
                 }
                 Some("spmv") | Some("spmm") => {
@@ -207,14 +251,7 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
                         n_skipped += 1;
                         continue;
                     };
-                    builds.insert(recorded(&v, "target_features"));
-                    caches.insert(recorded(&v, "cache"));
-                    profiles.extend(recorded(&v, "profile").map(Some));
-                    let driver = v
-                        .get("driver")
-                        .and_then(Json::as_str)
-                        .unwrap_or("unknown")
-                        .to_string();
+                    provenance();
                     let threads = num("threads").unwrap_or(1.0) as u64;
                     let k = num("k").unwrap_or(1.0) as u64;
                     let samples: Vec<f64> = match v.get("samples").and_then(Json::as_arr) {
@@ -265,11 +302,13 @@ pub fn load_dir(dir: &Path) -> Result<LoadedDir, String> {
         builds,
         caches,
         profiles,
+        revisions,
+        stages,
     })
 }
 
 /// A provenance field of a manifest record (`target_features`,
-/// `cache`, `profile`) as JSON text; `None` where the record does not
+/// `cache`, `profile`, `revision`) as JSON text; `None` where the record does not
 /// carry it.
 fn recorded(v: &Json, field: &str) -> Option<String> {
     v.get(field).map(Json::to_string)
@@ -425,6 +464,12 @@ pub fn render_table(loaded: &LoadedDir, report: &Report) -> String {
         }
         out.push_str(line.trim_end());
         out.push('\n');
+    }
+    if !loaded.stages.is_empty() {
+        out.push_str("\n== set-up stages (best of runs) ==\n");
+        for (key, secs) in &loaded.stages {
+            let _ = writeln!(out, "{key}  {} ms", fmt_ms(*secs));
+        }
     }
     out
 }
@@ -691,10 +736,17 @@ pub struct DiffRow {
     pub status: DiffStatus,
 }
 
-/// Noise-aware diff: best-of-reps per key, relative threshold.
+/// Noise-aware diff: best-of-reps per key (kernels and set-up stages),
+/// relative threshold.
 pub fn diff(a: &LoadedDir, b: &LoadedDir, threshold: f64) -> Vec<DiffRow> {
-    let amap: BTreeMap<String, f64> = a.kernels.iter().map(|k| (k.key(), k.best_secs())).collect();
-    let bmap: BTreeMap<String, f64> = b.kernels.iter().map(|k| (k.key(), k.best_secs())).collect();
+    let best = |l: &LoadedDir| -> BTreeMap<String, f64> {
+        l.kernels
+            .iter()
+            .map(|k| (k.key(), k.best_secs()))
+            .chain(l.stages.iter().map(|(key, &secs)| (key.clone(), secs)))
+            .collect()
+    };
+    let (amap, bmap) = (best(a), best(b));
     let mut keys: Vec<&String> = amap.keys().chain(bmap.keys()).collect();
     keys.sort();
     keys.dedup();
@@ -746,13 +798,15 @@ pub fn render_diff_table(a: &LoadedDir, b: &LoadedDir, rows: &[DiffRow], thresho
         let build = one_value("target_features", &l.builds).unwrap_or_else(Some);
         let cache = one_value("cache", &l.caches).unwrap_or_else(Some);
         let profile = one_value("profile", &l.profiles).unwrap_or_else(Some);
+        let revision = one_value("revision", &l.revisions).unwrap_or_else(Some);
         let _ = writeln!(
             out,
-            "{side}: {} records, target_features {}, cache {}, profile {}",
+            "{side}: {} records, target_features {}, cache {}, profile {}, revision {}",
             l.n_records,
             show(&build),
             show(&cache),
-            show(&profile)
+            show(&profile),
+            show(&revision)
         );
     }
     let key_w = rows.iter().map(|r| r.key.len()).max().unwrap_or(3).max(3);

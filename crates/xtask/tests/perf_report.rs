@@ -285,6 +285,141 @@ fn diff_refuses_manifests_from_different_profiles() {
     }
 }
 
+/// A schema-v6 record of one build on one host at git revision `rev`.
+fn at_revision(line: &str, rev: &str) -> String {
+    line.replacen(
+        '{',
+        &format!(
+            r#"{{"schema":6,"target_features":{{"fma":true,"avx2":true,"avx512f":true}},"profile":"release","cache":{{"l2_bytes":2097152,"l3_bytes":110100480}},"revision":"{rev}","#
+        ),
+        1,
+    )
+}
+
+#[test]
+fn diff_prints_the_revisions_but_compares_any_two() {
+    let (parent, change) = (Scratch::new("rev-parent"), Scratch::new("rev-change"));
+    parent.manifest(
+        "m.ndjson",
+        &[at_revision(
+            &spmv_line("kern", 0.010, &[0.010]),
+            "d7f921f1e003",
+        )],
+    );
+    change.manifest(
+        "m.ndjson",
+        &[at_revision(
+            &spmv_line("kern", 0.010, &[0.010]),
+            "0a1b2c3d4e5f",
+        )],
+    );
+    let (code, stdout, stderr) = run(&["perf-report", "--diff", path(&parent.0), path(&change.0)]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.contains(r#"profile "release", revision "d7f921f1e003""#),
+        "{stdout}"
+    );
+    assert!(stdout.contains(r#"revision "0a1b2c3d4e5f""#), "{stdout}");
+    assert!(stdout.contains("perf-diff: OK"), "{stdout}");
+}
+
+/// A `setup` record of `table2_datasets` on ct128 (schema v6).
+fn setup_line(z_build: f64, rev: &str) -> String {
+    at_revision(
+        &Json::obj(vec![
+            ("type", Json::from("setup")),
+            ("driver", Json::from("table2_datasets")),
+            ("dataset", Json::from("ct128")),
+            ("threads", Json::from(2u64)),
+            (
+                "stages",
+                Json::obj(vec![
+                    ("assemble", Json::from(0.150)),
+                    ("cscv-z-build", Json::from(z_build)),
+                ]),
+            ),
+        ])
+        .to_string(),
+        rev,
+    )
+}
+
+#[test]
+fn diff_compares_set_up_stages_like_kernels() {
+    let (parent, slower, doubled) = (
+        Scratch::new("setup-parent"),
+        Scratch::new("setup-slower"),
+        Scratch::new("setup-doubled"),
+    );
+    // Two runs of the parent: the stage keeps its best time.
+    parent.manifest(
+        "table2_datasets.ndjson",
+        &[
+            setup_line(0.080, "d7f921f1e003"),
+            setup_line(0.070, "d7f921f1e003"),
+        ],
+    );
+    slower.manifest(
+        "table2_datasets.ndjson",
+        &[setup_line(0.091, "0a1b2c3d4e5f")],
+    );
+    doubled.manifest(
+        "table2_datasets.ndjson",
+        &[setup_line(0.150, "0a1b2c3d4e5f")],
+    );
+    let key = "table2_datasets/setup/ct128/cscv-z-build";
+
+    // +30% is inside the perf gate's 2x bar.
+    let (code, stdout, stderr) = run(&[
+        "perf-report",
+        "--diff",
+        path(&parent.0),
+        path(&slower.0),
+        "--threshold",
+        "1.0",
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    let row = stdout.lines().find(|l| l.starts_with(key)).expect(key);
+    assert!(row.contains("70.000") && row.contains("+30.0%"), "{row}");
+    assert!(
+        stdout.contains("table2_datasets/setup/ct128/assemble"),
+        "{stdout}"
+    );
+
+    // A build more than twice as slow fails it.
+    let (code, stdout, _) = run(&[
+        "perf-report",
+        "--diff",
+        path(&parent.0),
+        path(&doubled.0),
+        "--threshold",
+        "1.0",
+    ]);
+    assert_eq!(code, 1, "{stdout}");
+    let row = stdout.lines().find(|l| l.starts_with(key)).expect(key);
+    assert!(row.contains("REGRESSION"), "{row}");
+
+    // A parent without set-up records (from before v6) still compares:
+    // the stages are only in B.
+    let kernels_only = Scratch::new("setup-none");
+    kernels_only.manifest(
+        "m.ndjson",
+        &[at_revision(
+            &spmv_line("kern", 0.010, &[0.010]),
+            "d7f921f1e003",
+        )],
+    );
+    let (code, stdout, stderr) = run(&[
+        "perf-report",
+        "--diff",
+        path(&kernels_only.0),
+        path(&doubled.0),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    let row = stdout.lines().find(|l| l.starts_with(key)).expect(key);
+    assert!(row.contains("only-in-b"), "{row}");
+}
+
 #[test]
 fn missing_directory_is_a_usage_error() {
     let s = Scratch::new("missing");
