@@ -52,10 +52,6 @@ impl Sinogram {
         &self.data
     }
 
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     #[inline]
     pub fn get(&self, view: usize, bin: usize) -> f64 {
         self.data[view * self.n_bins + bin]

@@ -2,7 +2,7 @@
 //! timing distributions for the analysis tier.
 
 use cscv_sparse::{Scalar, SpmvExecutor, ThreadPool};
-use cscv_trace::hist::{exact_percentile, Histogram};
+use cscv_trace::hist::exact_percentile;
 use std::time::Instant;
 
 /// Latency distribution summary over one measurement's timed reps
@@ -15,22 +15,13 @@ pub struct LatencySummary {
     pub max: f64,
 }
 
-/// Summarize per-rep samples: exact percentiles when the sample set is
-/// small (bench reps), the log-bucketed [`Histogram`] otherwise — the
-/// same bucketing `perf-report` uses when pooling runs, so numbers
-/// agree between a manifest line and an aggregated report.
+/// Summarize per-rep samples: sort them and read nearest-rank
+/// ([`exact_percentile`]) p50/p90/p99 and the exact max, at any sample
+/// count — the same rule `perf-report` applies to pooled runs, so a
+/// manifest line and an aggregated report agree.
 pub fn summarize_samples(samples: &[f64]) -> LatencySummary {
-    if samples.len() > 256 {
-        let h = Histogram::from_samples(samples);
-        return LatencySummary {
-            p50: h.percentile(50.0),
-            p90: h.percentile(90.0),
-            p99: h.percentile(99.0),
-            max: h.max(),
-        };
-    }
     let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f64::total_cmp);
     let Some(&max) = sorted.last() else {
         return LatencySummary {
             p50: 0.0,
@@ -300,12 +291,27 @@ mod tests {
         assert_eq!(lat.max, 4.0);
         let empty = summarize_samples(&[]);
         assert_eq!(empty.max, 0.0);
-        // Large sets go through the histogram: percentiles stay within
-        // its relative-error bound of the exact answer.
-        let big: Vec<f64> = (1..=1000).map(|i| i as f64 * 1e-4).collect();
-        let lat = summarize_samples(&big);
-        assert!((lat.p50 - 0.05).abs() / 0.05 < 0.05, "p50 {}", lat.p50);
-        assert_eq!(lat.max, 0.1);
+    }
+
+    #[test]
+    fn summarize_samples_is_exact_at_any_size() {
+        // 1000 samples, shuffled: every percentile is bit for bit the
+        // nearest-rank sample of the sorted set, and max is its last.
+        let sorted: Vec<f64> = (1..=1000).map(|i| i as f64 * 1e-4).collect();
+        let mut shuffled = sorted.clone();
+        for i in 0..shuffled.len() {
+            shuffled.swap(i, (i * 7919) % 1000);
+        }
+        let lat = summarize_samples(&shuffled);
+        for (got, p) in [(lat.p50, 50.0), (lat.p90, 90.0), (lat.p99, 99.0)] {
+            assert_eq!(
+                got.to_bits(),
+                exact_percentile(&sorted, p).to_bits(),
+                "p{p}"
+            );
+        }
+        assert_eq!(lat.p50, 500.0 * 1e-4);
+        assert_eq!(lat.max.to_bits(), sorted[999].to_bits());
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl<T: Scalar> SpmvOperator<T> {
             csr,
         )
     }
-
-    /// The forward executor's name (report labelling).
-    pub fn forward_name(&self) -> String {
-        self.forward.name()
-    }
 }
 
 impl<T: Scalar> LinearOperator<T> for SpmvOperator<T> {

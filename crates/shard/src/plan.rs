@@ -97,15 +97,6 @@ pub enum PartitionMethod {
 }
 
 impl PartitionMethod {
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<PartitionMethod> {
-        match s {
-            "stripe" => Some(PartitionMethod::Stripe),
-            "bisect" => Some(PartitionMethod::Bisect),
-            _ => None,
-        }
-    }
-
     /// Stable name (reports, NDJSON).
     pub fn name(self) -> &'static str {
         match self {

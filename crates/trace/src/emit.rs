@@ -18,7 +18,8 @@
 //! output is a single `{"type":"meta","enabled":false}` line and the
 //! table states that tracing is off.
 
-use crate::counters::{self, Counter, Totals};
+use crate::counters::{self, Counter};
+use crate::hist::exact_percentile;
 use crate::json::Json;
 use crate::span;
 use std::io::Write as _;
@@ -233,7 +234,7 @@ pub fn table() -> String {
         ));
     }
 
-    // Per-span aggregates with log-bucketed latency percentiles.
+    // Per-span aggregates with nearest-rank latency percentiles.
     let events = span::events();
     let mut names: Vec<&'static str> = Vec::new();
     for (_, e) in events.iter().filter(|(_, e)| e.is_span) {
@@ -248,21 +249,23 @@ pub fn table() -> String {
             "name", "count", "total ms", "p50 us", "p90 us", "p99 us", "max us"
         ));
         for name in names {
-            let mut h = crate::hist::Histogram::new();
-            let mut total = 0u64;
-            for (_, e) in events.iter().filter(|(_, e)| e.is_span && e.name == name) {
-                h.record(e.dur_ns as f64);
-                total += e.dur_ns;
-            }
+            let mut sorted: Vec<f64> = events
+                .iter()
+                .filter(|(_, e)| e.is_span && e.name == name)
+                .map(|(_, e)| e.dur_ns as f64)
+                .collect();
+            sorted.sort_by(f64::total_cmp);
+            let total: f64 = sorted.iter().sum();
+            let us = |p: f64| exact_percentile(&sorted, p) / 1e3;
             out.push_str(&format!(
                 "  {:<24} {:>8} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3}\n",
                 name,
-                h.count(),
-                total as f64 / 1e6,
-                h.percentile(50.0) / 1e3,
-                h.percentile(90.0) / 1e3,
-                h.percentile(99.0) / 1e3,
-                h.max() / 1e3
+                sorted.len(),
+                total / 1e6,
+                us(50.0),
+                us(90.0),
+                us(99.0),
+                us(100.0)
             ));
         }
     }
@@ -323,16 +326,6 @@ impl Drop for ReportGuard {
 /// Install the end-of-run trace reporter (see [`ReportGuard`]).
 pub fn report_guard() -> ReportGuard {
     ReportGuard { _priv: () }
-}
-
-/// A [`Totals`] snapshot serialized as a JSON object (used by tests and
-/// external tooling that wants counters without the full NDJSON dump).
-pub fn totals_json(t: &Totals) -> Json {
-    Json::Obj(
-        t.iter()
-            .map(|(k, v)| (k.to_string(), Json::from(v)))
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -446,6 +439,34 @@ mod tests {
         let ps = pool_stats();
         assert_eq!(ps.busy_threads, 1);
         assert!((ps.imbalance - 1.0).abs() < 1e-12);
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn span_rows_count_every_span_and_report_exact_percentiles() {
+        let _guard = crate::registry::test_lock();
+        counters::reset();
+        for _ in 0..5 {
+            let _s = span::enter("emit.rows");
+        }
+        let mut durs: Vec<f64> = span::events()
+            .iter()
+            .filter(|(_, e)| e.name == "emit.rows")
+            .map(|(_, e)| e.dur_ns as f64)
+            .collect();
+        durs.sort_by(f64::total_cmp);
+        let t = table();
+        let row: Vec<&str> = t
+            .lines()
+            .find(|l| l.trim_start().starts_with("emit.rows "))
+            .unwrap()
+            .split_whitespace()
+            .collect();
+        // name, count, total ms, p50/p90/p99/max us: every span counts,
+        // whatever its duration, and each column is a recorded sample.
+        assert_eq!(row[1], "5", "{t}");
+        let us = |p: f64| format!("{:.3}", exact_percentile(&durs, p) / 1e3);
+        assert_eq!(row[3..], [us(50.0), us(90.0), us(99.0), us(100.0)], "{t}");
     }
 
     #[cfg(feature = "trace")]

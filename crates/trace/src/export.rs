@@ -227,17 +227,6 @@ pub fn chrome_trace(events: &[ExportEvent]) -> Json {
     ])
 }
 
-/// Write [`chrome_trace`] over the live snapshot to `path` (parent
-/// directories created).
-pub fn write_chrome_trace(path: &std::path::Path) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(path, chrome_trace(&snapshot()).to_string())
-}
-
 /// Render collapsed flamegraph stacks: one `thread;outer;…;leaf N`
 /// line per distinct stack, `N` = self-time in nanoseconds, sorted for
 /// stable diffs. Point events carry no duration and are ignored.
@@ -298,16 +287,6 @@ pub fn collapsed_stacks(events: &[ExportEvent]) -> String {
         }
     }
     out
-}
-
-/// Write [`collapsed_stacks`] over the live snapshot to `path`.
-pub fn write_collapsed_stacks(path: &std::path::Path) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(path, collapsed_stacks(&snapshot()))
 }
 
 #[cfg(test)]

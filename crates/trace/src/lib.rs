@@ -38,9 +38,9 @@
 //! byte-for-byte the uninstrumented kernels unless the feature is on.
 //!
 //! The [`json`], [`hist`], and [`export`] modules (the minimal JSON
-//! parser/writer, log-bucketed latency histograms, and the Chrome
-//! trace-event / collapsed-stack exporters) are always compiled:
-//! manifests, histograms, and trace conversion operate on *recorded*
+//! parser/writer, nearest-rank percentiles over kept samples, and the
+//! Chrome trace-event / collapsed-stack exporters) are always compiled:
+//! manifests, percentiles, and trace conversion operate on *recorded*
 //! evidence, not hot-path instrumentation, and stay available in
 //! default builds — `cscv-xtask perf-report` uses them to analyze
 //! archived traces without carrying live instrumentation itself.

@@ -3,40 +3,22 @@
 //!
 //! The lexer does not tokenize; it classifies every character of a
 //! source file as *code*, *string content* or *comment content*, then
-//! hands each line back in three synchronized views:
-//!
-//! * [`LineView::code`] — comments and string contents blanked to spaces,
-//!   so a keyword search cannot be fooled by doc text or log messages;
-//! * [`LineView::code_with_strings`] — comments blanked, string literals
-//!   kept verbatim (`cfg(feature = "trace")` needs the literal);
-//! * [`LineView::comment`] — the comment text of the line.
+//! hands each line back as [`LineView::code`]: comments and string
+//! contents blanked to spaces, so a keyword search cannot be fooled by
+//! doc text or log messages.
 //!
 //! Handled syntax: line comments, nested block comments, string literals
 //! with escapes, raw strings (`r"…"`, `r#"…"#`, byte variants), char
 //! literals, and the char-vs-lifetime ambiguity (`'a'` vs `'static`).
 
-/// One source line in the three synchronized views.
+/// One source line, code only.
 #[derive(Debug, Default, Clone)]
 pub struct LineView {
     /// Code with comments *and* string contents blanked.
     pub code: String,
-    /// Code with comments blanked, strings kept.
-    pub code_with_strings: String,
-    /// Comment text on this line (line + block comments, concatenated).
-    pub comment: String,
 }
 
 impl LineView {
-    /// Whether the line holds no code at all (blank / comment-only).
-    pub fn is_code_blank(&self) -> bool {
-        self.code.trim().is_empty()
-    }
-
-    /// Whether the line is comment-only (has a comment, no code).
-    pub fn is_comment_only(&self) -> bool {
-        self.is_code_blank() && !self.comment.trim().is_empty()
-    }
-
     /// Whether the line's code is (the start of) an attribute,
     /// e.g. `#[inline]` or `#![deny(…)]`.
     pub fn is_attribute(&self) -> bool {
@@ -44,16 +26,10 @@ impl LineView {
         t.starts_with("#[") || t.starts_with("#![")
     }
 
-    /// Append one character of the given class to the three views.
+    /// Append one character of the given class: code verbatim,
+    /// anything else as a space.
     fn put(&mut self, class: State, c: char) {
-        let (code, with_str, comment) = match class {
-            State::Code => (c, c, ' '),
-            State::Str | State::RawStr(_) | State::Char => (' ', c, ' '),
-            State::LineComment | State::BlockComment(_) => (' ', ' ', c),
-        };
-        self.code.push(code);
-        self.code_with_strings.push(with_str);
-        self.comment.push(comment);
+        self.code.push(if class == State::Code { c } else { ' ' });
     }
 }
 
@@ -199,7 +175,6 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert!(v[0].code.contains("let x = 1;"));
         assert!(!v[0].code.contains("SAFETY"));
-        assert!(v[0].comment.contains("SAFETY: fine"));
     }
 
     #[test]
@@ -207,7 +182,6 @@ mod tests {
         let v = analyze("let s = \"unsafe panic!()\";\n");
         assert!(!v[0].code.contains("unsafe"));
         assert!(!v[0].code.contains("panic"));
-        assert!(v[0].code_with_strings.contains("unsafe panic!()"));
     }
 
     #[test]
@@ -232,14 +206,12 @@ mod tests {
         let v = analyze("/* outer /* inner */ still comment */ code();\n");
         assert!(v[0].code.contains("code()"));
         assert!(!v[0].code.contains("outer"));
-        assert!(v[0].comment.contains("inner"));
     }
 
     #[test]
     fn multiline_block_comment_classifies_each_line() {
         let v = analyze("/* a\n b SAFETY: yes\n*/ let x = unsafe { f() };\n");
-        assert!(v[1].comment.contains("SAFETY"));
-        assert!(v[1].is_comment_only());
+        assert!(v[1].code.trim().is_empty());
         assert!(v[2].code.contains("unsafe"));
     }
 
@@ -256,7 +228,6 @@ mod tests {
     fn attributes_detected() {
         let v = analyze("#[cfg(feature = \"trace\")]\nfn f() {}\n");
         assert!(v[0].is_attribute());
-        assert!(v[0].code_with_strings.contains("cfg(feature = \"trace\")"));
         assert!(!v[1].is_attribute());
     }
 }

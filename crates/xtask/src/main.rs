@@ -7,7 +7,7 @@
 //! cscv-xtask perf-report --diff DIR_A DIR_B [--threshold F]
 //!                            [--format table|ndjson]
 //! cscv-xtask shard [--case FILE] [--workers LIST] [--solver NAME|all]
-//!                  [--iters N] [--method stripe|bisect] [--threads N]
+//!                  [--iters N] [--threads N]
 //!                  [--launch process|threads] [--tol F]
 //!                  [--format table|ndjson]
 //! cscv-xtask shard-worker --socket PATH   (internal: worker process)
@@ -32,7 +32,7 @@ fn usage() -> ExitCode {
         "usage: cscv-xtask fuzz [--iters N] [--seed S] [--corpus DIR]\n\
          \x20      cscv-xtask perf-report DIR [--format table|ndjson] [--peak-gbs F] [--export-dir DIR]\n\
          \x20      cscv-xtask perf-report --diff DIR_A DIR_B [--threshold F] [--format table|ndjson]\n\
-         \x20      cscv-xtask shard [--case FILE] [--workers LIST] [--solver NAME|all] [--iters N] [--method stripe|bisect] [--threads N] [--launch process|threads] [--tol F] [--format table|ndjson]\n\n\
+         \x20      cscv-xtask shard [--case FILE] [--workers LIST] [--solver NAME|all] [--iters N] [--threads N] [--launch process|threads] [--tol F] [--format table|ndjson]\n\n\
          fuzz        structure-aware differential fuzzing: random CT geometries and\n\
          \x20           degenerate matrices round-tripped through every format with\n\
          \x20           invariant validation and executor-vs-dense checks; failures\n\
@@ -248,13 +248,6 @@ fn shard_cli(args: &[String]) -> ExitCode {
             "--iters" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => cfg.iters = Some(n),
                 _ => return usage(),
-            },
-            "--method" => match it
-                .next()
-                .and_then(|m| cscv_shard::PartitionMethod::parse(m))
-            {
-                Some(m) => cfg.method = m,
-                None => return usage(),
             },
             "--threads" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => cfg.threads = n,

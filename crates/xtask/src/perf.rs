@@ -45,7 +45,7 @@
 use cscv_harness::roofline::{self, RooflinePoint};
 use cscv_harness::{summarize_samples, LatencySummary};
 use cscv_trace::json::Json;
-use cscv_trace::{export, hist::Histogram};
+use cscv_trace::{export, hist::exact_percentile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -824,19 +824,19 @@ pub fn render_diff_table(a: &LoadedDir, b: &LoadedDir, rows: &[DiffRow], thresho
     }
     // Distribution of relative deltas over the matched keys: one line
     // the CI log can eyeball for drift even when nothing trips.
-    let deltas: Vec<f64> = rows
+    let mut deltas: Vec<f64> = rows
         .iter()
         .filter(|r| r.a_secs.is_some() && r.b_secs.is_some())
-        .map(|r| r.rel.abs().max(1e-12))
+        .map(|r| r.rel.abs())
         .collect();
+    deltas.sort_by(f64::total_cmp);
     if !deltas.is_empty() {
-        let h = Histogram::from_samples(&deltas);
         let _ = writeln!(
             out,
             "|delta| distribution: p50 {:+.1}% p90 {:+.1}% max {:+.1}% over {} keys",
-            h.percentile(50.0) * 100.0,
-            h.percentile(90.0) * 100.0,
-            h.max() * 100.0,
+            exact_percentile(&deltas, 50.0) * 100.0,
+            exact_percentile(&deltas, 90.0) * 100.0,
+            exact_percentile(&deltas, 100.0) * 100.0,
             deltas.len()
         );
     }

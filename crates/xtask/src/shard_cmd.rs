@@ -56,8 +56,6 @@ pub struct ShardCmdConfig {
     pub solvers: Vec<Solver>,
     /// Solver iterations per run; `None` = per-solver [`default_iters`].
     pub iters: Option<usize>,
-    /// Partitioner.
-    pub method: PartitionMethod,
     /// Threads per worker pool.
     pub threads: usize,
     /// Launch in-process worker threads instead of processes.
@@ -73,7 +71,6 @@ impl Default for ShardCmdConfig {
             workers: vec![1, 2, 4],
             solvers: Solver::ALL.to_vec(),
             iters: None,
-            method: PartitionMethod::Stripe,
             threads: 1,
             threads_launch: false,
             tol: 1e-10,
@@ -168,7 +165,6 @@ pub struct ShardRun {
 #[derive(Debug, Clone)]
 pub struct ShardOutcome {
     pub case: ShardCase,
-    pub method: PartitionMethod,
     pub runs: Vec<ShardRun>,
 }
 
@@ -186,7 +182,7 @@ impl ShardOutcome {
             self.case.img,
             self.case.views,
             self.case.bins,
-            self.method.name()
+            PartitionMethod::Stripe.name()
         );
         out.push_str(&format!(
             "{:<10} {:>7} {:>5} {:>9} {:>9} {:>12} {:>8} {:>10} {:>10} {:>9} {:>6}  {}\n",
@@ -238,7 +234,7 @@ impl ShardOutcome {
                 ("type", "shard".into()),
                 ("case", self.case.name.as_str().into()),
                 ("solver", r.solver.into()),
-                ("method", self.method.name().into()),
+                ("method", PartitionMethod::Stripe.name().into()),
                 ("workers", (r.workers as u64).into()),
                 ("iterations", (r.iters as u64).into()),
                 ("secs", r.secs.into()),
@@ -315,7 +311,7 @@ pub fn run(cfg: &ShardCmdConfig) -> Result<ShardOutcome, String> {
         let reference = run_solver(solver, &local, &sino, iters, &pool);
         let ref_secs = t0.elapsed().as_secs_f64();
         for &w in &cfg.workers {
-            let plan = ShardPlan::new(&row_nnz, w, case.bins, cfg.method);
+            let plan = ShardPlan::new(&row_nnz, w, case.bins, PartitionMethod::Stripe);
             let cluster = Cluster::start(&csr, &plan, layout, img, cfg.threads, &launch)
                 .map_err(|e| format!("cluster start ({w} workers): {e}"))?;
             let execs = cluster.exec_names().join(",");
@@ -356,7 +352,7 @@ pub fn run(cfg: &ShardCmdConfig) -> Result<ShardOutcome, String> {
             record_shard(&ShardRunRecord {
                 case: &case.name,
                 solver: run.solver,
-                method: cfg.method.name(),
+                method: PartitionMethod::Stripe.name(),
                 workers: w,
                 iterations: iters,
                 secs,
@@ -371,11 +367,7 @@ pub fn run(cfg: &ShardCmdConfig) -> Result<ShardOutcome, String> {
             runs.push(run);
         }
     }
-    Ok(ShardOutcome {
-        case,
-        method: cfg.method,
-        runs,
-    })
+    Ok(ShardOutcome { case, runs })
 }
 
 #[cfg(test)]

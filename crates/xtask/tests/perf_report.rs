@@ -109,6 +109,38 @@ fn ndjson_format_parses_back() {
 }
 
 #[test]
+fn pooled_samples_report_exact_nearest_rank_percentiles() {
+    // 400 samples 1e-4..=4e-2 s, interleaved over two records of one
+    // kernel: the pooled percentiles are the nearest-rank samples of
+    // the sorted union, bit for bit, however many samples there are.
+    let sample = |i: usize| i as f64 * 1e-4;
+    let odd: Vec<f64> = (1..=400).filter(|i| i % 2 == 1).map(sample).collect();
+    let even: Vec<f64> = (1..=400).filter(|i| i % 2 == 0).map(sample).collect();
+    let s = Scratch::new("pooled");
+    s.manifest(
+        "a.ndjson",
+        &[
+            spmv_line("alpha", sample(1), &odd),
+            spmv_line("alpha", sample(2), &even),
+        ],
+    );
+    let (code, stdout, stderr) = run(&["perf-report", path(&s.0), "--format", "ndjson"]);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    let row = stdout
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .find(|v| v.get("type").and_then(Json::as_str) == Some("roofline"))
+        .unwrap();
+    let field = |k: &str| row.get(k).and_then(Json::as_f64).unwrap();
+    assert_eq!(field("n_samples"), 400.0);
+    // Nearest rank ⌈p/100 · 400⌉: 200, 360 and 396.
+    assert_eq!(field("secs_p50").to_bits(), sample(200).to_bits());
+    assert_eq!(field("secs_p90").to_bits(), sample(360).to_bits());
+    assert_eq!(field("secs_p99").to_bits(), sample(396).to_bits());
+    assert_eq!(field("secs_max").to_bits(), sample(400).to_bits());
+}
+
+#[test]
 fn diff_exit_codes_clean_and_regressed() {
     let a = Scratch::new("diff-a");
     let clean = Scratch::new("diff-clean");

@@ -157,8 +157,6 @@ fn custom_case_file_is_honored() {
             "2",
             "--launch",
             "threads",
-            "--method",
-            "bisect",
         ],
         &[],
     );
@@ -167,7 +165,7 @@ fn custom_case_file_is_honored() {
         stdout.contains("case tiny (16² image, 12 views × 24 bins)"),
         "{stdout}"
     );
-    assert!(stdout.contains("bisect partitioning"), "{stdout}");
+    assert!(stdout.contains("stripe partitioning"), "{stdout}");
 }
 
 #[test]
@@ -185,8 +183,9 @@ fn usage_errors_exit_two() {
     // Unknown solver.
     let (code, _, _) = run(&["shard", "--solver", "jacobi"], &[]);
     assert_eq!(code, 2);
-    // Trace export and telemetry are not shard options.
-    for flag in ["--trace-export", "--telemetry"] {
+    // Trace export, telemetry and the partition method are not shard
+    // options.
+    for flag in ["--trace-export", "--telemetry", "--method"] {
         let (code, _, stderr) = run(&["shard", flag, "x"], &[]);
         assert_eq!(code, 2, "{flag}");
         assert!(stderr.contains("usage:"), "{flag}: {stderr}");
