@@ -22,11 +22,6 @@
 #   ci.sh --fuzz                 + run the structure-aware differential
 #                                  fuzzer for 5000 fixed-seed iterations
 #                                  (the nightly CI job's workload)
-#   ci.sh --shard-smoke          + run the sharded multi-process
-#                                  reconstruction gate (`cscv-xtask shard
-#                                  --workers 1,2,4`): workers=1 must be
-#                                  byte-identical to single-process,
-#                                  2 and 4 within 1e-10 per residual entry
 #   ci.sh --sanitizers           + run the curated concurrency subset
 #                                  (cscv-sparse + cscv-core lib tests)
 #                                  under ThreadSanitizer and
@@ -43,14 +38,12 @@ cd "$(dirname "$0")"
 PERF_SMOKE=0
 MIRI=0
 FUZZ=0
-SHARD_SMOKE=0
 SANITIZERS=0
 for arg in "$@"; do
     case "$arg" in
         --perf-smoke) PERF_SMOKE=1 ;;
         --miri) MIRI=1 ;;
         --fuzz) FUZZ=1 ;;
-        --shard-smoke) SHARD_SMOKE=1 ;;
         --sanitizers) SANITIZERS=1 ;;
         *) echo "ci.sh: unknown flag: $arg" >&2; exit 2 ;;
     esac
@@ -137,14 +130,6 @@ if [ "$FUZZ" = 1 ]; then
     step "cscv-xtask fuzz --iters 5000 (structure-aware differential fuzzing)"
     cargo run --release -q -p cscv-xtask -- fuzz \
         --iters 5000 --seed 1 --corpus crates/xtask/fuzz_corpus
-fi
-
-if [ "$SHARD_SMOKE" = 1 ]; then
-    # Real worker processes over Unix sockets (the default launch mode);
-    # the command exits 1 itself on any equivalence failure.
-    step "shard smoke: cscv-xtask shard --workers 1,2,4 (process launch)"
-    cargo run --release -q -p cscv-xtask -- shard --workers 1,2,4
-
 fi
 
 if [ "$PERF_SMOKE" = 1 ]; then

@@ -24,7 +24,8 @@ use crate::format::{Block, CscvMatrix, CscvStats, GroupInfo, Variant};
 use crate::ioblr::{min_bin_per_view, RefCurve};
 use crate::layout::{tiles, view_groups, ImageShape, SinoLayout, Tile};
 use crate::params::CscvParams;
-use cscv_sparse::pool::{fork_join, split_range};
+use cscv_sparse::partition::even_chunks;
+use cscv_sparse::pool::fork_join;
 use cscv_sparse::{Csc, Scalar, ThreadPool};
 use std::ops::Range;
 
@@ -251,7 +252,8 @@ fn build_in_parts<T: Scalar>(
     let vgroups = view_groups(layout.n_views, params.s_vvec);
     let n_groups = vgroups.len();
 
-    let built = fork_join(split_range(tile_list.len() * n_groups, parts), |range| {
+    let n_blocks = tile_list.len() * n_groups;
+    let built = fork_join(even_chunks(n_blocks, parts.min(n_blocks).max(1)), |range| {
         let mut scratch = BlockScratch::default();
         let mut stats = CscvStats::default();
         let mut blocks = Vec::new();

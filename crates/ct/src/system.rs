@@ -15,7 +15,8 @@ use crate::chord::PixelFootprint;
 use crate::geometry::CtGeometry;
 use crate::joseph::joseph_ray;
 use crate::siddon::trace_ray;
-use cscv_sparse::pool::{fork_join, split_range};
+use cscv_sparse::partition::even_chunks;
+use cscv_sparse::pool::fork_join;
 use cscv_sparse::{Csc, Csr, Scalar, ThreadPool};
 use std::ops::Range;
 
@@ -192,7 +193,7 @@ impl SystemMatrix {
         let _span = cscv_trace::span::enter("system.assemble_csc");
         let n_cols = ct.n_cols();
         let table = view_table(ct, 0..ct.proj.n_views);
-        let mut pieces = fork_join(split_range(n_cols, parts), |cols| {
+        let mut pieces = fork_join(even_chunks(n_cols, parts.min(n_cols).max(1)), |cols| {
             let mut col_end = Vec::with_capacity(cols.len());
             let mut row_idx = Vec::new();
             let mut vals = Vec::new();

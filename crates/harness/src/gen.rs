@@ -67,6 +67,38 @@ impl GenKind {
     }
 }
 
+/// Most matrix cells (`rows·cols`) a descriptor may ask for. `generate`
+/// draws a random number per cell of a `uniform-random` matrix, so this
+/// bounds its time and memory: about 350× the largest [`random_desc`]
+/// case (480 rows × 100 columns).
+pub const MAX_CELLS: usize = 1 << 24;
+
+/// Why [`CaseDesc::parse`] rejected a line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CaseError {
+    /// A token, key or value the format does not accept.
+    Malformed(String),
+    /// `views·bins·nx·ny` exceeds [`MAX_CELLS`].
+    TooManyCells,
+}
+
+impl From<String> for CaseError {
+    fn from(why: String) -> Self {
+        CaseError::Malformed(why)
+    }
+}
+
+impl std::fmt::Display for CaseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CaseError::Malformed(why) => f.write_str(why),
+            CaseError::TooManyCells => {
+                write!(f, "views·bins·nx·ny exceeds the {MAX_CELLS}-cell bound")
+            }
+        }
+    }
+}
+
 /// One deterministic generator case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaseDesc {
@@ -99,7 +131,7 @@ impl CaseDesc {
     }
 
     /// Parse the [`serialize`](Self::serialize) form (order-insensitive).
-    pub fn parse(line: &str) -> Result<CaseDesc, String> {
+    pub fn parse(line: &str) -> Result<CaseDesc, CaseError> {
         let mut d = CaseDesc {
             kind: GenKind::CtBanded,
             n_views: 1,
@@ -133,11 +165,11 @@ impl CaseDesc {
                 "seed" => {
                     d.seed = val.parse().map_err(|_| format!("bad value in `{tok}`"))?;
                 }
-                _ => return Err(format!("unknown key `{key}`")),
+                _ => return Err(format!("unknown key `{key}`").into()),
             }
         }
         if !matches!(d.s_vvec, 4 | 8 | 16) {
-            return Err(format!("vvec must be 4, 8 or 16 (got {})", d.s_vvec));
+            return Err(format!("vvec must be 4, 8 or 16 (got {})", d.s_vvec).into());
         }
         if d.n_views == 0
             || d.n_bins == 0
@@ -146,13 +178,16 @@ impl CaseDesc {
             || d.s_imgb == 0
             || d.s_vxg == 0
         {
-            return Err("dimensions and parameters must be positive".into());
+            return Err(CaseError::Malformed(
+                "dimensions and parameters must be positive".into(),
+            ));
         }
-        // `generate` indexes rows and columns with u32.
-        for (what, a, b) in [("views·bins", d.n_views, d.n_bins), ("nx·ny", d.nx, d.ny)] {
-            if a.checked_mul(b).is_none_or(|p| p > u32::MAX as usize) {
-                return Err(format!("{what} = {a}·{b} exceeds the u32 index range"));
-            }
+        // Also keeps `generate`'s u32 row and column indices in range.
+        let cells = [d.n_views, d.n_bins, d.nx, d.ny]
+            .into_iter()
+            .try_fold(1usize, usize::checked_mul);
+        if cells.is_none_or(|c| c > MAX_CELLS) {
+            return Err(CaseError::TooManyCells);
         }
         Ok(d)
     }
@@ -335,8 +370,19 @@ mod tests {
         ] {
             assert!(CaseDesc::parse(&bad).is_err(), "should reject {bad:?}");
         }
-        // The largest accepted product is u32::MAX itself.
-        assert!(CaseDesc::parse("views=65537 bins=65535 nx=1 ny=1").is_ok());
+        // One line must not make `generate` allocate without bound.
+        assert_eq!(
+            CaseDesc::parse(
+                "kind=uniform-random views=65535 bins=65535 nx=65535 ny=65535 imgb=1 vvec=4 vxg=1 seed=1"
+            ),
+            Err(CaseError::TooManyCells)
+        );
+        // The largest accepted product is MAX_CELLS itself.
+        assert!(CaseDesc::parse("views=4096 bins=64 nx=8 ny=8").is_ok());
+        assert_eq!(
+            CaseDesc::parse("views=4097 bins=64 nx=8 ny=8"),
+            Err(CaseError::TooManyCells)
+        );
     }
 
     #[test]

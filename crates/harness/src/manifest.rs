@@ -19,7 +19,6 @@ use crate::timing::{LatencySummary, SpmmMeasurement, SpmvMeasurement};
 use cscv_trace::json::Json;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicI64, Ordering};
 
 /// Manifest record schema version.
 ///
@@ -146,43 +145,6 @@ pub fn append(record: &Json) {
     }
 }
 
-/// Process-global shard context, packed as `shard * 2^32 + n_shards`
-/// (−1 = unset). A shard worker sets this once at startup so every
-/// measurement it records is attributable to its shard; single-process
-/// drivers never touch it and their records stay unchanged.
-// A tag copied into measurement records — set once
-// by the worker before measuring on the same thread; readers that race
-// the store merely emit an untagged record, so Relaxed is sufficient.
-static SHARD_CONTEXT: AtomicI64 = AtomicI64::new(-1);
-
-/// Tag all subsequent spmv/spmm records with `"shard"`/`"shards"`.
-pub fn set_shard_context(shard: usize, n_shards: usize) {
-    let packed = ((shard as i64) << 32) | (n_shards as i64 & 0xffff_ffff);
-    SHARD_CONTEXT.store(packed, Ordering::Relaxed);
-}
-
-/// Stop tagging records (tests; single-process drivers never need it).
-pub fn clear_shard_context() {
-    SHARD_CONTEXT.store(-1, Ordering::Relaxed);
-}
-
-/// The current shard context, if set.
-pub fn shard_context() -> Option<(usize, usize)> {
-    let packed = SHARD_CONTEXT.load(Ordering::Relaxed);
-    (packed >= 0).then_some(((packed >> 32) as usize, (packed & 0xffff_ffff) as usize))
-}
-
-/// `"shard"`/`"shards"` fields when a shard context is active.
-fn shard_fields() -> Vec<(&'static str, Json)> {
-    match shard_context() {
-        Some((shard, n_shards)) => vec![
-            ("shard", (shard as u64).into()),
-            ("shards", (n_shards as u64).into()),
-        ],
-        None => Vec::new(),
-    }
-}
-
 /// The v2 distribution fields shared by spmv/spmm records.
 fn distribution_fields(lat: &LatencySummary, samples: &[f64]) -> Vec<(&'static str, Json)> {
     vec![
@@ -210,7 +172,6 @@ pub fn record_spmv(m: &SpmvMeasurement) {
         ("eff_bw_gbs", m.eff_bandwidth_gbs.into()),
         ("r_nnze", m.r_nnze.into()),
     ]);
-    rec.extend(shard_fields());
     rec.extend(distribution_fields(&m.latency(), &m.samples));
     append(&Json::obj(rec));
 }
@@ -227,60 +188,7 @@ pub fn record_spmm(m: &SpmmMeasurement) {
         ("mem_bytes", m.mem_requirement.into()),
         ("eff_bw_gbs", m.eff_bandwidth_gbs.into()),
     ]);
-    rec.extend(shard_fields());
     rec.extend(distribution_fields(&m.latency(), &m.samples));
-    append(&Json::obj(rec));
-}
-
-/// One sharded-solve outcome for `record_shard`: the equivalence
-/// verdict and the traffic/merge costs behind it. Written by the
-/// `cscv-xtask shard` driver, one line per (solver, worker-count) run;
-/// the `shard-smoke` CI job uploads these as artifacts.
-#[derive(Debug, Clone)]
-pub struct ShardRunRecord<'a> {
-    /// Case name (e.g. the committed smoke case's file stem).
-    pub case: &'a str,
-    pub solver: &'a str,
-    /// Partitioner name ("stripe" / "bisect").
-    pub method: &'a str,
-    pub workers: usize,
-    pub iterations: usize,
-    /// Wall seconds for the sharded solve.
-    pub secs: f64,
-    /// Max per-iteration relative residual deviation vs single-process.
-    pub max_rel_diff: f64,
-    /// Whether image and trajectory matched the single-process run
-    /// bit for bit (required when `workers == 1`).
-    pub bitwise: bool,
-    /// Coordinator-side wire traffic.
-    pub bytes_tx: u64,
-    pub bytes_rx: u64,
-    /// Fixed-order tree-reduction time.
-    pub reduce_ns: u64,
-    /// Sum of worker-reported executor time.
-    pub worker_busy_ns: u64,
-    /// Executor names the workers built, comma-joined.
-    pub execs: &'a str,
-}
-
-/// Record one sharded-solve equivalence outcome (`type: "shard"`).
-pub fn record_shard(r: &ShardRunRecord) {
-    let mut rec = header("shard");
-    rec.extend([
-        ("case", r.case.into()),
-        ("solver", r.solver.into()),
-        ("method", r.method.into()),
-        ("workers", (r.workers as u64).into()),
-        ("iterations", (r.iterations as u64).into()),
-        ("secs", r.secs.into()),
-        ("max_rel_diff", r.max_rel_diff.into()),
-        ("bitwise", Json::Bool(r.bitwise)),
-        ("bytes_tx", r.bytes_tx.into()),
-        ("bytes_rx", r.bytes_rx.into()),
-        ("reduce_ns", r.reduce_ns.into()),
-        ("worker_busy_ns", r.worker_busy_ns.into()),
-        ("execs", r.execs.into()),
-    ]);
     append(&Json::obj(rec));
 }
 
@@ -361,21 +269,6 @@ mod tests {
         let back = Json::parse(&j.to_string()).unwrap();
         assert_eq!(back.get("type").and_then(Json::as_str), Some("spmv"));
         assert_eq!(back.get("gflops").and_then(Json::as_f64), Some(1.5));
-    }
-
-    #[test]
-    fn shard_context_round_trips_and_tags_fields() {
-        assert_eq!(shard_context(), None);
-        assert!(shard_fields().is_empty());
-        set_shard_context(3, 8);
-        assert_eq!(shard_context(), Some((3, 8)));
-        let fields = shard_fields();
-        assert_eq!(fields.len(), 2);
-        let obj = Json::obj(fields);
-        assert_eq!(obj.get("shard").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(obj.get("shards").and_then(Json::as_f64), Some(8.0));
-        clear_shard_context();
-        assert_eq!(shard_context(), None);
     }
 
     #[test]

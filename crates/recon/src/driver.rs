@@ -1,11 +1,11 @@
 //! Solver drivers for equivalence gating.
 //!
-//! The shard runtime (`cscv-shard`, `cscv-xtask shard`) needs to run
-//! *the same* solver against two operators — single-process reference
-//! and sharded cluster — and compare the runs. This module gives that a
-//! stable vocabulary: a [`Solver`] selector with CLI parsing, one
-//! [`run_solver`] entry point, and the two comparison predicates the
-//! `shard-smoke` CI gate is built on:
+//! The shard runtime's equivalence tests (`cscv-shard`'s
+//! `tests/equivalence.rs`) run *the same* solver against two operators —
+//! single-process reference and sharded cluster — and compare the runs.
+//! This module gives that a stable vocabulary: a [`Solver`] selector,
+//! one [`run_solver`] entry point, and the two comparison predicates the
+//! sharded-reconstruction gate is built on:
 //!
 //! * [`trajectory_max_rel_diff`] — the largest relative deviation
 //!   between two residual-norm trajectories, iteration by iteration.
@@ -22,10 +22,9 @@ use crate::{cgls, landweber, sirt, LinearOperator};
 use cscv_sparse::ThreadPool;
 
 /// Which iterative solver to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
     /// SIRT with the standard |A|-sum weighting.
-    #[default]
     Sirt,
     /// CGLS on the normal equations.
     Cgls,
@@ -34,25 +33,6 @@ pub enum Solver {
 }
 
 impl Solver {
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<Solver> {
-        match s {
-            "sirt" => Some(Solver::Sirt),
-            "cgls" => Some(Solver::Cgls),
-            "landweber" => Some(Solver::Landweber),
-            _ => None,
-        }
-    }
-
-    /// Stable name (reports, NDJSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            Solver::Sirt => "sirt",
-            Solver::Cgls => "cgls",
-            Solver::Landweber => "landweber",
-        }
-    }
-
     /// All solvers, for "run everything" drivers.
     pub const ALL: [Solver; 3] = [Solver::Sirt, Solver::Cgls, Solver::Landweber];
 }
@@ -118,21 +98,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_name_round_trip() {
-        for s in Solver::ALL {
-            assert_eq!(Solver::parse(s.name()), Some(s));
-        }
-        assert_eq!(Solver::parse("bogus"), None);
-    }
-
-    #[test]
     fn run_solver_produces_full_trajectories() {
         let op = toy_op();
         let pool = ThreadPool::new(1);
         let b = vec![1.0; 6];
         for s in Solver::ALL {
             let r = run_solver(s, &op, &b, 5, &pool);
-            assert_eq!(r.iterations, 5, "{} stopped early", s.name());
+            assert_eq!(r.iterations, 5, "{s:?} stopped early");
             assert_eq!(r.residual_history.len(), 5);
             assert!(r.residual_history.iter().all(|v| v.is_finite()));
         }

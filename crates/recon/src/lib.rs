@@ -8,8 +8,6 @@
 //!
 //! * [`sirt`](sirt::sirt) — Simultaneous Iterative Reconstruction
 //!   Technique (row/column-normalized Landweber; robust default);
-//! * [`art`] — ART/Kaczmarz row-action sweeps (the classic; row-driven,
-//!   which is why CSC/CSCV matter for its coordinate-descent duals);
 //! * [`cgls`](cgls::cgls) — Conjugate Gradient on the normal equations
 //!   (fastest convergence per iteration);
 //! * [`landweber`](landweber::landweber) — plain gradient descent with a
@@ -37,7 +35,6 @@
 // Test code narrows freely; clippy.toml exempts its panics the same way.
 #![cfg_attr(test, allow(clippy::cast_possible_truncation))]
 
-pub mod art;
 pub mod batch;
 pub mod cgls;
 pub mod driver;

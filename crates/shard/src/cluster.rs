@@ -16,9 +16,10 @@
 //!
 //! Two launch modes share the protocol code path end to end:
 //! [`Launch::Threads`] drives in-process workers over socketpairs (fast,
-//! used by the equivalence tests), [`Launch::Process`] spawns real
-//! worker processes (`cscv-xtask shard-worker`) against a listening
-//! Unix socket — the mode the `shard-smoke` CI job gates.
+//! used by most equivalence tests), [`Launch::Process`] spawns real
+//! worker processes (the `cscv-shard-worker` binary) against a
+//! listening Unix socket — the mode the sharded-reconstruction gate in
+//! `tests/equivalence.rs` runs.
 //!
 //! **Accounting.** [`Cluster::stats`] asks every worker for its
 //! figures (a `Stats` request, answered by one `StatsOut`) and adds the
@@ -53,11 +54,11 @@ pub enum Launch {
     Threads,
     /// Spawn `cmd` once per shard with `--socket <path>` appended; each
     /// child connects back to the coordinator's listening socket. `cmd`
-    /// is typically `[current_exe, "shard-worker"]`.
+    /// is typically `[path to cscv-shard-worker]`.
     Process { cmd: Vec<String> },
 }
 
-/// Per-worker figures for reports (`-- shard` table / NDJSON rows).
+/// Per-worker figures, one per shard in [`ClusterStats::workers`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerReport {
     pub shard: usize,

@@ -27,8 +27,9 @@
 //! [`ShardedOperator`] packages a running [`cluster::Cluster`] as a
 //! [`cscv_recon::LinearOperator`], so every solver in `cscv-recon`
 //! (SIRT, CGLS, Landweber, …) runs unmodified across processes.
-//! `cscv-xtask shard` drives the whole stack end to end and gates
-//! single- vs multi-process residual equivalence.
+//! The `cscv-shard-worker` binary is the worker process, and
+//! `tests/equivalence.rs` drives the whole stack end to end through it,
+//! gating single- vs multi-process residual equivalence.
 
 // Index narrowing and panics are checked per site: a site that is safe
 // by an invariant says so in `#[expect(…, reason = "…")]`.

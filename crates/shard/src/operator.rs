@@ -5,7 +5,7 @@
 //! worker processes unmodified. [`LocalOperator`] is the single-process
 //! reference built through the **same** [`crate::worker::ShardBackend`] code
 //! path the workers use — so the `workers = 1` comparison in the
-//! `shard-smoke` gate is byte-identical by construction, and any
+//! sharded-reconstruction gate is byte-identical by construction, and any
 //! multi-worker deviation is attributable to the merge arithmetic
 //! alone (bounded by the fixed-order tree reduction).
 //!
@@ -24,8 +24,8 @@ use std::sync::{Mutex, MutexGuard};
 
 /// A sharded cluster as a linear operator. Collectives are serialized
 /// through a mutex (solvers issue them sequentially anyway); I/O
-/// failures panic, since the trait has no error channel — the xtask
-/// driver treats that as worker death.
+/// failures panic, since the trait has no error channel — a caller
+/// treats that as worker death.
 pub struct ShardedOperator {
     cluster: Mutex<Cluster>,
     n_rows: usize,

@@ -348,7 +348,7 @@ pub fn env_cache() {}
 
 /// Worker-process entry point: connect to the coordinator's Unix socket
 /// and serve until shutdown. This is what
-/// `cscv-xtask shard-worker --socket PATH` runs.
+/// `cscv-shard-worker --socket PATH` runs.
 pub fn run_process(socket: &str) -> io::Result<()> {
     let stream = std::os::unix::net::UnixStream::connect(socket)?;
     let mut conn = Conn::new(stream);

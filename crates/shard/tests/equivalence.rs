@@ -1,19 +1,26 @@
-//! Cluster-vs-serial equivalence over the fuzz matrix families.
+//! Cluster-vs-serial equivalence.
 //!
 //! Thread-launched clusters (same protocol and backend code as process
-//! workers, minus the fork) against serial references:
+//! workers, minus the fork) against serial references, over the fuzz
+//! matrix families:
 //!
 //! * forward/adjoint products match a hand-rolled serial loop within
 //!   rounding for 1–4 shards on every generated family;
 //! * a one-shard cluster's solver run is **byte-identical** to the
 //!   single-process [`LocalOperator`] — the forward gather is
 //!   placement-only and a one-buffer tree reduce is a copy;
-//! * multi-shard SIRT/CGLS residual trajectories stay within `1e-10`
-//!   of single-process at smoke depth (the shard-smoke CI gate, here
-//!   exercised on irregular non-CT matrices too).
+//! * multi-shard SIRT/CGLS/Landweber residual trajectories stay within
+//!   `1e-10` of single-process.
+//!
+//! And the sharded-reconstruction gate itself: real `cscv-shard-worker`
+//! processes over Unix sockets on a Shepp-Logan CT case, at 1, 2 and 4
+//! workers.
 
 use cscv_core::layout::ImageShape;
 use cscv_core::SinoLayout;
+use cscv_ct::geometry::CtGeometry;
+use cscv_ct::phantom::Phantom;
+use cscv_ct::system::SystemMatrix;
 use cscv_harness::gen::{generate, random_desc, CaseDesc};
 use cscv_recon::{bitwise_equal, run_solver, trajectory_max_rel_diff, Solver};
 use cscv_shard::{Cluster, Launch, LocalOperator, PartitionMethod, ShardPlan, ShardedOperator};
@@ -117,7 +124,7 @@ fn one_shard_solver_runs_are_bitwise_identical() {
         let b = dense(csr.n_rows(), seed ^ 0x55AA);
 
         let local = LocalOperator::new(csr.clone(), Some(layout), img, 1, &mut ());
-        for solver in [Solver::Sirt, Solver::Cgls, Solver::Landweber] {
+        for solver in Solver::ALL {
             let reference = run_solver(solver, &local, &b, 5, &pool);
             let plan = ShardPlan::new(&row_nnz, 1, 1, PartitionMethod::Stripe);
             let cluster = Cluster::start(&csr, &plan, layout, img, 1, &Launch::Threads).unwrap();
@@ -145,9 +152,8 @@ fn multi_shard_trajectories_stay_within_gate_tolerance() {
         let b = dense(csr.n_rows(), seed ^ 0x77EE);
 
         let local = LocalOperator::new(csr.clone(), Some(layout), img, 1, &mut ());
-        // Smoke-gate depth: stationary solvers don't amplify the
-        // reduction perturbation; CGLS does (~10²×/iter), so it runs
-        // shallower — same policy as `cscv-xtask shard`.
+        // Stationary solvers don't amplify the reduction perturbation;
+        // CGLS does (~10²×/iter), so it runs shallower.
         for (solver, iters) in [(Solver::Sirt, 8), (Solver::Cgls, 4), (Solver::Landweber, 8)] {
             let reference = run_solver(solver, &local, &b, iters, &pool);
             for shards in [2usize, 3] {
@@ -190,4 +196,73 @@ fn dimension_mismatch_is_an_error_not_a_wedge() {
         "cluster wedged after bad input"
     );
     cluster.shutdown().unwrap();
+}
+
+/// The sharded-reconstruction gate on real worker processes: a 48²
+/// image, 70 bins and 48 views at 3.75° (full 180° coverage), the
+/// Shepp-Logan sinogram, row shards cut by the stripe plan.
+///
+/// * 1 worker is byte-identical to single-process;
+/// * 2 and 4 workers keep the residual trajectory within `1e-10`
+///   relative, per iteration — the fixed-order tree reduction is the
+///   only floating-point difference;
+/// * no worker is degraded, and every (view-aligned) shard runs CSCV-M.
+///
+/// A CGLS recurrence amplifies the reduction's reassociation by about
+/// 10²× per iteration (on this case 7e-15 at iteration 8 grows to 2e-7
+/// by iteration 11), so CGLS stops at 8 iterations, where the gate keeps
+/// four orders of margin; SIRT, a contractive fixed-point map, runs 12.
+#[test]
+fn process_workers_pass_the_gate_on_shepp_logan() {
+    let (n, bins, views) = (48, 70, 48);
+    let geom = CtGeometry::standard(n, bins, views, 0.0, 3.75);
+    let csr: Csr<f64> = SystemMatrix::assemble_csc::<f64>(&geom).to_csr();
+    let layout = SinoLayout {
+        n_views: views,
+        n_bins: bins,
+    };
+    let img = ImageShape { nx: n, ny: n };
+    let truth = Phantom::shepp_logan().rasterize(&geom.grid);
+    let mut sino = vec![0.0; csr.n_rows()];
+    csr.spmv_serial(&truth, &mut sino);
+    let row_nnz: Vec<usize> = (0..csr.n_rows()).map(|r| csr.row(r).0.len()).collect();
+
+    let pool = ThreadPool::new(1);
+    let local = LocalOperator::new(csr.clone(), Some(layout), img, 1, &mut ());
+    let launch = Launch::Process {
+        cmd: vec![env!("CARGO_BIN_EXE_cscv-shard-worker").into()],
+    };
+    for (solver, iters) in [(Solver::Sirt, 12), (Solver::Cgls, 8)] {
+        let reference = run_solver(solver, &local, &sino, iters, &pool);
+        for workers in [1usize, 2, 4] {
+            let plan = ShardPlan::new(&row_nnz, workers, bins, PartitionMethod::Stripe);
+            let cluster = Cluster::start(&csr, &plan, layout, img, 1, &launch).unwrap();
+            assert!(
+                cluster.exec_names().iter().all(|e| e == "CSCV-M"),
+                "{workers} workers built {:?}",
+                cluster.exec_names()
+            );
+            let op = ShardedOperator::new(cluster).unwrap();
+            let sharded = run_solver(solver, &op, &sino, iters, &pool);
+            let stats = op.shutdown().unwrap();
+            assert!(
+                stats.workers.iter().all(|w| !w.degraded),
+                "{solver:?} {workers} workers: degraded {:?}",
+                stats.workers
+            );
+            if workers == 1 {
+                assert!(
+                    bitwise_equal(&reference, &sharded),
+                    "{solver:?}: one worker must be byte-identical"
+                );
+            } else {
+                let diff =
+                    trajectory_max_rel_diff(&reference.residual_history, &sharded.residual_history);
+                assert!(
+                    diff <= 1e-10,
+                    "{solver:?} {workers} workers: trajectory diff {diff:e}"
+                );
+            }
+        }
+    }
 }

@@ -6,6 +6,7 @@
 
 use crate::coo::Coo;
 use crate::csc::Csc;
+use crate::partition::even_chunks;
 use cscv_simd::Scalar;
 use std::ops::Range;
 
@@ -125,13 +126,13 @@ impl<T: Scalar> Csr<T> {
     fn abs_sums_in_parts(&self, parts: usize) -> (Vec<T>, Vec<T>) {
         let mut row_sums = vec![T::ZERO; self.n_rows];
         let mut col_sums = vec![T::ZERO; self.n_cols];
-        // One part count that both splits reach.
-        let parts = parts.min(self.n_rows.max(1)).min(self.n_cols.max(1));
+        // One part count that both splits reach, with no empty part.
+        let parts = parts.min(self.n_rows).min(self.n_cols).max(1);
         let mut jobs = Vec::with_capacity(parts);
         let (mut rows_rest, mut cols_rest) = (&mut row_sums[..], &mut col_sums[..]);
-        for (rows, cols) in crate::pool::split_range(self.n_rows, parts)
+        for (rows, cols) in even_chunks(self.n_rows, parts)
             .into_iter()
-            .zip(crate::pool::split_range(self.n_cols, parts))
+            .zip(even_chunks(self.n_cols, parts))
         {
             let (row_part, row_tail) = rows_rest.split_at_mut(rows.len());
             let (col_part, col_tail) = cols_rest.split_at_mut(cols.len());
@@ -260,7 +261,7 @@ pub(crate) fn transpose_arrays<T: Scalar>(
     vals: &[T],
     parts: usize,
 ) -> Compressed<T> {
-    let ranges = crate::pool::split_range(n_inner, parts);
+    let ranges = even_chunks(n_inner, parts.min(n_inner).max(1));
     // The source sub-span of each slice whose indices lie in `range`.
     let spans = move |range: &Range<usize>| {
         let (start, end) = (range.start, range.end);

@@ -191,15 +191,6 @@ impl Drop for ThreadPool {
     }
 }
 
-/// `0..n` as at most `parts` contiguous, near-equal ranges in order
-/// (one empty range when `n == 0`).
-pub fn split_range(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.clamp(1, n.max(1));
-    (0..parts)
-        .map(|k| k * n / parts..(k + 1) * n / parts)
-        .collect()
-}
-
 /// Fork-join for set-up work: run `f` on every part — part 0 on the
 /// calling thread, the others on scoped threads — and return the results
 /// in part order. A panic in any part is re-raised here once all parts
@@ -316,17 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn split_range_covers_in_order() {
-        assert_eq!(split_range(7, 3), vec![0..2, 2..4, 4..7]);
-        assert_eq!(split_range(2, 5), vec![0..1, 1..2]);
-        assert_eq!(split_range(0, 4), vec![0..0]);
-        assert_eq!(split_range(5, 0), vec![0..5]);
-    }
-
-    #[test]
     fn fork_join_returns_results_in_part_order() {
         let caller = std::thread::current().id();
-        let out = fork_join(split_range(10, 3), |r| {
+        let out = fork_join(vec![0..3, 3..6, 6..10], |r| {
             let on_caller = std::thread::current().id() == caller;
             (r.start == 0, on_caller, r.sum::<usize>())
         });

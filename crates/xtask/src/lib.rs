@@ -29,4 +29,3 @@ pub mod fuzz;
 pub mod lexer;
 pub mod perf;
 pub mod sched;
-pub mod shard_cmd;

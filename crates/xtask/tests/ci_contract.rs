@@ -42,13 +42,7 @@ fn ci_sh_advertises_every_stage_flag() {
     // The header comment is the CLI reference; every recognized flag
     // must appear there.
     let text = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
-    for flag in [
-        "--perf-smoke",
-        "--miri",
-        "--fuzz",
-        "--shard-smoke",
-        "--sanitizers",
-    ] {
+    for flag in ["--perf-smoke", "--miri", "--fuzz", "--sanitizers"] {
         let mentions = text.matches(flag).count();
         assert!(
             mentions >= 2,
@@ -130,7 +124,9 @@ fn ci_gates_name_only_subcommands_that_exist() {
     // result cache (`--no-cache`) and `--protocol-dot` are gone. The
     // autotuner gave way to the static heuristic, so `tune` and its
     // corpus are gone too. The aliasing detector and the invariant hooks
-    // follow the build profile, so their feature flags are gone.
+    // follow the build profile, so their feature flags are gone. The
+    // sharded-reconstruction gate is a tier-1 test in cscv-shard, so the
+    // `shard` subcommand is gone.
     let sh = std::fs::read_to_string(repo_root().join("ci.sh")).unwrap();
     let yml = std::fs::read_to_string(repo_root().join(".github/workflows/ci.yml")).unwrap();
     for text in [&sh, &yml] {
@@ -145,6 +141,7 @@ fn ci_gates_name_only_subcommands_that_exist() {
             "tune_corpus",
             "check-aliasing",
             "check-invariants",
+            "cscv-xtask -- shard ",
         ] {
             assert!(!text.contains(gone), "CI still invokes `{gone}`");
         }

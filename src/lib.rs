@@ -13,7 +13,7 @@
 //! * [`simd`] — lane kernels and the `vexpand`/`soft-vexpand` pair;
 //! * [`ct`] — 2-D parallel-beam CT system-matrix generator and phantoms;
 //! * [`core`] — **CSCV** itself: IOBLR, CSCVEs, VxGs, the Z/M kernels;
-//! * [`recon`] — SIRT/ART/CGLS/Landweber iterative reconstruction;
+//! * [`recon`] — SIRT/OS-SART/CGLS/Landweber iterative reconstruction;
 //! * [`harness`] — minimum-time measurement, bandwidth meter, tables.
 //!
 //! ## Quickstart
