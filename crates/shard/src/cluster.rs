@@ -38,6 +38,7 @@ use cscv_core::layout::ImageShape;
 use cscv_core::SinoLayout;
 use cscv_sparse::Csr;
 use cscv_trace::{duration_ns, span};
+use std::borrow::Cow;
 use std::io;
 use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -243,6 +244,9 @@ impl Cluster {
             } else {
                 (0, 0)
             };
+            // The rebased `row_ptr` is the one array built for the
+            // message; `col_idx` and `vals` stream from `csr` itself.
+            let row_ptr: Vec<u64> = row_ptr.iter().map(|&p| (p - lo) as u64).collect();
             Msg::Matrix {
                 n_cols: csr.n_cols() as u64,
                 row0: range.start as u64,
@@ -250,9 +254,9 @@ impl Cluster {
                 n_bins: n_bins as u64,
                 nx: img.nx as u64,
                 ny: img.ny as u64,
-                row_ptr: row_ptr.iter().map(|&p| (p - lo) as u64).collect(),
-                col_idx: csr.col_idx()[lo..hi].to_vec(),
-                vals: csr.vals()[lo..hi].to_vec(),
+                row_ptr: row_ptr.into(),
+                col_idx: Cow::Borrowed(&csr.col_idx()[lo..hi]),
+                vals: Cow::Borrowed(&csr.vals()[lo..hi]),
             }
             .send(conn)?;
         }
@@ -312,12 +316,12 @@ impl Cluster {
         check_len("spmv x", x.len(), self.n_cols)?;
         check_len("spmv y", y.len(), self.n_rows)?;
         let (sid, _s) = dispatch("shard.dispatch.spmv");
+        let request = Msg::Spmv {
+            span: sid,
+            x: Cow::Borrowed(x),
+        };
         for conn in self.conns.iter_mut() {
-            Msg::Spmv {
-                span: sid,
-                x: x.to_vec(),
-            }
-            .send(conn)?;
+            request.send(conn)?;
         }
         for (i, conn) in self.conns.iter_mut().enumerate() {
             let Msg::SpmvOut { y: part } = Msg::recv(conn)? else {
@@ -347,7 +351,7 @@ impl Cluster {
         for (i, conn) in self.conns.iter_mut().enumerate() {
             Msg::SpmvT {
                 span: sid,
-                y: y[self.ranges[i].clone()].to_vec(),
+                y: Cow::Borrowed(&y[self.ranges[i].clone()]),
             }
             .send(conn)?;
         }
@@ -761,9 +765,9 @@ mod tests {
             n_bins: 0,
             nx: 1,
             ny: 1,
-            row_ptr: vec![0],
-            col_idx: vec![],
-            vals: vec![],
+            row_ptr: vec![0].into(),
+            col_idx: vec![].into(),
+            vals: vec![].into(),
         }
         .send(&mut coord)
         .unwrap();
@@ -773,7 +777,11 @@ mod tests {
     #[test]
     fn reply_out_of_order_is_invalid_data() {
         let (mut coord, mut peer) = coordinator_awaiting_ack();
-        Msg::SpmvOut { y: vec![1.0] }.send(&mut peer).unwrap();
+        Msg::SpmvOut {
+            y: vec![1.0].into(),
+        }
+        .send(&mut peer)
+        .unwrap();
         let e = Msg::recv(&mut coord).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("MatrixWait"), "{e}");

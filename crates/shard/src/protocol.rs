@@ -33,8 +33,10 @@
 //! into the coordinator's own registry, so one trace shows dispatch and
 //! compute side by side.
 //!
-//! Layouts are fixed little-endian ([`crate::wire`]); `Msg::encode` /
-//! [`Msg::decode`] are exact inverses (round-trip tested below).
+//! Layouts are fixed little-endian ([`crate::wire`]). [`Msg::send`]
+//! streams a message's fields, its arrays borrowed, and [`Msg::read`]
+//! decodes them back as they arrive; the two are exact inverses
+//! (round-trip tested below, bytes pinned in `tests/wire_golden.rs`).
 //!
 //! **Session check.** [`TRANSITIONS`] is the diagram as data. Both
 //! endpoints hold their connection to it ([`crate::wire::Conn::enforce`]):
@@ -42,7 +44,8 @@
 //! a frame the table rejects fails with `InvalidData` instead of
 //! desyncing the exchange. One table lookup per frame, always on.
 
-use crate::wire::{Dec, Enc};
+use crate::wire::{Conn, Field, Payload};
+use std::borrow::Cow;
 use std::io;
 
 /// Frame tags (one per variant; `Err` is 255 so it stands out in dumps).
@@ -163,8 +166,13 @@ impl Session {
 }
 
 /// One protocol message. See the module docs for the exchange order.
+///
+/// Array fields are [`Cow`]s: a sender lends its slices (a shard's
+/// `col_idx`/`vals` straight out of the assembled CSR, the solver's `x`)
+/// and nothing is copied before the socket; a received message owns
+/// the `Vec`s its arrays were decoded into.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Msg {
+pub enum Msg<'a> {
     /// Coordinator → worker, first frame: identity, pool width and the
     /// cluster-wide trace id.
     Hello {
@@ -184,9 +192,9 @@ pub enum Msg {
         n_bins: u64,
         nx: u64,
         ny: u64,
-        row_ptr: Vec<u64>,
-        col_idx: Vec<u32>,
-        vals: Vec<f64>,
+        row_ptr: Cow<'a, [u64]>,
+        col_idx: Cow<'a, [u32]>,
+        vals: Cow<'a, [f64]>,
     },
     /// Worker → coordinator: column support window (the adjoint halo)
     /// and the executor the worker built.
@@ -197,21 +205,24 @@ pub enum Msg {
     },
     /// Coordinator → worker: full input vector for `y_s = A_s x`.
     /// `span` is the dispatch span id the worker parents to (0 = none).
-    Spmv { span: u64, x: Vec<f64> },
+    Spmv { span: u64, x: Cow<'a, [f64]> },
     /// Worker → coordinator: this shard's contiguous output rows.
-    SpmvOut { y: Vec<f64> },
+    SpmvOut { y: Cow<'a, [f64]> },
     /// Coordinator → worker: this shard's slice of `y` for `x̃ = A_sᵀ y`.
-    SpmvT { span: u64, y: Vec<f64> },
+    SpmvT { span: u64, y: Cow<'a, [f64]> },
     /// Worker → coordinator: partial `x̃` trimmed to the column window.
-    SpmvTOut { col_lo: u64, partial: Vec<f64> },
+    SpmvTOut {
+        col_lo: u64,
+        partial: Cow<'a, [f64]>,
+    },
     /// Coordinator → worker: request SIRT weighting sums.
     AbsSums { span: u64 },
     /// Worker → coordinator: `|A_s|` row sums (shard rows) and column
     /// sums trimmed to the column window.
     AbsSumsOut {
-        row: Vec<f64>,
+        row: Cow<'a, [f64]>,
         col_lo: u64,
-        col: Vec<f64>,
+        col: Cow<'a, [f64]>,
     },
     /// Coordinator → worker: request execution statistics.
     Stats { span: u64 },
@@ -231,10 +242,11 @@ pub enum Msg {
     Err { msg: String },
 }
 
-impl Msg {
-    /// Serialize to `(tag, payload)`.
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        let mut e = Enc::new();
+impl Msg<'_> {
+    /// The frame tag and the payload fields in wire order, borrowed
+    /// from the message.
+    fn frame(&self) -> (u8, Vec<Field<'_>>) {
+        use Field::{F64s, Str, U32s, U64s, U64};
         match self {
             Msg::Hello {
                 shard,
@@ -243,11 +255,7 @@ impl Msg {
                 trace_id,
             } => (
                 tag::HELLO,
-                e.u64(*shard)
-                    .u64(*n_shards)
-                    .u64(*threads)
-                    .u64(*trace_id)
-                    .finish(),
+                vec![U64(*shard), U64(*n_shards), U64(*threads), U64(*trace_id)],
             ),
             Msg::Matrix {
                 n_cols,
@@ -261,37 +269,34 @@ impl Msg {
                 vals,
             } => (
                 tag::MATRIX,
-                e.u64(*n_cols)
-                    .u64(*row0)
-                    .u64(*n_views)
-                    .u64(*n_bins)
-                    .u64(*nx)
-                    .u64(*ny)
-                    .u64s(row_ptr)
-                    .u32s(col_idx)
-                    .f64s(vals)
-                    .finish(),
+                vec![
+                    U64(*n_cols),
+                    U64(*row0),
+                    U64(*n_views),
+                    U64(*n_bins),
+                    U64(*nx),
+                    U64(*ny),
+                    U64s(row_ptr),
+                    U32s(col_idx),
+                    F64s(vals),
+                ],
             ),
             Msg::MatrixAck {
                 col_lo,
                 col_hi,
                 exec,
-            } => (
-                tag::MATRIX_ACK,
-                e.u64(*col_lo).u64(*col_hi).str(exec).finish(),
-            ),
-            Msg::Spmv { span, x } => (tag::SPMV, e.u64(*span).f64s(x).finish()),
-            Msg::SpmvOut { y } => (tag::SPMV_OUT, e.f64s(y).finish()),
-            Msg::SpmvT { span, y } => (tag::SPMV_T, e.u64(*span).f64s(y).finish()),
+            } => (tag::MATRIX_ACK, vec![U64(*col_lo), U64(*col_hi), Str(exec)]),
+            Msg::Spmv { span, x } => (tag::SPMV, vec![U64(*span), F64s(x)]),
+            Msg::SpmvOut { y } => (tag::SPMV_OUT, vec![F64s(y)]),
+            Msg::SpmvT { span, y } => (tag::SPMV_T, vec![U64(*span), F64s(y)]),
             Msg::SpmvTOut { col_lo, partial } => {
-                (tag::SPMV_T_OUT, e.u64(*col_lo).f64s(partial).finish())
+                (tag::SPMV_T_OUT, vec![U64(*col_lo), F64s(partial)])
             }
-            Msg::AbsSums { span } => (tag::ABS_SUMS, e.u64(*span).finish()),
-            Msg::AbsSumsOut { row, col_lo, col } => (
-                tag::ABS_SUMS_OUT,
-                e.f64s(row).u64(*col_lo).f64s(col).finish(),
-            ),
-            Msg::Stats { span } => (tag::STATS, e.u64(*span).finish()),
+            Msg::AbsSums { span } => (tag::ABS_SUMS, vec![U64(*span)]),
+            Msg::AbsSumsOut { row, col_lo, col } => {
+                (tag::ABS_SUMS_OUT, vec![F64s(row), U64(*col_lo), F64s(col)])
+            }
+            Msg::Stats { span } => (tag::STATS, vec![U64(*span)]),
             Msg::StatsOut {
                 busy_ns,
                 bytes_rx,
@@ -300,97 +305,98 @@ impl Msg {
                 spmv_t_calls,
             } => (
                 tag::STATS_OUT,
-                e.u64(*busy_ns)
-                    .u64(*bytes_rx)
-                    .u64(*bytes_tx)
-                    .u64(*spmv_calls)
-                    .u64(*spmv_t_calls)
-                    .finish(),
+                vec![
+                    U64(*busy_ns),
+                    U64(*bytes_rx),
+                    U64(*bytes_tx),
+                    U64(*spmv_calls),
+                    U64(*spmv_t_calls),
+                ],
             ),
-            Msg::Shutdown { span } => (tag::SHUTDOWN, e.u64(*span).finish()),
-            Msg::ShutdownAck => (tag::SHUTDOWN_ACK, e.finish()),
-            Msg::Err { msg } => (tag::ERR, e.str(msg).finish()),
+            Msg::Shutdown { span } => (tag::SHUTDOWN, vec![U64(*span)]),
+            Msg::ShutdownAck => (tag::SHUTDOWN_ACK, vec![]),
+            Msg::Err { msg } => (tag::ERR, vec![Str(msg)]),
         }
     }
 
-    /// Parse a frame back into a message.
-    pub fn decode(t: u8, payload: &[u8]) -> io::Result<Msg> {
-        let mut d = Dec::new(payload);
-        let msg = match t {
+    /// Decode the body of a frame tagged `t`, each array into the `Vec`
+    /// the message then owns. Pass it to [`Conn::recv`] to read a frame
+    /// as it is on the wire (an `Err` frame included).
+    pub fn read<R: io::Read>(t: u8, p: &mut Payload<'_, R>) -> io::Result<Msg<'static>> {
+        Ok(match t {
             tag::HELLO => Msg::Hello {
-                shard: d.u64()?,
-                n_shards: d.u64()?,
-                threads: d.u64()?,
-                trace_id: d.u64()?,
+                shard: p.u64()?,
+                n_shards: p.u64()?,
+                threads: p.u64()?,
+                trace_id: p.u64()?,
             },
             tag::MATRIX => Msg::Matrix {
-                n_cols: d.u64()?,
-                row0: d.u64()?,
-                n_views: d.u64()?,
-                n_bins: d.u64()?,
-                nx: d.u64()?,
-                ny: d.u64()?,
-                row_ptr: d.u64s()?,
-                col_idx: d.u32s()?,
-                vals: d.f64s()?,
+                n_cols: p.u64()?,
+                row0: p.u64()?,
+                n_views: p.u64()?,
+                n_bins: p.u64()?,
+                nx: p.u64()?,
+                ny: p.u64()?,
+                row_ptr: p.u64s()?.into(),
+                col_idx: p.u32s()?.into(),
+                vals: p.f64s()?.into(),
             },
             tag::MATRIX_ACK => Msg::MatrixAck {
-                col_lo: d.u64()?,
-                col_hi: d.u64()?,
-                exec: d.str()?,
+                col_lo: p.u64()?,
+                col_hi: p.u64()?,
+                exec: p.str()?,
             },
             tag::SPMV => Msg::Spmv {
-                span: d.u64()?,
-                x: d.f64s()?,
+                span: p.u64()?,
+                x: p.f64s()?.into(),
             },
-            tag::SPMV_OUT => Msg::SpmvOut { y: d.f64s()? },
+            tag::SPMV_OUT => Msg::SpmvOut {
+                y: p.f64s()?.into(),
+            },
             tag::SPMV_T => Msg::SpmvT {
-                span: d.u64()?,
-                y: d.f64s()?,
+                span: p.u64()?,
+                y: p.f64s()?.into(),
             },
             tag::SPMV_T_OUT => Msg::SpmvTOut {
-                col_lo: d.u64()?,
-                partial: d.f64s()?,
+                col_lo: p.u64()?,
+                partial: p.f64s()?.into(),
             },
-            tag::ABS_SUMS => Msg::AbsSums { span: d.u64()? },
+            tag::ABS_SUMS => Msg::AbsSums { span: p.u64()? },
             tag::ABS_SUMS_OUT => Msg::AbsSumsOut {
-                row: d.f64s()?,
-                col_lo: d.u64()?,
-                col: d.f64s()?,
+                row: p.f64s()?.into(),
+                col_lo: p.u64()?,
+                col: p.f64s()?.into(),
             },
-            tag::STATS => Msg::Stats { span: d.u64()? },
+            tag::STATS => Msg::Stats { span: p.u64()? },
             tag::STATS_OUT => Msg::StatsOut {
-                busy_ns: d.u64()?,
-                bytes_rx: d.u64()?,
-                bytes_tx: d.u64()?,
-                spmv_calls: d.u64()?,
-                spmv_t_calls: d.u64()?,
+                busy_ns: p.u64()?,
+                bytes_rx: p.u64()?,
+                bytes_tx: p.u64()?,
+                spmv_calls: p.u64()?,
+                spmv_t_calls: p.u64()?,
             },
-            tag::SHUTDOWN => Msg::Shutdown { span: d.u64()? },
+            tag::SHUTDOWN => Msg::Shutdown { span: p.u64()? },
             tag::SHUTDOWN_ACK => Msg::ShutdownAck,
-            tag::ERR => Msg::Err { msg: d.str()? },
+            tag::ERR => Msg::Err { msg: p.str()? },
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("unknown frame tag {other}"),
                 ))
             }
-        };
-        d.finish()?;
-        Ok(msg)
+        })
     }
 
-    /// Send over a connection.
-    pub fn send<S: io::Read + io::Write>(&self, conn: &mut crate::wire::Conn<S>) -> io::Result<()> {
-        let (t, payload) = self.encode();
-        conn.send(t, &payload)
+    /// Send over a connection, streaming the arrays from where they lie.
+    pub fn send<S: io::Write>(&self, conn: &mut Conn<S>) -> io::Result<()> {
+        let (t, fields) = self.frame();
+        conn.send(t, &fields)
     }
 
     /// Receive from a connection; a received [`Msg::Err`] becomes an
     /// `io::Error` so callers can `?` through protocol failures.
-    pub fn recv<S: io::Read + io::Write>(conn: &mut crate::wire::Conn<S>) -> io::Result<Msg> {
-        let (t, payload) = conn.recv()?;
-        match Msg::decode(t, &payload)? {
+    pub fn recv<S: io::Read>(conn: &mut Conn<S>) -> io::Result<Msg<'static>> {
+        match conn.recv(Msg::read)? {
             Msg::Err { msg } => Err(io::Error::other(format!("peer error: {msg}"))),
             m => Ok(m),
         }
@@ -401,10 +407,36 @@ impl Msg {
 mod tests {
     use super::*;
 
-    fn round_trip(m: Msg) {
-        let (t, payload) = m.encode();
-        let back = Msg::decode(t, &payload).unwrap();
-        assert_eq!(m, back);
+    use crate::wire::MAX_FRAME;
+
+    /// The bytes `m.send` puts on the wire.
+    fn encode(m: &Msg<'_>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        m.send(&mut Conn::new(&mut bytes)).unwrap();
+        bytes
+    }
+
+    /// One frame read back from `bytes`, as it is on the wire.
+    fn decode(bytes: &[u8]) -> io::Result<Msg<'static>> {
+        Conn::new(bytes).recv(Msg::read)
+    }
+
+    fn round_trip(m: Msg<'_>) {
+        assert_eq!(decode(&encode(&m)).unwrap(), m);
+    }
+
+    fn small_matrix() -> Msg<'static> {
+        Msg::Matrix {
+            n_cols: 9,
+            row0: 12,
+            n_views: 3,
+            n_bins: 2,
+            nx: 3,
+            ny: 3,
+            row_ptr: vec![0, 2, 2, 5, 6, 6, 7].into(),
+            col_idx: vec![0, 3, 1, 2, 8, 4, 5].into(),
+            vals: vec![1.0, -2.0, 0.5, 3.25, -0.0, 7.0, 9.0].into(),
+        }
     }
 
     #[test]
@@ -415,17 +447,7 @@ mod tests {
             threads: 3,
             trace_id: 0xfeed_beef,
         });
-        round_trip(Msg::Matrix {
-            n_cols: 9,
-            row0: 12,
-            n_views: 3,
-            n_bins: 2,
-            nx: 3,
-            ny: 3,
-            row_ptr: vec![0, 2, 2, 5, 6, 6, 7],
-            col_idx: vec![0, 3, 1, 2, 8, 4, 5],
-            vals: vec![1.0, -2.0, 0.5, 3.25, -0.0, 7.0, 9.0],
-        });
+        round_trip(small_matrix());
         round_trip(Msg::MatrixAck {
             col_lo: 1,
             col_hi: 9,
@@ -433,22 +455,24 @@ mod tests {
         });
         round_trip(Msg::Spmv {
             span: 17,
-            x: vec![1.0, 2.0, 3.0],
+            x: vec![1.0, 2.0, 3.0].into(),
         });
-        round_trip(Msg::SpmvOut { y: vec![-1.5] });
+        round_trip(Msg::SpmvOut {
+            y: vec![-1.5].into(),
+        });
         round_trip(Msg::SpmvT {
             span: 18,
-            y: vec![0.25, 0.5],
+            y: vec![0.25, 0.5].into(),
         });
         round_trip(Msg::SpmvTOut {
             col_lo: 4,
-            partial: vec![8.0, 9.0],
+            partial: vec![8.0, 9.0].into(),
         });
         round_trip(Msg::AbsSums { span: 19 });
         round_trip(Msg::AbsSumsOut {
-            row: vec![1.0],
+            row: vec![1.0].into(),
             col_lo: 0,
-            col: vec![2.0, 3.0],
+            col: vec![2.0, 3.0].into(),
         });
         round_trip(Msg::Stats { span: 0 });
         round_trip(Msg::StatsOut {
@@ -465,10 +489,82 @@ mod tests {
 
     #[test]
     fn unknown_tag_and_trailing_bytes_rejected() {
-        assert!(Msg::decode(200, &[]).is_err());
-        let (t, mut payload) = Msg::AbsSums { span: 0 }.encode();
-        payload.push(0);
-        assert!(Msg::decode(t, &payload).is_err());
+        let e = decode(&[200, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap_err();
+        assert!(e.to_string().contains("unknown frame tag 200"), "{e}");
+        let mut bytes = encode(&Msg::AbsSums { span: 0 });
+        bytes[1] += 1;
+        bytes.push(0);
+        let e = decode(&bytes).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("1 trailing bytes"), "{e}");
+    }
+
+    /// A `Matrix` frame cut short at any byte ends in a typed EOF.
+    #[test]
+    fn a_matrix_frame_cut_at_any_byte_is_a_typed_eof() {
+        let full = encode(&small_matrix());
+        decode(&full).unwrap();
+        for cut in 0..full.len() {
+            let e = decode(&full[..cut]).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}: {e}");
+        }
+    }
+
+    /// Each of a `Matrix` frame's three array lengths, pointed past the
+    /// frame, is refused before anything is sized from it.
+    #[test]
+    fn matrix_array_lengths_past_the_frame_are_refused() {
+        let full = encode(&small_matrix());
+        // Header, six scalars, then `row_ptr` (7 × 8 bytes), `col_idx`
+        // (7 × 4) and `vals` (7 × 8), each after its length.
+        let row_ptr_at = 9 + 6 * 8;
+        let col_idx_at = row_ptr_at + 8 + 7 * 8;
+        let vals_at = col_idx_at + 8 + 7 * 4;
+        assert_eq!(vals_at + 8 + 7 * 8, full.len());
+        for (name, at, elem) in [
+            ("row_ptr", row_ptr_at, 8),
+            ("col_idx", col_idx_at, 4),
+            ("vals", vals_at, 8),
+        ] {
+            let room = (full.len() - at - 8) / elem;
+            for lie in [room as u64 + 1, 1 << 40, u64::MAX / 4 + 1, u64::MAX] {
+                let mut bytes = full.clone();
+                bytes[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+                let e = decode(&bytes).unwrap_err();
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{name} {lie}: {e}");
+                assert!(
+                    e.to_string().contains("exceeds payload"),
+                    "{name} {lie}: {e}"
+                );
+            }
+        }
+    }
+
+    /// A `Matrix` frame whose header declares more bytes than are sent
+    /// ends in a typed error. An array length that fits the declared
+    /// frame but not the bytes sent ends in a typed EOF once the bytes
+    /// run out: the array reserved at most 1 MiB, not its claimed 1 GiB.
+    #[test]
+    fn a_matrix_frame_longer_than_its_bytes_is_a_typed_error() {
+        let full = encode(&small_matrix());
+        let len = (full.len() - 9) as u64;
+        for declared in [len + 1, len + 4096, MAX_FRAME] {
+            let mut bytes = full.clone();
+            bytes[1..9].copy_from_slice(&declared.to_le_bytes());
+            let e = decode(&bytes).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{declared}: {e}");
+            assert!(e.to_string().contains("trailing bytes"), "{declared}: {e}");
+            // `vals` claims 1 GiB of the declared 16 GiB; 56 bytes come.
+            let vals_at = full.len() - 8 - 7 * 8;
+            bytes[vals_at..vals_at + 8].copy_from_slice(&(1u64 << 27).to_le_bytes());
+            let e = decode(&bytes).unwrap_err();
+            let want = if declared == MAX_FRAME {
+                io::ErrorKind::UnexpectedEof
+            } else {
+                io::ErrorKind::InvalidData
+            };
+            assert_eq!(e.kind(), want, "{declared}: {e}");
+        }
     }
 
     const ALL_STATES: [State; 10] = [
@@ -490,7 +586,7 @@ mod tests {
         // Both ways: a tag the decoder knows must be admitted somewhere,
         // and the session admits no tag the decoder does not know.
         for t in 0..=u8::MAX {
-            let decodable = match Msg::decode(t, &[]) {
+            let decodable = match decode(&[t, 0, 0, 0, 0, 0, 0, 0, 0]) {
                 Ok(_) => true,
                 Err(e) => !e.to_string().contains("unknown frame tag"),
             };

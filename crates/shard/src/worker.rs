@@ -161,9 +161,11 @@ fn proto_err(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("protocol: {what}"))
 }
 
-/// Decode and validate a [`Msg::Matrix`] payload into a CSR plus the
-/// optional view-aligned layout.
-fn decode_matrix(m: Msg) -> io::Result<(Csr<f64>, Option<SinoLayout>, ImageShape)> {
+/// Validate a received [`Msg::Matrix`] into a CSR plus the optional
+/// view-aligned layout. Only the wire-specific checks live here (`u64`
+/// fields that must fit a `usize`, sizes that must not overflow); the
+/// structure is checked once, by [`Csr::try_from_parts`].
+fn decode_matrix(m: Msg<'_>) -> io::Result<(Csr<f64>, Option<SinoLayout>, ImageShape)> {
     let Msg::Matrix {
         n_cols,
         row0: _,
@@ -178,36 +180,15 @@ fn decode_matrix(m: Msg) -> io::Result<(Csr<f64>, Option<SinoLayout>, ImageShape
     else {
         return Err(proto_err("expected Matrix"));
     };
-    if row_ptr.is_empty() {
-        return Err(proto_err("empty row_ptr"));
-    }
-    if col_idx.len() != vals.len() {
-        return Err(proto_err("col_idx/vals length mismatch"));
-    }
-    if row_ptr.windows(2).any(|w| w[0] > w[1]) || row_ptr[0] != 0 {
-        return Err(proto_err("row_ptr not monotone from 0"));
-    }
-    if row_ptr.last() != Some(&(col_idx.len() as u64)) {
-        return Err(proto_err("row_ptr/nnz mismatch"));
-    }
-    // Column ids are u32, so a wider matrix cannot be addressed.
-    if n_cols > u64::from(u32::MAX) || row_ptr.len() - 1 > u32::MAX as usize {
-        return Err(proto_err("matrix dimensions exceed the u32 index range"));
-    }
+    let n_rows = row_ptr
+        .len()
+        .checked_sub(1)
+        .ok_or_else(|| proto_err("empty row_ptr"))?;
     let n_cols = wire_usize(n_cols, "n_cols")?;
-    if col_idx.iter().any(|&c| c as usize >= n_cols) {
-        return Err(proto_err("column index out of range"));
-    }
     let row_ptr = row_ptr
         .iter()
         .map(|&p| wire_usize(p, "row_ptr entry"))
         .collect::<io::Result<Vec<usize>>>()?;
-    if row_ptr
-        .windows(2)
-        .any(|w| col_idx[w[0]..w[1]].windows(2).any(|c| c[0] >= c[1]))
-    {
-        return Err(proto_err("columns not strictly increasing within a row"));
-    }
     let (n_views, n_bins) = (
         wire_usize(n_views, "n_views")?,
         wire_usize(n_bins, "n_bins")?,
@@ -216,7 +197,14 @@ fn decode_matrix(m: Msg) -> io::Result<(Csr<f64>, Option<SinoLayout>, ImageShape
     if n_views.checked_mul(n_bins).is_none() || nx.checked_mul(ny).is_none() {
         return Err(proto_err("sinogram or image size overflows usize"));
     }
-    let csr = Csr::from_parts(row_ptr.len() - 1, n_cols, row_ptr, col_idx, vals);
+    let csr = Csr::try_from_parts(
+        n_rows,
+        n_cols,
+        row_ptr,
+        col_idx.into_owned(),
+        vals.into_owned(),
+    )
+    .map_err(|v| proto_err(&format!("invalid shard matrix: {v}")))?;
     let layout = (n_views > 0 && n_bins > 0).then_some(SinoLayout { n_views, n_bins });
     Ok((csr, layout, ImageShape { nx, ny }))
 }
@@ -287,7 +275,7 @@ fn serve_session<S: Read + Write>(conn: &mut Conn<S>) -> io::Result<WorkerStats>
                 };
                 stats.busy_ns += duration_ns(t0.elapsed());
                 stats.spmv_calls += 1;
-                Msg::SpmvOut { y }.send(conn)?;
+                Msg::SpmvOut { y: y.into() }.send(conn)?;
             }
             Msg::SpmvT { span, y } => {
                 if y.len() != backend.n_rows() {
@@ -302,7 +290,7 @@ fn serve_session<S: Read + Write>(conn: &mut Conn<S>) -> io::Result<WorkerStats>
                 stats.spmv_t_calls += 1;
                 Msg::SpmvTOut {
                     col_lo: backend.window.lo as u64,
-                    partial: backend.window.trim(&x).to_vec(),
+                    partial: backend.window.trim(&x).into(),
                 }
                 .send(conn)?;
             }
@@ -314,9 +302,9 @@ fn serve_session<S: Read + Write>(conn: &mut Conn<S>) -> io::Result<WorkerStats>
                 };
                 stats.busy_ns += duration_ns(t0.elapsed());
                 Msg::AbsSumsOut {
-                    row,
+                    row: row.into(),
                     col_lo: backend.window.lo as u64,
-                    col: backend.window.trim(&col).to_vec(),
+                    col: backend.window.trim(&col).into(),
                 }
                 .send(conn)?;
             }
@@ -463,7 +451,7 @@ mod tests {
     }
 
     /// Send one request and read the one frame that answers it.
-    fn ask<S: Read + Write>(conn: &mut Conn<S>, m: Msg) -> Msg {
+    fn ask<S: Read + Write>(conn: &mut Conn<S>, m: Msg<'_>) -> Msg<'static> {
         m.send(conn).unwrap();
         Msg::recv(conn).unwrap()
     }
@@ -496,9 +484,14 @@ mod tests {
             n_bins: 0,
             nx: 3,
             ny: 2,
-            row_ptr: csr.row_ptr().iter().map(|&p| p as u64).collect(),
-            col_idx: csr.col_idx().to_vec(),
-            vals: csr.vals().to_vec(),
+            row_ptr: csr
+                .row_ptr()
+                .iter()
+                .map(|&p| p as u64)
+                .collect::<Vec<_>>()
+                .into(),
+            col_idx: csr.col_idx().into(),
+            vals: csr.vals().into(),
         };
         let Msg::MatrixAck { col_lo, col_hi, .. } = ask(&mut conn, matrix) else {
             panic!("expected MatrixAck");
@@ -507,31 +500,31 @@ mod tests {
 
         let spmv = Msg::Spmv {
             span: 0,
-            x: vec![1.0; 6],
+            x: vec![1.0; 6].into(),
         };
         assert_eq!(
             ask(&mut conn, spmv),
             Msg::SpmvOut {
-                y: vec![2.0, -1.0, 3.5, 1.0]
+                y: vec![2.0, -1.0, 3.5, 1.0].into()
             }
         );
 
         let spmv_t = Msg::SpmvT {
             span: 0,
-            y: vec![1.0; 4],
+            y: vec![1.0; 4].into(),
         };
         assert_eq!(
             ask(&mut conn, spmv_t),
             Msg::SpmvTOut {
                 col_lo: 1,
-                partial: vec![2.5, -1.0, 0.0, 4.0]
+                partial: vec![2.5, -1.0, 0.0, 4.0].into()
             }
         );
 
         let Msg::AbsSumsOut { row, col_lo, .. } = ask(&mut conn, Msg::AbsSums { span: 0 }) else {
             panic!("expected AbsSumsOut");
         };
-        assert_eq!((row, col_lo), (vec![2.0, 1.0, 3.5, 1.0], 1));
+        assert_eq!((&row[..], col_lo), (&[2.0, 1.0, 3.5, 1.0][..], 1));
 
         let Msg::StatsOut {
             spmv_calls,
@@ -546,7 +539,7 @@ mod tests {
         assert_eq!(ask(&mut conn, Msg::Shutdown { span: 0 }), Msg::ShutdownAck);
         let stats = worker.join().unwrap();
         assert_eq!(stats.spmv_calls, 1);
-        let e = conn.recv().unwrap_err();
+        let e = Msg::recv(&mut conn).unwrap_err();
         assert_eq!(
             e.kind(),
             io::ErrorKind::UnexpectedEof,
@@ -574,7 +567,7 @@ mod tests {
         // A product before any Matrix: the session has no such edge.
         Msg::Spmv {
             span: 0,
-            x: vec![1.0],
+            x: vec![1.0].into(),
         }
         .send(&mut conn)
         .unwrap();
@@ -593,14 +586,20 @@ mod tests {
             n_bins: side,
             nx: side,
             ny: side,
-            row_ptr: vec![0, col_idx.len() as u64],
-            vals: vec![1.0; col_idx.len()],
-            col_idx,
+            row_ptr: vec![0, col_idx.len() as u64].into(),
+            vals: vec![1.0; col_idx.len()].into(),
+            col_idx: col_idx.into(),
         };
         for (m, why) in [
-            (matrix(2, 1, vec![5]), "column index out of range"),
-            (matrix(2, 1, vec![1, 0]), "not strictly increasing"),
-            (matrix(u64::MAX, 1, vec![0]), "u32 index range"),
+            (
+                matrix(2, 1, vec![5]),
+                "[CSR-IDX] row 0: index 5 out of bounds",
+            ),
+            (
+                matrix(2, 1, vec![1, 0]),
+                "[CSR-IDX] row 0: indices not strictly sorted",
+            ),
+            (matrix(u64::MAX, 1, vec![0]), "[IDX-U32]"),
             (matrix(2, 1 << 33, vec![0]), "overflows usize"),
         ] {
             let e = decode_matrix(m).unwrap_err();
@@ -640,9 +639,9 @@ mod tests {
                 n_bins: side,
                 nx: side,
                 ny: side,
-                row_ptr: vec![0, 1],
-                col_idx: vec![0],
-                vals: vec![1.0],
+                row_ptr: vec![0, 1].into(),
+                col_idx: vec![0].into(),
+                vals: vec![1.0].into(),
             }
             .send(&mut conn);
             let e = worker.join().unwrap().unwrap_err();

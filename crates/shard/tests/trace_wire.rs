@@ -22,11 +22,13 @@ fn untraced_session_carries_zero_trace_frames() {
 
     let mut conn = Conn::new(coord_end);
     let mut seen: Vec<u8> = Vec::new();
-    let mut ask = |conn: &mut Conn<UnixStream>, m: Msg| {
+    let mut ask = |conn: &mut Conn<UnixStream>, m: Msg<'_>| {
         m.send(conn).unwrap();
-        let (tag, payload) = conn.recv().unwrap();
-        seen.push(tag);
-        Msg::decode(tag, &payload).unwrap()
+        conn.recv(|tag, payload| {
+            seen.push(tag);
+            Msg::read(tag, payload)
+        })
+        .unwrap()
     };
 
     Msg::Hello {
@@ -47,9 +49,9 @@ fn untraced_session_carries_zero_trace_frames() {
             n_bins: 0,
             nx: 3,
             ny: 1,
-            row_ptr: vec![0, 2, 3],
-            col_idx: vec![0, 2, 1],
-            vals: vec![1.0, 2.0, 3.0],
+            row_ptr: vec![0, 2, 3].into(),
+            col_idx: vec![0, 2, 1].into(),
+            vals: vec![1.0, 2.0, 3.0].into(),
         },
     );
     assert!(matches!(ack, Msg::MatrixAck { .. }));
@@ -57,15 +59,20 @@ fn untraced_session_carries_zero_trace_frames() {
         &mut conn,
         Msg::Spmv {
             span: 0,
-            x: vec![1.0, -1.0, 0.5],
+            x: vec![1.0, -1.0, 0.5].into(),
         },
     );
-    assert_eq!(y, Msg::SpmvOut { y: vec![2.0, -3.0] });
+    assert_eq!(
+        y,
+        Msg::SpmvOut {
+            y: vec![2.0, -3.0].into()
+        }
+    );
     ask(
         &mut conn,
         Msg::SpmvT {
             span: 0,
-            y: vec![1.0, 1.0],
+            y: vec![1.0, 1.0].into(),
         },
     );
     ask(&mut conn, Msg::AbsSums { span: 0 });
@@ -87,7 +94,7 @@ fn untraced_session_carries_zero_trace_frames() {
         "the wire must carry exactly the request/reply frames"
     );
     assert_eq!(
-        conn.recv().unwrap_err().kind(),
+        Msg::recv(&mut conn).unwrap_err().kind(),
         std::io::ErrorKind::UnexpectedEof,
         "a frame followed ShutdownAck"
     );

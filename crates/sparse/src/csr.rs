@@ -6,6 +6,7 @@
 
 use crate::coo::Coo;
 use crate::csc::Csc;
+use crate::invariants::{validate_csr_parts, Violation};
 use crate::partition::even_chunks;
 use cscv_simd::Scalar;
 use std::ops::Range;
@@ -24,8 +25,7 @@ impl<T: Scalar> Csr<T> {
     /// Build from raw arrays (validated).
     ///
     /// # Panics
-    /// On inconsistent array lengths, non-monotone `row_ptr`, or
-    /// out-of-bounds / unsorted column indices within a row.
+    /// Where [`try_from_parts`](Self::try_from_parts) returns an error.
     pub fn from_parts(
         n_rows: usize,
         n_cols: usize,
@@ -33,30 +33,39 @@ impl<T: Scalar> Csr<T> {
         col_idx: Vec<u32>,
         vals: Vec<T>,
     ) -> Self {
-        assert!(
-            n_rows <= u32::MAX as usize && n_cols <= u32::MAX as usize,
-            "dimensions {n_rows}x{n_cols} exceed the u32 index range"
-        );
-        assert_eq!(row_ptr.len(), n_rows + 1, "row_ptr length");
-        assert_eq!(col_idx.len(), vals.len(), "col/val length mismatch");
-        assert_eq!(*row_ptr.first().unwrap_or(&0), 0, "row_ptr[0] must be 0");
-        assert_eq!(*row_ptr.last().unwrap_or(&0), vals.len(), "row_ptr end");
-        for r in 0..n_rows {
-            assert!(row_ptr[r] <= row_ptr[r + 1], "row_ptr not monotone at {r}");
-            let cols = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            for w in cols.windows(2) {
-                assert!(w[0] < w[1], "columns not strictly sorted in row {r}");
-            }
-            if let Some(&last) = cols.last() {
-                assert!((last as usize) < n_cols, "col {last} out of bounds");
-            }
+        match Csr::try_from_parts(n_rows, n_cols, row_ptr, col_idx, vals) {
+            Ok(csr) => csr,
+            #[expect(
+                clippy::panic,
+                reason = "the panicking constructor is for arrays a conversion built; untrusted input goes through try_from_parts"
+            )]
+            Err(v) => panic!("Csr::from_parts: {v}"),
         }
-        Csr {
-            n_rows,
-            n_cols,
-            row_ptr,
-            col_idx,
-            vals,
+    }
+
+    /// Build from raw arrays, or return the first violated invariant:
+    /// dimensions beyond the `u32` index range (`IDX-U32`), array
+    /// lengths that disagree or a `row_ptr` that does not run
+    /// monotonically from 0 to `nnz` (`CSR-PTR`), or column indices
+    /// unsorted or out of bounds within a row (`CSR-IDX`). Never
+    /// panics; this is the constructor for arrays read from outside.
+    pub fn try_from_parts(
+        n_rows: usize,
+        n_cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u32>,
+        vals: Vec<T>,
+    ) -> Result<Self, Violation> {
+        let violations = validate_csr_parts(n_rows, n_cols, &row_ptr, &col_idx, vals.len());
+        match violations.into_iter().next() {
+            Some(v) => Err(v),
+            None => Ok(Csr {
+                n_rows,
+                n_cols,
+                row_ptr,
+                col_idx,
+                vals,
+            }),
         }
     }
 
@@ -455,6 +464,30 @@ mod tests {
     #[should_panic]
     fn from_parts_rejects_bad_ptr() {
         let _ = Csr::from_parts(2, 2, vec![0, 3, 1], vec![0], vec![1.0f32]);
+    }
+
+    /// Each class of malformed arrays is a typed error naming its
+    /// invariant, never a panic; valid arrays build the same matrix
+    /// `from_parts` does.
+    #[test]
+    fn try_from_parts_returns_the_violated_invariant() {
+        let m = sample();
+        let (p, c, v) = (m.row_ptr.clone(), m.col_idx.clone(), m.vals.clone());
+        assert_eq!(Csr::try_from_parts(3, 3, p, c, v), Ok(m));
+        type Case = (usize, Vec<usize>, Vec<u32>, Vec<f32>, &'static str);
+        let cases: [Case; 7] = [
+            (1 << 33, vec![0, 0], vec![], vec![], "IDX-U32"),
+            (1, vec![0, 1], vec![0], vec![], "CSR-PTR"),
+            (2, vec![0, 1], vec![0], vec![1.0], "CSR-PTR"),
+            (2, vec![0, 2, 1], vec![0], vec![1.0], "CSR-PTR"),
+            (3, vec![0, 1, 0, 1], vec![0], vec![1.0], "CSR-PTR"),
+            (1, vec![0, 2], vec![2, 0], vec![1.0, 2.0], "CSR-IDX"),
+            (1, vec![0, 1], vec![3], vec![1.0], "CSR-IDX"),
+        ];
+        for (n_rows, row_ptr, col_idx, vals, id) in cases {
+            let e = Csr::try_from_parts(n_rows, 3, row_ptr, col_idx, vals).unwrap_err();
+            assert_eq!(e.id, id, "{e}");
+        }
     }
 
     /// A conversion that emits a malformed CSR stops at its boundary:

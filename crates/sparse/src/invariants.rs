@@ -1,7 +1,9 @@
 //! Deep structural validators for the canonical sparse formats.
 //!
-//! The `from_parts` constructors already assert their input shape; this
-//! module is the *conversion-boundary* counterpart: every format
+//! [`Csr::try_from_parts`] checks raw arrays against the CSR rows of
+//! the table below and returns the first [`Violation`] as its error
+//! (`Csr::from_parts` panics with it). This module is also the
+//! *conversion-boundary* check: every format
 //! conversion (`Coo::to_csr`, `Csr::to_csc`, `Csr::transpose`, …)
 //! re-validates its **output** in every build with debug assertions
 //! (`cargo test` included), so a bug in a conversion routine is caught
@@ -45,6 +47,8 @@ impl std::fmt::Display for Violation {
         write!(f, "[{}] {}", self.id, self.detail)
     }
 }
+
+impl std::error::Error for Violation {}
 
 fn check_ptr(
     ptr: &[usize],
@@ -103,7 +107,7 @@ fn check_idx(
     }
     for outer in 0..ptr.len() - 1 {
         let (lo, hi) = (ptr[outer], ptr[outer + 1]);
-        if hi > idx.len() {
+        if lo > hi || hi > idx.len() {
             return; // already reported by check_ptr
         }
         let seg = &idx[lo..hi];
@@ -148,27 +152,31 @@ fn check_u32_fit(n_rows: usize, n_cols: usize, out: &mut Vec<Violation>) {
 
 /// Deep-validate a CSR matrix; returns every violated invariant.
 pub fn validate_csr<T: Scalar>(m: &Csr<T>) -> Vec<Violation> {
+    validate_csr_parts(m.n_rows(), m.n_cols(), m.row_ptr(), m.col_idx(), m.nnz())
+}
+
+/// [`validate_csr`] on raw arrays (`n_vals` is the length of `vals`),
+/// before they are a [`Csr`]. Never panics, whatever the arrays hold.
+pub fn validate_csr_parts(
+    n_rows: usize,
+    n_cols: usize,
+    row_ptr: &[usize],
+    col_idx: &[u32],
+    n_vals: usize,
+) -> Vec<Violation> {
     let mut out = Vec::new();
-    check_u32_fit(m.n_rows(), m.n_cols(), &mut out);
-    if m.col_idx().len() != m.vals().len() {
+    check_u32_fit(n_rows, n_cols, &mut out);
+    if col_idx.len() != n_vals {
         out.push(Violation {
             id: "CSR-PTR",
             detail: format!(
-                "col_idx has {} entries but vals has {}",
-                m.col_idx().len(),
-                m.vals().len()
+                "col_idx has {} entries but vals has {n_vals}",
+                col_idx.len()
             ),
         });
     }
-    check_ptr(m.row_ptr(), m.n_rows(), m.nnz(), "CSR-PTR", &mut out);
-    check_idx(
-        m.row_ptr(),
-        m.col_idx(),
-        m.n_cols(),
-        "CSR-IDX",
-        "row",
-        &mut out,
-    );
+    check_ptr(row_ptr, n_rows, n_vals, "CSR-PTR", &mut out);
+    check_idx(row_ptr, col_idx, n_cols, "CSR-IDX", "row", &mut out);
     out
 }
 
