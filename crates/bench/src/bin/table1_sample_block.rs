@@ -27,7 +27,7 @@ fn main() {
     let img = ImageShape { nx: 25, ny: 25 };
     let params = CscvParams::new(5, 8, 2);
     let m = build(&csc, layout, img, params, Variant::Z);
-    m.validate();
+    m.validate_full().unwrap();
 
     println!("Table I sample block configuration:");
     println!("  full image size   : 25 x 25");

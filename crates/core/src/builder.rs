@@ -344,7 +344,7 @@ fn build_in_parts<T: Scalar>(
         stats,
         max_ytil,
     };
-    // Catalog postcondition (no-op in release builds).
+    // Invariant postcondition (no-op in release builds).
     crate::invariants::assert_valid(&matrix, "builder::try_build_with_curves");
     Ok(matrix)
 }
@@ -694,7 +694,7 @@ mod tests {
     fn build_z_validates_and_covers_nnz() {
         let (csc, layout, img) = synthetic(8, 12, 4, 4);
         let m = build(&csc, layout, img, CscvParams::new(2, 4, 2), Variant::Z);
-        m.validate();
+        m.validate_full().unwrap();
         assert_eq!(m.stats.nnz_orig, csc.nnz());
         assert_eq!(
             m.stats.lane_slots,
@@ -709,7 +709,7 @@ mod tests {
     fn build_m_stores_exactly_nnz_values() {
         let (csc, layout, img) = synthetic(8, 12, 4, 4);
         let m = build(&csc, layout, img, CscvParams::new(2, 4, 2), Variant::M);
-        m.validate();
+        m.validate_full().unwrap();
         assert_eq!(m.nnz_stored_vals(), csc.nnz());
         // Same padding stats as Z (format-level, not storage-level).
         let z = build(&csc, layout, img, CscvParams::new(2, 4, 2), Variant::Z);
@@ -726,7 +726,7 @@ mod tests {
             CscvParams::new(16, 16, 3),
         ] {
             let m = build(&csc, layout, img, params, Variant::Z);
-            m.validate();
+            m.validate_full().unwrap();
             spmv_single_thread_check(&csc, &m, params);
         }
     }
@@ -736,7 +736,7 @@ mod tests {
         let (csc, layout, img) = synthetic(10, 14, 5, 4);
         for params in [CscvParams::new(2, 4, 2), CscvParams::new(5, 8, 3)] {
             let m = build(&csc, layout, img, params, Variant::M);
-            m.validate();
+            m.validate_full().unwrap();
             spmv_single_thread_check(&csc, &m, params);
         }
     }
@@ -781,7 +781,7 @@ mod tests {
         let (csc, layout, img) = synthetic(10, 12, 4, 4);
         let params = CscvParams::new(4, 4, 2);
         let m = build(&csc, layout, img, params, Variant::Z);
-        m.validate();
+        m.validate_full().unwrap();
         let last_group = m.groups.last().unwrap();
         assert_eq!(last_group.row_range.len(), 2 * 12);
         spmv_single_thread_check(&csc, &m, params);
@@ -803,7 +803,7 @@ mod tests {
         let csc = coo.to_csc();
         let params = CscvParams::new(2, 4, 2);
         let m = build(&csc, layout, img, params, Variant::Z);
-        m.validate();
+        m.validate_full().unwrap();
         assert_eq!(m.stats.nnz_orig, 8);
         spmv_single_thread_check(&csc, &m, params);
     }
@@ -828,7 +828,7 @@ mod tests {
         // Columns share no VxG alignment padding either (offsets 0..3
         // with span 1 each → common range forces padding).
         assert_eq!(m.stats.n_cscve, 4);
-        m.validate();
+        m.validate_full().unwrap();
     }
 
     #[test]
@@ -836,7 +836,7 @@ mod tests {
         let (csc, layout, img) = synthetic(8, 12, 4, 4);
         let m = build(&csc, layout, img, CscvParams::new(4, 4, 1), Variant::Z);
         assert_eq!(m.stats.vxg_padding, 0, "S_VxG=1 never aligns columns");
-        m.validate();
+        m.validate_full().unwrap();
     }
 
     #[test]
@@ -955,7 +955,7 @@ mod tests {
                     let one =
                         build_in_parts(&ct_csc, ct_layout, ct_img, params, variant, curves, 1)
                             .unwrap();
-                    one.validate();
+                    one.validate_full().unwrap();
                     for parts in 2..=n_blocks(ct_layout, ct_img, params) {
                         let m = build_in_parts(
                             &ct_csc, ct_layout, ct_img, params, variant, curves, parts,

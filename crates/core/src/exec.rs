@@ -133,7 +133,7 @@ pub struct CscvExec<T: Scalar> {
 
 impl<T: Scalar + MaskExpand> CscvExec<T> {
     pub fn new(m: CscvMatrix<T>) -> Self {
-        // The unsafe kernels below assume the full invariant catalog
+        // The unsafe kernels below assume every CSCV invariant
         // (CSCV-PERM, CSCV-VXG-BOUNDS, …); debug builds re-check at
         // executor construction, since matrices may arrive
         // hand-assembled rather than from the builder.
@@ -521,7 +521,7 @@ mod tests {
             CscvParams::new(3, 16, 1),
         ] {
             let m = build(&csc, layout, img, params, variant);
-            m.validate();
+            m.validate_full().unwrap();
             let exec = CscvExec::new(m);
             for threads in [1, 2, 4, 7] {
                 let pool = ThreadPool::new(threads);

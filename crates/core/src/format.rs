@@ -166,57 +166,6 @@ impl<T: Scalar> CscvMatrix<T> {
     pub fn matrix_bytes(&self) -> usize {
         self.blocks.iter().map(Block::matrix_bytes).sum()
     }
-
-    /// Consistency checks (used by tests and the builder's debug path).
-    pub fn validate(&self) {
-        let w = self.params.s_vvec;
-        let g = self.params.s_vxg;
-        assert_eq!(self.layout.n_rows(), self.n_rows);
-        let mut blocks_seen = 0;
-        for (gi, info) in self.groups.iter().enumerate() {
-            assert_eq!(info.block_range.start, blocks_seen);
-            blocks_seen = info.block_range.end;
-            for b in &self.blocks[info.block_range.clone()] {
-                assert_eq!(b.group as usize, gi);
-                assert_eq!(b.map.len() % w, 0, "map is whole lane blocks");
-                let n = b.n_vxgs();
-                assert_eq!(b.vxg_count.len(), n);
-                assert_eq!(b.cols.len(), n * g);
-                assert_eq!(b.val_ptr.len(), n + 1);
-                for i in 0..n {
-                    let q = b.vxg_q[i] as usize;
-                    let count = b.vxg_count[i] as usize;
-                    assert!(q + count * w <= b.map.len(), "VxG inside ỹ");
-                    let lane_blocks = count * g;
-                    match self.variant {
-                        Variant::Z => {
-                            assert_eq!((b.val_ptr[i + 1] - b.val_ptr[i]) as usize, lane_blocks * w)
-                        }
-                        Variant::M => {
-                            assert!((b.val_ptr[i + 1] - b.val_ptr[i]) as usize <= lane_blocks * w);
-                        }
-                    }
-                }
-                assert_eq!(b.val_ptr.last().map(|&p| p as usize), Some(b.vals.len()));
-                if self.variant == Variant::M {
-                    let lane_blocks: usize = (0..n).map(|i| b.vxg_count[i] as usize * g).sum();
-                    assert_eq!(b.masks.len(), lane_blocks * self.mask_bytes());
-                } else {
-                    assert!(b.masks.is_empty());
-                }
-                for &row in &b.map {
-                    assert!(row == -1 || (row as usize) < self.n_rows);
-                    if row >= 0 {
-                        assert!(
-                            info.row_range.contains(&(row as usize)),
-                            "map rows stay inside the group's row range"
-                        );
-                    }
-                }
-            }
-        }
-        assert_eq!(blocks_seen, self.blocks.len());
-    }
 }
 
 #[cfg(test)]

@@ -154,7 +154,7 @@ impl<'a, T: MaskExpand, const W: usize, const HW: bool> LaneSource<'a, T, W> for
 
 /// Read one occupancy mask (1 byte for `W ≤ 8`, 2 bytes LE for `W = 16`).
 #[inline(always)]
-// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
+// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-VXG-BOUNDS), so a panic is a builder bug, never input-dependent.
 fn read_mask<const W: usize>(masks: &[u8], mi: usize) -> u32 {
     if W > 8 {
         // Two-byte masks straddle the stream tail when the last lane
@@ -188,7 +188,7 @@ fn gather_xs<T: Scalar, const K: usize>(x: &[T], n_cols: usize, c: usize) -> [T;
 /// in one pass over the value stream. `x` holds `K` column-major RHS
 /// vectors of length `n_cols`; `ytil` must hold at least
 /// `K · blk.ytil_len()` elements (interleaved layout) and is zeroed here.
-// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
+// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-VXG-BOUNDS), so a panic is a builder bug, never input-dependent.
 pub fn forward_block<'a, T, S, const W: usize, const K: usize>(
     blk: &'a Block<T>,
     s_vxg: usize,
@@ -245,7 +245,7 @@ pub const MAX_TILE_BYTES: usize = 512;
 /// CSCV-M from `scratch`, into which each VxG is expanded once (at least
 /// `count·S_VxG` lane blocks; CSCV-Z ignores it). The sink receives each
 /// member's `K` horizontal sums.
-// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
+// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-VXG-BOUNDS), so a panic is a builder bug, never input-dependent.
 pub fn transpose_block<'a, T, S, const W: usize, const K: usize>(
     blk: &'a Block<T>,
     s_vxg: usize,
@@ -301,7 +301,7 @@ pub fn transpose_block<'a, T, S, const W: usize, const K: usize>(
 /// every tile row is whole vector FMAs. The call costs once per pass,
 /// not per curve offset.
 #[inline(never)]
-// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
+// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-VXG-BOUNDS), so a panic is a builder bug, never input-dependent.
 fn member_tiles<T: Scalar, const W: usize, const K: usize, const G: usize>(
     lane_blocks: &[[T; W]],
     s_vxg: usize,
@@ -324,7 +324,7 @@ fn member_tiles<T: Scalar, const W: usize, const K: usize, const G: usize>(
 /// Scatter-add a batched `ỹ` into `K` output segments (paper Alg. 3
 /// line 11, the inverse mapping `ι_k⁻¹`): valid slot `s` of RHS `k`
 /// lands in `dst[k][map[s] − row_offset]`.
-// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
+// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-VXG-BOUNDS), so a panic is a builder bug, never input-dependent.
 pub fn scatter_add<T: Scalar, const W: usize, const K: usize>(
     blk: &Block<T>,
     ytil: &[T],
@@ -347,7 +347,7 @@ pub fn scatter_add<T: Scalar, const W: usize, const K: usize>(
 /// Gather the block's batched `ỹ` view of `K` column-major `y` segments
 /// of `n_rows` each (forward mapping `ι_k`; invalid slots read as zero).
 /// The transpose kernel's prologue.
-// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-BOUNDS), so a panic is a builder bug, never input-dependent.
+// Checked indexing is the bounds guard here — block tables are validated at construction (CSCV-VXG-BOUNDS), so a panic is a builder bug, never input-dependent.
 pub fn gather<T: Scalar, const W: usize, const K: usize>(
     blk: &Block<T>,
     y: &[T],

@@ -57,6 +57,6 @@ pub use builder::{
 };
 pub use exec::{CscvExec, ExecConfig};
 pub use format::{CscvMatrix, CscvStats, Variant};
-pub use invariants::{Invariant, Violation, CATALOG};
+pub use invariants::Violation;
 pub use layout::SinoLayout;
 pub use params::CscvParams;

@@ -45,7 +45,7 @@ fn cscv_matches_csr_on_ct_matrix() {
             CscvParams::new(16, 4, 4),
         ] {
             let m = build(&csc, layout, img, params, variant);
-            m.validate();
+            m.validate_full().unwrap();
             let exec = CscvExec::new(m);
             for threads in [1, 3] {
                 let pool = ThreadPool::new(threads);
@@ -170,7 +170,7 @@ fn limited_angle_dataset_builds_and_matches() {
     };
     let img = ImageShape { nx: 32, ny: 32 };
     let m = build(&csc, layout, img, CscvParams::new(8, 8, 2), Variant::M);
-    m.validate();
+    m.validate_full().unwrap();
     let exec = CscvExec::new(m);
     let x = vec![1.0f64; csc.n_cols()];
     let mut y_ref = vec![0.0; csc.n_rows()];

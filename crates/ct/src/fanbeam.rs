@@ -276,7 +276,7 @@ mod tests {
         csc.spmv_serial(&x, &mut y_ref);
         for variant in [Variant::Z, Variant::M] {
             let m = build(&csc, layout, img, CscvParams::new(4, 4, 2), variant);
-            m.validate();
+            m.validate_full().unwrap();
             let exec = cscv_core::CscvExec::new(m);
             let pool = ThreadPool::new(2);
             let mut y = vec![f64::NAN; fan.n_rays()];

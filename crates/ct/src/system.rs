@@ -543,7 +543,7 @@ mod tests {
             Variant::Z,
             &GeometricCurves::new(&ct),
         );
-        geo.validate();
+        geo.validate_full().unwrap();
         let data = build(&csc, layout, img, params, Variant::Z);
         // Correctness.
         let x: Vec<f64> = (0..csc.n_cols()).map(|i| (i as f64 * 0.13).sin()).collect();

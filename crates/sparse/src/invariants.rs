@@ -11,7 +11,7 @@
 //! as a wrong SpMV result.
 //!
 //! Each invariant carries a stable ID. The IDs are shared with the CSCV
-//! catalog in `cscv-core::invariants` (which builds on these formats) and
+//! invariants in `cscv-core::invariants` (which builds on these formats) and
 //! referenced from SAFETY comments, documentation, and the fuzzer's
 //! failure reports:
 //!

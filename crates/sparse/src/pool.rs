@@ -227,7 +227,7 @@ impl std::fmt::Debug for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn single_thread_runs_inline() {
@@ -265,6 +265,20 @@ mod tests {
             });
         }
         assert_eq!(count.load(Ordering::SeqCst), 150);
+    }
+
+    #[test]
+    fn run_returns_only_after_every_slot_finished() {
+        // Slot i finishes after i × 20 ms, so a dispatch that drained one
+        // ack too few would return while the slowest slot still sleeps,
+        // its flag unset. Relaxed suffices: the ack barrier orders it.
+        let done: Vec<AtomicBool> = (0..4).map(|_| AtomicBool::new(false)).collect();
+        let pool = ThreadPool::new(4);
+        pool.run(|i| {
+            std::thread::sleep(std::time::Duration::from_millis(20 * i as u64));
+            done[i].store(true, Ordering::Relaxed);
+        });
+        assert!(done.iter().all(|d| d.load(Ordering::Relaxed)));
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!    comparing densifications exactly (conversions permute, they never
 //!    re-associate arithmetic);
 //! 2. builds CSCV-Z and CSCV-M via [`cscv_core::try_build`] and runs
-//!    the full invariant catalog ([`CscvMatrix::validate_full`]);
+//!    every CSCV invariant check ([`CscvMatrix::validate_full`]);
 //! 3. differentially checks every executor — CSR (serial + parallel),
-//!    CSC (serial + parallel), CSCV-Z/M under both parallel strategies,
+//!    CSC (serial + parallel), CSCV-Z and CSCV-M,
 //!    through `spmv`, `spmv_multi` and the transpose paths — against
 //!    the dense reference within accumulation-order tolerance.
 //!
@@ -241,7 +241,7 @@ pub fn run_case(desc: &CaseDesc) -> Result<(), String> {
         }
     }
 
-    // --- CSCV: build, validate the catalog, differential paths ---------
+    // --- CSCV: build, validate the invariants, differential paths ------
     let s_vxg = desc.s_vxg.min(cscv_core::kernels::MAX_VXG);
     let params = CscvParams::new(desc.s_imgb, desc.s_vvec, s_vxg);
     for variant in [Variant::Z, Variant::M] {

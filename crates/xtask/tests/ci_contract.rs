@@ -5,7 +5,6 @@
 //! `cargo` in a sandbox copy so the repo's bench_results/ stay
 //! untouched.
 
-use cscv_xtask::lexer;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -78,6 +77,52 @@ fn ci_sh_runs_both_clippy_gates_unconditionally() {
     }
 }
 
+/// The lints every index crate's `lib.rs` denies.
+const DENIED: [&str; 6] = [
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "todo",
+    "unimplemented",
+    "cast_possible_truncation",
+];
+
+/// `src` without its `//` and `/* */` comments, each replaced by a
+/// space. Strings are not special-cased: deny blocks hold none.
+fn strip_comments(src: &str) -> String {
+    let (mut out, mut rest) = (String::new(), src);
+    while let Some(i) = [rest.find("//"), rest.find("/*")]
+        .into_iter()
+        .flatten()
+        .min()
+    {
+        out.push_str(&rest[..i]);
+        out.push(' ');
+        let end = if rest[i..].starts_with("//") {
+            "\n"
+        } else {
+            "*/"
+        };
+        rest = rest[i + 2..]
+            .find(end)
+            .map_or("", |j| &rest[i + 2 + j + end.len()..]);
+    }
+    out + rest
+}
+
+/// The [`DENIED`] lints that the crate-level `#![deny(…)]` of `src` does
+/// not name outside a comment, or `None` if `src` has no such block.
+fn undenied_lints(src: &str) -> Option<Vec<&'static str>> {
+    let code = strip_comments(src);
+    let start = code.find("#![deny(")?;
+    let block = &code[start..start + code[start..].find(")]")?];
+    let words: Vec<&str> = block
+        .split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+        .collect();
+    let named = |lint: &str| words.contains(&format!("clippy::{lint}").as_str());
+    Some(DENIED.into_iter().filter(|lint| !named(lint)).collect())
+}
+
 #[test]
 fn index_crates_deny_panics_and_narrowing_casts() {
     // The clippy gates above only hold these crates to the per-site
@@ -87,33 +132,28 @@ fn index_crates_deny_panics_and_narrowing_casts() {
         "core", "sparse", "simd", "shard", "ct", "trace", "harness", "recon",
     ] {
         let path = repo_root().join("crates").join(krate).join("src/lib.rs");
-        let lines = lexer::analyze(&std::fs::read_to_string(&path).unwrap());
-        let start = lines
-            .iter()
-            .position(|l| l.is_attribute() && l.code.contains("#![deny("))
+        let missing = undenied_lints(&std::fs::read_to_string(&path).unwrap())
             .unwrap_or_else(|| panic!("{}: no crate-level `#![deny(`", path.display()));
-        let mut deny = String::new();
-        for l in &lines[start..] {
-            deny.push_str(&l.code);
-            if l.code.contains(")]") {
-                break;
-            }
-        }
-        for lint in [
-            "unwrap_used",
-            "expect_used",
-            "panic",
-            "todo",
-            "unimplemented",
-            "cast_possible_truncation",
-        ] {
-            assert!(
-                !lexer::word_positions(&deny, lint).is_empty(),
-                "{}: `#![deny(` does not name clippy::{lint}",
-                path.display()
-            );
-        }
+        assert!(
+            missing.is_empty(),
+            "{}: `#![deny(` does not name clippy::{}",
+            path.display(),
+            missing.join(", clippy::")
+        );
     }
+    // A lint that is only named in a comment is not denied.
+    let commented = r"//! #![deny(clippy::panic)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    // clippy::panic,
+    clippy::todo,
+    /* clippy::panic */ clippy::unimplemented,
+    clippy::cast_possible_truncation
+)]
+";
+    assert_eq!(undenied_lints(commented), Some(vec!["panic"]));
+    assert_eq!(undenied_lints("// #![deny(clippy::panic)]\n"), None);
 }
 
 #[test]

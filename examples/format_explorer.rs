@@ -77,7 +77,7 @@ fn main() {
         ),
     ] {
         let m = build(&a, layout, img, params, variant);
-        m.validate();
+        m.validate_full().unwrap();
         let stats = m.stats;
         let exec = CscvExec::new(m);
         println!(

@@ -31,7 +31,7 @@ fn fan_beam_cscv_spmv_matches_reference_all_variants() {
     for variant in [Variant::Z, Variant::M] {
         for params in [CscvParams::new(8, 8, 2), CscvParams::new(4, 16, 4)] {
             let m = build(&csc, layout, img, params, variant);
-            m.validate();
+            m.validate_full().unwrap();
             let exec = CscvExec::new(m);
             for threads in [1, 3] {
                 let pool = ThreadPool::new(threads);
